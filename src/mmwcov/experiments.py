@@ -29,7 +29,8 @@ import scipy
 
 from . import __version__
 from .radio import AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, watts_to_dbm
-from .montecarlo import SimPlan, default_power_levels, run_coverage, run_power_ccdf
+from .montecarlo import (SimPlan, check_chunk_points, default_power_levels, run_coverage,
+                         run_power_ccdf)
 from . import analytic, dominant
 
 __all__ = [
@@ -223,6 +224,18 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     rng_check("run.workers", lambda v: v >= 1, "must be at least 1")
 
     base = ExperimentConfig()
+    if "mc" in values.get("run.engines", base.engines):
+        r_los = values.get("channel.r_los", base.params.r_los)
+        for key, densities in (
+                ("network.density", (values.get("network.density", base.params.density),)),
+                ("sweep.density", values.get("sweep.density", base.density_sweep))):
+            for density in densities:
+                try:
+                    check_chunk_points(density, r_los)
+                except ValueError as exc:
+                    where = locations.get(key, locations.get("channel.r_los"))
+                    raise ConfigError(f"{where}: {key} {exc}") from None
+
     antenna_kwargs = dict(
         g_max_db=values.get("antenna.g_max_db", base.params.antenna.g_max_db),
         sla_db=values.get("antenna.sla_db", base.params.antenna.sla_db),

@@ -30,9 +30,14 @@ __all__ = [
     "run_histogram",
     "sample_statistic",
     "sample_conditioned_interference",
+    "check_chunk_points",
 ]
 
 CHUNK_TRIALS = 4096
+
+# Largest expected point count of one chunk.  A chunk holds about 105 bytes
+# of arrays per point at its peak, so this is about 0.9 GB.
+CHUNK_POINT_BUDGET = 2**23
 
 STATISTICS = ("phi_c", "S", "G_ratio_p2", "W_ratio_p2", "G_p3", "W_p3", "varphi12",
                "SIR_dom_p2", "SIR_dom_p3")
@@ -42,6 +47,20 @@ _POLICIES = ("P1", "P2", "P3")
 
 class ConditioningError(RuntimeError):
     """Raised when a conditioned statistic accepts too few samples to be useful."""
+
+
+def check_chunk_points(density: float, r_los: float) -> None:
+    """Refuse a run whose chunks expect more than ``CHUNK_POINT_BUDGET`` points.
+
+    The chunk size is fixed because it defines the random stream, so a field
+    too dense for memory is refused up front rather than chunked differently.
+    """
+    points = density * math.pi * r_los**2 * CHUNK_TRIALS
+    if points > CHUNK_POINT_BUDGET:
+        raise ValueError(
+            f"density {density:g} /m^2 in a disk of r_los {r_los:g} m expects "
+            f"{points:.3g} points per chunk of {CHUNK_TRIALS} trials, over the "
+            f"budget of {CHUNK_POINT_BUDGET} points")
 
 
 @dataclass(frozen=True)
@@ -62,6 +81,7 @@ class SimPlan:
         th = tuple(float(x) for x in self.thresholds_db)
         if len(th) > 1 and any(b <= a for a, b in zip(th, th[1:])):
             raise ValueError("thresholds must be strictly increasing")
+        check_chunk_points(self.params.density, self.params.r_los)
         object.__setattr__(self, "thresholds_db", th)
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
@@ -140,8 +160,38 @@ def _sample_batch(params: NetworkParams, n: int, rng: np.random.Generator):
     return counts, starts, seg, r, phi
 
 
+def _select(best_of, key, tiebreak, seg, starts):
+    """Per-segment index of the extremum of ``key`` (one O(points) pass).
+
+    ``best_of`` is ``np.maximum`` or ``np.minimum``; segments must be
+    nonempty.  Exact ties on ``key`` go to the smallest of the ``tiebreak``
+    arrays in priority order (the policies pass radius, then azimuth), then to
+    the lowest index.  Only segments with a tie are sorted, and only their
+    tied points.
+    """
+    ext = best_of.reduceat(key, starts)
+    hit = key == ext[seg]
+    idx = np.flatnonzero(hit)
+    n_hits = np.add.reduceat(hit, starts)
+    win = idx[np.cumsum(n_hits) - n_hits]
+    tied = n_hits > 1
+    if tied.any():
+        cand = idx[tied[seg[idx]]]
+        order = cand[np.lexsort(tuple(t[cand] for t in reversed(tiebreak)) + (seg[cand],))]
+        s = seg[order]
+        lead = np.concatenate([[True], s[1:] != s[:-1]])
+        win[s[lead]] = order[lead]
+    return win
+
+
 def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Generator):
-    """Simulate ``n`` trials of one policy; returns per-trial arrays."""
+    """Simulate ``n`` trials of one policy; returns per-trial arrays.
+
+    The serving transmitter of each field is picked by ``_select`` in
+    O(points): the extremum of the policy key (max power for P1, min angular
+    distance for P2, min distance for P3), then the smaller radius, then the
+    smaller azimuth, then the lower index.
+    """
     cfg, ch = params.antenna, params.channel
     counts, starts, seg, r, phi = _sample_batch(params, n, rng)
     h_s = sample_fading(ch.m_s, rng, size=n)
@@ -155,18 +205,18 @@ def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Gen
     out = {"counts": counts}
     if policy == "P1":
         key = gain_approx(off, cfg) * rpow
-        win = np.lexsort((phi, r, -key, seg))[starts]
+        win = _select(np.maximum, key, (r, phi), seg, starts)
         beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
         ref = 0.5 * step + beam * step
         g_serve = gain_approx(off[win], cfg)
         out["s_norm"] = key[win]
     elif policy == "P2":
-        win = np.lexsort((phi, r, off, seg))[starts]
+        win = _select(np.minimum, off, (r, phi), seg, starts)
         ref = phi[win]
         g_serve = gain_approx(off[win], cfg)
         out["phi_c"] = off[win]
     elif policy == "P3":
-        win = np.lexsort((phi, r, seg))[starts]
+        win = _select(np.minimum, r, (phi,), seg, starts)
         ref = phi[win]
         g_serve = np.full(n, cfg.g_max)
         out["s_norm"] = cfg.g_max * rpow[win]
@@ -229,12 +279,14 @@ def run_power_ccdf(plan: SimPlan, policy: str | None = None, levels=None,
 
 
 def _two_smallest(values, seg, starts, counts):
-    """Per-segment indices of the two smallest values (segments with >= 2 points)."""
-    order = np.lexsort((values, seg))
+    """Per-segment indices of the two smallest finite values (segments with
+    >= 2 points); ties go to the lower index."""
+    first = _select(np.minimum, values, (), seg, starts)
+    masked = values.copy()
+    masked[first] = np.inf
+    second = _select(np.minimum, masked, (), seg, starts)
     ok = counts >= 2
-    first = order[starts[ok]]
-    second = order[starts[ok] + 1]
-    return ok, first, second
+    return ok, first[ok], second[ok]
 
 
 def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Generator):

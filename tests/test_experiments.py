@@ -85,6 +85,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="at least one engine"):
             validate_config("run.engines =\n")
 
+    def test_chunk_point_budget_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: sweep\.density density 1 /m\^2 "
+                                              r".*points per chunk.*budget"):
+            validate_config("run.engines = mc\nsweep.density = 8e-4,1.0\n", environ={})
+        with pytest.raises(ConfigError, match=r"line 1: network\.density density 1 /m\^2"):
+            validate_config("network.density = 1.0\n", environ={})
+        with pytest.raises(ConfigError, match=r"line 1: network\.density .*r_los 2000 m"):
+            validate_config("channel.r_los = 2000\n", environ={})
+        # engines other than mc hold no per-trial point arrays
+        config = validate_config("run.engines = analytic\nnetwork.density = 1.0\n", environ={})
+        assert config.params.density == 1.0
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             validate_config("scenario = fig99\n")

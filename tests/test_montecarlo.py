@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 
 from mmwcov.analytic import serving_power_law
 from mmwcov.montecarlo import (
+    CHUNK_POINT_BUDGET,
+    CHUNK_TRIALS,
     ConditioningError,
     SimPlan,
+    _select,
+    _two_smallest,
     default_power_levels,
     run_coverage,
     run_histogram,
@@ -38,6 +43,59 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                     n_trials=0, master_seed=0)
+
+    def test_rejects_chunks_over_the_point_budget(self):
+        # only the plan is built: the refusal comes before any array exists
+        dense = NetworkParams(density=1.0)
+        with pytest.raises(ValueError, match=r"density 1 /m\^2 .*r_los 75 m expects "
+                                             r"7\.24e\+07 points .*budget of 8388608"):
+            SimPlan(params=dense, policy="P1", thresholds_db=(0.0,),
+                    n_trials=10, master_seed=0)
+        edge = CHUNK_POINT_BUDGET / (math.pi * 75.0**2 * CHUNK_TRIALS)
+        SimPlan(params=NetworkParams(density=edge * 0.999), policy="P1",
+                thresholds_db=(0.0,), n_trials=10, master_seed=0)
+
+
+def _quantized_segments(seed, n_seg=3000):
+    """Segment layout with some one-point segments and few distinct values,
+    so exact ties (down to equal radius and azimuth) are common."""
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(1, 7, n_seg)
+    counts[::9] = 1
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    seg = np.repeat(np.arange(n_seg), counts)
+    key, r, phi = (gen.integers(0, q, seg.size).astype(float) for q in (3, 2, 2))
+    return counts, starts, seg, key, r, phi
+
+
+class TestSelection:
+    @pytest.mark.parametrize("case", ["max", "min", "nearest"])
+    def test_select_matches_lexsort_oracle(self, case):
+        _, starts, seg, key, r, phi = _quantized_segments(11)
+        if case == "max":
+            got = _select(np.maximum, key, (r, phi), seg, starts)
+            want = np.lexsort((phi, r, -key, seg))[starts]
+        elif case == "min":
+            got = _select(np.minimum, key, (r, phi), seg, starts)
+            want = np.lexsort((phi, r, key, seg))[starts]
+        else:
+            key = r
+            got = _select(np.minimum, r, (phi,), seg, starts)
+            want = np.lexsort((phi, r, seg))[starts]
+        np.testing.assert_array_equal(got, want)
+        # the tie fallback ran, and some ties were settled only by the index
+        assert (np.add.reduceat(key == key[want][seg], starts) > 1).any()
+        same = (key == key[want][seg]) & (r == r[want][seg]) & (phi == phi[want][seg])
+        assert (np.add.reduceat(same, starts) > 1).any()
+
+    def test_two_smallest_matches_lexsort_oracle(self):
+        counts, starts, seg, key, _, _ = _quantized_segments(12)
+        ok, first, second = _two_smallest(key, seg, starts, counts)
+        order = np.lexsort((key, seg))
+        np.testing.assert_array_equal(ok, counts >= 2)
+        np.testing.assert_array_equal(first, order[starts[ok]])
+        np.testing.assert_array_equal(second, order[starts[ok] + 1])
+        assert (key[first] == key[second]).any()
 
 
 class TestCoverage:
@@ -72,6 +130,41 @@ class TestCoverage:
         c1 = run_coverage(_plan(params, "P1", n=20_000, seed=1))
         c2 = run_coverage(_plan(params, "P1", n=20_000, seed=2))
         assert c1.p_cov.tobytes() != c2.p_cov.tobytes()
+
+
+# SHA-256 of results taken with the lexsort winner selection that _select
+# replaced (numpy 2.4.6); seed 20240, 20k trials, density 1.6e-3.
+_PINNED_P_COV = {
+    (0, "P1"): "3713149cb54758428575d622491fdfe74f476b1b36d17278745c1a38847391e2",
+    (0, "P2"): "59bcdcf93f1f0bd02e5a411a8d47fd8f7d5bff0b51569da0bcb4525ac6b01abc",
+    (0, "P3"): "910c534ffa9be7416666746fb59f5146130794860c40ae9cfd018d5ac37cfc71",
+    (3, "P1"): "14489796c7229122713fc6926be7bf50c652e7ef8b243d2d761d118cb7731f8b",
+    (3, "P2"): "bdfb453833d571fa488268d910ee51226a5d86fb8505a5de81a9d47821c2b584",
+    (3, "P3"): "41c2a3933ed3451086a01597285d8e523b9d9bafe696fef78f977e137580cded",
+}
+_PINNED_SAMPLES = {
+    "varphi12": "7d8c22078f2da384c9fe7a6c154bab81dd862d0a59cff4b2338f1e89302ffc84",
+    "SIR_dom_p2": "87376a1756ebbba3b8984a30540c07da523774a97c6265481299354625bca273",
+    "SIR_dom_p3": "16cbac8fcb2a0e03917da69a2e78d6edee8b35c533768fc6ebade3cf86b9c9f7",
+}
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("sectors_exp, policy", sorted(_PINNED_P_COV))
+    def test_coverage_bytes(self, sectors_exp, policy):
+        params = NetworkParams(density=1.6e-3, antenna=AntennaConfig(sectors_exp=sectors_exp))
+        curve = run_coverage(_plan(params, policy, n=20_000, seed=20240))
+        assert _sha256(curve.p_cov) == _PINNED_P_COV[sectors_exp, policy]
+
+    @pytest.mark.parametrize("statistic", sorted(_PINNED_SAMPLES))
+    def test_statistic_bytes(self, statistic):
+        plan = _plan(NetworkParams(density=1.6e-3), "P3", n=20_000, seed=20240)
+        samples, _ = sample_statistic(plan, statistic)
+        assert _sha256(samples) == _PINNED_SAMPLES[statistic]
 
 
 class TestPowerCcdf:
