@@ -18,8 +18,8 @@ stays available for the machine-readable discrepancy report (see
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
@@ -30,7 +30,6 @@ from .radio import NetworkParams, gain_approx
 _LN10 = math.log(10.0)
 
 __all__ = [
-    "RatioLaw",
     "mainlobe_pair_probability",
     "gain_ratio_pdf_p2",
     "gain_ratio_ccdf_p2",
@@ -51,16 +50,52 @@ __all__ = [
 _SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 _COV_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
 
+# The P2 ratio laws integrate every point on the same fixed composite
+# Gauss-Legendre rule, as one (points x nodes) array per block of at most
+# _BLOCK points, so memory stays flat in the number of points.  The node
+# counts keep them within max(1e-12, 1e-8 |value|) of adaptive quadrature at
+# rel_tol 1e-11 over density 5e-5..5e-3, sectors_exp 0..8 and
+# threshold ratios 1e-4..1e4 (tests/test_dominant.py holds that oracle).
+_BLOCK = 256
+# Beyond the s where lam_r2 * phi_t * (cosh s - 1) reaches this, both
+# angular integrands are below e^-50 of their peak; the s range is cut there
+# so that the nodes stay on the mass when lam_r2 * phi_a is large.
+_ANGULAR_TAIL = 60.0
 
-@dataclass(frozen=True)
-class RatioLaw:
-    """A ratio distribution together with its conditioning bookkeeping."""
 
-    pdf: callable
-    ccdf: callable
-    support: tuple
-    conditioning: str
-    p_cond: float
+def _composite_gauss_legendre(edges, n: int):
+    """Nodes and weights of an n-point Gauss-Legendre rule on each panel."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
+
+
+# The rules are built on first use, not at import: the first LAPACK call
+# inside leggauss adds about 1 MB of resident memory.
+@functools.cache
+def _angular_rule():
+    """8 equal panels of 12 nodes on [0, 1], scaled to each point's s range."""
+    return _composite_gauss_legendre(np.linspace(0.0, 1.0, 9), 12)
+
+
+@functools.cache
+def _fold_rule():
+    """20 geometric panels of ratio e^-0.7 down to x = e^-14, plus [0, e^-14]:
+    equal steps in log x, where the fade-ratio ccdf is a smooth step."""
+    return _composite_gauss_legendre(
+        np.concatenate([[0.0], np.exp(-0.7 * np.arange(20, -1, -1))]), 10)
+
+
+def _blockwise(kernel, x):
+    """``kernel`` applied to consecutive blocks of at most ``_BLOCK`` points.
+
+    The laws select points with negated comparisons such as ``~(g <= 1)``,
+    so that a NaN input reaches the kernel and comes out NaN.
+    """
+    out = np.empty_like(x)
+    for i in range(0, x.size, _BLOCK):
+        out[i:i + _BLOCK] = kernel(x[i:i + _BLOCK])
+    return out
 
 
 def _curvature(cfg) -> float:
@@ -99,11 +134,45 @@ def _fade_ratio_ccdf(t, m_s: int, m_x: int):
 # ---------------------------------------------------------------------------
 
 
+def _gain_ratio_integral(g, params: NetworkParams, power: int):
+    """``int_0^u_hi u**power exp(-lam_r2 phi2) / phi2 du`` for each ``g > 1``,
+    with ``phi2 = sqrt(phi_t**2 + u**2)``, ``phi_t`` the offset where the gain
+    rolls off by ``g`` and ``u_hi = sqrt(phi_a**2 - phi_t**2)``; zero where
+    ``phi_t >= phi_a``.
+
+    ``u = phi_t sinh(s)`` turns the integrand into
+    ``(phi_t sinh s)**power exp(-lam_r2 phi_t cosh s)``, smooth on
+    ``[0, asinh(u_hi / phi_t)]``: the log singularity at ``g -> 1`` is gone.
+    """
+    cfg = params.antenna
+    lam_r2 = params.density * params.r_los**2
+    phi_t = np.sqrt(np.log10(g) / _curvature(cfg))
+    inside = ~(phi_t >= cfg.phi_a)
+    nodes, weights = _angular_rule()
+
+    def kernel(phi):
+        c = lam_r2 * phi
+        s_hi = np.minimum(np.arcsinh(np.sqrt(cfg.phi_a**2 - phi**2) / phi),
+                          np.arccosh(1.0 + _ANGULAR_TAIL / c))
+        s = s_hi[:, None] * nodes
+        f = np.exp(-c[:, None] * np.cosh(s))
+        if power:
+            f *= (phi[:, None] * np.sinh(s)) ** power
+        return s_hi * (f @ weights)
+
+    out = np.zeros_like(phi_t)
+    out[inside] = _blockwise(kernel, phi_t[inside])
+    return out
+
+
 def gain_ratio_pdf_p2(g, params: NetworkParams):
     """Density of the served-to-dominant gain ratio, conditioned on both of
     the two smallest angular offsets lying inside the mainlobe.
 
     Support [1, g_max/g_s] with an integrable logarithmic divergence at 1.
+    Scalar in, scalar out; arrays are evaluated all at once on fixed
+    Gauss-Legendre nodes (see :func:`_gain_ratio_integral`), within
+    ``max(1e-12, 1e-8 |value|)`` of adaptive quadrature.
     """
     cfg = params.antenna
     lam_r2 = params.density * params.r_los**2
@@ -111,45 +180,22 @@ def gain_ratio_pdf_p2(g, params: NetworkParams):
     p_cond = mainlobe_pair_probability(params)
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
     out = np.zeros_like(g_arr)
-    for i, gv in enumerate(g_arr):
-        if gv <= 1.0 or gv > cfg.g_max / cfg.g_s:
-            continue
-        phi_t = math.sqrt(math.log10(gv) / kappa)
-        if phi_t >= cfg.phi_a:
-            continue
-        u_hi = math.sqrt(cfg.phi_a**2 - phi_t**2)
-
-        def integrand(u):
-            phi2 = np.sqrt(phi_t**2 + u**2)
-            return np.exp(-lam_r2 * phi2) / phi2
-
-        val = integrate_1d(integrand, 0.0, u_hi, _SPEC)
-        out[i] = lam_r2**2 / (p_cond * 2.0 * kappa * _LN10 * gv) * val
+    inside = ~((g_arr <= 1.0) | (g_arr > cfg.g_max / cfg.g_s))
+    g_in = g_arr[inside]
+    out[inside] = (lam_r2**2 / (p_cond * 2.0 * kappa * _LN10 * g_in)
+                   * _gain_ratio_integral(g_in, params, 0))
     return float(out[0]) if np.ndim(g) == 0 else out
 
 
 def gain_ratio_ccdf_p2(g, params: NetworkParams):
-    """ccdf companion of :func:`gain_ratio_pdf_p2` (smooth, used for KS tests)."""
-    cfg = params.antenna
+    """ccdf companion of :func:`gain_ratio_pdf_p2` (smooth, used for KS tests),
+    on the same fixed nodes and to the same accuracy."""
     lam_r2 = params.density * params.r_los**2
-    kappa = _curvature(cfg)
     p_cond = mainlobe_pair_probability(params)
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = np.zeros_like(g_arr)
-    for i, gv in enumerate(g_arr):
-        if gv <= 1.0:
-            out[i] = 1.0
-            continue
-        phi_t = math.sqrt(math.log10(gv) / kappa)
-        if phi_t >= cfg.phi_a:
-            continue
-        u_hi = math.sqrt(cfg.phi_a**2 - phi_t**2)
-
-        def integrand(u):
-            phi2 = np.sqrt(phi_t**2 + u**2)
-            return np.exp(-lam_r2 * phi2) * u**2 / phi2
-
-        out[i] = lam_r2**2 / p_cond * integrate_1d(integrand, 0.0, u_hi, _SPEC)
+    out = np.ones_like(g_arr)
+    above = ~(g_arr <= 1.0)
+    out[above] = lam_r2**2 / p_cond * _gain_ratio_integral(g_arr[above], params, 2)
     return float(out[0]) if np.ndim(g) == 0 else out
 
 
@@ -202,12 +248,6 @@ def _corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
     return integrate_1d(integrand, cfg.g_s, cfg.g_max / g * (1.0 - 1e-12), _SPEC) / p_cond
 
 
-def _disk_ratio_pdf(v):
-    """Density of the ratio of two independent area-law disk radii."""
-    v_arr = np.asarray(v, dtype=float)
-    return np.where(v_arr <= 0.0, 0.0, np.where(v_arr <= 1.0, v_arr, v_arr**-3.0))
-
-
 def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
     """Density of (h1 d1^-alpha) / (h2 d2^-alpha) with independent area-law
     radii and unit-mean gamma fades; support (0, inf)."""
@@ -237,20 +277,29 @@ def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
 
 def pathloss_fade_ratio_ccdf_p2(t, params: NetworkParams):
     """ccdf of the same ratio via the fade-ratio/radius-ratio factorization:
-    W = T * V^-alpha with T the gamma-fade ratio and V the radius ratio."""
+    W = T * V^-alpha with T the gamma-fade ratio and V the radius ratio.
+
+    V has density v on [0, 1] and v^-3 on [1, inf); folding the second
+    part with v = 1/x gives ``int_0^1 x [F(t x^alpha) + F(t x^-alpha)] dx``
+    with F the fade-ratio ccdf, evaluated for all points at once on fixed
+    Gauss-Legendre nodes, within ``max(1e-12, 1e-8 |value|)`` of adaptive
+    quadrature.  Scalar in, scalar out.
+    """
     ch = params.channel
-    alpha = ch.alpha_l
+    x, w = _fold_rule()
+    near = x**ch.alpha_l
+    far = 1.0 / near
+    weights = x * w
+
+    def kernel(tb):
+        tb = tb[:, None]
+        return (_fade_ratio_ccdf(tb * near, ch.m_s, ch.m_x)
+                + _fade_ratio_ccdf(tb * far, ch.m_s, ch.m_x)) @ weights
+
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    for i, tv in enumerate(t_arr):
-        if tv <= 0.0:
-            out[i] = 1.0
-            continue
-
-        def integrand(v):
-            return _disk_ratio_pdf(v) * _fade_ratio_ccdf(tv * v**alpha, ch.m_s, ch.m_x)
-
-        out[i] = integrate_1d(integrand, 0.0, math.inf, _COV_SPEC)
+    out = np.ones_like(t_arr)
+    positive = ~(t_arr <= 0.0)
+    out[positive] = _blockwise(kernel, t_arr[positive])
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -387,27 +436,6 @@ def coverage_dom_p3(gamma: float, params: NetworkParams, pairing: str = "product
 
     val = integrate_1d(integrand, 0.0, math.inf, _COV_SPEC)
     return float(np.clip(val, 0.0, 1.0))
-
-
-def gain_ratio_law_p2(params: NetworkParams) -> RatioLaw:
-    cfg = params.antenna
-    return RatioLaw(
-        pdf=lambda g: gain_ratio_pdf_p2(g, params),
-        ccdf=lambda g: gain_ratio_ccdf_p2(g, params),
-        support=(1.0, cfg.g_max / cfg.g_s),
-        conditioning="two smallest angular offsets inside the mainlobe",
-        p_cond=mainlobe_pair_probability(params),
-    )
-
-
-def distance_ratio_law_p3(params: NetworkParams) -> RatioLaw:
-    return RatioLaw(
-        pdf=lambda w: distance_ratio_pdf_p3(w, params),
-        ccdf=lambda w: distance_ratio_ccdf_p3(w, params),
-        support=(1.0, math.inf),
-        conditioning="at least two transmitters in the disk",
-        p_cond=1.0 - math.exp(-params.mean_count) - params.mean_count * math.exp(-params.mean_count),
-    )
 
 
 # ---------------------------------------------------------------------------

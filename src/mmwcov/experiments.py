@@ -217,6 +217,8 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     rng_check("channel.r_los", lambda v: v > 0, "must be positive")
     rng_check("channel.f_c", lambda v: v > 0, "must be positive")
     rng_check("antenna.sectors_exp", lambda v: 0 <= v <= 8, "must lie in [0, 8]")
+    rng_check("sweep.density", lambda v: all(d > 0 for d in v), "must all be positive")
+    rng_check("sweep.sectors", lambda v: all(0 <= m <= 8 for m in v), "must all lie in [0, 8]")
     rng_check("antenna.sla_db", lambda v: v > 0, "must be positive")
     rng_check("channel.m_s", lambda v: v >= 1, "must be at least 1")
     rng_check("channel.m_x", lambda v: v >= 1, "must be at least 1")
@@ -455,11 +457,13 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
 
     extras = {}
     if config.scenario == "fig8" and "dominant" in config.engines:
+        report_start = time.perf_counter()
         report = dominant.build_discrepancy_report(
             config.params, seed=config.seed, n_trials=min(config.trials, 200_000))
         report_path = out_dir / "discrepancies.json"
         report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                encoding="utf-8")
+        runtimes["discrepancy_report"] = time.perf_counter() - report_start
         written.append(report_path)
         extras["discrepancy_report"] = report_path.name
 

@@ -6,7 +6,10 @@ import pytest
 from scipy import stats
 
 from mmwcov.dominant import (
+    _LN10,
     _corrected_gain_ratio_pdf_g2space,
+    _curvature,
+    _fade_ratio_ccdf,
     _rejected_variant_gain_ratio_pdf_p2,
     build_discrepancy_report,
     coverage_dom_p2,
@@ -26,7 +29,7 @@ from mmwcov.dominant import (
 )
 from mmwcov.montecarlo import SimPlan, sample_statistic
 from mmwcov.numerics import QuadratureSpec, integrate_1d
-from mmwcov.radio import gain_approx
+from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_approx
 from conftest import ks_distance
 
 
@@ -34,6 +37,127 @@ def _stat(params, statistic, n=200_000, seed=99):
     plan = SimPlan(params=params, policy="P3", thresholds_db=(0.0,),
                    n_trials=n, master_seed=seed)
     return sample_statistic(plan, statistic, n_workers=4)
+
+
+# Per-point adaptive reference for the fixed-node P2 ratio laws.
+ORACLE_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+
+
+def _oracle_gain_ratio(g_arr, params, power):
+    """int_0^u_hi u**power exp(-lam_r2 phi2) / phi2 du per point (u-space),
+    zero where phi_t >= phi_a."""
+    cfg = params.antenna
+    lam_r2 = params.density * params.r_los**2
+    kappa = _curvature(cfg)
+    out = np.zeros_like(g_arr)
+    for i, gv in enumerate(g_arr):
+        phi_t = math.sqrt(math.log10(gv) / kappa)
+        if phi_t >= cfg.phi_a:
+            continue
+        u_hi = math.sqrt(cfg.phi_a**2 - phi_t**2)
+
+        def integrand(u):
+            phi2 = np.sqrt(phi_t**2 + u**2)
+            return np.exp(-lam_r2 * phi2) * u**power / phi2
+
+        out[i] = integrate_1d(integrand, 0.0, u_hi, ORACLE_SPEC)
+    return out
+
+
+def oracle_gain_ratio_pdf_p2(g, params):
+    cfg = params.antenna
+    lam_r2 = params.density * params.r_los**2
+    norm = 2.0 * _curvature(cfg) * _LN10 * mainlobe_pair_probability(params)
+    g_arr = np.asarray(g, dtype=float)
+    inside = (g_arr > 1.0) & (g_arr <= cfg.g_max / cfg.g_s)
+    out = np.zeros_like(g_arr)
+    out[inside] = (lam_r2**2 / (norm * g_arr[inside])
+                   * _oracle_gain_ratio(g_arr[inside], params, 0))
+    return out
+
+
+def oracle_gain_ratio_ccdf_p2(g, params):
+    lam_r2 = params.density * params.r_los**2
+    g_arr = np.asarray(g, dtype=float)
+    out = np.ones_like(g_arr)
+    above = g_arr > 1.0
+    out[above] = (lam_r2**2 / mainlobe_pair_probability(params)
+                  * _oracle_gain_ratio(g_arr[above], params, 2))
+    return out
+
+
+def oracle_pathloss_fade_ratio_ccdf_p2(t, params):
+    """The radius-ratio density (v on [0, 1], v^-3 above) against the
+    fade-ratio ccdf, integrated over [0, inf) point by point."""
+    ch = params.channel
+    t_arr = np.asarray(t, dtype=float)
+    out = np.ones_like(t_arr)
+    for i, tv in enumerate(t_arr):
+        if tv <= 0.0:
+            continue
+
+        def integrand(v):
+            disk = np.where(v <= 1.0, v, v**-3.0)
+            return disk * _fade_ratio_ccdf(tv * v**ch.alpha_l, ch.m_s, ch.m_x)
+
+        out[i] = integrate_1d(integrand, 0.0, math.inf, ORACLE_SPEC)
+    return out
+
+
+def _assert_oracle_close(value, oracle):
+    err = np.abs(value - oracle)
+    bound = np.maximum(1e-12, 1e-8 * np.abs(oracle))
+    assert np.all(err <= bound), np.max(err / bound)
+
+
+class TestFixedNodeLawsP2:
+    @pytest.mark.parametrize("density", (5e-5, 8e-4, 5e-3))
+    @pytest.mark.parametrize("sectors_exp", (0, 2, 5, 8))
+    @pytest.mark.parametrize("m_s,m_x,alpha", ((1, 1, 2.0), (2, 2, 2.0), (4, 3, 2.5)))
+    def test_against_adaptive_oracle(self, density, sectors_exp, m_s, m_x, alpha):
+        params = NetworkParams(density=density,
+                               antenna=AntennaConfig(sectors_exp=sectors_exp),
+                               channel=ChannelParams(m_s=m_s, m_x=m_x, alpha_l=alpha))
+        cfg = params.antenna
+        g_top = cfg.g_max / cfg.g_s
+        # g where phi_t reaches phi_a (below g_top only when phi_a is capped at pi)
+        g_edge = 10.0 ** (_curvature(cfg) * cfg.phi_a**2)
+        g = np.concatenate([1.0 + np.logspace(-12, -1, 12),
+                            np.geomspace(1.2, min(g_edge, g_top), 12)[:-1],
+                            [g_edge * (1.0 - 1e-9), g_edge * (1.0 - 1e-4), g_top]])
+        _assert_oracle_close(gain_ratio_pdf_p2(g, params), oracle_gain_ratio_pdf_p2(g, params))
+        _assert_oracle_close(gain_ratio_ccdf_p2(g, params),
+                             oracle_gain_ratio_ccdf_p2(g, params))
+        t = np.logspace(-4.0, 4.0, 33)
+        _assert_oracle_close(pathloss_fade_ratio_ccdf_p2(t, params),
+                             oracle_pathloss_fade_ratio_ccdf_p2(t, params))
+
+    def test_blocks_do_not_change_values(self, params):
+        # more points than one block, in random order
+        g = np.random.default_rng(7).uniform(1.0, 20.0, 700)
+        whole = gain_ratio_ccdf_p2(g, params)
+        np.testing.assert_allclose(whole[:300], gain_ratio_ccdf_p2(g[:300], params), rtol=1e-14)
+        _assert_oracle_close(whole[::50], oracle_gain_ratio_ccdf_p2(g[::50], params))
+
+    @pytest.mark.parametrize("law,point", ((gain_ratio_pdf_p2, 1.5),
+                                           (gain_ratio_ccdf_p2, 1.5),
+                                           (pathloss_fade_ratio_ccdf_p2, 0.3)))
+    def test_scalar_and_empty(self, params, law, point):
+        value = law(point, params)
+        assert isinstance(value, float)
+        assert value == law(np.array([point]), params)[0]
+        empty = law(np.array([]), params)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_outside_support(self, params):
+        cfg = params.antenna
+        g = np.array([-1.0, 0.5, 1.0, cfg.g_max / cfg.g_s * 1.01])
+        assert np.array_equal(gain_ratio_pdf_p2(g, params), np.zeros(4))
+        assert np.array_equal(gain_ratio_ccdf_p2(g, params), [1.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(pathloss_fade_ratio_ccdf_p2(np.array([-2.0, 0.0]), params),
+                              [1.0, 1.0])
+        for law in (gain_ratio_pdf_p2, gain_ratio_ccdf_p2, pathloss_fade_ratio_ccdf_p2):
+            assert math.isnan(law(math.nan, params))
 
 
 class TestMainlobePairProbability:
@@ -143,6 +267,17 @@ class TestPathlossFadeRatioLawP2:
 class TestCoverageDomP2:
     def test_certain_at_zero(self, params):
         assert coverage_dom_p2(0.0, params) == 1.0
+
+    def test_pinned_values(self, params):
+        # default parameters (sectors_exp 2), captured from the per-point
+        # adaptive ratio laws
+        pinned = (0.9227428751970245, 0.870750827012388, 0.7919715637189905,
+                  0.6832412996311596, 0.5507828646155574, 0.4115379956192073,
+                  0.28573870724803085, 0.1864977684962542, 0.1161822743839992,
+                  0.07006925631530572, 0.04136179540837553)
+        for g_db, value in zip(np.arange(-10.0, 15.1, 2.5), pinned):
+            assert coverage_dom_p2(10.0 ** (g_db / 10.0), params) == pytest.approx(
+                value, rel=0.0, abs=1e-8)
 
     def test_monotone(self, params):
         vals = [coverage_dom_p2(10.0 ** (g / 10.0), params) for g in (-5.0, 0.0, 5.0)]

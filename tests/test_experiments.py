@@ -32,6 +32,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=r"line 2.*channel\.alpha_l.*positive"):
             validate_config("# comment\nchannel.alpha_l = -1\n")
 
+    def test_sweep_range_errors_name_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: sweep\.density must all be positive "
+                                              r"\(got \(0\.0008, -1\.0\)\)"):
+            validate_config("run.engines = analytic\nsweep.density = 8e-4,-1\n", environ={})
+        with pytest.raises(ConfigError, match=r"line 3: sweep\.sectors must all lie in \[0, 8\] "
+                                              r"\(got \(12, -1\)\)"):
+            validate_config("\n\nsweep.sectors = 12,-1\n", environ={})
+        with pytest.raises(ConfigError, match=r"line 1: sweep\.sectors"):
+            validate_config("sweep.sectors = 2,9\n", environ={})
+        config = validate_config("sweep.density = 5e-5\nsweep.sectors = 0,8\n", environ={})
+        assert config.density_sweep == (5e-5,) and config.sector_sweep == (0, 8)
+
     def test_unknown_key_strict_suggests(self):
         with pytest.raises(ConfigError, match=r"alpha.*did you mean.*channel\.alpha_l"):
             validate_config("alpha = 2\n", strict=True)
@@ -151,6 +163,7 @@ class TestRunExperiment:
         assert validate_config(text, environ={}).to_flat() == flat
         assert manifest["seed"] == config.seed
         assert "runtimes_s" in manifest and "versions" in manifest
+        assert set(manifest["runtimes_s"]) == {"total"}
         assert set(manifest["outputs"]) == {"custom_mc.csv"}
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -190,6 +203,9 @@ class TestRunExperiment:
         assert {e["id"] for e in report} >= {"p2-gain-ratio-density",
                                              "p3-distance-ratio-constant",
                                              "p3-dominant-sir-pairing"}
+        manifest = json.loads((tmp_path / "fig8" / "fig8_manifest.json").read_text())
+        assert set(manifest["runtimes_s"]) == {"total", "discrepancy_report"}
+        assert manifest["runtimes_s"]["discrepancy_report"] > 0.0
 
     def test_csv_full_precision(self, tmp_path):
         config = _tiny_config(tmp_path, "custom", engines=("mc",), policies=("P3",),
