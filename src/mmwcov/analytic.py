@@ -23,8 +23,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _special
 
-from .numerics import LaplaceEvaluator, QuadratureSpec, integrate_1d
-from .radio import NetworkParams, beam_maxima_pmf, gain_3gpp, gain_approx
+from .numerics import (LaplaceEvaluator, QuadratureError, QuadratureSpec, exp_derivatives,
+                       integrate_many)
+from .radio import NetworkParams, gain_3gpp, gain_approx
 
 TWO_PI = 2.0 * math.pi
 _LN10 = math.log(10.0)
@@ -64,6 +65,10 @@ _N_PHI = 32          # Gauss-Legendre order for wide angular panels
 _N_PHI_NARROW = 12   # order for the short panels of the per-beam regions
 _N_RAD = 20          # order per radial log-panel
 _RAD_EDGES = np.array([0.0, 0.9, 2.7, 8.1])  # log-radius panel starts above the lower edge
+
+# Elements of one (thresholds x grid) temporary of the exponent kernel: small
+# enough that the kernel's few temporaries stay in a per-core cache.
+_KERNEL_BLOCK = 2**14
 
 
 @lru_cache(maxsize=32)
@@ -257,34 +262,52 @@ class _RegionExponent:
         self.m_x = m_x
         self.c = c
         self.w = w
-        self._cpow = {0: np.ones_like(c), 1: c}
 
-    def _pow(self, k: int) -> np.ndarray:
-        if k not in self._cpow:
-            self._cpow[k] = self._cpow[k - 1] * self.c
-        return self._cpow[k]
+    def derivatives(self, s, k_max: int) -> np.ndarray:
+        """[F(s), F'(s), ..., F^(k_max)(s)], stacked on a leading axis.
+
+        One pass over the grid: with v = 1/(1 + s c), F = -lambda sum w (1 - v^m)
+        and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m.  The
+        (1 - v^m) form keeps F accurate as s c -> 0.  ``s`` is taken in rows
+        of at most ``_KERNEL_BLOCK`` grid elements.
+        """
+        s_arr = np.asarray(s, dtype=float)
+        flat = s_arr.reshape(-1)
+        out = np.empty((k_max + 1, flat.size))
+        rows = max(1, _KERNEL_BLOCK // max(self.c.size, 1))
+        for lo in range(0, flat.size, rows):
+            block = slice(lo, lo + rows)
+            v = flat[block, None] * self.c
+            v += 1.0
+            np.reciprocal(v, out=v)
+            v_m = v.copy()
+            for _ in range(self.m_x - 1):
+                v_m *= v
+            term = 1.0 - v_m
+            term *= self.w
+            out[0, block] = -self.density * term.sum(axis=-1)
+            if k_max:
+                cv = np.multiply(v, self.c, out=v)
+                for k in range(1, k_max + 1):
+                    v_m *= cv
+                    np.multiply(v_m, self.w, out=term)
+                    rising = math.prod(range(self.m_x, self.m_x + k))
+                    out[k, block] = self.density * (-1.0) ** k * rising * term.sum(axis=-1)
+        return out.reshape((k_max + 1,) + s_arr.shape)
 
     def exponent(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        u = 1.0 + s_arr[..., None] * self.c
-        val = -self.density * ((1.0 - u ** (-self.m_x)) * self.w).sum(axis=-1)
-        return float(val) if val.ndim == 0 else val
-
-    def exponent_deriv(self, s, k: int):
-        if k < 1:
-            raise ValueError("derivative order must be >= 1")
-        s_arr = np.asarray(s, dtype=float)
-        u = 1.0 + s_arr[..., None] * self.c
-        rising = math.prod(range(self.m_x, self.m_x + k))
-        val = (self.density * (-1.0) ** k * rising
-               * (self._pow(k) * u ** (-(self.m_x + k)) * self.w).sum(axis=-1))
+        val = self.derivatives(s, 0)[0]
         return float(val) if val.ndim == 0 else val
 
     def to_evaluator(self, max_order: int) -> LaplaceEvaluator:
-        derivs = tuple(
-            (lambda s, _k=k: self.exponent_deriv(s, _k)) for k in range(1, max_order + 1)
-        )
-        return LaplaceEvaluator(exponent_fn=self.exponent, exponent_derivs=derivs,
+        def order(k):
+            def fn(s):
+                val = self.derivatives(s, k)[k]
+                return float(val) if val.ndim == 0 else val
+            return fn
+
+        return LaplaceEvaluator(exponent_fn=self.exponent,
+                                exponent_derivs=tuple(order(k) for k in range(1, max_order + 1)),
                                 max_order=max_order)
 
 
@@ -303,33 +326,35 @@ def _radial_weights(r_lo: np.ndarray, r_hi: float, n: int = _N_RAD):
     return np.exp(v).reshape(flat, -1), weight.reshape(flat, -1)
 
 
-def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
+def _assemble_exponent(params: NetworkParams, panels, gain_fn, rlo_fn) -> _RegionExponent:
     """Build a region exponent from angular panels.
 
-    Each panel is ``(a, b, order, gain_fn, rlo_fn, mult)``;  ``order=None``
-    marks a panel whose gain and lower radius are constant, which is then
-    integrated exactly as width * (single radial integral).
+    Each entry of ``panels`` is ``(a, b, order, mult)``, where ``a`` and ``b``
+    are the bounds of one panel or equally long arrays of bounds of panels
+    sharing ``order`` and ``mult``.  ``order=None`` marks panels whose gain and
+    lower radius are constant, integrated exactly as width * (single radial
+    integral).  ``gain_fn`` and ``rlo_fn`` give the gain and keep-out radius
+    at angular offsets; each is called once, on the nodes of all panels.
     """
     cfg, ch = params.antenna, params.channel
-    ang_parts, w_parts = [], []
-    gain_parts, rlo_parts = [], []
-    for a, b, order, gain_fn, rlo_fn, mult in panels:
-        if b - a <= 1e-13:
-            continue
+    node_parts, w_parts = [], []
+    for a, b, order, mult in panels:
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        wide = b - a > 1e-13
+        a, b = a[wide], b[wide]
         if order is None:
-            nodes = np.array([0.5 * (a + b)])
-            wts = np.array([(b - a) * mult])
+            node_parts.append(0.5 * (a + b))
+            w_parts.append((b - a) * mult)
         else:
             x, w = _leggauss(order)
-            nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
-            wts = 0.5 * (b - a) * w * mult
-        ang_parts.append(nodes)
-        w_parts.append(wts)
-        gain_parts.append(np.asarray(gain_fn(nodes), dtype=float))
-        rlo_parts.append(np.asarray(rlo_fn(nodes), dtype=float))
-    ang_w = np.concatenate(w_parts)
-    gains = np.concatenate(gain_parts)
-    r_lo = np.concatenate(rlo_parts)
+            half = 0.5 * (b - a)
+            node_parts.append((0.5 * (a + b))[:, None] + half[:, None] * x)
+            w_parts.append(half[:, None] * w * mult)
+    nodes = np.concatenate([part.ravel() for part in node_parts])
+    ang_w = np.concatenate([part.ravel() for part in w_parts])
+    gains = np.asarray(gain_fn(nodes), dtype=float)
+    r_lo = np.asarray(rlo_fn(nodes), dtype=float)
     r, rad_w = _radial_weights(r_lo, params.r_los)
     amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
     c = (amp * gains[:, None] * r ** (-ch.alpha_l)).ravel()
@@ -370,19 +395,21 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
     if s_th < law.w_min:
         raise ValueError("serving power below the support of the serving law")
     r_l = params.r_los
-    alpha = ch.alpha_l
-    inv_alpha = 1.0 / alpha
+    inv_alpha = 1.0 / ch.alpha_l
     floor = cfg.phi_a
     phi_star = _exclusion_angle(params, s_th)
 
-    def rlo_from_chosen(delta):
-        return np.minimum((gain_3gpp(delta, cfg) / s_th) ** inv_alpha, r_l)
+    def gain(delta):
+        return gain_3gpp(delta, cfg)
 
     if exclusion == "single-beam":
-        panels = [(phi_star, floor, _N_PHI, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0)]
+        def rlo_from_chosen(delta):
+            return np.minimum((gain_3gpp(delta, cfg) / s_th) ** inv_alpha, r_l)
+
+        panels = [(phi_star, floor, _N_PHI, 2.0)]
         if floor < math.pi:
-            panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0))
-        return _assemble_exponent(params, panels)
+            panels.append((floor, math.pi, None, 2.0))
+        return _assemble_exponent(params, panels, gain, rlo_from_chosen)
 
     if exclusion != "all-beams":
         raise ValueError(f"unknown P1 exclusion {exclusion!r}; expected one of {P1_EXCLUSIONS}")
@@ -398,90 +425,71 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
     def rlo_exact(delta):
         return np.minimum((gain_approx(fold(delta), cfg) / s_th) ** inv_alpha, r_l)
 
-    edges = {0.0, math.pi, min(floor, math.pi)}
-    k = 0
-    while k * step <= math.pi + step:
-        for e in (k * step - phi_star, k * step, k * step + phi_star,
-                  k * step + 0.5 * step):
-            if 0.0 <= e <= math.pi:
-                edges.add(e)
-        k += 1
-    edges = sorted(edges)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-13:
-            continue
-        midpoint = 0.5 * (a + b)
-        if fold(midpoint) < phi_star:          # inside a keep-out band
-            continue
-        panels.append((a, b, _N_PHI_NARROW, lambda d: gain_3gpp(d, cfg), rlo_exact, 2.0))
-    return _assemble_exponent(params, panels)
+    ks = np.arange(int((math.pi + step) / step) + 2) * step
+    ks = ks[ks <= math.pi + step]
+    cand = np.concatenate([ks - phi_star, ks, ks + phi_star, ks + 0.5 * step])
+    edges = np.unique(np.concatenate([[0.0, math.pi, min(floor, math.pi)],
+                                      cand[(cand >= 0.0) & (cand <= math.pi)]]))
+    a, b = edges[:-1], edges[1:]
+    outside = fold(0.5 * (a + b)) >= phi_star     # panel midpoint not in a keep-out band
+    return _assemble_exponent(params, [(a[outside], b[outside], _N_PHI_NARROW, 2.0)],
+                              gain, rlo_exact)
 
 
 def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _RegionExponent:
     cfg = params.antenna
-    r_l = params.r_los
     floor = cfg.phi_a
-    r_floor = _R_FLOOR_FRAC * r_l
+    r_floor = _R_FLOOR_FRAC * params.r_los
 
     def rlo(delta):
-        return np.full(np.shape(np.asarray(delta)), r_floor)
+        return np.full(np.shape(delta), r_floor)
+
+    if exclusion in ("one-sided", "symmetric"):
+        def side_panels(lower, mult):
+            out = []
+            if lower < floor:
+                out.append((lower, min(floor, math.pi), _N_PHI, mult))
+            flat_lo = max(lower, floor)
+            if flat_lo < math.pi:
+                out.append((flat_lo, math.pi, None, mult))
+            return out
+
+        if exclusion == "symmetric":
+            panels = side_panels(phi_c, 2.0)
+        else:
+            panels = side_panels(phi_c, 1.0) + side_panels(0.0, 1.0)
+        return _assemble_exponent(params, panels, lambda d: gain_3gpp(d, cfg), rlo)
+
+    if exclusion != "grid":
+        raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
 
     def gain_fold(psi):
         psi_arr = np.asarray(psi, dtype=float)
         folded = np.minimum(psi_arr % TWO_PI, TWO_PI - psi_arr % TWO_PI)
         return gain_3gpp(folded, cfg)
 
-    if exclusion in ("one-sided", "symmetric"):
-        def side_panels(lower):
-            out = []
-            if lower < floor:
-                out.append((lower, min(floor, math.pi), _N_PHI,
-                            lambda d: gain_3gpp(d, cfg), rlo, 1.0))
-            flat_lo = max(lower, floor)
-            if flat_lo < math.pi:
-                out.append((flat_lo, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
-            return out
-
-        one_side = side_panels(phi_c)
-        if exclusion == "symmetric":
-            panels = [(a, b, n, g, r, 2.0 * m) for a, b, n, g, r, m in one_side]
-        else:
-            panels = one_side + side_panels(0.0)
-        return _assemble_exponent(params, panels)
-
-    if exclusion != "grid":
-        raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
-
     # Keep-out of half-width phi_c around every beam maximum.  In link-relative
     # azimuth the maxima sit at k*step - phi_c (the serving link is phi_c off
     # its beam); the excluded azimuth bands are (k*step - 2 phi_c, k*step),
     # which for k = 1 .. n_beams tile [0, 2*pi] without wrap handling.
     step = cfg.beam_spacing
-    bands = []
-    if phi_c > 0.0:
-        for k in range(1, cfg.n_beams + 1):
-            bands.append((max(0.0, k * step - 2.0 * phi_c), min(TWO_PI, k * step)))
-    edges = {0.0, TWO_PI, math.pi}
-    for f in (floor, TWO_PI - floor):
-        if 0.0 < f < TWO_PI:
-            edges.add(f)
-    for lo, hi in bands:
-        edges.add(lo)
-        edges.add(hi)
-    edges = sorted(edges)
-
-    def in_band(x):
-        return any(lo - 1e-15 <= x <= hi + 1e-15 for lo, hi in bands)
-
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-13 or in_band(0.5 * (a + b)):
-            continue
-        fold_mid = min(0.5 * (a + b), TWO_PI - 0.5 * (a + b))
-        order = None if fold_mid >= floor else _N_PHI_NARROW
-        panels.append((a, b, order, gain_fold, rlo, 1.0))
-    return _assemble_exponent(params, panels)
+    ks = np.arange(1, cfg.n_beams + 1) * step if phi_c > 0.0 else np.empty(0)
+    band_lo = np.maximum(0.0, ks - 2.0 * phi_c)
+    band_hi = np.minimum(TWO_PI, ks)
+    floors = [f for f in (floor, TWO_PI - floor) if 0.0 < f < TWO_PI]
+    edges = np.unique(np.concatenate([[0.0, TWO_PI, math.pi], floors, band_lo, band_hi]))
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    in_band = np.zeros(mid.shape, dtype=bool)
+    if ks.size:
+        # Both band bounds rise with k, so only the first band ending at or
+        # after a midpoint can hold it.
+        first = np.minimum(np.searchsorted(band_hi + 1e-15, mid), ks.size - 1)
+        in_band = (band_lo[first] - 1e-15 <= mid) & (mid <= band_hi[first] + 1e-15)
+    flat = np.minimum(mid, TWO_PI - mid) >= floor
+    panels = [(a[~in_band & ~flat], b[~in_band & ~flat], _N_PHI_NARROW, 1.0),
+              (a[~in_band & flat], b[~in_band & flat], None, 1.0)]
+    return _assemble_exponent(params, panels, gain_fold, rlo)
 
 
 def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
@@ -491,12 +499,12 @@ def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
     r_lo_val = min(max(r1, _R_FLOOR_FRAC * r_l), r_l * (1.0 - 1e-12))
 
     def rlo(delta):
-        return np.full(np.shape(np.asarray(delta)), r_lo_val)
+        return np.full(np.shape(delta), r_lo_val)
 
-    panels = [(0.0, min(floor, math.pi), _N_PHI, lambda d: gain_3gpp(d, cfg), rlo, 2.0)]
+    panels = [(0.0, min(floor, math.pi), _N_PHI, 2.0)]
     if floor < math.pi:
-        panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 2.0))
-    return _assemble_exponent(params, panels)
+        panels.append((floor, math.pi, None, 2.0))
+    return _assemble_exponent(params, panels, lambda d: gain_3gpp(d, cfg), rlo)
 
 
 def _deriv_budget(params: NetworkParams) -> int:
@@ -539,100 +547,123 @@ def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
     """Coverage given the interference exponent, integrated over the gamma fade:
     sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)]."""
     ch = params.channel
-    m_s, noise = ch.m_s, ch.noise_w
     s_arr = np.asarray(s, dtype=float)
-    levels = [np.exp(expo.exponent(s_arr) - noise * s_arr)]
-    if m_s == 1:
-        return levels[0]
-    f_derivs = [expo.exponent_deriv(s_arr, k) for k in range(1, m_s)]
-    f_derivs[0] = f_derivs[0] - noise
-    for k in range(1, m_s):
-        acc = np.zeros_like(levels[0])
-        for j in range(k):
-            acc = acc + math.comb(k - 1, j) * f_derivs[k - j - 1] * levels[j]
-        levels.append(acc)
+    levels = exp_derivatives(expo.derivatives(s_arr, ch.m_s - 1), s_arr, ch.noise_w)
     total = np.zeros_like(levels[0])
-    for k in range(m_s):
+    for k in range(ch.m_s):
         total = total + (-s_arr) ** k / math.factorial(k) * levels[k]
     return total
 
 
-def _beam_average(single_direction_value):
-    """Average a per-beam-direction computation over the maxima pmf."""
+def _per_node(x: np.ndarray, evaluate) -> np.ndarray:
+    """``evaluate(node, rows)`` once per distinct abscissa of ``x``, where
+    ``rows`` indexes the entries of ``x`` equal to ``node``.
 
-    def run(params, collapse_beams):
-        if collapse_beams:
-            return single_direction_value(None)
-        return sum(p * single_direction_value(d) for d, p in beam_maxima_pmf(params.antenna))
+    The conditioning exponent at a node does not depend on the threshold, so
+    the integrals of a whole curve build it once for every threshold that
+    asks for that node in the current round, then drop it.
+    """
+    nodes, inverse = np.unique(x, return_inverse=True)
+    groups = np.split(np.argsort(inverse, kind="stable"),
+                      np.cumsum(np.bincount(inverse, minlength=nodes.size))[:-1])
+    out = np.empty(x.shape)
+    for node, rows in zip(nodes, groups):
+        out[rows] = evaluate(float(node), rows)
+    return out
 
-    return run
+
+def _thresholds(gamma):
+    """Flat float thresholds and the shape to return results in."""
+    g = np.asarray(gamma, dtype=float)
+    return g.reshape(-1), g.shape
 
 
-def coverage_p1(gamma: float, params: NetworkParams, exclusion: str = "all-beams",
-                collapse_beams: bool = True) -> float:
-    """Coverage probability under maximum-power association (linear threshold)."""
+def _curve(policy: str, gammas: np.ndarray, shape, params: NetworkParams,
+           exclusion: str | None, integrand, a: float, b: float):
+    """Outer coverage integrals of every threshold, in lockstep, clipped to
+    [0, 1]; a quadrature failure names the curve point it came from."""
+    try:
+        vals = integrate_many(integrand, a, b, gammas.size, _OUTER_SPEC)
+    except QuadratureError as err:
+        gamma = gammas[err.index]
+        g_db = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
+        raise QuadratureError(
+            f"{policy} coverage at threshold {g_db:.2f} dB (exclusion {exclusion}, "
+            f"density {params.density:g}, sectors_exp {params.antenna.sectors_exp}): "
+            f"{err.message}", err.estimate, err.error_bound, err.index) from err
+    out = np.clip(vals, 0.0, 1.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
+    """Coverage probability under maximum-power association.
+
+    ``gamma`` is a linear SINR threshold or an array of them; a scalar gives
+    a float, an array an array of the same shape.
+    """
     cfg, ch = params.antenna, params.channel
+    gammas, shape = _thresholds(gamma)
     law = serving_power_law(params)
-    s_const = ch.m_s * gamma / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
+    s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
 
-    def for_direction(_direction):
-        def integrand(s_th):
-            s_th = np.atleast_1d(s_th)
-            cond = np.empty_like(s_th)
-            for i, value in enumerate(s_th):
-                expo = _p1_exponent(params, float(value), exclusion)
-                cond[i] = _conditional_coverage(expo, s_const / value, params)
-            return law.pdf(s_th, conditioned=True) * cond
+    def integrand(s_th, which):
+        def cond(node, rows):
+            expo = _p1_exponent(params, node, exclusion)
+            return _conditional_coverage(expo, s_const[which[rows]] / node, params)
 
-        return integrate_1d(integrand, law.w_min, math.inf, _OUTER_SPEC)
+        return law.pdf(s_th, conditioned=True) * _per_node(s_th, cond)
 
-    return float(np.clip(_beam_average(for_direction)(params, collapse_beams), 0.0, 1.0))
+    return _curve("P1", gammas, shape, params, exclusion, integrand, law.w_min, math.inf)
 
 
-def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid",
-                collapse_beams: bool = True) -> float:
-    """Coverage probability under minimum-angular-distance association."""
+def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
+    """Coverage probability under minimum-angular-distance association
+    (scalar or array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
+    gammas, shape = _thresholds(gamma)
     r_l = params.r_los
     alpha = ch.alpha_l
     norm = 1.0 - params.void_probability
+    s_num = ch.m_s * gammas
+    s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
 
-    def for_direction(_direction):
-        def outer(phi_cs):
-            phi_cs = np.atleast_1d(phi_cs)
-            vals = np.empty_like(phi_cs)
-            for i, pc in enumerate(phi_cs):
-                expo = _p2_exponent(params, float(pc), exclusion)
-                s_coef = ch.m_s * gamma / (ch.tx_power_w * cfg.g_max * ch.path_gain_const
-                                           * gain_approx(float(pc), cfg))
+    def outer(phi_cs, which):
+        def inner_integrals(node, rows):
+            expo = _p2_exponent(params, node, exclusion)
+            s_coef = s_num[which[rows]] / (s_den * gain_approx(node, cfg))
 
-                def inner(d0):
-                    return (2.0 * d0 / r_l**2) * _conditional_coverage(
-                        expo, s_coef * d0**alpha, params)
+            def inner(d0, k):
+                return (2.0 * d0 / r_l**2) * _conditional_coverage(
+                    expo, s_coef[k] * d0**alpha, params)
 
-                vals[i] = integrate_1d(inner, 0.0, r_l, _INNER_SPEC)
-            return phi_c_pdf(phi_cs, params) / norm * vals
+            try:
+                return integrate_many(inner, 0.0, r_l, rows.size, _INNER_SPEC)
+            except QuadratureError as err:
+                raise QuadratureError(f"inner integral at phi_c={node:.6g}: {err.message}",
+                                      err.estimate, err.error_bound,
+                                      int(which[rows[err.index]])) from err
 
-        return integrate_1d(outer, 0.0, 0.5 * cfg.beam_spacing, _OUTER_SPEC)
+        return phi_c_pdf(phi_cs, params) / norm * _per_node(phi_cs, inner_integrals)
 
-    return float(np.clip(_beam_average(for_direction)(params, collapse_beams), 0.0, 1.0))
+    return _curve("P2", gammas, shape, params, exclusion, outer, 0.0, 0.5 * cfg.beam_spacing)
 
 
-def coverage_p3(gamma: float, params: NetworkParams) -> float:
-    """Coverage probability under nearest-transmitter association."""
+def coverage_p3(gamma, params: NetworkParams):
+    """Coverage probability under nearest-transmitter association (scalar or
+    array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
+    gammas, shape = _thresholds(gamma)
     r_l = params.r_los
     lam = params.density
     norm = 1.0 - params.void_probability
-    s_const = ch.m_s * gamma / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
+    s_const = ch.m_s * gammas / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
 
-    def integrand(r1):
-        r1 = np.atleast_1d(r1)
-        cond = np.empty_like(r1)
-        for i, value in enumerate(r1):
-            expo = _p3_exponent(params, float(value))
-            cond[i] = _conditional_coverage(expo, s_const * value**ch.alpha_l, params)
+    def integrand(r1, which):
+        def cond(node, rows):
+            expo = _p3_exponent(params, node)
+            return _conditional_coverage(expo, s_const[which[rows]] * node**ch.alpha_l, params)
+
         f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
-        return f_r1 * cond
+        return f_r1 * _per_node(r1, cond)
 
-    return float(np.clip(integrate_1d(integrand, 0.0, r_l, _OUTER_SPEC), 0.0, 1.0))
+    return _curve("P3", gammas, shape, params, None, integrand, 0.0, r_l)

@@ -298,6 +298,20 @@ def _with(params: NetworkParams, density=None, sectors_exp=None) -> NetworkParam
     return out
 
 
+def _linear(grid_db) -> np.ndarray:
+    """Linear thresholds of a grid in dB."""
+    return np.array([10.0 ** (g_db / 10.0) for g_db in grid_db])
+
+
+def _analytic_curve(policy: str, config: ExperimentConfig, params: NetworkParams, key: str):
+    """Analytic rows of one curve over the threshold grid, in one call."""
+    fn = {"P1": analytic.coverage_p1, "P2": analytic.coverage_p2,
+          "P3": analytic.coverage_p3}[policy]
+    values = fn(_linear(config.gamma_grid_db), params)
+    return [(g_db, float(v), 0.0, "analytic", key)
+            for g_db, v in zip(config.gamma_grid_db, values)]
+
+
 def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
     for density in config.density_sweep:
         params = _with(config.params, density=density)
@@ -334,11 +348,7 @@ def _coverage_rows(config: ExperimentConfig, rows: dict, policies, sectors) -> N
                 rows["mc"] += [(x, v, s, "mc", key) for x, v, s
                                in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
             if "analytic" in config.engines:
-                fn = {"P1": analytic.coverage_p1, "P2": analytic.coverage_p2,
-                      "P3": analytic.coverage_p3}[policy]
-                for g_db in config.gamma_grid_db:
-                    value = fn(10.0 ** (g_db / 10.0), params)
-                    rows["analytic"].append((g_db, value, 0.0, "analytic", key))
+                rows["analytic"] += _analytic_curve(policy, config, params, key)
 
 
 def _scenario_fig5(config: ExperimentConfig, rows: dict) -> None:
@@ -379,10 +389,8 @@ def _scenario_fig8(config: ExperimentConfig, rows: dict) -> None:
                     rows["dominant"].append((g_db, fn(10.0 ** (g_db / 10.0), params),
                                              0.0, "dominant", key))
         if "analytic" in config.engines:
-            key = _curve_key("P1", sectors_exp=m)
-            for g_db in config.gamma_grid_db:
-                value = analytic.coverage_p1(10.0 ** (g_db / 10.0), params)
-                rows["analytic"].append((g_db, value, 0.0, "analytic", key))
+            rows["analytic"] += _analytic_curve("P1", config, params,
+                                                _curve_key("P1", sectors_exp=m))
         if "mc" in config.engines:
             plan = SimPlan(params=params, policy="P1", thresholds_db=config.gamma_grid_db,
                            n_trials=config.trials, master_seed=config.seed)
@@ -403,11 +411,7 @@ def _scenario_custom(config: ExperimentConfig, rows: dict) -> None:
             rows["mc"] += [(x, v, s, "mc", key) for x, v, s
                            in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
         if "analytic" in config.engines:
-            fn = {"P1": analytic.coverage_p1, "P2": analytic.coverage_p2,
-                  "P3": analytic.coverage_p3}[policy]
-            for g_db in config.gamma_grid_db:
-                rows["analytic"].append((g_db, fn(10.0 ** (g_db / 10.0), config.params),
-                                         0.0, "analytic", key))
+            rows["analytic"] += _analytic_curve(policy, config, config.params, key)
         if "dominant" in config.engines and policy in ("P2", "P3"):
             fn = dominant.coverage_dom_p2 if policy == "P2" else dominant.coverage_dom_p3
             for g_db in config.gamma_grid_db:

@@ -18,12 +18,14 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "integrate_1d",
+    "integrate_many",
     "integrate_2d",
     "special_gamma",
     "special_gamma_upper",
     "special_erf",
     "LaplaceEvaluator",
     "laplace_derivatives",
+    "exp_derivatives",
 ]
 
 
@@ -58,13 +60,17 @@ class QuadratureError(RuntimeError):
     """Subdivision budget exhausted before reaching the requested tolerance.
 
     Carries the best available estimate and its error bound so callers can
-    decide whether the partial result is still usable.
+    decide whether the partial result is still usable, and ``index``, the
+    position of the failing integral in an :func:`integrate_many` batch.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float):
+    def __init__(self, message: str, estimate: float, error_bound: float,
+                 index: int | None = None):
         super().__init__(f"{message} (best estimate {estimate:.6e}, error bound {error_bound:.3e})")
+        self.message = message
         self.estimate = estimate
         self.error_bound = error_bound
+        self.index = index
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
@@ -91,64 +97,109 @@ _WG = np.array([
 ])
 
 
-def _panel_values(f, lo, hi):
-    """Kronrod/Gauss panel estimates for a batch of intervals."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
-        bad = x.ravel()[~np.isfinite(y.ravel())][0]
-        raise ValueError(f"integrand returned a non-finite value near x={bad!r}")
-    val = half * (y * _WK).sum(axis=1)
-    gauss = half * (y * _WG).sum(axis=1)
-    resabs = half * (np.abs(y) * _WK).sum(axis=1)
-    err = np.abs(val - gauss)
-    return val, err, resabs
+class _Panels:
+    """Panel set of one adaptive integral: bounds, Kronrod values, Gauss-Kronrod
+    error estimates and absolute masses, plus its bisection count."""
 
+    def __init__(self, a: float, b: float):
+        self.lo = self.hi = self.val = self.err = self.resabs = np.empty(0)
+        self.n_splits = 0
+        # panels waiting for integrand values
+        self.new_lo, self.new_hi = np.array([a]), np.array([b])
 
-def _adaptive(f, a: float, b: float, spec: QuadratureSpec, tail_guard: bool = False) -> float:
-    lo = np.array([a])
-    hi = np.array([b])
-    val, err, resabs = _panel_values(f, lo, hi)
-    n_splits = 0
-    while True:
-        total = float(val.sum())
-        total_err = float(err.sum())
+    def add(self, y):
+        """Fold in the integrand values (new panels x 15) of the waiting panels;
+        they go after the kept ones."""
+        half = 0.5 * (self.new_hi - self.new_lo)
+        val = half * (y * _WK).sum(axis=1)
+        gauss = half * (y * _WG).sum(axis=1)
+        resabs = half * (np.abs(y) * _WK).sum(axis=1)
+        self.lo = np.concatenate([self.lo, self.new_lo])
+        self.hi = np.concatenate([self.hi, self.new_hi])
+        self.val = np.concatenate([self.val, val])
+        self.err = np.concatenate([self.err, np.abs(val - gauss)])
+        self.resabs = np.concatenate([self.resabs, resabs])
+        self.new_lo = self.new_hi = None
+
+    def step(self, b: float, spec: QuadratureSpec, tail_guard: bool, index: int):
+        """Return the integral if it meets the tolerance; otherwise queue the
+        bisected panels and return None."""
+        total = float(self.val.sum())
+        total_err = float(self.err.sum())
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         tail_bad = False
         if tail_guard:
             # Panel adjacent to the mapped point at infinity must carry less
             # than the overall tolerance (or the configured tail mass bound)
             # before we trust the estimate.
-            tail = hi == b
-            tail_mass = float(resabs[tail].sum())
-            bound = max(tol, spec.infinite_tail_cutoff_mass * float(resabs.sum()) + spec.abs_tol)
+            tail = self.hi == b
+            tail_mass = float(self.resabs[tail].sum())
+            bound = max(tol, spec.infinite_tail_cutoff_mass * float(self.resabs.sum()) + spec.abs_tol)
             tail_bad = tail_mass > bound
         if total_err <= tol and not tail_bad:
             return total
-        split = err > tol / (2.0 * len(val))
+        split = self.err > tol / (2.0 * len(self.val))
         if tail_bad:
-            split |= hi == b
+            split |= self.hi == b
         if not split.any():
-            split = err >= 0.5 * err.max()
-        n_splits += int(split.sum())
-        if n_splits > spec.max_subdivisions:
+            split = self.err >= 0.5 * self.err.max()
+        self.n_splits += int(split.sum())
+        if self.n_splits > spec.max_subdivisions:
             raise QuadratureError("quadrature failed to converge within max_subdivisions",
-                                  total, total_err)
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mids])
-        new_hi = np.concatenate([mids, hi[split]])
-        new_val, new_err, new_resabs = _panel_values(f, new_lo, new_hi)
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        val = np.concatenate([val[~split], new_val])
-        err = np.concatenate([err[~split], new_err])
-        resabs = np.concatenate([resabs[~split], new_resabs])
+                                  total, total_err, index)
+        mids = 0.5 * (self.lo[split] + self.hi[split])
+        self.new_lo = np.concatenate([self.lo[split], mids])
+        self.new_hi = np.concatenate([mids, self.hi[split]])
+        keep = ~split
+        self.lo, self.hi = self.lo[keep], self.hi[keep]
+        self.val, self.err, self.resabs = self.val[keep], self.err[keep], self.resabs[keep]
+        return None
 
 
-def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Integrate a vectorized real function over [a, b].
+def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
+              tail_guard: bool = False) -> np.ndarray:
+    """Adaptive Gauss-Kronrod for ``n`` integrals over [a, b] in lockstep.
+
+    Each integral keeps its own panels, splits and stopping test, exactly as
+    if it ran alone; only the integrand calls are shared, one per round over
+    the waiting panels of every integral still running.
+    """
+    out = np.empty(n)
+    running = {i: _Panels(a, b) for i in range(n)}
+    while running:
+        xs, which = [], []
+        for i, panels in running.items():
+            mid = 0.5 * (panels.new_lo + panels.new_hi)
+            half = 0.5 * (panels.new_hi - panels.new_lo)
+            xs.append((mid[:, None] + half[:, None] * _XK[None, :]).ravel())
+            which.append(np.full(xs[-1].size, i))
+        x = np.concatenate(xs)
+        y = np.asarray(f(x, np.concatenate(which)), dtype=float).reshape(x.shape)
+        if not np.all(np.isfinite(y)):
+            bad = x[~np.isfinite(y)][0]
+            raise ValueError(f"integrand returned a non-finite value near x={bad!r}")
+        start = 0
+        for panels, xi in zip(running.values(), xs):
+            panels.add(y[start:start + xi.size].reshape(-1, _XK.size))
+            start += xi.size
+        for i in list(running):
+            total = running[i].step(b, spec, tail_guard, i)
+            if total is not None:
+                out[i] = total
+                del running[i]
+    return out
+
+
+def integrate_many(f: Callable, a: float, b: float, n: int,
+                   spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Integrate ``n`` vectorized real functions over the same [a, b].
+
+    ``f(x, which)`` receives a 1-D ndarray of abscissae and an equally long
+    integer array naming the integral (0 .. n-1) each abscissa belongs to,
+    and returns the integrand values.  Every integral runs the same adaptive
+    rule as :func:`integrate_1d` and gets the same result it would get alone;
+    the batching only lets ``f`` share work between integrals that ask for
+    the same abscissa.  Returns an ndarray of the ``n`` integrals.
 
     Either bound may be infinite; semi-infinite ranges are mapped to [0, 1)
     with ``x = a + t/(1 - t)`` so adaptivity is preserved near the finite
@@ -160,25 +211,36 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     b = float(b)
     if math.isnan(a) or math.isnan(b):
         raise ValueError("integration bounds must not be NaN")
-    if a == b:
-        return 0.0
+    if n < 0:
+        raise ValueError("the number of integrals must be nonnegative")
+    if a == b or n == 0:
+        return np.zeros(n)
     if a > b:
-        return -integrate_1d(f, b, a, spec)
+        return -integrate_many(f, b, a, n, spec)
     a_inf = math.isinf(a)
     b_inf = math.isinf(b)
     if a_inf and b_inf:
-        return integrate_1d(f, a, 0.0, spec) + integrate_1d(f, 0.0, b, spec)
+        return integrate_many(f, a, 0.0, n, spec) + integrate_many(f, 0.0, b, n, spec)
     if b_inf:
-        def mapped(t):
+        def mapped(t, which):
             one_m = 1.0 - t
-            return f(a + t / one_m) / one_m**2
-        return _adaptive(mapped, 0.0, 1.0, spec, tail_guard=True)
+            return f(a + t / one_m, which) / one_m**2
+        return _adaptive(mapped, 0.0, 1.0, n, spec, tail_guard=True)
     if a_inf:
-        def mapped(t):
+        def mapped(t, which):
             one_m = 1.0 - t
-            return f(b - t / one_m) / one_m**2
-        return _adaptive(mapped, 0.0, 1.0, spec, tail_guard=True)
-    return _adaptive(f, a, b, spec)
+            return f(b - t / one_m, which) / one_m**2
+        return _adaptive(mapped, 0.0, 1.0, n, spec, tail_guard=True)
+    return _adaptive(f, a, b, n, spec)
+
+
+def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+    """Integrate a vectorized real function over [a, b].
+
+    The one-integral case of :func:`integrate_many` (see there for infinite
+    bounds and endpoint singularities).
+    """
+    return float(integrate_many(lambda x, _which: f(x), a, b, 1, spec)[0])
 
 
 def integrate_2d(f: Callable, x_lo: float, x_hi: float, y_lo, y_hi,
@@ -260,22 +322,37 @@ class LaplaceEvaluator:
 def laplace_derivatives(lt: LaplaceEvaluator, s, k_max: int):
     """Evaluate [L(s), L'(s), ..., L^(k_max)(s)] by the exponent recursion.
 
-    Uses L^(k) = sum_{j<k} C(k-1, j) F^(k-j) L^(j), which follows from
-    differentiating L' = F' L with the Leibniz rule.  ``s`` may be a scalar
-    or an ndarray; the output stacks orders along the leading axis.
+    ``s`` may be a scalar or an ndarray; the output stacks orders along the
+    leading axis.  See :func:`exp_derivatives` for the recursion.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     if k_max > lt.max_order:
         raise ValueError(f"k_max={k_max} exceeds available exponent derivatives ({lt.max_order})")
     s_arr = np.asarray(s, dtype=float)
-    levels = [np.exp(np.asarray(lt.exponent_fn(s_arr), dtype=float))]
-    f_derivs = [np.asarray(lt.exponent_derivs[k - 1](s_arr), dtype=float)
-                for k in range(1, k_max + 1)]
-    for k in range(1, k_max + 1):
+    exponent = [np.asarray(lt.exponent_fn(s_arr), dtype=float)]
+    exponent += [np.asarray(lt.exponent_derivs[k - 1](s_arr), dtype=float)
+                 for k in range(1, k_max + 1)]
+    out = np.stack(exp_derivatives(exponent, s_arr))
+    return out if s_arr.ndim else out.reshape(k_max + 1)
+
+
+def exp_derivatives(exponent, s, shift: float = 0.0) -> list:
+    """Derivatives [L, L', ..., L^(k)] of L(s) = exp(F(s) - shift * s).
+
+    ``exponent`` is the sequence [F, F', ..., F^(k)] evaluated at ``s``.  Uses
+    L^(k) = sum_{j<k} C(k-1, j) G^(k-j) L^(j) with G = F - shift * s, which
+    follows from differentiating L' = G' L with the Leibniz rule.  ``shift``
+    is the noise term of a transform exp(-noise s) L_I(s).
+    """
+    f0 = exponent[0] - shift * s if shift else exponent[0]
+    g_derivs = list(exponent[1:])
+    if shift and g_derivs:
+        g_derivs[0] = g_derivs[0] - shift
+    levels = [np.exp(f0)]
+    for k in range(1, len(exponent)):
         acc = np.zeros_like(levels[0])
         for j in range(k):
-            acc = acc + math.comb(k - 1, j) * f_derivs[k - j - 1] * levels[j]
+            acc = acc + math.comb(k - 1, j) * g_derivs[k - j - 1] * levels[j]
         levels.append(acc)
-    out = np.stack(levels)
-    return out if s_arr.ndim else out.reshape(k_max + 1)
+    return levels

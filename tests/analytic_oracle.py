@@ -1,0 +1,318 @@
+"""The per-threshold analytic coverage integrals, kept as a test oracle.
+
+This is the quadrature engine as it was before whole curves were evaluated
+in lockstep: one outer ``integrate_1d`` per threshold, one region exponent
+built per quadrature node, assembled one angular panel at a time, and its
+derivatives taken by separate ``pow`` calls.  The package must agree with it
+to 1e-12 (see ``test_analytic.TestCurveOracle``).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from mmwcov.analytic import (
+    P1_EXCLUSIONS,
+    P2_EXCLUSIONS,
+    TWO_PI,
+    _INNER_SPEC,
+    _N_PHI,
+    _N_PHI_NARROW,
+    _OUTER_SPEC,
+    _R_FLOOR_FRAC,
+    _exclusion_angle,
+    _leggauss,
+    _radial_weights,
+    phi_c_pdf,
+    serving_power_law,
+)
+from mmwcov.numerics import integrate_1d
+from mmwcov.radio import NetworkParams, gain_3gpp, gain_approx
+
+
+class _RegionExponent:
+    """Laplace exponent F(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi on a
+    fixed panelized Gauss-Legendre grid, with analytic s-derivatives."""
+
+    def __init__(self, density: float, m_x: int, c: np.ndarray, w: np.ndarray):
+        self.density = density
+        self.m_x = m_x
+        self.c = c
+        self.w = w
+        self._cpow = {0: np.ones_like(c), 1: c}
+
+    def _pow(self, k: int) -> np.ndarray:
+        if k not in self._cpow:
+            self._cpow[k] = self._cpow[k - 1] * self.c
+        return self._cpow[k]
+
+    def exponent(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        u = 1.0 + s_arr[..., None] * self.c
+        val = -self.density * ((1.0 - u ** (-self.m_x)) * self.w).sum(axis=-1)
+        return float(val) if val.ndim == 0 else val
+
+    def exponent_deriv(self, s, k: int):
+        if k < 1:
+            raise ValueError("derivative order must be >= 1")
+        s_arr = np.asarray(s, dtype=float)
+        u = 1.0 + s_arr[..., None] * self.c
+        rising = math.prod(range(self.m_x, self.m_x + k))
+        val = (self.density * (-1.0) ** k * rising
+               * (self._pow(k) * u ** (-(self.m_x + k)) * self.w).sum(axis=-1))
+        return float(val) if val.ndim == 0 else val
+
+def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
+    """Build a region exponent from angular panels.
+
+    Each panel is ``(a, b, order, gain_fn, rlo_fn, mult)``;  ``order=None``
+    marks a panel whose gain and lower radius are constant, which is then
+    integrated exactly as width * (single radial integral).
+    """
+    cfg, ch = params.antenna, params.channel
+    ang_parts, w_parts = [], []
+    gain_parts, rlo_parts = [], []
+    for a, b, order, gain_fn, rlo_fn, mult in panels:
+        if b - a <= 1e-13:
+            continue
+        if order is None:
+            nodes = np.array([0.5 * (a + b)])
+            wts = np.array([(b - a) * mult])
+        else:
+            x, w = _leggauss(order)
+            nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
+            wts = 0.5 * (b - a) * w * mult
+        ang_parts.append(nodes)
+        w_parts.append(wts)
+        gain_parts.append(np.asarray(gain_fn(nodes), dtype=float))
+        rlo_parts.append(np.asarray(rlo_fn(nodes), dtype=float))
+    ang_w = np.concatenate(w_parts)
+    gains = np.concatenate(gain_parts)
+    r_lo = np.concatenate(rlo_parts)
+    r, rad_w = _radial_weights(r_lo, params.r_los)
+    amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
+    c = (amp * gains[:, None] * r ** (-ch.alpha_l)).ravel()
+    w_total = (ang_w[:, None] * rad_w).ravel()
+    return _RegionExponent(params.density, ch.m_x, c, w_total)
+
+
+def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionExponent:
+    cfg, ch = params.antenna, params.channel
+    law = serving_power_law(params)
+    if s_th < law.w_min:
+        raise ValueError("serving power below the support of the serving law")
+    r_l = params.r_los
+    alpha = ch.alpha_l
+    inv_alpha = 1.0 / alpha
+    floor = cfg.phi_a
+    phi_star = _exclusion_angle(params, s_th)
+
+    def rlo_from_chosen(delta):
+        return np.minimum((gain_3gpp(delta, cfg) / s_th) ** inv_alpha, r_l)
+
+    if exclusion == "single-beam":
+        panels = [(phi_star, floor, _N_PHI, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0)]
+        if floor < math.pi:
+            panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0))
+        return _assemble_exponent(params, panels)
+
+    if exclusion != "all-beams":
+        raise ValueError(f"unknown P1 exclusion {exclusion!r}; expected one of {P1_EXCLUSIONS}")
+
+    # Keep-out around *every* beam maximum: a transmitter beats s_th whenever
+    # its own best-beam gain does, so the empty bands repeat with the beam grid.
+    step = cfg.beam_spacing
+
+    def fold(delta):
+        t = np.asarray(delta, dtype=float) % step
+        return np.minimum(t, step - t)
+
+    def rlo_exact(delta):
+        return np.minimum((gain_approx(fold(delta), cfg) / s_th) ** inv_alpha, r_l)
+
+    edges = {0.0, math.pi, min(floor, math.pi)}
+    k = 0
+    while k * step <= math.pi + step:
+        for e in (k * step - phi_star, k * step, k * step + phi_star,
+                  k * step + 0.5 * step):
+            if 0.0 <= e <= math.pi:
+                edges.add(e)
+        k += 1
+    edges = sorted(edges)
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a <= 1e-13:
+            continue
+        midpoint = 0.5 * (a + b)
+        if fold(midpoint) < phi_star:          # inside a keep-out band
+            continue
+        panels.append((a, b, _N_PHI_NARROW, lambda d: gain_3gpp(d, cfg), rlo_exact, 2.0))
+    return _assemble_exponent(params, panels)
+
+
+def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _RegionExponent:
+    cfg = params.antenna
+    r_l = params.r_los
+    floor = cfg.phi_a
+    r_floor = _R_FLOOR_FRAC * r_l
+
+    def rlo(delta):
+        return np.full(np.shape(np.asarray(delta)), r_floor)
+
+    def gain_fold(psi):
+        psi_arr = np.asarray(psi, dtype=float)
+        folded = np.minimum(psi_arr % TWO_PI, TWO_PI - psi_arr % TWO_PI)
+        return gain_3gpp(folded, cfg)
+
+    if exclusion in ("one-sided", "symmetric"):
+        def side_panels(lower):
+            out = []
+            if lower < floor:
+                out.append((lower, min(floor, math.pi), _N_PHI,
+                            lambda d: gain_3gpp(d, cfg), rlo, 1.0))
+            flat_lo = max(lower, floor)
+            if flat_lo < math.pi:
+                out.append((flat_lo, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
+            return out
+
+        one_side = side_panels(phi_c)
+        if exclusion == "symmetric":
+            panels = [(a, b, n, g, r, 2.0 * m) for a, b, n, g, r, m in one_side]
+        else:
+            panels = one_side + side_panels(0.0)
+        return _assemble_exponent(params, panels)
+
+    if exclusion != "grid":
+        raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
+
+    # Keep-out of half-width phi_c around every beam maximum.  In link-relative
+    # azimuth the maxima sit at k*step - phi_c (the serving link is phi_c off
+    # its beam); the excluded azimuth bands are (k*step - 2 phi_c, k*step),
+    # which for k = 1 .. n_beams tile [0, 2*pi] without wrap handling.
+    step = cfg.beam_spacing
+    bands = []
+    if phi_c > 0.0:
+        for k in range(1, cfg.n_beams + 1):
+            bands.append((max(0.0, k * step - 2.0 * phi_c), min(TWO_PI, k * step)))
+    edges = {0.0, TWO_PI, math.pi}
+    for f in (floor, TWO_PI - floor):
+        if 0.0 < f < TWO_PI:
+            edges.add(f)
+    for lo, hi in bands:
+        edges.add(lo)
+        edges.add(hi)
+    edges = sorted(edges)
+
+    def in_band(x):
+        return any(lo - 1e-15 <= x <= hi + 1e-15 for lo, hi in bands)
+
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a <= 1e-13 or in_band(0.5 * (a + b)):
+            continue
+        fold_mid = min(0.5 * (a + b), TWO_PI - 0.5 * (a + b))
+        order = None if fold_mid >= floor else _N_PHI_NARROW
+        panels.append((a, b, order, gain_fold, rlo, 1.0))
+    return _assemble_exponent(params, panels)
+
+
+def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
+    cfg = params.antenna
+    r_l = params.r_los
+    floor = cfg.phi_a
+    r_lo_val = min(max(r1, _R_FLOOR_FRAC * r_l), r_l * (1.0 - 1e-12))
+
+    def rlo(delta):
+        return np.full(np.shape(np.asarray(delta)), r_lo_val)
+
+    panels = [(0.0, min(floor, math.pi), _N_PHI, lambda d: gain_3gpp(d, cfg), rlo, 2.0)]
+    if floor < math.pi:
+        panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 2.0))
+    return _assemble_exponent(params, panels)
+
+
+def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
+    """Coverage given the interference exponent, integrated over the gamma fade:
+    sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)]."""
+    ch = params.channel
+    m_s, noise = ch.m_s, ch.noise_w
+    s_arr = np.asarray(s, dtype=float)
+    levels = [np.exp(expo.exponent(s_arr) - noise * s_arr)]
+    if m_s == 1:
+        return levels[0]
+    f_derivs = [expo.exponent_deriv(s_arr, k) for k in range(1, m_s)]
+    f_derivs[0] = f_derivs[0] - noise
+    for k in range(1, m_s):
+        acc = np.zeros_like(levels[0])
+        for j in range(k):
+            acc = acc + math.comb(k - 1, j) * f_derivs[k - j - 1] * levels[j]
+        levels.append(acc)
+    total = np.zeros_like(levels[0])
+    for k in range(m_s):
+        total = total + (-s_arr) ** k / math.factorial(k) * levels[k]
+    return total
+
+
+def coverage_p1(gamma: float, params: NetworkParams, exclusion: str = "all-beams") -> float:
+    """Coverage probability under maximum-power association (linear threshold)."""
+    cfg, ch = params.antenna, params.channel
+    law = serving_power_law(params)
+    s_const = ch.m_s * gamma / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
+
+    def integrand(s_th):
+        s_th = np.atleast_1d(s_th)
+        cond = np.empty_like(s_th)
+        for i, value in enumerate(s_th):
+            expo = _p1_exponent(params, float(value), exclusion)
+            cond[i] = _conditional_coverage(expo, s_const / value, params)
+        return law.pdf(s_th, conditioned=True) * cond
+
+    return float(np.clip(integrate_1d(integrand, law.w_min, math.inf, _OUTER_SPEC), 0.0, 1.0))
+
+
+def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid") -> float:
+    """Coverage probability under minimum-angular-distance association."""
+    cfg, ch = params.antenna, params.channel
+    r_l = params.r_los
+    alpha = ch.alpha_l
+    norm = 1.0 - params.void_probability
+
+    def outer(phi_cs):
+        phi_cs = np.atleast_1d(phi_cs)
+        vals = np.empty_like(phi_cs)
+        for i, pc in enumerate(phi_cs):
+            expo = _p2_exponent(params, float(pc), exclusion)
+            s_coef = ch.m_s * gamma / (ch.tx_power_w * cfg.g_max * ch.path_gain_const
+                                       * gain_approx(float(pc), cfg))
+
+            def inner(d0):
+                return (2.0 * d0 / r_l**2) * _conditional_coverage(
+                    expo, s_coef * d0**alpha, params)
+
+            vals[i] = integrate_1d(inner, 0.0, r_l, _INNER_SPEC)
+        return phi_c_pdf(phi_cs, params) / norm * vals
+
+    return float(np.clip(integrate_1d(outer, 0.0, 0.5 * cfg.beam_spacing, _OUTER_SPEC),
+                         0.0, 1.0))
+
+
+def coverage_p3(gamma: float, params: NetworkParams) -> float:
+    """Coverage probability under nearest-transmitter association."""
+    cfg, ch = params.antenna, params.channel
+    r_l = params.r_los
+    lam = params.density
+    norm = 1.0 - params.void_probability
+    s_const = ch.m_s * gamma / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
+
+    def integrand(r1):
+        r1 = np.atleast_1d(r1)
+        cond = np.empty_like(r1)
+        for i, value in enumerate(r1):
+            expo = _p3_exponent(params, float(value))
+            cond[i] = _conditional_coverage(expo, s_const * value**ch.alpha_l, params)
+        f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
+        return f_r1 * cond
+
+    return float(np.clip(integrate_1d(integrand, 0.0, r_l, _OUTER_SPEC), 0.0, 1.0))

@@ -25,9 +25,12 @@ from mmwcov.montecarlo import (
     sample_conditioned_interference,
     sample_statistic,
 )
-from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_2d, laplace_derivatives
-from mmwcov.radio import ChannelParams, NetworkParams, gain_3gpp, gain_pdf_mainlobe
+from mmwcov import analytic
+from mmwcov.numerics import (QuadratureError, QuadratureSpec, integrate_1d, integrate_2d,
+                             laplace_derivatives)
+from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_pdf_mainlobe
 from conftest import ks_distance
+import analytic_oracle as oracle
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 
@@ -256,15 +259,6 @@ class TestCoverage:
             ana = fn(10.0 ** (g_db / 10.0), params)
             assert abs(ana - mc) < 0.015 + 3.0 * se
 
-    def test_beam_sum_collapse(self, params):
-        g = 10.0 ** 0.5
-        full = coverage_p1(g, params, collapse_beams=False)
-        fast = coverage_p1(g, params, collapse_beams=True)
-        assert full == pytest.approx(fast, abs=1e-9)
-        full2 = coverage_p2(g, params, collapse_beams=False)
-        fast2 = coverage_p2(g, params, collapse_beams=True)
-        assert full2 == pytest.approx(fast2, abs=1e-9)
-
     def test_single_fade_order_reduces_to_plain_transform(self):
         # for a unit fade shape the coverage integrand is L_tot itself;
         # rebuild it from the public evaluator as an independent path
@@ -315,3 +309,108 @@ class TestCoverage:
         # one-sided keep-out admits the most interference
         assert one_sided <= symmetric <= grid
         assert coverage_p1(g, params, exclusion="single-beam") <= coverage_p1(g, params)
+
+
+def _linear(grid_db):
+    return np.array([10.0 ** (g / 10.0) for g in grid_db])
+
+
+FIG_GRID_DB = (-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
+OFF_GRID_DB = (-5.0, 2.5, 10.0)
+OFF_DEFAULT = {
+    "m_s1_m_x1": NetworkParams(channel=ChannelParams(m_s=1, m_x=1)),
+    "m_s4_m_x3": NetworkParams(channel=ChannelParams(m_s=4, m_x=3)),
+    "alpha2.5": NetworkParams(channel=ChannelParams(alpha_l=2.5)),
+    "density5e-5": NetworkParams(density=5e-5),
+    "density5e-3": NetworkParams(density=5e-3),
+    "sectors0": NetworkParams(antenna=AntennaConfig(sectors_exp=0)),
+    "sectors5": NetworkParams(antenna=AntennaConfig(sectors_exp=5)),
+    "noise0": NetworkParams(channel=ChannelParams(noise_w=0.0)),
+}
+CURVES = ([("P1", e) for e in analytic.P1_EXCLUSIONS]
+          + [("P2", e) for e in analytic.P2_EXCLUSIONS] + [("P3", None)])
+
+
+def _both(policy, exclusion):
+    """(lockstep curve, per-threshold oracle) functions of one policy."""
+    kw = {} if exclusion is None else {"exclusion": exclusion}
+    new = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
+    old = {"P1": oracle.coverage_p1, "P2": oracle.coverage_p2, "P3": oracle.coverage_p3}[policy]
+    return (lambda g, p: new(g, p, **kw)), (lambda g, p: old(g, p, **kw))
+
+
+class TestCurveOracle:
+    """Whole curves in lockstep against the per-threshold integrals."""
+
+    @pytest.mark.parametrize("policy", ["P1", "P2"])
+    @pytest.mark.parametrize("sectors_exp", [1, 2, 3])
+    def test_fig6_grid(self, policy, sectors_exp):
+        params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
+        new, old = _both(policy, {"P1": "all-beams", "P2": "grid"}[policy])
+        gammas = _linear(FIG_GRID_DB)
+        expected = np.array([old(g, params) for g in gammas])
+        np.testing.assert_allclose(new(gammas, params), expected, rtol=0.0, atol=1e-12)
+
+    def test_fig7_grid(self):
+        gamma = 10.0 ** 0.3
+        for density in (4e-4, 8e-4, 1.6e-3):
+            for m in (1, 2, 3):
+                params = NetworkParams(density=density, antenna=AntennaConfig(sectors_exp=m))
+                assert coverage_p1(gamma, params) == pytest.approx(
+                    oracle.coverage_p1(gamma, params), rel=0.0, abs=1e-12)
+                assert coverage_p3(gamma, params) == pytest.approx(
+                    oracle.coverage_p3(gamma, params), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(OFF_DEFAULT))
+    def test_off_default_sets_every_exclusion(self, name):
+        params = OFF_DEFAULT[name]
+        gammas = _linear(OFF_GRID_DB)
+        for policy, exclusion in CURVES:
+            new, old = _both(policy, exclusion)
+            expected = np.array([old(g, params) for g in gammas])
+            np.testing.assert_allclose(new(gammas, params), expected, rtol=0.0, atol=1e-12,
+                                       err_msg=f"{policy} {exclusion}")
+
+
+class TestCurveInterface:
+    def test_scalar_in_float_out_array_in_array_out(self, params):
+        gammas = _linear((-5.0, 0.0, 5.0, 10.0))
+        for fn in (coverage_p1, coverage_p2, coverage_p3):
+            scalar = fn(gammas[1], params)
+            assert isinstance(scalar, float)
+            grid = fn(gammas.reshape(2, 2), params)
+            assert grid.shape == (2, 2)
+            assert grid[0, 1] == scalar
+            assert fn(np.empty(0), params).shape == (0,)
+
+    def test_each_exponent_built_once_per_round(self, params, monkeypatch):
+        # 11 thresholds at sectors_exp 3 built 7,005 P1 exponents one
+        # threshold at a time, over 705 distinct serving-power nodes
+        built = []
+        build = analytic._p1_exponent
+
+        def counting(*args):
+            built.append(args[1])
+            return build(*args)
+
+        monkeypatch.setattr(analytic, "_p1_exponent", counting)
+        coverage_p1(_linear(FIG_GRID_DB), NetworkParams(antenna=AntennaConfig(sectors_exp=3)))
+        assert len(built) <= 1000
+
+    @pytest.mark.parametrize("policy,spec", [
+        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
+    def test_quadrature_failure_names_the_curve_point(self, policy, spec, monkeypatch):
+        monkeypatch.setattr(analytic, spec,
+                            QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=1))
+        params = NetworkParams(density=1.6e-3, antenna=AntennaConfig(sectors_exp=3))
+        fn = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
+        with pytest.raises(QuadratureError) as excinfo:
+            fn(_linear((5.0, 10.0)), params)
+        err = excinfo.value
+        assert err.index in (0, 1)
+        message = str(err)
+        exclusion = {"P1": "all-beams", "P2": "grid", "P3": "None"}[policy]
+        for part in (f"{policy} coverage", f"threshold {(5.0, 10.0)[err.index]:.2f} dB",
+                     f"exclusion {exclusion}", "density 0.0016", "sectors_exp 3",
+                     "max_subdivisions"):
+            assert part in message

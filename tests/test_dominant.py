@@ -367,6 +367,17 @@ class TestDistanceRatioLawP3:
 
 
 class TestCoverageDomP3:
+    def test_pinned_values(self, params):
+        # default parameters (sectors_exp 2), captured when the offset rule
+        # was rebuilt on every integrand call
+        pinned = (0.9979598835608695, 0.994232977682065, 0.9848103176817283,
+                  0.9638246770914723, 0.9242014920152732, 0.8621969876447633,
+                  0.7813840926949218, 0.6908538932589199, 0.5996967300668687,
+                  0.513574273402595, 0.4347024319308056)
+        for g_db, value in zip(np.arange(-10.0, 15.1, 2.5), pinned):
+            assert coverage_dom_p3(10.0 ** (g_db / 10.0), params) == pytest.approx(
+                value, rel=0.0, abs=1e-12)
+
     def test_certain_at_zero(self, params):
         assert coverage_dom_p3(0.0, params) == 1.0
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmwcov import numerics
 from mmwcov.numerics import (
     LaplaceEvaluator,
     QuadratureError,
     QuadratureSpec,
+    exp_derivatives,
     integrate_1d,
     integrate_2d,
+    integrate_many,
     laplace_derivatives,
     special_erf,
     special_gamma,
@@ -69,6 +72,138 @@ class TestIntegrate1d:
         combined = integrate_1d(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, spec)
         parts = alpha * integrate_1d(f, 0.0, 2.0, spec) + beta * integrate_1d(g, 0.0, 2.0, spec)
         assert combined == pytest.approx(parts, rel=1e-8, abs=1e-8)
+
+
+def _reference_adaptive(f, a, b, spec, tail_guard=False):
+    """The one-integral adaptive rule as it stood before integrals could run
+    in lockstep: the oracle for integrate_1d."""
+    def panels(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * numerics._XK[None, :]
+        y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        val = half * (y * numerics._WK).sum(axis=1)
+        gauss = half * (y * numerics._WG).sum(axis=1)
+        resabs = half * (np.abs(y) * numerics._WK).sum(axis=1)
+        return val, np.abs(val - gauss), resabs
+
+    lo, hi = np.array([a]), np.array([b])
+    val, err, resabs = panels(lo, hi)
+    n_splits = 0
+    while True:
+        total = float(val.sum())
+        total_err = float(err.sum())
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tail_bad = False
+        if tail_guard:
+            tail_mass = float(resabs[hi == b].sum())
+            bound = max(tol, spec.infinite_tail_cutoff_mass * float(resabs.sum()) + spec.abs_tol)
+            tail_bad = tail_mass > bound
+        if total_err <= tol and not tail_bad:
+            return total
+        split = err > tol / (2.0 * len(val))
+        if tail_bad:
+            split |= hi == b
+        if not split.any():
+            split = err >= 0.5 * err.max()
+        n_splits += int(split.sum())
+        if n_splits > spec.max_subdivisions:
+            raise QuadratureError("no convergence", total, total_err)
+        mids = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mids])
+        new_hi = np.concatenate([mids, hi[split]])
+        new_val, new_err, new_resabs = panels(new_lo, new_hi)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        val = np.concatenate([val[~split], new_val])
+        err = np.concatenate([err[~split], new_err])
+        resabs = np.concatenate([resabs[~split], new_resabs])
+
+
+def _reference_semi_infinite(f, a, spec):
+    def mapped(t):
+        one_m = 1.0 - t
+        return f(a + t / one_m) / one_m**2
+    return _reference_adaptive(mapped, 0.0, 1.0, spec, tail_guard=True)
+
+
+# Integrands that need very different numbers of rounds: a constant, smooth
+# bumps of growing sharpness, and an oscillation.
+FAMILY = (
+    lambda x: np.ones_like(x),
+    lambda x: np.exp(-x),
+    lambda x: 1.0 / (1e-2 + (x - 0.3) ** 2),
+    lambda x: 1.0 / (1e-5 + (x - 0.7) ** 2),
+    lambda x: np.sqrt(np.abs(np.sin(20.0 * x))),
+)
+
+
+class TestIntegrateMany:
+    def _rounds(self, f, a, b, spec):
+        calls = []
+        integrate_1d(lambda x: calls.append(x.size) or f(x), a, b, spec)
+        return len(calls)
+
+    def test_integrate_1d_matches_the_single_integral_rule_bitwise(self):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+        for f in FAMILY:
+            assert integrate_1d(f, 0.0, 2.0, spec) == _reference_adaptive(f, 0.0, 2.0, spec)
+        for f in (lambda x: np.exp(-x), lambda x: x * np.exp(-x * x), lambda x: 1.0 / (1.0 + x**2)):
+            assert integrate_1d(f, 0.5, math.inf, spec) == _reference_semi_infinite(f, 0.5, spec)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (2.0, 0.0), (0.0, math.inf),
+                                     (-math.inf, 0.5), (-math.inf, math.inf)])
+    def test_lockstep_equals_separate_calls_bitwise(self, a, b):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+        family = FAMILY if math.isfinite(a) and math.isfinite(b) else (
+            lambda x: np.exp(-x * x), lambda x: 1.0 / (1.0 + x**2),
+            lambda x: np.exp(-np.abs(x - 0.3)) * (1.0 + np.cos(5.0 * x) ** 2),
+            lambda x: 1.0 / (1e-3 + (x - 0.2) ** 2) / (1.0 + x**2))
+        seen = []
+
+        def batched(x, which):
+            assert x.shape == which.shape and which.dtype.kind == "i"
+            seen.append(np.unique(which).size)
+            out = np.empty_like(x)
+            for k, f in enumerate(family):
+                out[which == k] = f(x[which == k])
+            return out
+
+        together = integrate_many(batched, a, b, len(family), spec)
+        alone = [integrate_1d(f, a, b, spec) for f in family]
+        assert together.tolist() == alone
+        # the integrals finish in different rounds, so later calls hold fewer
+        assert seen[0] == len(family) and min(seen) < len(family)
+        if math.isfinite(a) and math.isfinite(b):
+            assert len({self._rounds(f, min(a, b), max(a, b), spec) for f in family}) > 2
+
+    def test_empty_and_degenerate_ranges(self):
+        def never(x, which):
+            raise AssertionError("integrand must not be called")
+
+        assert integrate_many(never, 0.0, 1.0, 0).shape == (0,)
+        assert integrate_many(never, 1.0, 1.0, 3).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            integrate_many(never, math.nan, 1.0, 2)
+
+    def test_failure_names_the_integral(self):
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=8)
+        family = (lambda x: np.ones_like(x), lambda x: x,
+                  lambda x: np.sqrt(np.abs(np.sin(50.0 * x))))
+
+        def batched(x, which):
+            out = np.empty_like(x)
+            for k, f in enumerate(family):
+                out[which == k] = f(x[which == k])
+            return out
+
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_many(batched, 0.0, 3.0, 3, spec)
+        assert excinfo.value.index == 2
+        assert 0.0 < excinfo.value.estimate < 3.0
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_1d(family[2], 0.0, 3.0, spec)
+        assert excinfo.value.index == 0
 
 
 class TestIntegrate2d:
@@ -192,3 +327,19 @@ class TestLaplaceDerivatives:
             lpp = (math.exp(f(s + h)) - 2.0 * math.exp(f(s)) + math.exp(f(s - h))) / h**2
             assert val[1] == pytest.approx(lp, rel=1e-6)
             assert val[2] == pytest.approx(lpp, rel=1e-4)
+
+    def test_noise_shift(self):
+        # exp(F(s) - shift s) with F(s) = -a s: every derivative is
+        # (-(a + shift))^k times the value
+        a, shift = 1.5, 0.25
+        s = np.array([0.3, 1.0, 4.0])
+        levels = exp_derivatives([-a * s, np.full(3, -a), np.zeros(3), np.zeros(3)], s, shift)
+        for k, level in enumerate(levels):
+            np.testing.assert_allclose(level, (-(a + shift)) ** k * np.exp(-(a + shift) * s),
+                                       rtol=1e-14)
+
+    def test_zero_shift_is_the_plain_transform(self):
+        lt = _pure_noise_evaluator()
+        s = np.array([0.5, 2.0])
+        levels = exp_derivatives([-s, -np.ones(2), np.zeros(2)], s)
+        assert np.array_equal(np.stack(levels), laplace_derivatives(lt, s, 2))
