@@ -4,7 +4,8 @@ beam-aware user association over Poisson-deployed transmitters."""
 from .radio import AntennaConfig, ChannelParams, NetworkParams
 from .geometry import PointField, PolarPoint, sample_ppp
 from .association import AssociationOutcome, SinrSample
-from .montecarlo import CoverageCurve, SimPlan, run_coverage, run_histogram, run_power_ccdf
+from .montecarlo import (CoverageCurve, SimPlan, run_coverage, run_coverages, run_histogram,
+                         run_power_ccdf)
 from .analytic import coverage_p1, coverage_p2, coverage_p3, serving_power_law
 from .dominant import coverage_dom_p2, coverage_dom_p3
 
@@ -22,6 +23,7 @@ __all__ = [
     "SimPlan",
     "CoverageCurve",
     "run_coverage",
+    "run_coverages",
     "run_power_ccdf",
     "run_histogram",
     "coverage_p1",

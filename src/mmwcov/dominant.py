@@ -538,18 +538,19 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
 
     if include_regions:
         from .analytic import coverage_p1, coverage_p2
-        from .montecarlo import run_coverage
+        from .montecarlo import run_coverages
 
         gammas_db = (0.0, 5.0)
-        for policy, cov_fn, keep, drop, note in (
+        regions = (
             ("P1", coverage_p1, "all-beams", "single-beam",
              "single-beam keep-out under-excludes interferers near the other beam maxima"),
             ("P2", coverage_p2, "grid", "one-sided",
              "one-sided keep-out misses that every beam maximum repels interferers by phi_c"),
-        ):
-            mc = run_coverage(SimPlan(params=params, policy=policy,
-                                      thresholds_db=gammas_db, n_trials=n_trials,
-                                      master_seed=seed + 1))
+        )
+        mc_curves = run_coverages([SimPlan(params=params, policy=policy, thresholds_db=gammas_db,
+                                           n_trials=n_trials, master_seed=seed + 1)
+                                   for policy, *_ in regions])
+        for (policy, cov_fn, keep, drop, note), mc in zip(regions, mc_curves):
             gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
             implemented = cov_fn(gammas, params, exclusion=keep)
             rejected = cov_fn(gammas, params, exclusion=drop)

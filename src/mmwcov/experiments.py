@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__
 from .radio import AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, watts_to_dbm
-from .montecarlo import (SimPlan, check_chunk_points, default_power_levels, run_coverage,
+from .montecarlo import (SimPlan, check_chunk_points, default_power_levels, run_coverages,
                          run_power_ccdf)
 from . import analytic, dominant
 
@@ -312,7 +312,31 @@ def _analytic_curve(policy: str, config: ExperimentConfig, params: NetworkParams
             for g_db, v in zip(config.gamma_grid_db, values)]
 
 
-def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
+def _plan(config: ExperimentConfig, params: NetworkParams, policy: str,
+          thresholds_db=None) -> SimPlan:
+    """The config's MC plan for one curve (its threshold grid by default)."""
+    return SimPlan(params=params, policy=policy,
+                   thresholds_db=config.gamma_grid_db if thresholds_db is None else thresholds_db,
+                   n_trials=config.trials, master_seed=config.seed)
+
+
+def _mc_curves(config: ExperimentConfig, plans: list, meter: dict) -> list:
+    """``run_coverages`` over plans that share a draw; adds its seconds and
+    its curve trials to ``meter``.  Plans with the same ``sectors_exp``
+    should sit next to each other, so that they share the grid offsets."""
+    start = time.perf_counter()
+    curves = run_coverages(plans, n_workers=config.workers)
+    meter["mc_s"] += time.perf_counter() - start
+    meter["mc_trials"] += sum(plan.n_trials for plan in plans)
+    return curves
+
+
+def _mc_rows(curve, key: str) -> list:
+    return [(x, v, s, "mc", key) for x, v, s
+            in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
+
+
+def _scenario_fig4(config: ExperimentConfig, rows: dict, meter: dict) -> None:
     for density in config.density_sweep:
         params = _with(config.params, density=density)
         levels = default_power_levels(params)
@@ -320,8 +344,7 @@ def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
         for policy in ("P1", "P3"):
             key = _curve_key(policy, density=density)
             if "mc" in config.engines:
-                plan = SimPlan(params=params, policy=policy, thresholds_db=(0.0,),
-                               n_trials=config.trials, master_seed=config.seed)
+                plan = _plan(config, params, policy, (0.0,))
                 curve = run_power_ccdf(plan, policy=policy, levels=levels,
                                        n_workers=config.workers)
                 rows["mc"] += [(x, v, s, "mc", key) for x, v, s
@@ -335,50 +358,45 @@ def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
                                      for x, v in zip(levels_db, vals)]
 
 
-def _coverage_rows(config: ExperimentConfig, rows: dict, policies, sectors) -> None:
-    for m in sectors:
-        params = _with(config.params, sectors_exp=m)
-        for policy in policies:
-            key = _curve_key(policy, sectors_exp=m)
-            if "mc" in config.engines:
-                plan = SimPlan(params=params, policy=policy,
-                               thresholds_db=config.gamma_grid_db,
-                               n_trials=config.trials, master_seed=config.seed)
-                curve = run_coverage(plan, n_workers=config.workers)
-                rows["mc"] += [(x, v, s, "mc", key) for x, v, s
-                               in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
-            if "analytic" in config.engines:
-                rows["analytic"] += _analytic_curve(policy, config, params, key)
+def _coverage_rows(config: ExperimentConfig, rows: dict, meter: dict, policies,
+                   sectors) -> None:
+    specs = [(_curve_key(policy, sectors_exp=m), _with(config.params, sectors_exp=m), policy)
+             for m in sectors for policy in policies]
+    if "mc" in config.engines:
+        plans = [_plan(config, params, policy) for _, params, policy in specs]
+        for (key, _, _), curve in zip(specs, _mc_curves(config, plans, meter)):
+            rows["mc"] += _mc_rows(curve, key)
+    if "analytic" in config.engines:
+        for key, params, policy in specs:
+            rows["analytic"] += _analytic_curve(policy, config, params, key)
 
 
-def _scenario_fig5(config: ExperimentConfig, rows: dict) -> None:
-    _coverage_rows(config, rows, ("P1", "P3"), config.sector_sweep)
+def _scenario_fig5(config: ExperimentConfig, rows: dict, meter: dict) -> None:
+    _coverage_rows(config, rows, meter, ("P1", "P3"), config.sector_sweep)
 
 
-def _scenario_fig6(config: ExperimentConfig, rows: dict) -> None:
-    _coverage_rows(config, rows, ("P1", "P2"), config.sector_sweep)
+def _scenario_fig6(config: ExperimentConfig, rows: dict, meter: dict) -> None:
+    _coverage_rows(config, rows, meter, ("P1", "P2"), config.sector_sweep)
 
 
-def _scenario_fig7(config: ExperimentConfig, rows: dict) -> None:
+def _scenario_fig7(config: ExperimentConfig, rows: dict, meter: dict) -> None:
     gamma = 10.0 ** (config.fig7_gamma_db / 10.0)
     for density in config.density_sweep:
-        for m in config.sector_sweep:
-            params = _with(config.params, density=density, sectors_exp=m)
-            for policy in ("P1", "P3"):
-                key = _curve_key(policy, density=density)
-                if "analytic" in config.engines:
-                    fn = analytic.coverage_p1 if policy == "P1" else analytic.coverage_p3
-                    rows["analytic"].append((float(m), fn(gamma, params), 0.0, "analytic", key))
-                if "mc" in config.engines:
-                    plan = SimPlan(params=params, policy=policy,
-                                   thresholds_db=(config.fig7_gamma_db,),
-                                   n_trials=config.trials, master_seed=config.seed)
-                    curve = run_coverage(plan, n_workers=config.workers)
-                    rows["mc"].append((float(m), float(curve.p_cov[0]),
-                                       float(curve.stderr[0]), "mc", key))
+        points = [(float(m), _with(config.params, density=density, sectors_exp=m), policy,
+                   _curve_key(policy, density=density))
+                  for m in config.sector_sweep for policy in ("P1", "P3")]
+        if "analytic" in config.engines:
+            for x, params, policy, key in points:
+                fn = analytic.coverage_p1 if policy == "P1" else analytic.coverage_p3
+                rows["analytic"].append((x, fn(gamma, params), 0.0, "analytic", key))
+        if "mc" in config.engines:
+            plans = [_plan(config, params, policy, (config.fig7_gamma_db,))
+                     for _, params, policy, _ in points]
+            for (x, _, _, key), curve in zip(points, _mc_curves(config, plans, meter)):
+                rows["mc"].append((x, float(curve.p_cov[0]), float(curve.stderr[0]), "mc", key))
 
 
-def _scenario_fig8(config: ExperimentConfig, rows: dict) -> None:
+def _scenario_fig8(config: ExperimentConfig, rows: dict, meter: dict) -> None:
     for m in config.sector_sweep:
         params = _with(config.params, sectors_exp=m)
         if "dominant" in config.engines:
@@ -391,27 +409,21 @@ def _scenario_fig8(config: ExperimentConfig, rows: dict) -> None:
         if "analytic" in config.engines:
             rows["analytic"] += _analytic_curve("P1", config, params,
                                                 _curve_key("P1", sectors_exp=m))
-        if "mc" in config.engines:
-            plan = SimPlan(params=params, policy="P1", thresholds_db=config.gamma_grid_db,
-                           n_trials=config.trials, master_seed=config.seed)
-            curve = run_coverage(plan, n_workers=config.workers)
-            key = _curve_key("P1", sectors_exp=m)
-            rows["mc"] += [(x, v, s, "mc", key) for x, v, s
-                           in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
+    if "mc" in config.engines:
+        plans = [_plan(config, _with(config.params, sectors_exp=m), "P1")
+                 for m in config.sector_sweep]
+        for m, curve in zip(config.sector_sweep, _mc_curves(config, plans, meter)):
+            rows["mc"] += _mc_rows(curve, _curve_key("P1", sectors_exp=m))
 
 
-def _scenario_custom(config: ExperimentConfig, rows: dict) -> None:
+def _scenario_custom(config: ExperimentConfig, rows: dict, meter: dict) -> None:
+    if "mc" in config.engines:
+        plans = [_plan(config, config.params, policy) for policy in config.policies]
+        for policy, curve in zip(config.policies, _mc_curves(config, plans, meter)):
+            rows["mc"] += _mc_rows(curve, policy)
     for policy in config.policies:
-        key = policy
-        if "mc" in config.engines:
-            plan = SimPlan(params=config.params, policy=policy,
-                           thresholds_db=config.gamma_grid_db,
-                           n_trials=config.trials, master_seed=config.seed)
-            curve = run_coverage(plan, n_workers=config.workers)
-            rows["mc"] += [(x, v, s, "mc", key) for x, v, s
-                           in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
         if "analytic" in config.engines:
-            rows["analytic"] += _analytic_curve(policy, config, config.params, key)
+            rows["analytic"] += _analytic_curve(policy, config, config.params, policy)
         if "dominant" in config.engines and policy in ("P2", "P3"):
             fn = dominant.coverage_dom_p2 if policy == "P2" else dominant.coverage_dom_p3
             for g_db in config.gamma_grid_db:
@@ -446,10 +458,15 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     runner = _RUNNERS[config.scenario]
 
     rows = {engine: [] for engine in config.engines}
+    extras = {}
     runtimes = {}
+    meter = {"mc_s": 0.0, "mc_trials": 0}
     start = time.perf_counter()
-    runner(config, rows)
+    runner(config, rows, meter)
     runtimes["total"] = time.perf_counter() - start
+    if meter["mc_trials"]:
+        runtimes["mc"] = meter["mc_s"]
+        extras["mc_trials_per_s"] = meter["mc_trials"] / meter["mc_s"]
 
     written = []
     for engine, engine_rows in rows.items():
@@ -459,7 +476,6 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         _write_csv(path, engine_rows)
         written.append(path)
 
-    extras = {}
     if config.scenario == "fig8" and "dominant" in config.engines:
         report_start = time.perf_counter()
         report = dominant.build_discrepancy_report(

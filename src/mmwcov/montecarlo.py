@@ -4,7 +4,9 @@ Trials are processed in fixed-size chunks; chunk ``i`` draws from an
 independent counter-based stream derived from the master seed, so results
 are bit-identical for any worker count.  All cross-chunk accumulation is in
 integer counts (or ordered concatenation), which makes the reduction exact
-and order-independent.
+and order-independent.  A chunk's draw depends on the seed, the density and
+the channel only, so ``run_coverages`` draws it once for every curve that
+shares those and evaluates each curve's policy and beam grid on it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "ConditioningError",
     "STATISTICS",
     "run_coverage",
+    "run_coverages",
     "run_power_ccdf",
     "run_histogram",
     "sample_statistic",
@@ -184,23 +187,51 @@ def _select(best_of, key, tiebreak, seg, starts):
     return win
 
 
-def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Generator):
-    """Simulate ``n`` trials of one policy; returns per-trial arrays.
+def _field_chunk(params: NetworkParams, n: int, rng: np.random.Generator):
+    """Draw ``n`` trials: everything a chunk needs that no policy or beam grid changes.
+
+    Returns ``(counts, starts, seg, r, phi, h_s, h_x, rpow)``: the fields in
+    flat segment layout, the serving and interferer fades, and ``r**-alpha``.
+    The draw depends on the density and the channel only, so every curve
+    with those and the same chunk stream can be evaluated on it.
+    """
+    ch = params.channel
+    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
+    h_s = sample_fading(ch.m_s, rng, size=n)
+    h_x = sample_fading(ch.m_x, rng, size=r.size)
+    return counts, starts, seg, r, phi, h_s, h_x, r ** (-ch.alpha_l)
+
+
+def _grid_offset(phi, step: float, memo: dict):
+    """Offset of every point to the nearest beam maximum of a grid of spacing ``step``.
+
+    ``memo`` holds the latest grid's array only: another spacing overwrites
+    it in place, so a chunk never holds more than one of them.
+    """
+    held = memo.get("grid")
+    if held is not None and held[0] == step:
+        return held[1]
+    off = np.subtract(phi, 0.5 * step, out=None if held is None else held[1])
+    np.remainder(off, step, out=off)
+    np.minimum(off, step - off, out=off)
+    memo["grid"] = (step, off)
+    return off
+
+
+def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict):
+    """One policy on a drawn chunk: serving link, interference and SINR per trial.
 
     The serving transmitter of each field is picked by ``_select`` in
     O(points): the extremum of the policy key (max power for P1, min angular
     distance for P2, min distance for P3), then the smaller radius, then the
-    smaller azimuth, then the lower index.
+    smaller azimuth, then the lower index.  ``memo`` carries what curves on
+    the same ``field`` share: the latest grid offset and the P3 winner.
     """
     cfg, ch = params.antenna, params.channel
-    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
-    h_s = sample_fading(ch.m_s, rng, size=n)
-    h_x = sample_fading(ch.m_x, rng, size=r.size)
-
-    rpow = r ** (-ch.alpha_l)
+    counts, starts, seg, r, phi, h_s, h_x, rpow = field
+    n = counts.size
     step = cfg.beam_spacing
-    t = (phi - 0.5 * step) % step
-    off = np.minimum(t, step - t)          # offset to the nearest beam maximum
+    off = _grid_offset(phi, step, memo)
 
     out = {"counts": counts}
     if policy == "P1":
@@ -216,14 +247,19 @@ def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Gen
         g_serve = gain_approx(off[win], cfg)
         out["phi_c"] = off[win]
     elif policy == "P3":
-        win = _select(np.minimum, r, (phi,), seg, starts)
+        if "P3" not in memo:
+            memo["P3"] = _select(np.minimum, r, (phi,), seg, starts)
+        win = memo["P3"]
         ref = phi[win]
         g_serve = np.full(n, cfg.g_max)
         out["s_norm"] = cfg.g_max * rpow[win]
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
-    gains = gain_3gpp(angular_offset(ref[seg], phi), cfg)
+    # ref and phi both lie in [0, 2 pi), so |ref - phi| < 2 pi and the
+    # `% TWO_PI` of geometry.angular_offset would return it bit for bit.
+    d = np.abs(ref[seg] - phi)
+    gains = gain_3gpp(np.minimum(d, TWO_PI - d), cfg)
     term = h_x * gains * rpow
     inter_norm = np.add.reduceat(term, starts) - term[win]
     pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
@@ -235,20 +271,60 @@ def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Gen
     return out
 
 
-def run_coverage(plan: SimPlan, n_workers: int = 1) -> CoverageCurve:
-    """Empirical coverage probability over the plan's threshold grid."""
-    gammas_db = np.asarray(plan.thresholds_db, dtype=float)
-    gammas = np.where(np.isneginf(gammas_db), 0.0, 10.0 ** (gammas_db / 10.0))
+def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Generator):
+    """Simulate ``n`` trials of one policy; returns per-trial arrays."""
+    return _curve_chunk(params, policy, _field_chunk(params, n, rng), {})
+
+
+def _draw_of(plan: SimPlan) -> dict:
+    """What a plan's chunk draws depend on."""
+    return {"master_seed": plan.master_seed, "n_trials": plan.n_trials,
+            "density": plan.params.density, "channel": plan.params.channel}
+
+
+def run_coverages(plans, n_workers: int = 1) -> list[CoverageCurve]:
+    """Empirical coverage curves of plans that share one random draw.
+
+    The plans must agree on ``master_seed``, ``n_trials``, ``density`` and
+    ``channel``; their policies, antennas and threshold grids may differ.
+    Each chunk is drawn once and every plan is evaluated on it, so each
+    curve is bitwise the one ``run_coverage`` gives for its plan alone.
+    Curves come back in plan order; plans with the same beam grid placed
+    next to each other share that grid's offsets.
+    """
+    plans = list(plans)
+    if not plans:
+        return []
+    shared = _draw_of(plans[0])
+    for i, plan in enumerate(plans[1:], start=1):
+        for name, value in _draw_of(plan).items():
+            if value != shared[name]:
+                raise ValueError(f"plan {i} does not share the draw of plan 0: "
+                                 f"{name} is {value!r}, not {shared[name]!r}")
+    grids_db = [np.asarray(plan.thresholds_db, dtype=float) for plan in plans]
+    grids = [np.where(np.isneginf(g_db), 0.0, 10.0 ** (g_db / 10.0)) for g_db in grids_db]
+    base = plans[0]
 
     def work(ci, size):
-        sinr = _policy_chunk(plan.params, plan.policy, size, _chunk_rng(plan.master_seed, ci))["sinr"]
-        return (sinr[:, None] > gammas[None, :]).sum(axis=0)
+        field = _field_chunk(base.params, size, _chunk_rng(base.master_seed, ci))
+        memo = {}
+        return [(_curve_chunk(plan.params, plan.policy, field, memo)["sinr"][:, None]
+                 > gammas[None, :]).sum(axis=0)
+                for plan, gammas in zip(plans, grids)]
 
-    counts = sum(_map_chunks(work, plan.n_trials, n_workers))
-    p = counts / plan.n_trials
-    stderr = np.sqrt(p * (1.0 - p) / plan.n_trials)
-    return CoverageCurve(thresholds_db=gammas_db, p_cov=p, stderr=stderr,
-                         n=plan.n_trials, engine="mc", policy=plan.policy)
+    parts = _map_chunks(work, base.n_trials, n_workers)
+    curves = []
+    for j, (plan, gammas_db) in enumerate(zip(plans, grids_db)):
+        p = sum(part[j] for part in parts) / plan.n_trials
+        stderr = np.sqrt(p * (1.0 - p) / plan.n_trials)
+        curves.append(CoverageCurve(thresholds_db=gammas_db, p_cov=p, stderr=stderr,
+                                    n=plan.n_trials, engine="mc", policy=plan.policy))
+    return curves
+
+
+def run_coverage(plan: SimPlan, n_workers: int = 1) -> CoverageCurve:
+    """Empirical coverage probability over the plan's threshold grid."""
+    return run_coverages([plan], n_workers)[0]
 
 
 def default_power_levels(params: NetworkParams, n: int = 41) -> np.ndarray:
@@ -364,14 +440,19 @@ def sample_statistic(plan: SimPlan, statistic: str, n_workers: int = 1):
     return samples, samples.shape[0] / plan.n_trials
 
 
+def _run_context(plan: SimPlan) -> str:
+    return (f"density {plan.params.density:g}, sectors_exp {plan.params.antenna.sectors_exp}, "
+            f"{plan.n_trials} trials")
+
+
 def run_histogram(plan: SimPlan, statistic: str, bins=100, value_range=None,
                   n_workers: int = 1) -> Histogram:
     """Normalized histogram of a statistic, with conditioning bookkeeping."""
     samples, acceptance = sample_statistic(plan, statistic, n_workers=n_workers)
     if acceptance < 1e-4:
         raise ConditioningError(
-            f"acceptance rate {acceptance:.2e} for {statistic!r} is too low; "
-            "increase density, the disk radius, or the trial count")
+            f"acceptance {acceptance:.2e} for {statistic!r} at {_run_context(plan)} is "
+            "below 1e-4; increase density, the disk radius, or the trial count")
     if samples.ndim == 2:
         density, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
                                          range=value_range, density=True)
@@ -402,7 +483,10 @@ def sample_conditioned_interference(plan: SimPlan, center: float, rel_window: fl
 
     parts = _map_chunks(work, plan.n_trials, n_workers)
     samples = np.concatenate([p[0] for p in parts])
+    acceptance = samples.size / plan.n_trials
     if samples.size < 100:
         raise ConditioningError(
-            f"only {samples.size} samples fell in the conditioning window")
-    return samples, samples.size / plan.n_trials
+            f"only {samples.size} samples (fewer than 100) fell in the {plan.policy} "
+            f"conditioning window of centre {center:g} and relative width {rel_window:g} "
+            f"at {_run_context(plan)}, acceptance {acceptance:.2e}")
+    return samples, acceptance

@@ -21,6 +21,7 @@ from mmwcov.analytic import (
 from mmwcov.montecarlo import (
     SimPlan,
     run_coverage,
+    run_coverages,
     run_power_ccdf,
     sample_conditioned_interference,
     sample_statistic,
@@ -28,11 +29,26 @@ from mmwcov.montecarlo import (
 from mmwcov import analytic
 from mmwcov.numerics import (QuadratureError, QuadratureSpec, integrate_1d, integrate_2d,
                              laplace_derivatives)
-from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_pdf_mainlobe
+from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
+                          gain_pdf_mainlobe)
 from conftest import ks_distance
 import analytic_oracle as oracle
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
+
+# Off-default corners of the accepted parameter box, one change each.
+PARAMETER_BOX = {
+    "fading_1_1": NetworkParams(channel=ChannelParams(m_s=1, m_x=1)),
+    "fading_4_3": NetworkParams(channel=ChannelParams(m_s=4, m_x=3)),
+    "alpha_2.5": NetworkParams(channel=ChannelParams(alpha_l=2.5)),
+    "density_5e-5": NetworkParams(density=5e-5),
+    "density_5e-3": NetworkParams(density=5e-3),
+    "sectors_0": NetworkParams(antenna=AntennaConfig(sectors_exp=0)),
+    "sectors_1": NetworkParams(antenna=AntennaConfig(sectors_exp=1)),
+    "sectors_5": NetworkParams(antenna=AntennaConfig(sectors_exp=5)),
+    "noise_-200dBm": NetworkParams(channel=ChannelParams(noise_w=float(dbm_to_watts(-200.0)))),
+    "noise_0": NetworkParams(channel=ChannelParams(noise_w=0.0)),
+}
 
 
 class TestServingPowerLaw:
@@ -258,6 +274,19 @@ class TestCoverage:
         for g_db, mc, se in zip(GAMMAS_DB, curve.p_cov, curve.stderr):
             ana = fn(10.0 ** (g_db / 10.0), params)
             assert abs(ana - mc) < 0.015 + 3.0 * se
+
+    @pytest.mark.parametrize("name", sorted(PARAMETER_BOX))
+    def test_cross_engine_agreement_over_the_parameter_box(self, name):
+        params = PARAMETER_BOX[name]
+        gammas_db = (-5.0, 0.0, 5.0)
+        plans = [SimPlan(params=params, policy=policy, thresholds_db=gammas_db,
+                         n_trials=20_000, master_seed=72) for policy in ("P1", "P2", "P3")]
+        gammas = 10.0 ** (np.array(gammas_db) / 10.0)
+        for fn, curve in zip((coverage_p1, coverage_p2, coverage_p3),
+                             run_coverages(plans, n_workers=2)):
+            gaps = np.abs(fn(gammas, params) - curve.p_cov)
+            bounds = np.maximum(0.015, 3.0 * curve.stderr)
+            assert np.all(gaps <= bounds), (curve.policy, gaps, bounds)
 
     def test_single_fade_order_reduces_to_plain_transform(self):
         # for a unit fade shape the coverage integrand is L_tot itself;

@@ -153,6 +153,9 @@ class TestRunExperiment:
         for r in rows:
             per_policy.setdefault(r["policy"].split(";")[0], []).append(r)
         assert {k: len(v) for k, v in per_policy.items()} == {"P1": 15, "P3": 15}
+        manifest = json.loads((tmp_path / "fig7" / "fig7_manifest.json").read_text())
+        assert manifest["mc_trials_per_s"] * manifest["runtimes_s"]["mc"] == pytest.approx(
+            30 * 500)
 
     def test_manifest_closure(self, tmp_path):
         config = _tiny_config(tmp_path, "custom", engines=("mc",), policies=("P3",))
@@ -163,7 +166,10 @@ class TestRunExperiment:
         assert validate_config(text, environ={}).to_flat() == flat
         assert manifest["seed"] == config.seed
         assert "runtimes_s" in manifest and "versions" in manifest
-        assert set(manifest["runtimes_s"]) == {"total"}
+        assert set(manifest["runtimes_s"]) == {"total", "mc"}
+        assert 0.0 < manifest["runtimes_s"]["mc"] <= manifest["runtimes_s"]["total"]
+        assert manifest["mc_trials_per_s"] == pytest.approx(
+            config.trials / manifest["runtimes_s"]["mc"])
         assert set(manifest["outputs"]) == {"custom_mc.csv"}
 
     def test_replay_is_byte_identical(self, tmp_path):

@@ -5,20 +5,30 @@ import numpy as np
 import pytest
 
 from mmwcov.analytic import serving_power_law
+from dataclasses import replace
+
+from mmwcov.geometry import TWO_PI, angular_offset
 from mmwcov.montecarlo import (
     CHUNK_POINT_BUDGET,
     CHUNK_TRIALS,
     ConditioningError,
     SimPlan,
+    _chunk_rng,
+    _chunk_sizes,
+    _policy_chunk,
+    _sample_batch,
     _select,
     _two_smallest,
     default_power_levels,
     run_coverage,
+    run_coverages,
     run_histogram,
     run_power_ccdf,
+    sample_conditioned_interference,
     sample_statistic,
 )
-from mmwcov.radio import AntennaConfig, NetworkParams
+from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_approx,
+                          sample_fading)
 
 GAMMAS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 
@@ -132,6 +142,137 @@ class TestCoverage:
         assert c1.p_cov.tobytes() != c2.p_cov.tobytes()
 
 
+def _oracle_policy_chunk(params, policy, n, rng):
+    """One chunk of one policy as a single curve computes it: its own draw,
+    its own grid offset, and the wrapped ``angular_offset`` for interferers."""
+    cfg, ch = params.antenna, params.channel
+    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
+    h_s = sample_fading(ch.m_s, rng, size=n)
+    h_x = sample_fading(ch.m_x, rng, size=r.size)
+
+    rpow = r ** (-ch.alpha_l)
+    step = cfg.beam_spacing
+    t = (phi - 0.5 * step) % step
+    off = np.minimum(t, step - t)
+
+    out = {"counts": counts}
+    if policy == "P1":
+        key = gain_approx(off, cfg) * rpow
+        win = _select(np.maximum, key, (r, phi), seg, starts)
+        beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
+        ref = 0.5 * step + beam * step
+        g_serve = gain_approx(off[win], cfg)
+        out["s_norm"] = key[win]
+    elif policy == "P2":
+        win = _select(np.minimum, off, (r, phi), seg, starts)
+        ref = phi[win]
+        g_serve = gain_approx(off[win], cfg)
+        out["phi_c"] = off[win]
+    else:
+        win = _select(np.minimum, r, (phi,), seg, starts)
+        ref = phi[win]
+        g_serve = np.full(n, cfg.g_max)
+        out["s_norm"] = cfg.g_max * rpow[win]
+
+    gains = gain_3gpp(angular_offset(ref[seg], phi), cfg)
+    term = h_x * gains * rpow
+    inter_norm = np.add.reduceat(term, starts) - term[win]
+    pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
+    out["interference_w"] = pk * inter_norm
+    out["signal_w"] = pk * g_serve * h_s * rpow[win]
+    out["sinr"] = out["signal_w"] / (out["interference_w"] + ch.noise_w)
+    out["serving_r"] = r[win]
+    out["serving_offset"] = off[win]
+    return out
+
+
+def _oracle_coverage(plan):
+    """(p_cov, stderr) of one plan, every chunk drawn for it alone."""
+    gammas_db = np.asarray(plan.thresholds_db, dtype=float)
+    gammas = np.where(np.isneginf(gammas_db), 0.0, 10.0 ** (gammas_db / 10.0))
+    counts = sum((_oracle_policy_chunk(plan.params, plan.policy, size,
+                                       _chunk_rng(plan.master_seed, ci))["sinr"][:, None]
+                  > gammas[None, :]).sum(axis=0)
+                 for ci, size in enumerate(_chunk_sizes(plan.n_trials)))
+    p = counts / plan.n_trials
+    return p, np.sqrt(p * (1.0 - p) / plan.n_trials)
+
+
+def _antenna(sectors_exp, **kwargs):
+    return NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp, **kwargs))
+
+
+# Curves on one draw: the beam grid changes and returns (s1, s3, s1), two
+# antennas share a grid spacing, and the thresholds differ between curves.
+_MIXED = (
+    (_antenna(1), "P1", GAMMAS),
+    (_antenna(3), "P2", GAMMAS),
+    (_antenna(1), "P3", (-math.inf, 0.0, 7.5)),
+    (_antenna(0), "P3", GAMMAS),
+    (_antenna(0), "P1", (3.0,)),
+    (_antenna(3), "P1", GAMMAS),
+    (_antenna(1, g_max_db=12.0, sla_db=20.0), "P2", GAMMAS),
+    (_antenna(0), "P2", (-5.0, 5.0)),
+    (_antenna(3), "P3", GAMMAS),
+)
+_MIXED_TRIALS = 2 * CHUNK_TRIALS + 321      # the last chunk is a short one
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_curves_match_per_plan_oracle_bitwise(self, n_workers):
+        plans = [_plan(params, policy, n=_MIXED_TRIALS, seed=515, gammas=gammas)
+                 for params, policy, gammas in _MIXED]
+        curves = run_coverages(plans, n_workers=n_workers)
+        assert len(curves) == len(plans)
+        for plan, curve in zip(plans, curves):
+            p, stderr = _oracle_coverage(plan)
+            assert curve.policy == plan.policy and curve.n == _MIXED_TRIALS
+            assert curve.p_cov.tobytes() == p.tobytes(), plan
+            assert curve.stderr.tobytes() == stderr.tobytes(), plan
+
+    @pytest.mark.parametrize("sectors_exp", [0, 1, 3])
+    @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
+    def test_policy_chunk_matches_oracle_bitwise(self, sectors_exp, policy):
+        params = replace(_antenna(sectors_exp), density=1.6e-3)
+        got = _policy_chunk(params, policy, 3000, _chunk_rng(516, 2))
+        want = _oracle_policy_chunk(params, policy, 3000, _chunk_rng(516, 2))
+        assert set(got) == set(want)
+        for name in ("sinr", "s_norm", "phi_c", "serving_r", "serving_offset",
+                     "interference_w"):
+            if name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_single_plan_is_run_coverage(self, params):
+        plan = _plan(params, "P2", n=5_000, seed=517)
+        alone = run_coverage(plan)
+        (shared,) = run_coverages([plan])
+        assert alone.p_cov.tobytes() == shared.p_cov.tobytes()
+        assert run_coverages([]) == []
+
+    @pytest.mark.parametrize("field, change", [
+        ("master_seed", lambda plan: replace(plan, master_seed=plan.master_seed + 1)),
+        ("n_trials", lambda plan: replace(plan, n_trials=plan.n_trials + 1)),
+        ("density", lambda plan: replace(plan, params=replace(plan.params, density=1e-3))),
+        ("channel", lambda plan: replace(plan, params=replace(
+            plan.params, channel=ChannelParams(m_x=3)))),
+    ])
+    def test_plans_that_do_not_share_a_draw_are_refused(self, params, field, change):
+        plan = _plan(params, "P1", n=1_000)
+        other = change(replace(plan, policy="P3"))
+        with pytest.raises(ValueError, match=rf"plan 2 .*: {field} is"):
+            run_coverages([plan, replace(plan, policy="P2"), other])
+
+    def test_interferer_offset_needs_no_wrap_on_the_sampled_range(self):
+        # the largest ref and phi a chunk can hold: |ref - phi| stays below 2 pi
+        edge = np.nextafter(TWO_PI, 0.0)
+        a = np.array([0.0, edge, 0.0, edge, 1.0])
+        b = np.array([edge, 0.0, 0.0, edge, 4.0])
+        d = np.abs(a - b)
+        assert (d % TWO_PI).tobytes() == d.tobytes()
+        assert angular_offset(a, b).tobytes() == np.minimum(d, TWO_PI - d).tobytes()
+
+
 # SHA-256 of results taken with the lexsort winner selection that _select
 # replaced (numpy 2.4.6); seed 20240, 20k trials, density 1.6e-3.
 _PINNED_P_COV = {
@@ -219,6 +360,21 @@ class TestHistograms:
         tiny = NetworkParams(antenna=AntennaConfig(sla_db=2e-5))
         with pytest.raises(ConditioningError):
             run_histogram(_plan(tiny, "P3", n=50_000), "G_ratio_p2")
+
+    def test_low_acceptance_error_names_the_run(self):
+        tiny = NetworkParams(antenna=AntennaConfig(sla_db=2e-5))
+        with pytest.raises(ConditioningError,
+                           match=r"acceptance 0\.00e\+00 for 'G_ratio_p2' at density 0\.0008, "
+                                 r"sectors_exp 2, 5000 trials"):
+            run_histogram(_plan(tiny, "P3", n=5_000), "G_ratio_p2")
+
+    def test_empty_conditioning_window_error_names_the_run(self, params):
+        plan = _plan(params, "P3", n=2_000)
+        with pytest.raises(ConditioningError,
+                           match=r"only \d+ samples .* P3 conditioning window of centre 0\.01 "
+                                 r"and relative width 0\.02 at density 0\.0008, sectors_exp 2, "
+                                 r"2000 trials, acceptance \d\.\d\de[-+]\d\d"):
+            sample_conditioned_interference(plan, 0.01, 0.02)
 
     def test_conditioning_recorded(self, params):
         hist = run_histogram(_plan(params, "P3", n=20_000), "W_p3", bins=32)
