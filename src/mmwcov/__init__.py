@@ -5,7 +5,7 @@ from .radio import AntennaConfig, ChannelParams, NetworkParams
 from .geometry import PointField, PolarPoint, sample_ppp
 from .association import AssociationOutcome, SinrSample
 from .montecarlo import (CoverageCurve, SimPlan, run_coverage, run_coverages, run_histogram,
-                         run_power_ccdf)
+                         run_power_ccdf, run_power_ccdfs)
 from .analytic import coverage_p1, coverage_p2, coverage_p3, serving_power_law
 from .dominant import coverage_dom_p2, coverage_dom_p3
 
@@ -25,6 +25,7 @@ __all__ = [
     "run_coverage",
     "run_coverages",
     "run_power_ccdf",
+    "run_power_ccdfs",
     "run_histogram",
     "coverage_p1",
     "coverage_p2",

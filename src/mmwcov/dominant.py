@@ -22,10 +22,12 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as _special
 
-from .numerics import QuadratureSpec, integrate_1d
+from .numerics import QuadratureError, QuadratureSpec, integrate_1d
 from .radio import NetworkParams, gain_approx
+
+# scipy.special is imported inside the functions that call it: importing it
+# costs about 0.2 s of CPU, which Monte Carlo runs never need.
 
 _LN10 = math.log(10.0)
 
@@ -124,9 +126,11 @@ def _fade_ratio_pdf(t, m_s: int, m_x: int):
 
 
 def _fade_ratio_ccdf(t, m_s: int, m_x: int):
+    from scipy import special
+
     t_arr = np.maximum(np.asarray(t, dtype=float), 0.0)
     x = m_s * t_arr / (m_s * t_arr + m_x)
-    return 1.0 - _special.betainc(m_s, m_x, x)
+    return 1.0 - special.betainc(m_s, m_x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,8 @@ def _corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
 def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
     """Density of (h1 d1^-alpha) / (h2 d2^-alpha) with independent area-law
     radii and unit-mean gamma fades; support (0, inf)."""
+    from scipy import special
+
     ch = params.channel
     alpha, r_l = ch.alpha_l, params.r_los
 
@@ -259,7 +265,7 @@ def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
         a = 2.0 / alpha + m
         x = m * w_i * r_l**alpha
         return (2.0 * m ** (-2.0 / alpha) * w_i ** (-2.0 / alpha - 1.0)
-                * _special.gammainc(a, x) * math.gamma(a)
+                * special.gammainc(a, x) * math.gamma(a)
                 / (alpha * r_l**2 * math.gamma(m)))
 
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
@@ -303,6 +309,21 @@ def pathloss_fade_ratio_ccdf_p2(t, params: NetworkParams):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
+def _coverage_integral(policy: str, gamma: float, params: NetworkParams, integrand,
+                       a: float, b: float, spec: QuadratureSpec) -> float:
+    """``integrate_1d`` of a dominant coverage integral at threshold ``gamma > 0``;
+    a quadrature failure names the curve point it came from."""
+    try:
+        return integrate_1d(integrand, a, b, spec)
+    except QuadratureError as err:
+        ch = params.channel
+        raise QuadratureError(
+            f"{policy} dominant coverage at threshold {10.0 * math.log10(gamma):.2f} dB "
+            f"(density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
+            f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}): {err.message}",
+            err.estimate, err.error_bound) from err
+
+
 def coverage_dom_p2(gamma: float, params: NetworkParams) -> float:
     """P(SIR > gamma) with only the dominant angle-based interferer retained."""
     cfg = params.antenna
@@ -312,8 +333,8 @@ def coverage_dom_p2(gamma: float, params: NetworkParams) -> float:
     def integrand(g):
         return gain_ratio_pdf_p2(g, params) * pathloss_fade_ratio_ccdf_p2(gamma / g, params)
 
-    val = integrate_1d(integrand, 1.0, cfg.g_max / cfg.g_s,
-                       QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7))
+    val = _coverage_integral("P2", gamma, params, integrand, 1.0, cfg.g_max / cfg.g_s,
+                             QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7))
     return float(np.clip(val, 0.0, 1.0))
 
 
@@ -433,14 +454,15 @@ def coverage_dom_p3(gamma: float, params: NetworkParams, pairing: str = "product
         def integrand(x):
             return (2.0 / alpha) ** 2 * x ** (-beta) * np.log(x)
 
-        return float(np.clip(1.0 - integrate_1d(integrand, 1.0, gamma, _COV_SPEC), 0.0, 1.0))
+        val = _coverage_integral("P3", gamma, params, integrand, 1.0, gamma, _COV_SPEC)
+        return float(np.clip(1.0 - val, 0.0, 1.0))
     if pairing != "product":
         raise ValueError("pairing must be 'product' or 'self'")
 
     def integrand(g):
         return gain_fade_ratio_pdf_p3(g, params) * distance_ratio_ccdf_p3(gamma / g, params)
 
-    val = integrate_1d(integrand, 0.0, math.inf, _COV_SPEC)
+    val = _coverage_integral("P3", gamma, params, integrand, 0.0, math.inf, _COV_SPEC)
     return float(np.clip(val, 0.0, 1.0))
 
 

@@ -30,7 +30,7 @@ import scipy
 from . import __version__
 from .radio import AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, watts_to_dbm
 from .montecarlo import (SimPlan, check_chunk_points, default_power_levels, run_coverages,
-                         run_power_ccdf)
+                         run_power_ccdfs)
 from . import analytic, dominant
 
 __all__ = [
@@ -337,24 +337,21 @@ def _mc_rows(curve, key: str) -> list:
 
 
 def _scenario_fig4(config: ExperimentConfig, rows: dict, meter: dict) -> None:
+    laws = {"P1": analytic.serving_power_ccdf, "P3": analytic.nearest_power_ccdf}
     for density in config.density_sweep:
         params = _with(config.params, density=density)
         levels = default_power_levels(params)
         levels_db = 10.0 * np.log10(levels)
-        for policy in ("P1", "P3"):
-            key = _curve_key(policy, density=density)
-            if "mc" in config.engines:
-                plan = _plan(config, params, policy, (0.0,))
-                curve = run_power_ccdf(plan, policy=policy, levels=levels,
-                                       n_workers=config.workers)
-                rows["mc"] += [(x, v, s, "mc", key) for x, v, s
+        keys = {policy: _curve_key(policy, density=density) for policy in laws}
+        if "mc" in config.engines:
+            plans = [_plan(config, params, policy, (0.0,)) for policy in laws]
+            for curve in run_power_ccdfs(plans, levels=levels, n_workers=config.workers):
+                rows["mc"] += [(x, v, s, "mc", keys[curve.policy]) for x, v, s
                                in zip(levels_db, curve.ccdf, curve.stderr)]
-            if "analytic" in config.engines:
-                if policy == "P1":
-                    vals = analytic.serving_power_ccdf(levels, params, conditioned=True)
-                else:
-                    vals = analytic.nearest_power_ccdf(levels, params, conditioned=True)
-                rows["analytic"] += [(x, v, 0.0, "analytic", key)
+        if "analytic" in config.engines:
+            for policy, law in laws.items():
+                vals = law(levels, params, conditioned=True)
+                rows["analytic"] += [(x, v, 0.0, "analytic", keys[policy])
                                      for x, v in zip(levels_db, vals)]
 
 

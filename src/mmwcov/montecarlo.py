@@ -6,19 +6,23 @@ are bit-identical for any worker count.  All cross-chunk accumulation is in
 integer counts (or ordered concatenation), which makes the reduction exact
 and order-independent.  A chunk's draw depends on the seed, the density and
 the channel only, so ``run_coverages`` draws it once for every curve that
-shares those and evaluates each curve's policy and beam grid on it.
+shares those and evaluates each curve's policy and beam grid on it.  Each
+worker reuses one workspace of point-sized buffers for every chunk of a
+call, and drops it when the call returns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import TWO_PI, angular_offset
-from .radio import NetworkParams, gain_3gpp, gain_approx, sample_fading
+from .radio import (NetworkParams, _gain_3gpp_core, _mainlobe_core, gain_approx,
+                    sample_fading)
 
 __all__ = [
     "SimPlan",
@@ -30,6 +34,7 @@ __all__ = [
     "run_coverage",
     "run_coverages",
     "run_power_ccdf",
+    "run_power_ccdfs",
     "run_histogram",
     "sample_statistic",
     "sample_conditioned_interference",
@@ -39,7 +44,10 @@ __all__ = [
 CHUNK_TRIALS = 4096
 
 # Largest expected point count of one chunk.  A chunk holds about 105 bytes
-# of arrays per point at its peak, so this is about 0.9 GB.
+# of arrays per point at its peak (ten float64 and two bool workspace
+# buffers with 1/16 spare, the int64 segment index, and short-lived index
+# arrays; tracemalloc peak of a nine-curve chunk), so this is about 0.9 GB
+# per worker.
 CHUNK_POINT_BUDGET = 2**23
 
 STATISTICS = ("phi_c", "S", "G_ratio_p2", "W_ratio_p2", "G_p3", "W_p3", "varphi12",
@@ -134,17 +142,49 @@ def _chunk_sizes(n_trials: int):
     return [CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - CHUNK_TRIALS * (n_chunks - 1)]
 
 
+class _Workspace:
+    """Named point-sized buffers that one worker reuses for every chunk of one call.
+
+    ``take(name, size)`` is the first ``size`` elements of the named buffer;
+    a chunk that needs more grows it once, with room to spare for the next
+    chunk's Poisson point count.  Workspace views never leave a chunk.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size + size // 16, dtype)
+        return buf[:size]
+
+
 def _map_chunks(fn, n_trials: int, n_workers: int):
-    """Apply ``fn(chunk_index, chunk_size)`` to every chunk, results in index order."""
+    """Apply ``fn(chunk_index, chunk_size, workspace)`` to every chunk, results
+    in index order.
+
+    Each worker thread gets one workspace for the length of this call; the
+    workspaces are dropped when it returns.
+    """
     sizes = _chunk_sizes(n_trials)
     if n_workers <= 1:
-        return [fn(i, s) for i, s in enumerate(sizes)]
+        ws = _Workspace()
+        return [fn(i, s, ws) for i, s in enumerate(sizes)]
+    local = threading.local()
+
+    def run(i, s):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace()
+        return fn(i, s, local.ws)
+
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+        return list(pool.map(run, range(len(sizes)), sizes))
 
 
-def _sample_batch(params: NetworkParams, n: int, rng: np.random.Generator):
-    """Sample ``n`` nonempty fields; returns segment bookkeeping plus flat arrays."""
+def _sample_batch(params: NetworkParams, n: int, rng: np.random.Generator, ws: _Workspace):
+    """Sample ``n`` nonempty fields; returns segment bookkeeping plus flat
+    arrays, ``r`` and ``phi`` in the workspace."""
     mean = params.mean_count
     counts = rng.poisson(mean, n)
     empty = counts == 0
@@ -158,12 +198,15 @@ def _sample_batch(params: NetworkParams, n: int, rng: np.random.Generator):
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     seg = np.repeat(np.arange(n), counts)
     total = int(counts.sum())
-    r = params.r_los * np.sqrt(rng.random(total))
-    phi = TWO_PI * rng.random(total)
+    r = rng.random(out=ws.take("r", total))
+    np.sqrt(r, out=r)
+    r *= params.r_los
+    phi = rng.random(out=ws.take("phi", total))
+    phi *= TWO_PI
     return counts, starts, seg, r, phi
 
 
-def _select(best_of, key, tiebreak, seg, starts):
+def _select(best_of, key, tiebreak, seg, starts, ws: _Workspace):
     """Per-segment index of the extremum of ``key`` (one O(points) pass).
 
     ``best_of`` is ``np.maximum`` or ``np.minimum``; segments must be
@@ -173,7 +216,8 @@ def _select(best_of, key, tiebreak, seg, starts):
     tied points.
     """
     ext = best_of.reduceat(key, starts)
-    hit = key == ext[seg]
+    hit = np.equal(key, np.take(ext, seg, out=ws.take("tmp1", key.size), mode="clip"),
+                   out=ws.take("mask", key.size, bool))
     idx = np.flatnonzero(hit)
     n_hits = np.add.reduceat(hit, starts)
     win = idx[np.cumsum(n_hits) - n_hits]
@@ -187,80 +231,144 @@ def _select(best_of, key, tiebreak, seg, starts):
     return win
 
 
-def _field_chunk(params: NetworkParams, n: int, rng: np.random.Generator):
+def _field_chunk(params: NetworkParams, n: int, rng: np.random.Generator, ws: _Workspace):
     """Draw ``n`` trials: everything a chunk needs that no policy or beam grid changes.
 
     Returns ``(counts, starts, seg, r, phi, h_s, h_x, rpow)``: the fields in
-    flat segment layout, the serving and interferer fades, and ``r**-alpha``.
-    The draw depends on the density and the channel only, so every curve
-    with those and the same chunk stream can be evaluated on it.
+    flat segment layout, the serving and interferer fades, and ``r**-alpha``;
+    the point-sized ones live in the workspace.  The draw depends on the
+    density and the channel only, so every curve with those and the same
+    chunk stream can be evaluated on it.
     """
     ch = params.channel
-    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
+    counts, starts, seg, r, phi = _sample_batch(params, n, rng, ws)
     h_s = sample_fading(ch.m_s, rng, size=n)
-    h_x = sample_fading(ch.m_x, rng, size=r.size)
-    return counts, starts, seg, r, phi, h_s, h_x, r ** (-ch.alpha_l)
+    # sample_fading's gamma(m, 1/m) is 1/m times standard_gamma(m): same stream, same bits
+    h_x = rng.standard_gamma(float(ch.m_x), out=ws.take("h_x", r.size))
+    h_x *= 1.0 / float(ch.m_x)
+    rpow = np.power(r, -ch.alpha_l, out=ws.take("rpow", r.size))
+    return counts, starts, seg, r, phi, h_s, h_x, rpow
 
 
-def _grid_offset(phi, step: float, memo: dict):
-    """Offset of every point to the nearest beam maximum of a grid of spacing ``step``.
+def _split_step(step: float):
+    """``(hi, lo)`` with ``hi + lo == step`` exactly and just enough low bits
+    of ``hi``'s significand cleared that ``q * hi`` is exact for every grid
+    quotient ``0 <= q < 2*pi/step``."""
+    q_bits = math.ceil(TWO_PI / step).bit_length()
+    m, e = math.frexp(step)
+    hi = math.ldexp(math.floor(math.ldexp(m, 53 - q_bits)), e - 53 + q_bits)
+    return hi, step - hi
 
-    ``memo`` holds the latest grid's array only: another spacing overwrites
-    it in place, so a chunk never holds more than one of them.
+
+def _grid_offset(phi, step: float, memo: dict, ws: _Workspace):
+    """Offset of every point to the nearest beam maximum of a grid of spacing
+    ``step``, bit for bit ``t = np.remainder(phi - step/2, step)`` then
+    ``min(t, step - t)``.
+
+    The offsets live in the workspace's ``grid`` buffer and ``memo`` holds
+    their spacing, so a chunk holds one grid at a time.
     """
-    held = memo.get("grid")
-    if held is not None and held[0] == step:
-        return held[1]
-    off = np.subtract(phi, 0.5 * step, out=None if held is None else held[1])
-    np.remainder(off, step, out=off)
-    np.minimum(off, step - off, out=off)
-    memo["grid"] = (step, off)
+    size = phi.size
+    off = ws.take("grid", size)
+    if memo.get("grid") == step:
+        return off
+    # The floor-mod by exact arithmetic (np.remainder computes a full
+    # floor-divmod).  a = phi - step/2 lies in [-step/2, 2 pi); q = floor(a/step)
+    # is below 2*pi/step = 2**sectors_exp.  With step = hi + lo as _split_step
+    # makes it, q*hi and q*lo are exact products.  For q >= 1, a and q*hi are
+    # multiples of ulp(step) and a - q*hi = (a - q*step) + q*lo lies below
+    # 2**(e+1), e the exponent of step, so that subtraction is exact as well.
+    # The last subtraction rounds the exact fmod value a - q*step, which is
+    # representable, so it comes back unchanged.  A rounded a/step is never
+    # below the true quotient, but where it rounds up to an integer q is one too
+    # large and t < 0.  np.remainder's own result on the a < 0 lanes is
+    # fmod(a) + step = a + step.  The naive a - q*step rounds q*step and is
+    # wrong from sectors_exp 4.
+    hi, lo = _split_step(step)
+    a = np.subtract(phi, 0.5 * step, out=ws.take("tmp1", size))
+    q = np.divide(a, step, out=ws.take("tmp2", size))
+    np.floor(q, out=q)
+    t = np.multiply(q, hi, out=off)
+    np.subtract(a, t, out=t)
+    np.multiply(q, lo, out=q)
+    np.subtract(t, q, out=t)
+    mask = ws.take("mask", size, bool)
+    below = np.flatnonzero(np.less(a, 0.0, out=mask))
+    t[below] = a[below] + step
+    np.less(t, 0.0, out=mask)
+    mask |= np.greater_equal(t, step, out=ws.take("mask2", size, bool))
+    bad = np.flatnonzero(mask)
+    t[bad] = np.remainder(a[bad], step)
+    np.subtract(step, t, out=q)
+    np.minimum(t, q, out=off)
+    memo["grid"] = step
     return off
 
 
-def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict):
+def _interferer_offset(ref, seg, phi, out, ws: _Workspace):
+    """Folded offset of every point from its trial's serving azimuth ``ref``."""
+    d = np.take(ref, seg, out=out, mode="clip")
+    np.subtract(d, phi, out=d)
+    np.abs(d, out=d)
+    # ref and phi both lie in [0, 2 pi), so |ref - phi| < 2 pi and the
+    # `% TWO_PI` of geometry.angular_offset would return it bit for bit.
+    wrap = np.subtract(TWO_PI, d, out=ws.take("tmp1", d.size))
+    return np.minimum(d, wrap, out=d)
+
+
+def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict,
+                 ws: _Workspace):
     """One policy on a drawn chunk: serving link, interference and SINR per trial.
 
     The serving transmitter of each field is picked by ``_select`` in
     O(points): the extremum of the policy key (max power for P1, min angular
     distance for P2, min distance for P3), then the smaller radius, then the
     smaller azimuth, then the lower index.  ``memo`` carries what curves on
-    the same ``field`` share: the latest grid offset and the P3 winner.
+    the same ``field`` share: the latest grid offset, and the P3 winner with
+    its interferers' offsets, which no grid changes.  Point-sized
+    temporaries live in ``ws``; every returned array is a fresh one.
     """
     cfg, ch = params.antenna, params.channel
     counts, starts, seg, r, phi, h_s, h_x, rpow = field
-    n = counts.size
+    n, size = counts.size, r.size
     step = cfg.beam_spacing
-    off = _grid_offset(phi, step, memo)
+    off = _grid_offset(phi, step, memo, ws)
+    # the interference term: interferer offsets, then gains, then h_x * gain * rpow
+    term = ws.take("term", size)
 
     out = {"counts": counts}
     if policy == "P1":
-        key = gain_approx(off, cfg) * rpow
-        win = _select(np.maximum, key, (r, phi), seg, starts)
+        ga = _mainlobe_core(off, cfg, term)
+        if 0.5 * step > cfg.phi_a:      # else every grid offset is in the mainlobe
+            floor = np.greater(off, cfg.phi_a, out=ws.take("mask", size, bool))
+            np.copyto(ga, cfg.g_s, where=floor)
+        key = np.multiply(ga, rpow, out=ws.take("key", size))
+        win = _select(np.maximum, key, (r, phi), seg, starts, ws)
         beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
         ref = 0.5 * step + beam * step
-        g_serve = gain_approx(off[win], cfg)
+        g_serve = ga[win]
         out["s_norm"] = key[win]
     elif policy == "P2":
-        win = _select(np.minimum, off, (r, phi), seg, starts)
+        win = _select(np.minimum, off, (r, phi), seg, starts, ws)
         ref = phi[win]
         g_serve = gain_approx(off[win], cfg)
         out["phi_c"] = off[win]
     elif policy == "P3":
         if "P3" not in memo:
-            memo["P3"] = _select(np.minimum, r, (phi,), seg, starts)
-        win = memo["P3"]
-        ref = phi[win]
+            win = _select(np.minimum, r, (phi,), seg, starts, ws)
+            memo["P3"] = win, _interferer_offset(phi[win], seg, phi,
+                                                 ws.take("p3_offset", size), ws)
+        win, d = memo["P3"]
         g_serve = np.full(n, cfg.g_max)
         out["s_norm"] = cfg.g_max * rpow[win]
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
-    # ref and phi both lie in [0, 2 pi), so |ref - phi| < 2 pi and the
-    # `% TWO_PI` of geometry.angular_offset would return it bit for bit.
-    d = np.abs(ref[seg] - phi)
-    gains = gain_3gpp(np.minimum(d, TWO_PI - d), cfg)
-    term = h_x * gains * rpow
+    if policy != "P3":
+        d = _interferer_offset(ref, seg, phi, term, ws)
+    _gain_3gpp_core(d, cfg, term)
+    np.multiply(h_x, term, out=term)
+    np.multiply(term, rpow, out=term)
     inter_norm = np.add.reduceat(term, starts) - term[win]
     pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
     out["interference_w"] = pk * inter_norm
@@ -271,15 +379,47 @@ def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict):
     return out
 
 
-def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Generator):
-    """Simulate ``n`` trials of one policy; returns per-trial arrays."""
-    return _curve_chunk(params, policy, _field_chunk(params, n, rng), {})
+def _policy_chunk(params: NetworkParams, policy: str, n: int, rng: np.random.Generator,
+                  ws: _Workspace):
+    """Simulate ``n`` trials of one policy; returns fresh per-trial arrays."""
+    return _curve_chunk(params, policy, _field_chunk(params, n, rng, ws), {}, ws)
 
 
 def _draw_of(plan: SimPlan) -> dict:
     """What a plan's chunk draws depend on."""
     return {"master_seed": plan.master_seed, "n_trials": plan.n_trials,
             "density": plan.params.density, "channel": plan.params.channel}
+
+
+def _share_above(plans: list, grids: list, name: str, n_workers: int) -> list:
+    """Per plan, ``(p, stderr)``: the share of trials whose per-trial array
+    ``name`` of ``_curve_chunk`` lies above each value of the plan's grid.
+
+    The plans must agree on ``master_seed``, ``n_trials``, ``density`` and
+    ``channel``.  Each chunk is drawn once and every plan is evaluated on it
+    in plan order, so each share is bitwise the one a plan gets alone.
+    """
+    shared = _draw_of(plans[0])
+    for i, plan in enumerate(plans[1:], start=1):
+        for key, value in _draw_of(plan).items():
+            if value != shared[key]:
+                raise ValueError(f"plan {i} does not share the draw of plan 0: "
+                                 f"{key} is {value!r}, not {shared[key]!r}")
+    base = plans[0]
+
+    def work(ci, size, ws):
+        field = _field_chunk(base.params, size, _chunk_rng(base.master_seed, ci), ws)
+        memo = {}
+        return [(_curve_chunk(plan.params, plan.policy, field, memo, ws)[name][:, None]
+                 > grid[None, :]).sum(axis=0)
+                for plan, grid in zip(plans, grids)]
+
+    parts = _map_chunks(work, base.n_trials, n_workers)
+    shares = []
+    for j, plan in enumerate(plans):
+        p = sum(part[j] for part in parts) / plan.n_trials
+        shares.append((p, np.sqrt(p * (1.0 - p) / plan.n_trials)))
+    return shares
 
 
 def run_coverages(plans, n_workers: int = 1) -> list[CoverageCurve]:
@@ -295,31 +435,12 @@ def run_coverages(plans, n_workers: int = 1) -> list[CoverageCurve]:
     plans = list(plans)
     if not plans:
         return []
-    shared = _draw_of(plans[0])
-    for i, plan in enumerate(plans[1:], start=1):
-        for name, value in _draw_of(plan).items():
-            if value != shared[name]:
-                raise ValueError(f"plan {i} does not share the draw of plan 0: "
-                                 f"{name} is {value!r}, not {shared[name]!r}")
     grids_db = [np.asarray(plan.thresholds_db, dtype=float) for plan in plans]
     grids = [np.where(np.isneginf(g_db), 0.0, 10.0 ** (g_db / 10.0)) for g_db in grids_db]
-    base = plans[0]
-
-    def work(ci, size):
-        field = _field_chunk(base.params, size, _chunk_rng(base.master_seed, ci))
-        memo = {}
-        return [(_curve_chunk(plan.params, plan.policy, field, memo)["sinr"][:, None]
-                 > gammas[None, :]).sum(axis=0)
-                for plan, gammas in zip(plans, grids)]
-
-    parts = _map_chunks(work, base.n_trials, n_workers)
-    curves = []
-    for j, (plan, gammas_db) in enumerate(zip(plans, grids_db)):
-        p = sum(part[j] for part in parts) / plan.n_trials
-        stderr = np.sqrt(p * (1.0 - p) / plan.n_trials)
-        curves.append(CoverageCurve(thresholds_db=gammas_db, p_cov=p, stderr=stderr,
-                                    n=plan.n_trials, engine="mc", policy=plan.policy))
-    return curves
+    shares = _share_above(plans, grids, "sinr", n_workers)
+    return [CoverageCurve(thresholds_db=gammas_db, p_cov=p, stderr=stderr, n=plan.n_trials,
+                          engine="mc", policy=plan.policy)
+            for plan, gammas_db, (p, stderr) in zip(plans, grids_db, shares)]
 
 
 def run_coverage(plan: SimPlan, n_workers: int = 1) -> CoverageCurve:
@@ -334,39 +455,48 @@ def default_power_levels(params: NetworkParams, n: int = 41) -> np.ndarray:
     return 10.0 ** (np.linspace(lo_db, lo_db + 45.0, n) / 10.0)
 
 
+def run_power_ccdfs(plans, levels=None, n_workers: int = 1) -> list[PowerCcdf]:
+    """Empirical ccdfs of the normalized received power (path loss times
+    receive gain, transmit constants stripped) of plans that share one draw.
+
+    The plans share a draw as in ``run_coverages`` and each plan's policy is
+    P1 or P3.  ``levels`` defaults to ``default_power_levels`` of each plan.
+    """
+    plans = list(plans)
+    if not plans:
+        return []
+    if any(plan.policy == "P2" for plan in plans):
+        raise ValueError("received-power ccdf is defined for P1 and P3")
+    grids = [default_power_levels(plan.params) if levels is None
+             else np.asarray(levels, dtype=float) for plan in plans]
+    shares = _share_above(plans, grids, "s_norm", n_workers)
+    return [PowerCcdf(levels=grid, ccdf=p, stderr=stderr, n=plan.n_trials, engine="mc",
+                      policy=plan.policy)
+            for plan, grid, (p, stderr) in zip(plans, grids, shares)]
+
+
 def run_power_ccdf(plan: SimPlan, policy: str | None = None, levels=None,
                    n_workers: int = 1) -> PowerCcdf:
-    """Empirical ccdf of the normalized received power (path loss times
-    receive gain, transmit constants stripped)."""
-    policy = policy or plan.policy
-    if policy == "P2":
-        raise ValueError("received-power ccdf is defined for P1 and P3")
-    levels = default_power_levels(plan.params) if levels is None else np.asarray(levels, dtype=float)
-
-    def work(ci, size):
-        s = _policy_chunk(plan.params, policy, size, _chunk_rng(plan.master_seed, ci))["s_norm"]
-        return (s[:, None] > levels[None, :]).sum(axis=0)
-
-    counts = sum(_map_chunks(work, plan.n_trials, n_workers))
-    p = counts / plan.n_trials
-    stderr = np.sqrt(p * (1.0 - p) / plan.n_trials)
-    return PowerCcdf(levels=levels, ccdf=p, stderr=stderr, n=plan.n_trials,
-                     engine="mc", policy=policy)
+    """Empirical ccdf of the normalized received power of one plan, under
+    ``policy`` if given."""
+    return run_power_ccdfs([replace(plan, policy=policy or plan.policy)], levels, n_workers)[0]
 
 
-def _two_smallest(values, seg, starts, counts):
+def _two_smallest(values, seg, starts, counts, ws: _Workspace):
     """Per-segment indices of the two smallest finite values (segments with
     >= 2 points); ties go to the lower index."""
-    first = _select(np.minimum, values, (), seg, starts)
+    first = _select(np.minimum, values, (), seg, starts, ws)
     masked = values.copy()
     masked[first] = np.inf
-    second = _select(np.minimum, masked, (), seg, starts)
+    second = _select(np.minimum, masked, (), seg, starts, ws)
     ok = counts >= 2
     return ok, first[ok], second[ok]
 
 
-def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Generator):
-    """Raw (possibly conditioned) samples of one statistic for ``n`` trials."""
+def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Generator,
+                ws: _Workspace):
+    """Raw (possibly conditioned) samples of one statistic for ``n`` trials;
+    the samples are fresh arrays."""
     cfg, ch = params.antenna, params.channel
 
     if statistic == "W_ratio_p2":
@@ -379,14 +509,14 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
 
     if statistic in ("phi_c", "S"):
         policy = "P2" if statistic == "phi_c" else "P1"
-        out = _policy_chunk(params, policy, n, rng)
+        out = _policy_chunk(params, policy, n, rng, ws)
         return out["phi_c" if statistic == "phi_c" else "s_norm"], n
 
-    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
+    counts, starts, seg, r, phi = _sample_batch(params, n, rng, ws)
 
     if statistic in ("varphi12", "G_ratio_p2", "SIR_dom_p2"):
         offsets = angular_offset(phi, 0.0)
-        ok, first, second = _two_smallest(offsets, seg, starts, counts)
+        ok, first, second = _two_smallest(offsets, seg, starts, counts, ws)
         p1, p2 = offsets[first], offsets[second]
         if statistic == "varphi12":
             return np.column_stack([p1, p2]), n
@@ -400,7 +530,7 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
         return gain_ratio * w, n
 
     if statistic in ("G_p3", "W_p3", "SIR_dom_p3"):
-        ok, first, second = _two_smallest(r, seg, starts, counts)
+        ok, first, second = _two_smallest(r, seg, starts, counts, ws)
         if statistic == "W_p3":
             return (r[second] / r[first]) ** ch.alpha_l, n
         off2 = angular_offset(phi[first], phi[second])
@@ -432,8 +562,8 @@ _CONDITIONING = {
 def sample_statistic(plan: SimPlan, statistic: str, n_workers: int = 1):
     """Gather raw samples of ``statistic`` across all trials (chunk order)."""
 
-    def work(ci, size):
-        return _stat_chunk(plan.params, statistic, size, _chunk_rng(plan.master_seed, ci))
+    def work(ci, size, ws):
+        return _stat_chunk(plan.params, statistic, size, _chunk_rng(plan.master_seed, ci), ws)
 
     parts = _map_chunks(work, plan.n_trials, n_workers)
     samples = np.concatenate([p[0] for p in parts])
@@ -475,8 +605,8 @@ def sample_conditioned_interference(plan: SimPlan, center: float, rel_window: fl
     """
     key = {"P1": "s_norm", "P2": "phi_c", "P3": "serving_r"}[plan.policy]
 
-    def work(ci, size):
-        out = _policy_chunk(plan.params, plan.policy, size, _chunk_rng(plan.master_seed, ci))
+    def work(ci, size, ws):
+        out = _policy_chunk(plan.params, plan.policy, size, _chunk_rng(plan.master_seed, ci), ws)
         cond = out[key]
         keep = np.abs(cond - center) <= rel_window * center
         return out["interference_w"][keep], size

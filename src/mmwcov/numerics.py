@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
+
+# scipy.special is imported inside the functions that call it: importing it
+# costs about 0.2 s of CPU, which Monte Carlo runs never need.
 
 __all__ = [
     "QuadratureSpec",
@@ -269,28 +271,31 @@ def integrate_2d(f: Callable, x_lo: float, x_hi: float, y_lo, y_hi,
 
 def special_gamma(a):
     """Gamma function, restricted to positive arguments."""
+    from scipy import special
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0.0):
         raise ValueError("gamma argument must be positive")
-    out = _special.gamma(a)
+    out = special.gamma(a)
     return float(out) if out.ndim == 0 else out
 
 
 def special_gamma_upper(a, x):
     """Upper incomplete gamma function Gamma(a, x), unnormalized."""
+    from scipy import special
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(a <= 0.0):
         raise ValueError("gamma order must be positive")
     if np.any(x < 0.0):
         raise ValueError("gamma cutoff must be nonnegative")
-    out = _special.gammaincc(a, x) * _special.gamma(a)
+    out = special.gammaincc(a, x) * special.gamma(a)
     return float(out) if out.ndim == 0 else out
 
 
 def special_erf(x):
     """Error function."""
-    out = _special.erf(np.asarray(x, dtype=float))
+    from scipy import special
+    out = special.erf(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,10 +11,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants
 
 TWO_PI = 2.0 * math.pi
 _LN10 = math.log(10.0)
+# Exact by the SI definition of the metre; equal to scipy.constants.c.
+SPEED_OF_LIGHT = 299_792_458.0
 
 __all__ = [
     "AntennaConfig",
@@ -133,7 +134,7 @@ class ChannelParams:
     @property
     def path_gain_const(self) -> float:
         """Free-space constant K = (c / (4 pi f_c))**2."""
-        return (constants.c / (4.0 * math.pi * self.f_c)) ** 2
+        return (SPEED_OF_LIGHT / (4.0 * math.pi * self.f_c)) ** 2
 
 
 @dataclass(frozen=True)
@@ -166,20 +167,41 @@ def _match_scalar(x_in, out):
     return float(out) if np.isscalar(x_in) or np.ndim(x_in) == 0 else out
 
 
+def _gain_3gpp_core(d, cfg: AntennaConfig, out):
+    """``gain_3gpp`` at offsets ``d >= 0``, written into ``out`` (which may be ``d``)."""
+    np.divide(d, cfg.phi_3db, out=out)
+    np.square(out, out=out)
+    np.multiply(12.0, out, out=out)
+    np.minimum(out, cfg.sla_db, out=out)
+    np.subtract(cfg.g_max_db, out, out=out)
+    np.divide(out, 10.0, out=out)
+    return np.power(10.0, out, out=out)
+
+
+def _mainlobe_core(d, cfg: AntennaConfig, out):
+    """The mainlobe branch of ``gain_approx`` at offsets ``d >= 0``, written
+    into ``out`` (which may be ``d``); no floor."""
+    np.multiply(2.0, d, out=out)
+    np.divide(out, cfg.phi_3db, out=out)
+    np.square(out, out=out)
+    np.multiply(-0.3, out, out=out)
+    np.power(10.0, out, out=out)
+    return np.multiply(cfg.g_max, out, out=out)
+
+
 def gain_3gpp(delta_phi, cfg: AntennaConfig):
     """Linear gain of the quadratic-with-floor pattern at offset ``delta_phi``.
 
     Offsets are expected in [0, pi]; negative values are folded by symmetry.
     """
     d = np.abs(np.asarray(delta_phi, dtype=float))
-    att_db = np.minimum(12.0 * (d / cfg.phi_3db) ** 2, cfg.sla_db)
-    return _match_scalar(delta_phi, 10.0 ** ((cfg.g_max_db - att_db) / 10.0))
+    return _match_scalar(delta_phi, _gain_3gpp_core(d, cfg, np.empty_like(d)))
 
 
 def gain_approx(delta_phi, cfg: AntennaConfig):
     """Two-branch form of the same pattern: explicit mainlobe up to phi_a, flat floor beyond."""
     d = np.abs(np.asarray(delta_phi, dtype=float))
-    main = cfg.g_max * 10.0 ** (-0.3 * (2.0 * d / cfg.phi_3db) ** 2)
+    main = _mainlobe_core(d, cfg, np.empty_like(d))
     return _match_scalar(delta_phi, np.where(d <= cfg.phi_a, main, cfg.g_s))
 
 

@@ -6,7 +6,7 @@ import pytest
 import mmwcov.association as assoc_mod
 from mmwcov.association import associate_p1, associate_p2, associate_p3, compute_sinr
 from mmwcov.geometry import PointField, angular_offset, sample_ppp
-from mmwcov.montecarlo import SimPlan, _policy_chunk, _chunk_rng
+from mmwcov.montecarlo import SimPlan, _Workspace, _policy_chunk, _chunk_rng
 from mmwcov.numerics import integrate_1d, integrate_2d
 from mmwcov.radio import AntennaConfig, ChannelParams, beam_maxima_pmf, gain_3gpp, gain_approx
 
@@ -171,7 +171,7 @@ class TestEngineConsistency:
         n = 400
         for policy in ("P1", "P2", "P3"):
             gen = _chunk_rng(909, 0)
-            out = _policy_chunk(params, policy, n, gen)
+            out = _policy_chunk(params, policy, n, gen, _Workspace())
             gen2 = _chunk_rng(909, 0)
             counts = gen2.poisson(params.mean_count, n)
             while (counts == 0).any():
@@ -201,8 +201,8 @@ class TestEngineConsistency:
                        n_trials=400_000, master_seed=77)
         from mmwcov.montecarlo import _map_chunks
 
-        def work(ci, size):
-            return _policy_chunk(params, "P3", size, _chunk_rng(77, ci))["interference_w"]
+        def work(ci, size, ws):
+            return _policy_chunk(params, "P3", size, _chunk_rng(77, ci), ws)["interference_w"]
 
         inter = np.concatenate(_map_chunks(work, plan.n_trials, 4))
         lam, r_l = params.density, params.r_los

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mmwcov import dominant
 from mmwcov.dominant import (
     _LN10,
     _corrected_gain_ratio_pdf_g2space,
@@ -28,7 +29,7 @@ from mmwcov.dominant import (
     uniform_mainlobe_gain_pdf,
 )
 from mmwcov.montecarlo import SimPlan, sample_statistic
-from mmwcov.numerics import QuadratureSpec, integrate_1d
+from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d
 from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_approx
 from conftest import ks_distance
 
@@ -235,7 +236,7 @@ class TestPathlossFadeRatioLawP2:
 
             return integrate_1d(integrand, r_l ** (-alpha), math.inf)
 
-        from mmwcov.dominant import _special
+        from scipy import special as _special
         for w in (1e-4, 1e-3, 5e-3, 0.05, 0.5):
             a = 2.0 / alpha + m
             component = (2.0 * m ** (-2.0 / alpha) * w ** (-2.0 / alpha - 1.0)
@@ -392,6 +393,26 @@ class TestCoverageDomP3:
     def test_rejected_pairing_is_degenerate_below_one(self, params):
         assert coverage_dom_p3(0.5, params, pairing="self") == 1.0
         assert coverage_dom_p3(0.5, params, pairing="product") < 0.99
+
+
+@pytest.mark.parametrize("policy, pairing", [("P2", None), ("P3", "product"), ("P3", "self")])
+def test_quadrature_failure_names_the_curve_point(policy, pairing, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise QuadratureError("max_subdivisions exhausted", 0.25, 1e-3)
+
+    monkeypatch.setattr(dominant, "integrate_1d", exhausted)
+    params = NetworkParams(density=1.6e-3, antenna=AntennaConfig(sectors_exp=3),
+                           channel=ChannelParams(alpha_l=2.2, m_s=3, m_x=4))
+    with pytest.raises(QuadratureError) as excinfo:
+        if policy == "P2":
+            coverage_dom_p2(10.0 ** 0.5, params)
+        else:
+            coverage_dom_p3(10.0 ** 0.5, params, pairing=pairing)
+    message = str(excinfo.value)
+    for part in (f"{policy} dominant coverage", "threshold 5.00 dB", "density 0.0016",
+                 "sectors_exp 3", "m_s 3", "m_x 4", "alpha 2.2", "max_subdivisions"):
+        assert part in message
+    assert excinfo.value.estimate == 0.25
 
 
 class TestDiscrepancyReport:

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmwcov import montecarlo
 from mmwcov.cli import main
 from mmwcov.experiments import (
     ConfigError,
@@ -199,6 +204,23 @@ class TestRunExperiment:
         values = np.array([float(r["value"]) for r in rows])
         assert np.all((0.0 <= values) & (values <= 1.0))
 
+    def test_fig4_draws_each_chunk_once(self, tmp_path, monkeypatch):
+        # P1 and P3 of one density evaluate on one draw per chunk
+        sizes = []
+        draw = montecarlo._field_chunk
+
+        def counting(params, n, rng, ws):
+            sizes.append(n)
+            return draw(params, n, rng, ws)
+
+        monkeypatch.setattr(montecarlo, "_field_chunk", counting)
+        config = _tiny_config(tmp_path, "fig4", engines=("mc",), density_sweep=(4e-4, 8e-4),
+                              trials=montecarlo.CHUNK_TRIALS + 100, workers=2)
+        run_experiment(config)
+        assert sorted(sizes) == [100, 100, montecarlo.CHUNK_TRIALS, montecarlo.CHUNK_TRIALS]
+        rows = list(csv.DictReader(open(tmp_path / "fig4" / "fig4_mc.csv")))
+        assert [r["policy"].split(";")[0] for r in rows[::41]] == ["P1", "P3", "P1", "P3"]
+
     def test_fig8_emits_discrepancy_report(self, tmp_path):
         config = _tiny_config(tmp_path, "fig8", engines=("dominant",),
                               gamma_grid_db=(0.0,), trials=2000)
@@ -244,3 +266,37 @@ class TestCli:
         rc = main(["fig5", "--config", str(cfg), "--strict"])
         assert rc == 2
         assert "did you mean" in capsys.readouterr().err
+
+
+# Monte Carlo never calls scipy.special or scipy.constants, so no MC process
+# pays for importing them.
+_SCIPY_FREE = """
+import sys
+{body}
+loaded = sorted(m for m in ("scipy.special", "scipy.constants") if m in sys.modules)
+print(",".join(loaded))
+"""
+
+
+def _scipy_modules_loaded(body: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE.format(body=body)],
+                         capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip()
+
+
+class TestImportHygiene:
+    def test_engine_imports_load_no_scipy_special(self):
+        body = ("import mmwcov, mmwcov.cli\n"
+                "from mmwcov import (analytic, association, dominant, experiments, geometry,\n"
+                "                    montecarlo, numerics, radio)")
+        assert _scipy_modules_loaded(body) == ""
+
+    def test_monte_carlo_run_loads_no_scipy_special(self, tmp_path):
+        body = ("from dataclasses import replace\n"
+                "from mmwcov.experiments import run_experiment, validate_config\n"
+                "config = replace(validate_config(None, environ={}), scenario='custom',\n"
+                f"                 engines=('mc',), trials=2000, out_dir={str(tmp_path)!r})\n"
+                "run_experiment(config)")
+        assert _scipy_modules_loaded(body) == ""
+        assert (tmp_path / "custom_mc.csv").is_file()

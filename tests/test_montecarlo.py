@@ -1,5 +1,9 @@
+import gc
 import hashlib
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,15 +12,17 @@ from mmwcov.analytic import serving_power_law
 from dataclasses import replace
 
 from mmwcov.geometry import TWO_PI, angular_offset
+from mmwcov import montecarlo
 from mmwcov.montecarlo import (
     CHUNK_POINT_BUDGET,
     CHUNK_TRIALS,
     ConditioningError,
     SimPlan,
+    _Workspace,
     _chunk_rng,
     _chunk_sizes,
+    _grid_offset,
     _policy_chunk,
-    _sample_batch,
     _select,
     _two_smallest,
     default_power_levels,
@@ -24,11 +30,11 @@ from mmwcov.montecarlo import (
     run_coverages,
     run_histogram,
     run_power_ccdf,
+    run_power_ccdfs,
     sample_conditioned_interference,
     sample_statistic,
 )
-from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_approx,
-                          sample_fading)
+from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams
 
 GAMMAS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 
@@ -83,14 +89,14 @@ class TestSelection:
     def test_select_matches_lexsort_oracle(self, case):
         _, starts, seg, key, r, phi = _quantized_segments(11)
         if case == "max":
-            got = _select(np.maximum, key, (r, phi), seg, starts)
+            got = _select(np.maximum, key, (r, phi), seg, starts, _Workspace())
             want = np.lexsort((phi, r, -key, seg))[starts]
         elif case == "min":
-            got = _select(np.minimum, key, (r, phi), seg, starts)
+            got = _select(np.minimum, key, (r, phi), seg, starts, _Workspace())
             want = np.lexsort((phi, r, key, seg))[starts]
         else:
             key = r
-            got = _select(np.minimum, r, (phi,), seg, starts)
+            got = _select(np.minimum, r, (phi,), seg, starts, _Workspace())
             want = np.lexsort((phi, r, seg))[starts]
         np.testing.assert_array_equal(got, want)
         # the tie fallback ran, and some ties were settled only by the index
@@ -100,7 +106,7 @@ class TestSelection:
 
     def test_two_smallest_matches_lexsort_oracle(self):
         counts, starts, seg, key, _, _ = _quantized_segments(12)
-        ok, first, second = _two_smallest(key, seg, starts, counts)
+        ok, first, second = _two_smallest(key, seg, starts, counts, _Workspace())
         order = np.lexsort((key, seg))
         np.testing.assert_array_equal(ok, counts >= 2)
         np.testing.assert_array_equal(first, order[starts[ok]])
@@ -142,13 +148,45 @@ class TestCoverage:
         assert c1.p_cov.tobytes() != c2.p_cov.tobytes()
 
 
+def _oracle_sample_batch(params, n, rng):
+    """The field draw as the package made it with fresh arrays: ``n`` nonempty
+    fields in flat segment layout."""
+    mean = params.mean_count
+    counts = rng.poisson(mean, n)
+    empty = counts == 0
+    while empty.any():
+        counts[empty] = rng.poisson(mean, int(empty.sum()))
+        empty = counts == 0
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    seg = np.repeat(np.arange(n), counts)
+    total = int(counts.sum())
+    r = params.r_los * np.sqrt(rng.random(total))
+    phi = TWO_PI * rng.random(total)
+    return counts, starts, seg, r, phi
+
+
+def _oracle_fading(m, rng, size):
+    return rng.gamma(shape=float(m), scale=1.0 / float(m), size=size)
+
+
+def _oracle_gain_3gpp(d, cfg):
+    att_db = np.minimum(12.0 * (d / cfg.phi_3db) ** 2, cfg.sla_db)
+    return 10.0 ** ((cfg.g_max_db - att_db) / 10.0)
+
+
+def _oracle_gain_approx(d, cfg):
+    main = cfg.g_max * 10.0 ** (-0.3 * (2.0 * d / cfg.phi_3db) ** 2)
+    return np.where(d <= cfg.phi_a, main, cfg.g_s)
+
+
 def _oracle_policy_chunk(params, policy, n, rng):
-    """One chunk of one policy as a single curve computes it: its own draw,
-    its own grid offset, and the wrapped ``angular_offset`` for interferers."""
+    """One chunk of one policy as a single curve computes it: its own draw
+    into fresh arrays, its own ``%`` grid offset, winners by a full lexsort,
+    and the wrapped ``angular_offset`` for interferers."""
     cfg, ch = params.antenna, params.channel
-    counts, starts, seg, r, phi = _sample_batch(params, n, rng)
-    h_s = sample_fading(ch.m_s, rng, size=n)
-    h_x = sample_fading(ch.m_x, rng, size=r.size)
+    counts, starts, seg, r, phi = _oracle_sample_batch(params, n, rng)
+    h_s = _oracle_fading(ch.m_s, rng, n)
+    h_x = _oracle_fading(ch.m_x, rng, r.size)
 
     rpow = r ** (-ch.alpha_l)
     step = cfg.beam_spacing
@@ -157,24 +195,24 @@ def _oracle_policy_chunk(params, policy, n, rng):
 
     out = {"counts": counts}
     if policy == "P1":
-        key = gain_approx(off, cfg) * rpow
-        win = _select(np.maximum, key, (r, phi), seg, starts)
+        key = _oracle_gain_approx(off, cfg) * rpow
+        win = np.lexsort((phi, r, -key, seg))[starts]
         beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
         ref = 0.5 * step + beam * step
-        g_serve = gain_approx(off[win], cfg)
+        g_serve = _oracle_gain_approx(off[win], cfg)
         out["s_norm"] = key[win]
     elif policy == "P2":
-        win = _select(np.minimum, off, (r, phi), seg, starts)
+        win = np.lexsort((phi, r, off, seg))[starts]
         ref = phi[win]
-        g_serve = gain_approx(off[win], cfg)
+        g_serve = _oracle_gain_approx(off[win], cfg)
         out["phi_c"] = off[win]
     else:
-        win = _select(np.minimum, r, (phi,), seg, starts)
+        win = np.lexsort((phi, r, seg))[starts]
         ref = phi[win]
         g_serve = np.full(n, cfg.g_max)
         out["s_norm"] = cfg.g_max * rpow[win]
 
-    gains = gain_3gpp(angular_offset(ref[seg], phi), cfg)
+    gains = _oracle_gain_3gpp(angular_offset(ref[seg], phi), cfg)
     term = h_x * gains * rpow
     inter_norm = np.add.reduceat(term, starts) - term[win]
     pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
@@ -215,14 +253,41 @@ _MIXED = (
     (_antenna(0), "P2", (-5.0, 5.0)),
     (_antenna(3), "P3", GAMMAS),
 )
+# P3 curves on different grids share the P3 memo (winner and interferer
+# offsets) across a curve that replaces the grid offsets.
+_P3_MEMO = (
+    (_antenna(1), "P3", GAMMAS),
+    (_antenna(3), "P1", GAMMAS),
+    (_antenna(1, sla_db=20.0), "P3", (-5.0, 2.5)),
+)
 _MIXED_TRIALS = 2 * CHUNK_TRIALS + 321      # the last chunk is a short one
 
 
+def _case(sectors_exp, variant):
+    """Parameters of one kernel-oracle case: a beam grid and one corner of the box."""
+    spacing = TWO_PI / 2**sectors_exp
+    antenna = AntennaConfig(sectors_exp=sectors_exp,
+                            phi_3db=0.3 * spacing if variant == "narrow" else None)
+    channel = ChannelParams(alpha_l=2.5, m_x=3) if variant == "alpha" else ChannelParams()
+    return NetworkParams(density=4e-4 if variant == "sparse" else 1.6e-3,
+                         antenna=antenna, channel=channel)
+
+
+# the default case of each parameter set keeps the plain id
+_MIXES = [pytest.param(mix, n_workers, id=f"{name}{n_workers}")
+          for name, mix in (("", _MIXED), ("p3_memo-", _P3_MEMO)) for n_workers in (1, 2)]
+_KERNEL_CASES = [
+    pytest.param(policy, sectors_exp, variant,
+                 id=f"{policy}-{sectors_exp}" + ("" if variant == "default" else f"-{variant}"))
+    for policy in ("P1", "P2", "P3") for sectors_exp in range(9)
+    for variant in ("default", "narrow", "alpha", "sparse")]
+
+
 class TestSharedDraw:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_curves_match_per_plan_oracle_bitwise(self, n_workers):
+    @pytest.mark.parametrize("mix, n_workers", _MIXES)
+    def test_curves_match_per_plan_oracle_bitwise(self, mix, n_workers):
         plans = [_plan(params, policy, n=_MIXED_TRIALS, seed=515, gammas=gammas)
-                 for params, policy, gammas in _MIXED]
+                 for params, policy, gammas in mix]
         curves = run_coverages(plans, n_workers=n_workers)
         assert len(curves) == len(plans)
         for plan, curve in zip(plans, curves):
@@ -231,17 +296,68 @@ class TestSharedDraw:
             assert curve.p_cov.tobytes() == p.tobytes(), plan
             assert curve.stderr.tobytes() == stderr.tobytes(), plan
 
-    @pytest.mark.parametrize("sectors_exp", [0, 1, 3])
-    @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
-    def test_policy_chunk_matches_oracle_bitwise(self, sectors_exp, policy):
-        params = replace(_antenna(sectors_exp), density=1.6e-3)
-        got = _policy_chunk(params, policy, 3000, _chunk_rng(516, 2))
-        want = _oracle_policy_chunk(params, policy, 3000, _chunk_rng(516, 2))
-        assert set(got) == set(want)
-        for name in ("sinr", "s_norm", "phi_c", "serving_r", "serving_offset",
-                     "interference_w"):
-            if name in want:
-                assert got[name].tobytes() == want[name].tobytes(), name
+    @pytest.mark.parametrize("policy, sectors_exp, variant", _KERNEL_CASES)
+    def test_policy_chunk_matches_oracle_bitwise(self, policy, sectors_exp, variant):
+        # "narrow" puts grid offsets on the P1 floor; a full chunk and then a
+        # short one run on one workspace, and the first result must survive it
+        params = _case(sectors_exp, variant)
+        ws = _Workspace()
+        results = []
+        for ci, size in ((2, CHUNK_TRIALS), (3, 777)):
+            got = _policy_chunk(params, policy, size, _chunk_rng(516, ci), ws)
+            results.append((got, {k: v.copy() for k, v in got.items()}, ci, size))
+        for got, _, ci, size in results:
+            want = _oracle_policy_chunk(params, policy, size, _chunk_rng(516, ci))
+            assert set(got) == set(want)
+            for name in ("sinr", "s_norm", "phi_c", "serving_r", "serving_offset",
+                         "interference_w"):
+                if name in want:
+                    assert got[name].tobytes() == want[name].tobytes(), name
+        got, copy, _, _ = results[0]
+        assert all(got[k].tobytes() == copy[k].tobytes() for k in got)
+
+    def test_narrow_variant_reaches_the_p1_floor(self):
+        params = _case(3, "narrow")
+        assert 0.5 * params.antenna.beam_spacing > params.antenna.phi_a
+
+    @pytest.mark.parametrize("sectors_exp", range(9))
+    def test_grid_offset_is_bitwise_remainder(self, sectors_exp):
+        step = TWO_PI / 2**sectors_exp
+        k = np.arange(2**sectors_exp + 1)
+        edges = np.concatenate([k * step, k * step + 0.5 * step, k * step - 0.5 * step])
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf)])
+        uniform = TWO_PI * np.random.default_rng(sectors_exp).random(1_000_000)
+        for phi in (edges[(edges >= 0.0) & (edges < TWO_PI)], uniform):
+            t = np.remainder(phi - 0.5 * step, step)
+            want = np.minimum(t, step - t)
+            got = _grid_offset(phi, step, {}, _Workspace())
+            assert got.tobytes() == want.tobytes()
+
+    def test_workspaces_are_per_thread_and_die_with_the_call(self, params, monkeypatch):
+        # more workers than cores and frequent thread switches: a workspace
+        # shared between threads would corrupt the curves
+        made = []
+
+        class Recorded(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append((weakref.ref(self), threading.get_ident()))
+
+        plans = [_plan(params, policy, n=6 * CHUNK_TRIALS, seed=519) for policy in ("P1", "P3")]
+        want = run_coverages(plans, n_workers=1)
+        monkeypatch.setattr(montecarlo, "_Workspace", Recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_coverages(plans, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [c.p_cov.tobytes() for c in got] == [c.p_cov.tobytes() for c in want]
+        assert 1 <= len(made) <= 8
+        assert len({ident for _, ident in made}) == len(made)
+        gc.collect()
+        assert all(ref() is None for ref, _ in made)
 
     def test_single_plan_is_run_coverage(self, params):
         plan = _plan(params, "P2", n=5_000, seed=517)
@@ -330,6 +446,21 @@ class TestPowerCcdf:
     def test_rejects_p2(self, params):
         with pytest.raises(ValueError):
             run_power_ccdf(_plan(params, "P2", n=100))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_shared_draw_matches_per_plan_oracle_bitwise(self, params, n_workers):
+        levels = default_power_levels(params)
+        plans = [_plan(params, policy, n=_MIXED_TRIALS, seed=518) for policy in ("P1", "P3")]
+        curves = run_power_ccdfs(plans, levels=levels, n_workers=n_workers)
+        for plan, curve in zip(plans, curves):
+            counts = sum((_oracle_policy_chunk(plan.params, plan.policy, size,
+                                               _chunk_rng(plan.master_seed, ci))["s_norm"][:, None]
+                          > levels[None, :]).sum(axis=0)
+                         for ci, size in enumerate(_chunk_sizes(plan.n_trials)))
+            assert curve.policy == plan.policy
+            assert curve.ccdf.tobytes() == (counts / plan.n_trials).tobytes()
+        alone = run_power_ccdf(plans[0], policy="P3", levels=levels)
+        assert alone.ccdf.tobytes() == curves[1].ccdf.tobytes()
 
 
 class TestHistograms:

@@ -6,6 +6,7 @@ from scipy import constants, special
 
 from mmwcov.numerics import integrate_1d, QuadratureSpec
 from mmwcov.radio import (
+    TWO_PI,
     AntennaConfig,
     ChannelParams,
     NetworkParams,
@@ -59,6 +60,29 @@ class TestGainPatterns:
             vals = fn(grid, cfg)
             assert np.all(np.diff(vals) <= 1e-12)
 
+    @pytest.mark.parametrize("sectors_exp, narrow", [(0, False), (2, False), (5, True), (8, False)])
+    def test_array_bits_match_the_closed_forms(self, sectors_exp, narrow):
+        # the in-place cores the Monte Carlo kernel shares give the formulas' bits
+        cfg = AntennaConfig(sectors_exp=sectors_exp, sla_db=20.0,
+                            phi_3db=0.3 * TWO_PI / 2**sectors_exp if narrow else None)
+        x = np.concatenate([[np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, cfg.phi_a, math.pi],
+                            np.random.default_rng(sectors_exp).uniform(-4.0, 4.0, 2000)])
+        for arr in (x, x.reshape(2, -1)):
+            d = np.abs(arr)
+            exact = 10.0 ** ((cfg.g_max_db - np.minimum(12.0 * (d / cfg.phi_3db) ** 2,
+                                                        cfg.sla_db)) / 10.0)
+            main = cfg.g_max * 10.0 ** (-0.3 * (2.0 * d / cfg.phi_3db) ** 2)
+            assert gain_3gpp(arr, cfg).tobytes() == exact.tobytes()
+            assert gain_approx(arr, cfg).tobytes() == np.where(d <= cfg.phi_a, main,
+                                                               cfg.g_s).tobytes()
+
+    def test_scalar_is_the_one_element_array(self, cfg):
+        for x in np.random.default_rng(3).uniform(-4.0, 4.0, 500):
+            for fn in (gain_3gpp, gain_approx):
+                got = fn(float(x), cfg)
+                assert type(got) is float
+                assert got == fn(np.array([x]), cfg)[0] == fn(np.float64(x), cfg)
+
     def test_phi_a_clamped_to_pi(self):
         cfg = AntennaConfig(sectors_exp=0)   # phi_3db = 2*pi
         assert cfg.phi_a == pytest.approx(math.pi)
@@ -99,7 +123,7 @@ class TestPathLoss:
         # oracle: (c / (4 pi f_c))**2 at 26.5 GHz
         ch = ChannelParams(f_c=26.5e9)
         expected = (constants.c / (4.0 * math.pi * 26.5e9)) ** 2
-        assert ch.path_gain_const == pytest.approx(expected, rel=1e-14)
+        assert ch.path_gain_const == expected
         assert ch.path_gain_const == pytest.approx(8.12e-7, rel=5e-3)
 
     def test_square_law(self):
