@@ -8,7 +8,9 @@ engine is exact up to tolerance.
 
 import numpy as np
 
-from mmwcov import NetworkParams, SimPlan, run_power_ccdf
+from dataclasses import replace
+
+from mmwcov import NetworkParams, SimPlan, run_power_ccdfs
 from mmwcov.analytic import nearest_power_ccdf, serving_power_ccdf
 from mmwcov.montecarlo import default_power_levels
 
@@ -18,8 +20,8 @@ levels_db = 10.0 * np.log10(levels)
 
 plan = SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                n_trials=100_000, master_seed=7)
-mc_p1 = run_power_ccdf(plan, policy="P1", levels=levels, n_workers=4)
-mc_p3 = run_power_ccdf(plan, policy="P3", levels=levels, n_workers=4)
+# both policies on one random draw per chunk
+mc_p1, mc_p3 = run_power_ccdfs([plan, replace(plan, policy="P3")], levels=levels, n_workers=4)
 an_p1 = serving_power_ccdf(levels, params, conditioned=True)
 an_p3 = nearest_power_ccdf(levels, params, conditioned=True)
 
