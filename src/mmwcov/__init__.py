@@ -1,9 +1,7 @@
 """mmWave downlink coverage toolkit: Monte Carlo and quadrature engines for
-beam-aware user association over Poisson-deployed transmitters."""
+beam-aware serving policies over Poisson-deployed transmitters."""
 
 from .radio import AntennaConfig, ChannelParams, NetworkParams
-from .geometry import PointField, PolarPoint, sample_ppp
-from .association import AssociationOutcome, SinrSample
 from .montecarlo import (CoverageCurve, SimPlan, run_coverage, run_coverages, run_histogram,
                          run_power_ccdf, run_power_ccdfs)
 from .analytic import coverage_p1, coverage_p2, coverage_p3, serving_power_law
@@ -15,11 +13,6 @@ __all__ = [
     "AntennaConfig",
     "ChannelParams",
     "NetworkParams",
-    "PointField",
-    "PolarPoint",
-    "sample_ppp",
-    "AssociationOutcome",
-    "SinrSample",
     "SimPlan",
     "CoverageCurve",
     "run_coverage",

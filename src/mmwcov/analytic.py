@@ -2,7 +2,7 @@
 
 Mirrors the Monte Carlo engine: serving-power law, conditional interference
 Laplace transforms over policy-specific regions, and the coverage integrals
-for the three association policies.
+for the three serving policies.
 
 Two knobs deserve a note.  Laws with a finite void mass (no transmitter in
 the disk) expose both the raw form and a ``conditioned`` form renormalized on
@@ -34,7 +34,6 @@ _LN10 = math.log(10.0)
 
 __all__ = [
     "ServingPowerLaw",
-    "ExclusionZone",
     "serving_power_law",
     "serving_power_pdf",
     "serving_power_cdf",
@@ -368,24 +367,6 @@ def _assemble_exponent(params: NetworkParams, panels, gain_fn, rlo_fn) -> _Regio
     return _RegionExponent(params.density, ch.m_x, c, w_total)
 
 
-@dataclass(frozen=True)
-class ExclusionZone:
-    """Keep-out boundary induced by conditioning on the serving power level."""
-
-    params: NetworkParams
-    s_th: float
-
-    def r_min(self, delta_phi):
-        cfg, ch = self.params.antenna, self.params.channel
-        g = gain_3gpp(delta_phi, cfg)
-        out = np.minimum((g / self.s_th) ** (1.0 / ch.alpha_l), self.params.r_los)
-        return float(out) if np.ndim(out) == 0 else out
-
-    @property
-    def region(self) -> str:
-        return "r_min(phi) <= r <= R_los, 0 <= phi < 2*pi"
-
-
 def _exclusion_angle(params: NetworkParams, s_th: float) -> float:
     """Offset below which the keep-out radius saturates at the disk edge."""
     cfg, ch = params.antenna, params.channel
@@ -517,21 +498,18 @@ def _deriv_budget(params: NetworkParams) -> int:
     return max(params.channel.m_s - 1, 2)
 
 
-def laplace_p1(s_th: float, beam_direction: float | None, params: NetworkParams,
+def laplace_p1(s_th: float, params: NetworkParams,
                exclusion: str = "all-beams") -> LaplaceEvaluator:
     """Conditional interference Laplace transform given the serving power level.
 
-    ``beam_direction`` is accepted for interface completeness; by isotropy the
-    transform does not depend on it.
+    By isotropy the transform does not depend on the serving beam's direction.
     """
-    del beam_direction
     return _p1_exponent(params, s_th, exclusion).to_evaluator(_deriv_budget(params))
 
 
-def laplace_p2(phi_c: float, beam_direction: float | None, params: NetworkParams,
+def laplace_p2(phi_c: float, params: NetworkParams,
                exclusion: str = "grid") -> LaplaceEvaluator:
     """Conditional interference Laplace transform given the serving angular distance."""
-    del beam_direction
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
     return _p2_exponent(params, phi_c, exclusion).to_evaluator(_deriv_budget(params))
@@ -602,7 +580,7 @@ def _curve(policy: str, gammas: np.ndarray, shape, params: NetworkParams,
 
 
 def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
-    """Coverage probability under maximum-power association.
+    """Coverage probability when the maximum-power pair serves (P1).
 
     ``gamma`` is a linear SINR threshold or an array of them; a scalar gives
     a float, an array an array of the same shape.
@@ -623,8 +601,8 @@ def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
 
 
 def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
-    """Coverage probability under minimum-angular-distance association
-    (scalar or array ``gamma``, as in :func:`coverage_p1`)."""
+    """Coverage probability when the minimum-angular-distance pair serves
+    (P2; scalar or array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
     gammas, shape = _thresholds(gamma)
     r_l = params.r_los
@@ -655,8 +633,8 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
 
 
 def coverage_p3(gamma, params: NetworkParams):
-    """Coverage probability under nearest-transmitter association (scalar or
-    array ``gamma``, as in :func:`coverage_p1`)."""
+    """Coverage probability when the nearest transmitter serves (P3; scalar
+    or array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
     gammas, shape = _thresholds(gamma)
     r_l = params.r_los

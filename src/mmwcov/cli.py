@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .experiments import ConfigError, SCENARIOS, run_experiment, validate_config
 
@@ -18,14 +19,14 @@ from .experiments import ConfigError, SCENARIOS, run_experiment, validate_config
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmwcov",
-        description="Coverage experiments for beam-aware association over a "
+        description="Coverage experiments for beam-aware serving policies over a "
                     "Poisson field of mmWave transmitters.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="|".join(SCENARIOS))
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (64-bit)")
+        p.add_argument("--seed", type=int, help="master seed, 0 <= SEED < 2**128")
         p.add_argument("--trials", type=int, help="Monte Carlo trials per curve")
         p.add_argument("--engines", help="comma list from {mc,analytic,dominant}")
         p.add_argument("--out", metavar="DIR", help="output directory")
@@ -37,10 +38,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = validate_config(args.config, strict=args.strict)
-        overrides = {"scenario": args.scenario}
+        config = validate_config(None if args.config is None else Path(args.config),
+                                 strict=args.strict)
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            try:
+                config = replace(config, seed=args.seed)
+            except ConfigError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
+        overrides = {"scenario": args.scenario}
         if args.trials is not None:
             overrides["trials"] = args.trials
         if args.engines is not None:

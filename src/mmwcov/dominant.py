@@ -11,7 +11,7 @@ stays available for the machine-readable discrepancy report (see
   conditioned support (lower limit ``g_s``, not ``g_s / g``);
 * the distance-ratio density's normalizing constant must be ``2 / alpha``
   (the rejected erf/exponential bracket is not mass-1);
-* the SIR density under nearest-transmitter association must pair the
+* the SIR density when the nearest transmitter serves must pair the
   distance-ratio law with the gain-ratio law, not convolve the
   distance-ratio law with itself.
 """
@@ -239,17 +239,6 @@ def _rejected_variant_gain_ratio_pdf_p2(g: float, params: NetworkParams) -> floa
                                            enforce_support=False)
 
     return integrate_1d(integrand, lo, hi * (1.0 - 1e-12), _SPEC) / p_cond
-
-
-def _corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
-    """Same law as :func:`gain_ratio_pdf_p2`, evaluated in gain coordinates."""
-    cfg = params.antenna
-    p_cond = mainlobe_pair_probability(params)
-
-    def integrand(g2):
-        return g2 * _joint_gain_density_p2(g * g2, g2, params)
-
-    return integrate_1d(integrand, cfg.g_s, cfg.g_max / g * (1.0 - 1e-12), _SPEC) / p_cond
 
 
 def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):

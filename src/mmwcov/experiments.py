@@ -22,6 +22,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError("run.trials must be at least 1")
         if self.workers < 1:
             raise ConfigError("run.workers must be at least 1")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigError(f"run.seed must lie in [0, 2**128) (got {self.seed!r})")
         if len(self.gamma_grid_db) > 1 and any(
                 b <= a for a, b in zip(self.gamma_grid_db, self.gamma_grid_db[1:])):
             raise ConfigError("grid.gamma_db must be strictly increasing")
@@ -175,20 +178,16 @@ def _env_pairs(environ):
 def validate_config(source=None, strict: bool = False, environ=None) -> ExperimentConfig:
     """Parse and range-check a config file (or text), applying defaults.
 
-    ``source`` may be a path, raw text containing a newline, or None (pure
-    defaults).  Environment overrides are applied after the file.  Unknown
-    keys raise in strict mode (with a spelling suggestion) and warn otherwise.
+    ``source`` may be a ``pathlib.Path`` to a config file, a ``str`` of
+    config text, or None (pure defaults).  Environment overrides are applied
+    after the file.  Unknown keys raise in strict mode (with a spelling
+    suggestion) and warn otherwise.
     """
-    text = ""
-    if source is not None:
-        src = str(source)
-        if "\n" in src or "=" in src and not os.path.exists(src):
-            text = src
-        else:
-            path = Path(src)
-            if not path.exists():
-                raise ConfigError(f"config file {src!r} does not exist")
-            text = path.read_text(encoding="utf-8")
+    text = source or ""
+    if isinstance(source, Path):
+        if not source.is_file():
+            raise ConfigError(f"config file {str(source)!r} does not exist or is not a file")
+        text = source.read_text(encoding="utf-8")
     values: dict = {}
     pairs = list(_read_pairs(text))
     if environ is None:
@@ -224,6 +223,7 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     rng_check("channel.m_x", lambda v: v >= 1, "must be at least 1")
     rng_check("run.trials", lambda v: v >= 1, "must be at least 1")
     rng_check("run.workers", lambda v: v >= 1, "must be at least 1")
+    rng_check("run.seed", lambda v: 0 <= v < 2**128, "must lie in [0, 2**128)")
 
     base = ExperimentConfig()
     if "mc" in values.get("run.engines", base.engines):
@@ -299,44 +299,73 @@ def _with(params: NetworkParams, density=None, sectors_exp=None) -> NetworkParam
 
 
 def _linear(grid_db) -> np.ndarray:
-    """Linear thresholds of a grid in dB."""
+    """Linear thresholds of a grid in dB, by Python's scalar power: numpy's
+    array ``**`` can differ from it in the last bit."""
     return np.array([10.0 ** (g_db / 10.0) for g_db in grid_db])
 
 
-def _analytic_curve(policy: str, config: ExperimentConfig, params: NetworkParams, key: str):
-    """Analytic rows of one curve over the threshold grid, in one call."""
-    fn = {"P1": analytic.coverage_p1, "P2": analytic.coverage_p2,
-          "P3": analytic.coverage_p3}[policy]
-    values = fn(_linear(config.gamma_grid_db), params)
-    return [(g_db, float(v), 0.0, "analytic", key)
-            for g_db, v in zip(config.gamma_grid_db, values)]
+@dataclass(frozen=True)
+class _Curve:
+    """One output curve: ``policy`` at ``params`` over the dB thresholds
+    ``grid_db``, written as rows keyed ``key`` with one ``x`` per threshold."""
+
+    key: str
+    params: NetworkParams
+    policy: str
+    grid_db: tuple
+    x: tuple
+
+
+def _grid_curve(config: ExperimentConfig, key: str, params: NetworkParams,
+                policy: str) -> _Curve:
+    """A curve over the config's threshold grid, with the threshold as x."""
+    return _Curve(key, params, policy, config.gamma_grid_db, config.gamma_grid_db)
 
 
 def _plan(config: ExperimentConfig, params: NetworkParams, policy: str,
-          thresholds_db=None) -> SimPlan:
-    """The config's MC plan for one curve (its threshold grid by default)."""
-    return SimPlan(params=params, policy=policy,
-                   thresholds_db=config.gamma_grid_db if thresholds_db is None else thresholds_db,
+          thresholds_db) -> SimPlan:
+    """The config's MC plan for one curve."""
+    return SimPlan(params=params, policy=policy, thresholds_db=thresholds_db,
                    n_trials=config.trials, master_seed=config.seed)
 
 
-def _mc_curves(config: ExperimentConfig, plans: list, meter: dict) -> list:
-    """``run_coverages`` over plans that share a draw; adds its seconds and
-    its curve trials to ``meter``.  Plans with the same ``sectors_exp``
-    should sit next to each other, so that they share the grid offsets."""
-    start = time.perf_counter()
-    curves = run_coverages(plans, n_workers=config.workers)
-    meter["mc_s"] += time.perf_counter() - start
-    meter["mc_trials"] += sum(plan.n_trials for plan in plans)
-    return curves
+def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict) -> list:
+    """Rows of every curve on ``engine``, in curve order.
+
+    Monte Carlo evaluates the curves of one density on one shared draw (one
+    ``run_coverages`` call, whose seconds and curve trials go to ``meter``);
+    curves with the same ``sectors_exp`` should sit next to each other, so
+    that they share the grid offsets.  The analytic engine takes a whole
+    curve per call, the dominant engine one threshold per call.
+    """
+    if engine == "mc":
+        results = [None] * len(curves)
+        by_density = {}
+        for i, curve in enumerate(curves):
+            by_density.setdefault(curve.params.density, []).append(i)
+        for group in by_density.values():
+            plans = [_plan(config, curves[i].params, curves[i].policy, curves[i].grid_db)
+                     for i in group]
+            start = time.perf_counter()
+            coverages = run_coverages(plans, n_workers=config.workers)
+            meter["mc_s"] += time.perf_counter() - start
+            meter["mc_trials"] += sum(plan.n_trials for plan in plans)
+            for i, coverage in zip(group, coverages):
+                results[i] = (coverage.p_cov, coverage.stderr)
+    elif engine == "analytic":
+        # looked up at call time, so that a wrapper installed on the module
+        # after import (a tracer's, say) sees the call
+        results = [(getattr(analytic, f"coverage_{c.policy.lower()}")(_linear(c.grid_db),
+                                                                        c.params),
+                    repeat(0.0)) for c in curves]
+    else:
+        results = [([getattr(dominant, f"coverage_dom_{c.policy.lower()}")(gamma, c.params)
+                     for gamma in _linear(c.grid_db).tolist()], repeat(0.0)) for c in curves]
+    return [(x, v, s, engine, c.key) for c, (values, errors) in zip(curves, results)
+            for x, v, s in zip(c.x, values, errors)]
 
 
-def _mc_rows(curve, key: str) -> list:
-    return [(x, v, s, "mc", key) for x, v, s
-            in zip(curve.thresholds_db, curve.p_cov, curve.stderr)]
-
-
-def _scenario_fig4(config: ExperimentConfig, rows: dict, meter: dict) -> None:
+def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
     laws = {"P1": analytic.serving_power_ccdf, "P3": analytic.nearest_power_ccdf}
     for density in config.density_sweep:
         params = _with(config.params, density=density)
@@ -355,86 +384,48 @@ def _scenario_fig4(config: ExperimentConfig, rows: dict, meter: dict) -> None:
                                      for x, v in zip(levels_db, vals)]
 
 
-def _coverage_rows(config: ExperimentConfig, rows: dict, meter: dict, policies,
-                   sectors) -> None:
-    specs = [(_curve_key(policy, sectors_exp=m), _with(config.params, sectors_exp=m), policy)
-             for m in sectors for policy in policies]
-    if "mc" in config.engines:
-        plans = [_plan(config, params, policy) for _, params, policy in specs]
-        for (key, _, _), curve in zip(specs, _mc_curves(config, plans, meter)):
-            rows["mc"] += _mc_rows(curve, key)
-    if "analytic" in config.engines:
-        for key, params, policy in specs:
-            rows["analytic"] += _analytic_curve(policy, config, params, key)
+def _sector_curves(config: ExperimentConfig, policies) -> dict:
+    curves = [_grid_curve(config, _curve_key(policy, sectors_exp=m),
+                          _with(config.params, sectors_exp=m), policy)
+              for m in config.sector_sweep for policy in policies]
+    return {"mc": curves, "analytic": curves}
 
 
-def _scenario_fig5(config: ExperimentConfig, rows: dict, meter: dict) -> None:
-    _coverage_rows(config, rows, meter, ("P1", "P3"), config.sector_sweep)
+def _curves_fig7(config: ExperimentConfig) -> dict:
+    """One single-threshold curve per point, with the beam count as x."""
+    curves = [_Curve(_curve_key(policy, density=density),
+                     _with(config.params, density=density, sectors_exp=m), policy,
+                     (config.fig7_gamma_db,), (float(m),))
+              for density in config.density_sweep
+              for m in config.sector_sweep for policy in ("P1", "P3")]
+    return {"mc": curves, "analytic": curves}
 
 
-def _scenario_fig6(config: ExperimentConfig, rows: dict, meter: dict) -> None:
-    _coverage_rows(config, rows, meter, ("P1", "P2"), config.sector_sweep)
+def _curves_fig8(config: ExperimentConfig) -> dict:
+    full = [_grid_curve(config, _curve_key("P1", sectors_exp=m),
+                        _with(config.params, sectors_exp=m), "P1")
+            for m in config.sector_sweep]
+    dominant_curves = [_grid_curve(config, _curve_key(f"{policy}-dominant", sectors_exp=m),
+                                   curve.params, policy)
+                       for m, curve in zip(config.sector_sweep, full)
+                       for policy in ("P2", "P3")]
+    return {"mc": full, "analytic": full, "dominant": dominant_curves}
 
 
-def _scenario_fig7(config: ExperimentConfig, rows: dict, meter: dict) -> None:
-    gamma = 10.0 ** (config.fig7_gamma_db / 10.0)
-    for density in config.density_sweep:
-        points = [(float(m), _with(config.params, density=density, sectors_exp=m), policy,
-                   _curve_key(policy, density=density))
-                  for m in config.sector_sweep for policy in ("P1", "P3")]
-        if "analytic" in config.engines:
-            for x, params, policy, key in points:
-                fn = analytic.coverage_p1 if policy == "P1" else analytic.coverage_p3
-                rows["analytic"].append((x, fn(gamma, params), 0.0, "analytic", key))
-        if "mc" in config.engines:
-            plans = [_plan(config, params, policy, (config.fig7_gamma_db,))
-                     for _, params, policy, _ in points]
-            for (x, _, _, key), curve in zip(points, _mc_curves(config, plans, meter)):
-                rows["mc"].append((x, float(curve.p_cov[0]), float(curve.stderr[0]), "mc", key))
+def _curves_custom(config: ExperimentConfig) -> dict:
+    curves = [_grid_curve(config, policy, config.params, policy)
+              for policy in config.policies]
+    return {"mc": curves, "analytic": curves,
+            "dominant": [replace(c, key=f"{c.policy}-dominant") for c in curves
+                         if c.policy in ("P2", "P3")]}
 
 
-def _scenario_fig8(config: ExperimentConfig, rows: dict, meter: dict) -> None:
-    for m in config.sector_sweep:
-        params = _with(config.params, sectors_exp=m)
-        if "dominant" in config.engines:
-            for policy, fn in (("P2", dominant.coverage_dom_p2),
-                               ("P3", dominant.coverage_dom_p3)):
-                key = _curve_key(f"{policy}-dominant", sectors_exp=m)
-                for g_db in config.gamma_grid_db:
-                    rows["dominant"].append((g_db, fn(10.0 ** (g_db / 10.0), params),
-                                             0.0, "dominant", key))
-        if "analytic" in config.engines:
-            rows["analytic"] += _analytic_curve("P1", config, params,
-                                                _curve_key("P1", sectors_exp=m))
-    if "mc" in config.engines:
-        plans = [_plan(config, _with(config.params, sectors_exp=m), "P1")
-                 for m in config.sector_sweep]
-        for m, curve in zip(config.sector_sweep, _mc_curves(config, plans, meter)):
-            rows["mc"] += _mc_rows(curve, _curve_key("P1", sectors_exp=m))
-
-
-def _scenario_custom(config: ExperimentConfig, rows: dict, meter: dict) -> None:
-    if "mc" in config.engines:
-        plans = [_plan(config, config.params, policy) for policy in config.policies]
-        for policy, curve in zip(config.policies, _mc_curves(config, plans, meter)):
-            rows["mc"] += _mc_rows(curve, policy)
-    for policy in config.policies:
-        if "analytic" in config.engines:
-            rows["analytic"] += _analytic_curve(policy, config, config.params, policy)
-        if "dominant" in config.engines and policy in ("P2", "P3"):
-            fn = dominant.coverage_dom_p2 if policy == "P2" else dominant.coverage_dom_p3
-            for g_db in config.gamma_grid_db:
-                rows["dominant"].append((g_db, fn(10.0 ** (g_db / 10.0), config.params),
-                                         0.0, "dominant", f"{policy}-dominant"))
-
-
-_RUNNERS = {
-    "fig4": _scenario_fig4,
-    "fig5": _scenario_fig5,
-    "fig6": _scenario_fig6,
-    "fig7": _scenario_fig7,
-    "fig8": _scenario_fig8,
-    "custom": _scenario_custom,
+_CURVES = {
+    "fig5": lambda config: _sector_curves(config, ("P1", "P3")),
+    "fig6": lambda config: _sector_curves(config, ("P1", "P2")),
+    "fig7": _curves_fig7,
+    "fig8": _curves_fig8,
+    "custom": _curves_custom,
 }
 
 
@@ -452,14 +443,18 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    runner = _RUNNERS[config.scenario]
 
     rows = {engine: [] for engine in config.engines}
     extras = {}
     runtimes = {}
     meter = {"mc_s": 0.0, "mc_trials": 0}
     start = time.perf_counter()
-    runner(config, rows, meter)
+    if config.scenario == "fig4":
+        _scenario_fig4(config, rows)
+    else:
+        curves = _CURVES[config.scenario](config)
+        for engine in config.engines:
+            rows[engine] = _curve_rows(config, engine, curves.get(engine, []), meter)
     runtimes["total"] = time.perf_counter() - start
     if meter["mc_trials"]:
         runtimes["mc"] = meter["mc_s"]

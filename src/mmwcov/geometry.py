@@ -1,4 +1,5 @@
-"""Planar Poisson field sampling and angular/Euclidean order-statistic laws.
+"""Angular offsets and the angular/Euclidean order-statistic laws of a planar
+Poisson field.
 
 All angular-distance densities below are for points of a homogeneous Poisson
 process conditioned on lying within Euclidean distance ``r`` of the origin.
@@ -10,8 +11,6 @@ empirical comparisons must condition on that event instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +20,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
-    "PolarPoint",
-    "PointField",
-    "wrap_angle",
     "angular_offset",
-    "sample_ppp",
     "angular_pdf_nth",
     "angular_cdf_nth",
     "angular_ccdf_nth",
@@ -35,52 +30,7 @@ __all__ = [
     "joint_abs_angular_cdf",
     "joint_distance_pdf",
     "joint_distance_cdf",
-    "nearest_in_angle",
 ]
-
-_MAX_REJECTIONS = 10**6
-
-
-class PolarPoint(NamedTuple):
-    """A transmitter location in polar coordinates relative to the receiver."""
-
-    r: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class PointField:
-    """One sampled Poisson field restricted to the reachability disk."""
-
-    r: np.ndarray
-    phi: np.ndarray
-    ball_radius: float
-    density: float
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
-        phi = wrap_angle(np.asarray(self.phi, dtype=float))
-        if r.shape != phi.shape or r.ndim != 1:
-            raise ValueError("r and phi must be matching 1-D arrays")
-        if np.any(r < 0.0) or np.any(r > self.ball_radius):
-            raise ValueError("all points must lie inside the disk")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def n(self) -> int:
-        return self.r.size
-
-    def point(self, i: int) -> PolarPoint:
-        return PolarPoint(float(self.r[i]), float(self.phi[i]))
-
-    def points(self) -> list[PolarPoint]:
-        return [PolarPoint(float(a), float(b)) for a, b in zip(self.r, self.phi)]
-
-
-def wrap_angle(phi):
-    """Wrap angles to [0, 2*pi)."""
-    return np.asarray(phi, dtype=float) % TWO_PI
 
 
 def angular_offset(a, b):
@@ -88,30 +38,6 @@ def angular_offset(a, b):
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % TWO_PI
     out = np.minimum(d, TWO_PI - d)
     return float(out) if out.ndim == 0 else out
-
-
-def sample_ppp(density: float, ball_radius: float, rng: np.random.Generator,
-               require_nonempty: bool = True) -> PointField:
-    """Sample one homogeneous Poisson field inside the disk of ``ball_radius``.
-
-    The count is Poisson with mean ``density * pi * ball_radius**2``; radii
-    follow the area law (pdf ``2 r / R**2``) and azimuths are uniform.  With
-    ``require_nonempty`` an empty draw is rejected and resampled, i.e. the
-    count is conditioned on being at least one.
-    """
-    if density <= 0.0 or ball_radius <= 0.0:
-        raise ValueError("density and ball_radius must be positive")
-    mean = density * math.pi * ball_radius**2
-    n = int(rng.poisson(mean))
-    rejections = 0
-    while require_nonempty and n == 0:
-        rejections += 1
-        if rejections > _MAX_REJECTIONS:
-            raise RuntimeError("rejection sampling failed to produce a nonempty field")
-        n = int(rng.poisson(mean))
-    r = ball_radius * np.sqrt(rng.random(n))
-    phi = TWO_PI * rng.random(n)
-    return PointField(r=r, phi=phi, ball_radius=ball_radius, density=density)
 
 
 def _check_order(n: int) -> int:
@@ -219,17 +145,3 @@ def joint_distance_cdf(r1, r2, density: float):
     c = density * math.pi
     out = 1.0 - np.exp(-c * a**2) - c * a**2 * np.exp(-c * b**2)
     return float(out) if out.ndim == 0 else out
-
-
-def nearest_in_angle(field: PointField, reference: float, k: int = 1) -> PolarPoint:
-    """The k-th closest point to ``reference`` in absolute angular distance.
-
-    Ties (zero-probability under the continuous model) resolve by smaller
-    radius, then smaller azimuth, for deterministic replay.
-    """
-    k = _check_order(k)
-    if field.n < k:
-        raise ValueError(f"field has {field.n} points, need at least {k}")
-    offsets = angular_offset(field.phi, reference)
-    order = np.lexsort((field.phi, field.r, offsets))
-    return field.point(int(order[k - 1]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,10 +105,6 @@ class CoverageCurve:
     n: int
     engine: str
     policy: str
-
-    def rows(self):
-        for g, p, s in zip(self.thresholds_db, self.p_cov, self.stderr):
-            yield (float(g), float(p), float(s), self.n, self.engine, self.policy)
 
 
 @dataclass(frozen=True)
@@ -475,11 +471,9 @@ def run_power_ccdfs(plans, levels=None, n_workers: int = 1) -> list[PowerCcdf]:
             for plan, grid, (p, stderr) in zip(plans, grids, shares)]
 
 
-def run_power_ccdf(plan: SimPlan, policy: str | None = None, levels=None,
-                   n_workers: int = 1) -> PowerCcdf:
-    """Empirical ccdf of the normalized received power of one plan, under
-    ``policy`` if given."""
-    return run_power_ccdfs([replace(plan, policy=policy or plan.policy)], levels, n_workers)[0]
+def run_power_ccdf(plan: SimPlan, levels=None, n_workers: int = 1) -> PowerCcdf:
+    """Empirical ccdf of the normalized received power of one plan."""
+    return run_power_ccdfs([plan], levels, n_workers)[0]
 
 
 def _two_smallest(values, seg, starts, counts, ws: _Workspace):

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, special functions, and Laplace-transform derivatives.
+"""Adaptive quadrature and Laplace-transform derivatives.
 
 These are the numerical workhorses behind every analytic (non Monte Carlo)
 computation in the package.  All integrands must be numpy-vectorized: they
@@ -8,23 +8,16 @@ receive a 1-D ndarray of abscissae and must return values of the same shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-# scipy.special is imported inside the functions that call it: importing it
-# costs about 0.2 s of CPU, which Monte Carlo runs never need.
 
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "integrate_1d",
     "integrate_many",
-    "integrate_2d",
-    "special_gamma",
-    "special_gamma_upper",
-    "special_erf",
     "LaplaceEvaluator",
     "laplace_derivatives",
     "exp_derivatives",
@@ -243,60 +236,6 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     bounds and endpoint singularities).
     """
     return float(integrate_many(lambda x, _which: f(x), a, b, 1, spec)[0])
-
-
-def integrate_2d(f: Callable, x_lo: float, x_hi: float, y_lo, y_hi,
-                 spec: QuadratureSpec | None = None) -> float:
-    """Iterated adaptive integral of ``f(x, y)`` over a (possibly curved) region.
-
-    ``y_lo``/``y_hi`` may be scalars or callables of the outer variable, which
-    covers regions whose inner bound depends on the outer one (e.g. a radial
-    exclusion boundary varying with azimuth).  ``f`` is called with a scalar
-    ``x`` and an ndarray of ``y`` values.
-    """
-    spec = spec or QuadratureSpec()
-    inner_spec = replace(spec, rel_tol=spec.rel_tol / 4.0, abs_tol=spec.abs_tol / 4.0)
-    lo_fn = y_lo if callable(y_lo) else (lambda _x: y_lo)
-    hi_fn = y_hi if callable(y_hi) else (lambda _x: y_hi)
-
-    def outer(xs):
-        xs = np.atleast_1d(xs)
-        return np.array([
-            integrate_1d(lambda y, _x=x: f(_x, y), lo_fn(x), hi_fn(x), inner_spec)
-            for x in xs
-        ])
-
-    return integrate_1d(outer, x_lo, x_hi, spec)
-
-
-def special_gamma(a):
-    """Gamma function, restricted to positive arguments."""
-    from scipy import special
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("gamma argument must be positive")
-    out = special.gamma(a)
-    return float(out) if out.ndim == 0 else out
-
-
-def special_gamma_upper(a, x):
-    """Upper incomplete gamma function Gamma(a, x), unnormalized."""
-    from scipy import special
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("gamma order must be positive")
-    if np.any(x < 0.0):
-        raise ValueError("gamma cutoff must be nonnegative")
-    out = special.gammaincc(a, x) * special.gamma(a)
-    return float(out) if out.ndim == 0 else out
-
-
-def special_erf(x):
-    """Error function."""
-    from scipy import special
-    out = special.erf(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

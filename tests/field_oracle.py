@@ -1,6 +1,13 @@
-"""User-association policies and per-field SINR assembly.
+"""Per-field association rules, a scalar Poisson-field sampler and an iterated
+2-D integral, kept as test oracles.
 
-Three policies are supported:
+The Monte Carlo engine evaluates every field of a chunk at once in flat
+arrays; the functions here do the same work one field at a time, written as
+directly as the model states it.  ``test_association`` checks the engine's
+chunk kernel against them, and several quadrature tests integrate laws with
+:func:`integrate_2d`.
+
+Three association policies:
 
 * P1 -- maximum received power over all (transmitter, receive-beam) pairs,
 * P2 -- minimum angular distance over all (transmitter, receive-beam) pairs,
@@ -13,21 +20,92 @@ treated as centered on the serving link).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import PointField, PolarPoint, angular_offset
-from .radio import AntennaConfig, ChannelParams, beam_maxima_pmf, gain_3gpp, gain_approx, sample_fading
+from mmwcov.dominant import _SPEC, _joint_gain_density_p2, mainlobe_pair_probability
+from mmwcov.geometry import TWO_PI, angular_offset
+from mmwcov.numerics import QuadratureSpec, integrate_1d
+from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, beam_maxima_pmf,
+                          gain_3gpp, gain_approx, sample_fading)
 
-__all__ = [
-    "AssociationOutcome",
-    "SinrSample",
-    "associate_p1",
-    "associate_p2",
-    "associate_p3",
-    "compute_sinr",
-]
+_MAX_REJECTIONS = 10**6
+
+
+# ---------------------------------------------------------------------------
+# Scalar Poisson fields
+# ---------------------------------------------------------------------------
+
+
+class PolarPoint(NamedTuple):
+    """A transmitter location in polar coordinates relative to the receiver."""
+
+    r: float
+    phi: float
+
+
+@dataclass(frozen=True)
+class PointField:
+    """One sampled Poisson field restricted to the reachability disk."""
+
+    r: np.ndarray
+    phi: np.ndarray
+    ball_radius: float
+    density: float
+
+    def __post_init__(self) -> None:
+        r = np.asarray(self.r, dtype=float)
+        phi = wrap_angle(np.asarray(self.phi, dtype=float))
+        if r.shape != phi.shape or r.ndim != 1:
+            raise ValueError("r and phi must be matching 1-D arrays")
+        if np.any(r < 0.0) or np.any(r > self.ball_radius):
+            raise ValueError("all points must lie inside the disk")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
+
+    @property
+    def n(self) -> int:
+        return self.r.size
+
+    def point(self, i: int) -> PolarPoint:
+        return PolarPoint(float(self.r[i]), float(self.phi[i]))
+
+
+def wrap_angle(phi):
+    """Wrap angles to [0, 2*pi)."""
+    return np.asarray(phi, dtype=float) % TWO_PI
+
+
+def sample_ppp(density: float, ball_radius: float, rng: np.random.Generator,
+               require_nonempty: bool = True) -> PointField:
+    """Sample one homogeneous Poisson field inside the disk of ``ball_radius``.
+
+    The count is Poisson with mean ``density * pi * ball_radius**2``; radii
+    follow the area law (pdf ``2 r / R**2``) and azimuths are uniform.  With
+    ``require_nonempty`` an empty draw is rejected and resampled, i.e. the
+    count is conditioned on being at least one.
+    """
+    if density <= 0.0 or ball_radius <= 0.0:
+        raise ValueError("density and ball_radius must be positive")
+    mean = density * math.pi * ball_radius**2
+    n = int(rng.poisson(mean))
+    rejections = 0
+    while require_nonempty and n == 0:
+        rejections += 1
+        if rejections > _MAX_REJECTIONS:
+            raise RuntimeError("rejection sampling failed to produce a nonempty field")
+        n = int(rng.poisson(mean))
+    r = ball_radius * np.sqrt(rng.random(n))
+    phi = TWO_PI * rng.random(n)
+    return PointField(r=r, phi=phi, ball_radius=ball_radius, density=density)
+
+
+# ---------------------------------------------------------------------------
+# Per-field association and SINR
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -58,7 +136,7 @@ def _beam_directions(cfg: AntennaConfig) -> np.ndarray:
 
 
 def _pick(field: PointField, keys: tuple, policy: str, cfg: AntennaConfig | None,
-          offsets=None, beams=None) -> AssociationOutcome:
+          offsets=None) -> AssociationOutcome:
     order = np.lexsort(keys)
     best = int(order[0])
     if offsets is None:
@@ -147,3 +225,44 @@ def compute_sinr(field: PointField, outcome: AssociationOutcome, cfg: AntennaCon
         (p * cfg.g_max * k_const * h_x[mask] * gains * field.r[mask] ** (-ch.alpha_l)).sum()
     )
     return SinrSample(signal=float(signal), interference=interference, noise=ch.noise_w)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature
+# ---------------------------------------------------------------------------
+
+
+def integrate_2d(f: Callable, x_lo: float, x_hi: float, y_lo, y_hi,
+                 spec: QuadratureSpec | None = None) -> float:
+    """Iterated adaptive integral of ``f(x, y)`` over a (possibly curved) region.
+
+    ``y_lo``/``y_hi`` may be scalars or callables of the outer variable, which
+    covers regions whose inner bound depends on the outer one (e.g. a radial
+    exclusion boundary varying with azimuth).  ``f`` is called with a scalar
+    ``x`` and an ndarray of ``y`` values.
+    """
+    spec = spec or QuadratureSpec()
+    inner_spec = replace(spec, rel_tol=spec.rel_tol / 4.0, abs_tol=spec.abs_tol / 4.0)
+    lo_fn = y_lo if callable(y_lo) else (lambda _x: y_lo)
+    hi_fn = y_hi if callable(y_hi) else (lambda _x: y_hi)
+
+    def outer(xs):
+        xs = np.atleast_1d(xs)
+        return np.array([
+            integrate_1d(lambda y, _x=x: f(_x, y), lo_fn(x), hi_fn(x), inner_spec)
+            for x in xs
+        ])
+
+    return integrate_1d(outer, x_lo, x_hi, spec)
+
+
+def corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
+    """Same law as ``dominant.gain_ratio_pdf_p2``, by adaptive quadrature in
+    gain coordinates."""
+    cfg = params.antenna
+    p_cond = mainlobe_pair_probability(params)
+
+    def integrand(g2):
+        return g2 * _joint_gain_density_p2(g * g2, g2, params)
+
+    return integrate_1d(integrand, cfg.g_s, cfg.g_max / g * (1.0 - 1e-12), _SPEC) / p_cond

@@ -223,7 +223,7 @@ def test_criterion_6_numerical_self_consistency(params):
     for _ in range(10):
         s_th = law.quantile(gen.uniform(0.05, 0.95))
         s = 10.0 ** gen.uniform(3.0, 5.5)
-        lt = laplace_p1(s_th, None, params)
+        lt = laplace_p1(s_th, params)
         h = 1e-5 * s
         fd = (lt.value(s + h) - lt.value(s - h)) / (2.0 * h)
         got = laplace_derivatives(lt, s, 1)[1]

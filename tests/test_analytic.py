@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmwcov.analytic import (
-    ExclusionZone,
     coverage_p1,
     coverage_p2,
     coverage_p3,
@@ -27,11 +26,11 @@ from mmwcov.montecarlo import (
     sample_statistic,
 )
 from mmwcov import analytic
-from mmwcov.numerics import (QuadratureError, QuadratureSpec, integrate_1d, integrate_2d,
-                             laplace_derivatives)
+from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d, laplace_derivatives
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_pdf_mainlobe)
 from conftest import ks_distance
+from field_oracle import integrate_2d
 import analytic_oracle as oracle
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
@@ -119,38 +118,19 @@ class TestServingPowerLaw:
         assert np.max(np.abs(ana - curve.ccdf)) < 0.01
 
 
-class TestExclusionZone:
-    def test_bounds_and_monotonicity(self, params):
-        law = serving_power_law(params)
-        zone = ExclusionZone(params=params, s_th=10.0 * law.w_min)
-        offsets = np.linspace(0.0, math.pi, 64)
-        r = zone.r_min(offsets)
-        assert np.all(r > 0.0) and np.all(r <= params.r_los)
-        # larger gain toward the interferer pushes the boundary outward
-        assert np.all(np.diff(gain_3gpp(offsets, params.antenna)) <= 0)
-        assert np.all(np.diff(r) <= 1e-12)
-
-    def test_shrinks_with_serving_power(self, params):
-        law = serving_power_law(params)
-        z1 = ExclusionZone(params=params, s_th=5.0 * law.w_min)
-        z2 = ExclusionZone(params=params, s_th=50.0 * law.w_min)
-        offsets = np.linspace(0.0, math.pi, 16)
-        assert np.all(z2.r_min(offsets) <= z1.r_min(offsets) + 1e-15)
-
-
 class TestLaplaceEvaluators:
     def test_value_at_zero(self, params):
         law = serving_power_law(params)
         med = law.quantile(0.5)
-        for lt in (laplace_p1(med, None, params),
-                   laplace_p2(0.05, None, params),
+        for lt in (laplace_p1(med, params),
+                   laplace_p2(0.05, params),
                    laplace_p3(20.0, params)):
             assert lt.value(0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_and_sign_pattern(self, params):
         law = serving_power_law(params)
         med = law.quantile(0.5)
-        lt = laplace_p1(med, None, params)
+        lt = laplace_p1(med, params)
         s = np.logspace(2.0, 6.0, 24)
         derivs = laplace_derivatives(lt, s, 2)
         assert np.all(np.diff(derivs[0]) < 0.0)            # L decreasing
@@ -161,8 +141,8 @@ class TestLaplaceEvaluators:
     def test_more_serving_power_admits_closer_interferers(self, params):
         law = serving_power_law(params)
         s = 1e4
-        l_small = laplace_p1(5.0 * law.w_min, None, params, exclusion="single-beam").value(s)
-        l_large = laplace_p1(500.0 * law.w_min, None, params, exclusion="single-beam").value(s)
+        l_small = laplace_p1(5.0 * law.w_min, params, exclusion="single-beam").value(s)
+        l_large = laplace_p1(500.0 * law.w_min, params, exclusion="single-beam").value(s)
         assert l_large < l_small
 
     def test_derivatives_against_finite_differences(self, params):
@@ -171,7 +151,7 @@ class TestLaplaceEvaluators:
         for _ in range(10):
             s_th = law.quantile(gen.uniform(0.1, 0.9))
             s = 10.0 ** gen.uniform(3.0, 5.5)
-            lt = laplace_p1(s_th, None, params)
+            lt = laplace_p1(s_th, params)
             h = 1e-5 * s
             fd = (lt.value(s + h) - lt.value(s - h)) / (2.0 * h)
             got = laplace_derivatives(lt, s, 1)[1]
@@ -205,7 +185,7 @@ class TestLaplaceEvaluators:
         plan = SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                        n_trials=10**6, master_seed=68)
         inter, acc = sample_conditioned_interference(plan, med, 0.02, n_workers=4)
-        lt = laplace_p1(med, None, params)   # arbitrated keep-out region
+        lt = laplace_p1(med, params)   # arbitrated keep-out region
         ch = params.channel
         s_meaningful = ch.m_s / (ch.tx_power_w * params.antenna.g_max
                                  * ch.path_gain_const * med)
@@ -228,13 +208,13 @@ class TestLaplaceEvaluators:
     def test_domain_checks(self, params):
         law = serving_power_law(params)
         with pytest.raises(ValueError):
-            laplace_p1(0.5 * law.w_min, None, params)
+            laplace_p1(0.5 * law.w_min, params)
         with pytest.raises(ValueError):
-            laplace_p2(1.0, None, params)    # beyond half the beam spacing
+            laplace_p2(1.0, params)    # beyond half the beam spacing
         with pytest.raises(ValueError):
             laplace_p3(params.r_los * 1.5, params)
         with pytest.raises(ValueError):
-            laplace_p1(law.quantile(0.5), None, params, exclusion="bogus")
+            laplace_p1(law.quantile(0.5), params, exclusion="bogus")
 
 
 class TestPhiCLaw:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-import mmwcov.association as assoc_mod
-from mmwcov.association import associate_p1, associate_p2, associate_p3, compute_sinr
-from mmwcov.geometry import PointField, angular_offset, sample_ppp
+import field_oracle
+from field_oracle import (PointField, associate_p1, associate_p2, associate_p3, compute_sinr,
+                          integrate_2d, sample_ppp)
+from mmwcov.geometry import angular_offset
 from mmwcov.montecarlo import SimPlan, _Workspace, _policy_chunk, _chunk_rng
-from mmwcov.numerics import integrate_1d, integrate_2d
+from mmwcov.numerics import integrate_1d
 from mmwcov.radio import AntennaConfig, ChannelParams, beam_maxima_pmf, gain_3gpp, gain_approx
 
 
@@ -151,7 +152,7 @@ class TestSinr:
         cfg, ch = params.antenna, params.channel
         out = associate_p1(field, cfg, ch)
         base = compute_sinr(field, out, cfg, ch, np.random.default_rng(5))
-        monkeypatch.setattr(assoc_mod, "gain_3gpp",
+        monkeypatch.setattr(field_oracle, "gain_3gpp",
                             lambda d, c: 2.0 * gain_3gpp(d, c))
         scaled = compute_sinr(field, out, cfg, ch, np.random.default_rng(5))
         assert scaled.interference == pytest.approx(2.0 * base.interference, rel=1e-12)

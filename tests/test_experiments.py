@@ -94,7 +94,19 @@ class TestValidateConfig:
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="does not exist"):
-            validate_config("/no/such/file.cfg")
+            validate_config(Path("/no/such/file.cfg"))
+
+    def test_seed_range_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: run\.seed must lie in \[0, 2\*\*128\) "
+                                              r"\(got -1\)"):
+            validate_config("run.trials = 10\nrun.seed = -1\n", environ={})
+        with pytest.raises(ConfigError, match=rf"line 1: run\.seed .*\(got {2**128}\)"):
+            validate_config(f"run.seed = {2**128}\n", environ={})
+        with pytest.raises(ConfigError, match=r"env MMWCOV_RUN__SEED: run\.seed"):
+            validate_config(None, environ={"MMWCOV_RUN__SEED": "-1"})
+        with pytest.raises(ConfigError, match=r"run\.seed must lie in \[0, 2\*\*128\)"):
+            replace(validate_config(None, environ={}), seed=-1)
+        assert validate_config(f"run.seed = {2**128 - 1}\n", environ={}).seed == 2**128 - 1
 
     def test_engine_validation(self):
         with pytest.raises(ConfigError, match="unknown engine"):
@@ -260,6 +272,24 @@ class TestCli:
         assert rc == 2
         assert "alpha_l" in capsys.readouterr().err
 
+    def test_missing_config_path_with_equals_sign(self, tmp_path, capsys):
+        # a path is never read as config text, whatever characters it holds
+        rc = main(["custom", "--config", str(tmp_path / "seed=7.cfg"), "--trials", "100",
+                   "--engines", "mc", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_range(self, tmp_path, capsys):
+        rc = main(["custom", "--seed", "-1", "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert "--seed: run.seed must lie in [0, 2**128) (got -1)" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+        rc = main(["custom", "--seed", str(2**128 - 1), "--trials", "10", "--engines", "mc",
+                   "--out", str(tmp_path / "top")])
+        assert rc == 0
+        assert (tmp_path / "top" / "custom_mc.csv").is_file()
+
     def test_strict_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.cfg"
         cfg.write_text("alpha = 2\n")
@@ -288,8 +318,8 @@ def _scipy_modules_loaded(body: str) -> str:
 class TestImportHygiene:
     def test_engine_imports_load_no_scipy_special(self):
         body = ("import mmwcov, mmwcov.cli\n"
-                "from mmwcov import (analytic, association, dominant, experiments, geometry,\n"
-                "                    montecarlo, numerics, radio)")
+                "from mmwcov import (analytic, dominant, experiments, geometry, montecarlo,\n"
+                "                    numerics, radio)")
         assert _scipy_modules_loaded(body) == ""
 
     def test_monte_carlo_run_loads_no_scipy_special(self, tmp_path):

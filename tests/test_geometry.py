@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from mmwcov.geometry import (
-    PointField,
-    PolarPoint,
     abs_angular_cdf_nth,
     abs_angular_pdf_nth,
     angular_cdf_nth,
@@ -18,12 +16,10 @@ from mmwcov.geometry import (
     joint_abs_angular_pdf,
     joint_distance_cdf,
     joint_distance_pdf,
-    nearest_in_angle,
-    sample_ppp,
-    wrap_angle,
 )
-from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_2d
+from mmwcov.numerics import QuadratureSpec, integrate_1d
 from conftest import batch_fields, ecdf_2d, ks_distance, order_stat_per_field
+from field_oracle import integrate_2d, sample_ppp, wrap_angle
 
 LAM, R = 8e-4, 75.0
 N_FIELDS = 200_000
@@ -184,41 +180,6 @@ class TestJointDistanceLaw:
         ana = joint_distance_cdf(np.minimum(grid[1:, None], grid[None, 1:]),
                                  grid[None, 1:], LAM) / mass
         assert np.max(np.abs(emp - ana)) < KS_TOL
-
-
-class TestNearestInAngle:
-    def test_single_point(self):
-        field = PointField(r=np.array([10.0]), phi=np.array([0.3]),
-                           ball_radius=R, density=LAM)
-        assert nearest_in_angle(field, 0.0, 1) == PolarPoint(10.0, 0.3)
-
-    def test_wraparound(self):
-        field = PointField(r=np.array([5.0, 7.0]),
-                           phi=np.array([0.1, 2.0 * math.pi - 0.2]),
-                           ball_radius=R, density=LAM)
-        assert nearest_in_angle(field, 0.0, 1).phi == pytest.approx(0.1)
-        assert nearest_in_angle(field, 0.0, 2).phi == pytest.approx(2.0 * math.pi - 0.2)
-
-    def test_insufficient_points(self):
-        field = PointField(r=np.array([1.0]), phi=np.array([0.0]),
-                           ball_radius=R, density=LAM)
-        with pytest.raises(ValueError):
-            nearest_in_angle(field, 0.0, 2)
-
-    def test_brute_force_oracle(self):
-        gen = np.random.default_rng(46)
-        for _ in range(200):
-            field = sample_ppp(LAM, R, gen)
-            if field.n < 3:
-                continue
-            ref = gen.uniform(0.0, 2.0 * math.pi)
-            pairs = sorted(
-                ((min(abs(p - ref) % (2 * math.pi), 2 * math.pi - abs(p - ref) % (2 * math.pi)),
-                  rr, p) for rr, p in zip(field.r, field.phi)))
-            for k in (1, 2, 3):
-                got = nearest_in_angle(field, ref, k)
-                assert got.r == pytest.approx(pairs[k - 1][1])
-                assert got.phi == pytest.approx(pairs[k - 1][2])
 
 
 class TestAngleHelpers:

