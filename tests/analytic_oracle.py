@@ -2,14 +2,16 @@
 
 This is the quadrature engine as it was before whole curves were evaluated
 in lockstep: one outer ``integrate_1d`` per threshold, one region exponent
-built per quadrature node, assembled one angular panel at a time, and its
-derivatives taken by separate ``pow`` calls.  The package must agree with it
+built per quadrature node, assembled one angular panel at a time on the full
+radial grid (log-panels of zero width included), and its derivatives taken
+by separate ``pow`` calls.  The package must agree with it
 to 1e-12 (see ``test_analytic.TestCurveOracle``).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,16 +22,45 @@ from mmwcov.analytic import (
     _INNER_SPEC,
     _N_PHI,
     _N_PHI_NARROW,
+    _N_RAD,
     _OUTER_SPEC,
     _R_FLOOR_FRAC,
-    _exclusion_angle,
-    _leggauss,
-    _radial_weights,
+    _RAD_EDGES,
+    _curvature,
     phi_c_pdf,
     serving_power_law,
 )
 from mmwcov.numerics import integrate_1d
 from mmwcov.radio import NetworkParams, gain_3gpp, gain_approx
+
+
+@lru_cache(maxsize=32)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _radial_weights(r_lo: np.ndarray, r_hi: float, n: int = _N_RAD):
+    """Nodes/weights of int f(r) r dr over [r_lo_i, r_hi] on log-radius panels."""
+    v_lo = np.log(r_lo)
+    v_hi = math.log(r_hi)
+    starts = np.minimum(v_lo[:, None] + _RAD_EDGES[None, :], v_hi)
+    ends = np.concatenate([starts[:, 1:], np.full((r_lo.size, 1), v_hi)], axis=1)
+    x, w = _leggauss(n)
+    mid = 0.5 * (starts + ends)[..., None]
+    half = 0.5 * (ends - starts)[..., None]
+    v = mid + half * x
+    weight = (half * w) * np.exp(2.0 * v)
+    flat = r_lo.size
+    return np.exp(v).reshape(flat, -1), weight.reshape(flat, -1)
+
+
+def _exclusion_angle(params: NetworkParams, s_th: float) -> float:
+    """Offset below which the keep-out radius saturates at the disk edge."""
+    cfg, ch = params.antenna, params.channel
+    y = s_th * params.r_los**ch.alpha_l
+    if y >= cfg.g_max:
+        return 0.0
+    return min(math.sqrt(math.log10(cfg.g_max / y) / _curvature(cfg)), cfg.phi_a)
 
 
 class _RegionExponent:
