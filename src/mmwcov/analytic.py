@@ -66,10 +66,13 @@ _N_PHI = 32          # Gauss-Legendre order for wide angular panels
 _N_PHI_NARROW = 12   # order for the short panels of the per-beam regions
 _N_RAD = 20          # order per radial log-panel
 _RAD_EDGES = np.array([0.0, 0.9, 2.7, 8.1])  # log-radius panel starts above the lower edge
+_RAD_ENDS = np.append(_RAD_EDGES[1:], math.inf)  # and ends, before clipping at the disk edge
 
-# Elements of one (thresholds x grid) temporary of the exponent kernel: small
-# enough that the kernel's few temporaries stay in a per-core cache.
-_KERNEL_BLOCK = 2**14
+# Grid elements of one block of the exponent build and of one chunk of
+# (node, s) terms of the exponent kernel: small enough that their few
+# temporaries stay in a per-core cache, and peak memory does not grow with
+# the number of nodes in a quadrature round.
+_ELEMENT_BUDGET = 2**14
 
 
 @lru_cache(maxsize=32)
@@ -258,145 +261,253 @@ def phi_c_pdf(phi_c, params: NetworkParams, conditioned: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class _RegionExponent:
-    """Laplace exponent F(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi on a
-    fixed panelized Gauss-Legendre grid, with analytic s-derivatives."""
+class _Exponents:
+    """Laplace exponents F_j(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of
+    a block of conditioning nodes j on one flat panelized Gauss-Legendre grid:
+    node j owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``."""
 
-    def __init__(self, density: float, m_x: int, c: np.ndarray, w: np.ndarray):
+    def __init__(self, density: float, m_x: int, c: np.ndarray, w: np.ndarray,
+                 bounds: np.ndarray):
         self.density = density
         self.m_x = m_x
         self.c = c
         self.w = w
+        self.bounds = bounds
 
-    def derivatives(self, s, k_max: int) -> np.ndarray:
-        """[F(s), F'(s), ..., F^(k_max)(s)], stacked on a leading axis.
+    def derivatives(self, node, s, k_max: int) -> np.ndarray:
+        """[F, F', ..., F^(k_max)] of exponent ``node[i]`` at ``s[i]`` for every
+        i, stacked on a leading axis.
 
-        One pass over the grid: with v = 1/(1 + s c), F = -lambda sum w (1 - v^m)
-        and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m.  The
-        (1 - v^m) form keeps F accurate as s c -> 0.  ``s`` is taken in rows
-        of at most ``_KERNEL_BLOCK`` grid elements.
+        One pass over the grid per pair: with v = 1/(1 + s c),
+        F = -lambda sum w (1 - v^m) and
+        F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m.  The
+        (1 - v^m) form keeps F accurate as s c -> 0.  The nodes go through in
+        blocks of whole nodes of at most ``_ELEMENT_BUDGET`` elements (a larger
+        node alone, in pieces of that size).  Within a block the nodes are put
+        in order of falling pair count, so that the r-th pairs of all nodes
+        with more than r pairs lie over a prefix of its elements, summed per
+        node by one ``np.add.reduceat``.
         """
-        s_arr = np.asarray(s, dtype=float)
-        flat = s_arr.reshape(-1)
-        out = np.empty((k_max + 1, flat.size))
-        rows = max(1, _KERNEL_BLOCK // max(self.c.size, 1))
-        for lo in range(0, flat.size, rows):
-            block = slice(lo, lo + rows)
-            v = flat[block, None] * self.c
-            v += 1.0
-            np.reciprocal(v, out=v)
-            v_m = v.copy()
-            for _ in range(self.m_x - 1):
-                v_m *= v
-            term = 1.0 - v_m
-            term *= self.w
-            out[0, block] = -self.density * term.sum(axis=-1)
-            if k_max:
-                cv = np.multiply(v, self.c, out=v)
-                for k in range(1, k_max + 1):
-                    v_m *= cv
-                    np.multiply(v_m, self.w, out=term)
-                    rising = math.prod(range(self.m_x, self.m_x + k))
-                    out[k, block] = self.density * (-1.0) ** k * rising * term.sum(axis=-1)
-        return out.reshape((k_max + 1,) + s_arr.shape)
+        node = np.asarray(node, dtype=np.intp)
+        s = np.asarray(s, dtype=float)
+        sums = np.zeros((k_max + 1, s.size))
+        size = self.bounds[1:] - self.bounds[:-1]
+        count = np.bincount(node, minlength=size.size)
+        by_node = np.argsort(node, kind="stable")      # the pairs of each node
+        pair_first = np.cumsum(count) - count
+        count *= size > 0                              # an empty region has F = 0
+        for lo, hi in _blocks(self.bounds):
+            order = np.argsort(-count[lo:hi], kind="stable")
+            n_nodes = int(np.count_nonzero(count[lo:hi]))
+            if not n_nodes:
+                continue
+            order = order[:n_nodes] + lo
+            n_pairs, n_elems = count[order], size[order]
+            ends = np.cumsum(n_elems)
+            starts = ends - n_elems
+            first = self.bounds[order]
+            if np.all(order[1:] - order[:-1] == 1):     # contiguous already
+                c = self.c[first[0]:first[0] + ends[-1]]
+                w = self.w[first[0]:first[0] + ends[-1]]
+            else:
+                idx = _runs(first, n_elems)
+                c, w = self.c[idx], self.w[idx]
+            for r in range(int(n_pairs[0])):
+                n_live = int(np.count_nonzero(n_pairs > r))
+                live_end = int(ends[n_live - 1])
+                pairs = by_node[pair_first[order[:n_live]] + r]
+                for e0 in range(0, live_end, _ELEMENT_BUDGET):
+                    e1 = min(e0 + _ELEMENT_BUDGET, live_end)
+                    qa = int(np.searchsorted(ends, e0, "right"))
+                    qb = int(np.searchsorted(starts, e1, "left"))
+                    seg = np.maximum(starts[qa:qb], e0)
+                    self._accumulate(sums, pairs[qa:qb], c[e0:e1], w[e0:e1], seg - e0,
+                                     np.minimum(ends[qa:qb], e1) - seg, s, k_max)
+        sums[0] *= -self.density
+        for k in range(1, k_max + 1):
+            sums[k] *= self.density * (-1.0) ** k * math.prod(range(self.m_x, self.m_x + k))
+        return sums
 
-    def exponent(self, s):
-        val = self.derivatives(s, 0)[0]
-        return float(val) if val.ndim == 0 else val
-
-    def to_evaluator(self, max_order: int) -> LaplaceEvaluator:
-        def order(k):
-            def fn(s):
-                val = self.derivatives(s, k)[k]
-                return float(val) if val.ndim == 0 else val
-            return fn
-
-        return LaplaceEvaluator(exponent_fn=self.exponent,
-                                exponent_derivs=tuple(order(k) for k in range(1, max_order + 1)),
-                                max_order=max_order)
-
-
-def _radial_weights(r_lo: np.ndarray, r_hi: float, n: int = _N_RAD):
-    """Nodes/weights of int f(r) r dr over [r_lo_i, r_hi] on log-radius panels."""
-    v_lo = np.log(r_lo)
-    v_hi = math.log(r_hi)
-    starts = np.minimum(v_lo[:, None] + _RAD_EDGES[None, :], v_hi)
-    ends = np.concatenate([starts[:, 1:], np.full((r_lo.size, 1), v_hi)], axis=1)
-    x, w = _leggauss(n)
-    mid = 0.5 * (starts + ends)[..., None]
-    half = 0.5 * (ends - starts)[..., None]
-    v = mid + half * x
-    weight = (half * w) * np.exp(2.0 * v)
-    flat = r_lo.size
-    return np.exp(v).reshape(flat, -1), weight.reshape(flat, -1)
+    def _accumulate(self, sums, pair, c, w, offsets, length, s, k_max: int) -> None:
+        """Add the grid sums of one chunk to ``sums``: elements
+        ``offsets[i]:offsets[i] + length[i]`` of ``c`` and ``w`` belong to
+        ``pair[i]``."""
+        v = np.repeat(s[pair], length)
+        v *= c
+        v += 1.0
+        np.reciprocal(v, out=v)
+        v_m = v.copy()
+        for _ in range(self.m_x - 1):
+            v_m *= v
+        term = 1.0 - v_m
+        term *= w
+        np.add.at(sums[0], pair, np.add.reduceat(term, offsets))
+        if k_max:
+            cv = np.multiply(v, c, out=v)
+            for k in range(1, k_max + 1):
+                v_m *= cv
+                np.multiply(v_m, w, out=term)
+                np.add.at(sums[k], pair, np.add.reduceat(term, offsets))
 
 
-def _assemble_exponent(params: NetworkParams, panels, gain_fn, rlo_fn) -> _RegionExponent:
-    """Build a region exponent from angular panels.
+def _blocks(bounds: np.ndarray):
+    """Ranges (lo, hi) of whole nodes with at most ``_ELEMENT_BUDGET``
+    elements together, or one node that has more; node j has the elements
+    ``bounds[j]:bounds[j+1]``."""
+    lo, n_nodes = 0, bounds.size - 1
+    while lo < n_nodes:
+        hi = int(np.searchsorted(bounds, bounds[lo] + _ELEMENT_BUDGET, "right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
-    Each entry of ``panels`` is ``(a, b, order, mult)``, where ``a`` and ``b``
-    are the bounds of one panel or equally long arrays of bounds of panels
-    sharing ``order`` and ``mult``.  ``order=None`` marks panels whose gain and
-    lower radius are constant, integrated exactly as width * (single radial
-    integral).  ``gain_fn`` and ``rlo_fn`` give the gain and keep-out radius
-    at angular offsets; each is called once, on the nodes of all panels.
+
+class _Grid:
+    """Angular and radial panels of the region exponents of a batch of
+    conditioning nodes; the grid elements are built by :meth:`exponents`, a
+    block of whole nodes at a time.
+
+    Each entry of ``groups`` is ``(owner, a, b, order, mult)``: panel i spans
+    the offsets [a[i], b[i]] of node ``owner[i]``, with ``order``
+    Gauss-Legendre nodes and weight multiplier ``mult``.  ``order=None`` marks
+    panels whose gain and keep-out radius are constant, integrated exactly as
+    width * (single radial integral).  A node's panels keep the order of the
+    groups.  ``gain_fn(delta)`` and ``rlo_fn(delta, owner)`` give the gain and
+    the keep-out radius at angular offsets of the given nodes; they are
+    called on the angular nodes of all panels together, in slices of at most
+    ``_ELEMENT_BUDGET``.  Of the radial log-panels above an angular node's
+    keep-out radius, those that start at or beyond the disk edge have zero
+    width and weight, and are left out.
     """
-    cfg, ch = params.antenna, params.channel
-    node_parts, w_parts = [], []
-    for a, b, order, mult in panels:
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        wide = b - a > 1e-13
-        a, b = a[wide], b[wide]
-        if order is None:
-            node_parts.append(0.5 * (a + b))
-            w_parts.append((b - a) * mult)
-        else:
-            x, w = _leggauss(order)
-            half = 0.5 * (b - a)
-            node_parts.append((0.5 * (a + b))[:, None] + half[:, None] * x)
-            w_parts.append(half[:, None] * w * mult)
-    nodes = np.concatenate([part.ravel() for part in node_parts])
-    ang_w = np.concatenate([part.ravel() for part in w_parts])
-    gains = np.asarray(gain_fn(nodes), dtype=float)
-    r_lo = np.asarray(rlo_fn(nodes), dtype=float)
-    r, rad_w = _radial_weights(r_lo, params.r_los)
-    amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
-    c = (amp * gains[:, None] * r ** (-ch.alpha_l)).ravel()
-    w_total = (ang_w[:, None] * rad_w).ravel()
-    return _RegionExponent(params.density, ch.m_x, c, w_total)
+
+    def __init__(self, params: NetworkParams, n_nodes: int, groups, gain_fn, rlo_fn):
+        cfg, ch = params.antenna, params.channel
+        owners, nodes, weights = [], [], []
+        for owner, a, b, order, mult in groups:
+            wide = b - a > 1e-13
+            owner, a, b = owner[wide], a[wide], b[wide]
+            if order is None:
+                owners.append(owner)
+                nodes.append(0.5 * (a + b))
+                weights.append((b - a) * mult)
+            else:
+                x, w = _leggauss(order)
+                half = 0.5 * (b - a)
+                owners.append(np.repeat(owner, order))
+                nodes.append(((0.5 * (a + b))[:, None] + half[:, None] * x).ravel())
+                weights.append((half[:, None] * w * mult).ravel())
+        owner, delta, ang_w = owners[0], nodes[0], weights[0]
+        if len(groups) > 1:
+            owner, delta, ang_w = (np.concatenate(parts) for parts in (owners, nodes, weights))
+            by_node = np.argsort(owner, kind="stable")
+            owner, delta, ang_w = owner[by_node], delta[by_node], ang_w[by_node]
+        # gains and keep-out radii in slices, so that the temporaries of the
+        # gain functions stay within the budget
+        gains, r_lo = np.empty((2, delta.size))
+        for lo in range(0, delta.size, _ELEMENT_BUDGET):
+            part = slice(lo, lo + _ELEMENT_BUDGET)
+            gains[part] = gain_fn(delta[part])
+            r_lo[part] = rlo_fn(delta[part], owner[part])
+        gains *= ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
+        self.amp_gain = gains
+        self.ang_w = ang_w
+        self.v_lo = np.log(r_lo, out=r_lo)
+        self.v_hi = math.log(params.r_los)
+        # radial log-panels that start below the disk edge; the others collapse
+        # onto it
+        self.n_live = np.zeros(r_lo.size, dtype=np.intp)
+        for edge in _RAD_EDGES:
+            self.n_live += self.v_lo + edge < self.v_hi
+        self.alpha = ch.alpha_l
+        self.density = params.density
+        self.m_x = ch.m_x
+        # angular nodes of node j: angular[j]:angular[j+1]; its radial panels
+        # likewise in panels
+        self.angular = np.searchsorted(owner, np.arange(n_nodes + 1))
+        self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
+
+    def exponents(self, lo: int, hi: int) -> _Exponents:
+        """The exponents of nodes lo .. hi-1, built a block of nodes at a time."""
+        bounds = (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD
+        c, weight = np.empty((2, bounds[-1]))
+        for a, b in _blocks(bounds):
+            self._fill(lo + a, lo + b, c[bounds[a]:bounds[b]], weight[bounds[a]:bounds[b]])
+        return _Exponents(self.density, self.m_x, c, weight, bounds)
+
+    def _fill(self, lo: int, hi: int, c: np.ndarray, weight: np.ndarray) -> None:
+        """Write the grid elements of nodes lo .. hi-1 into ``c`` and ``weight``."""
+        ang = np.arange(self.angular[lo], self.angular[hi])
+        n_live = self.n_live[ang]
+        panel = _runs(np.zeros_like(n_live), n_live)    # radial panel of each angular node
+        ang = np.repeat(ang, n_live)
+        v_lo = self.v_lo[ang]
+        start = np.minimum(v_lo + _RAD_EDGES[panel], self.v_hi)
+        end = np.minimum(v_lo + _RAD_ENDS[panel], self.v_hi)
+        x, w = _leggauss(_N_RAD)
+        half = (0.5 * (end - start))[:, None]
+        v = half * x
+        v += (0.5 * (start + end))[:, None]
+        c = c.reshape(v.shape)
+        weight = weight.reshape(v.shape)
+        np.exp(v, out=c)
+        c **= -self.alpha                           # r**-alpha at r = exp(v)
+        c *= self.amp_gain[ang, None]
+        np.multiply(half, w, out=weight)
+        v *= 2.0
+        weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
+        weight *= self.ang_w[ang, None]
 
 
-def _exclusion_angle(params: NetworkParams, s_th: float) -> float:
-    """Offset below which the keep-out radius saturates at the disk edge."""
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1, run after run."""
+    ends = np.cumsum(count)
+    return np.repeat(first - ends + count, count) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _exponent_derivatives(grid: _Grid, node, s, k_max: int) -> np.ndarray:
+    """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` for
+    every i, built and evaluated one block of nodes at a time."""
+    out = np.empty((k_max + 1, s.size))
+    by_node = np.argsort(node, kind="stable")
+    sorted_nodes = node[by_node]
+    for lo, hi in _blocks(grid.panels * _N_RAD):
+        first, last = np.searchsorted(sorted_nodes, (lo, hi))
+        if first < last:
+            rows = by_node[first:last]
+            out[:, rows] = grid.exponents(lo, hi).derivatives(node[rows] - lo, s[rows], k_max)
+    return out
+
+
+def _exclusion_angle(params: NetworkParams, s_th: np.ndarray) -> np.ndarray:
+    """Offsets below which the keep-out radius saturates at the disk edge."""
     cfg, ch = params.antenna, params.channel
     y = s_th * params.r_los**ch.alpha_l
-    if y >= cfg.g_max:
-        return 0.0
-    return min(math.sqrt(math.log10(cfg.g_max / y) / _curvature(cfg)), cfg.phi_a)
+    ratio = np.maximum(cfg.g_max / y, 1.0)
+    return np.minimum(np.sqrt(np.log10(ratio) / _curvature(cfg)), cfg.phi_a)
 
 
-def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionExponent:
+def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
     cfg, ch = params.antenna, params.channel
-    law = serving_power_law(params)
-    if s_th < law.w_min:
+    if np.any(s_th < serving_power_law(params).w_min):
         raise ValueError("serving power below the support of the serving law")
     r_l = params.r_los
     inv_alpha = 1.0 / ch.alpha_l
     floor = cfg.phi_a
+    n = s_th.size
+    owner = np.arange(n)
     phi_star = _exclusion_angle(params, s_th)
 
     def gain(delta):
         return gain_3gpp(delta, cfg)
 
     if exclusion == "single-beam":
-        def rlo_from_chosen(delta):
-            return np.minimum((gain_3gpp(delta, cfg) / s_th) ** inv_alpha, r_l)
+        def rlo_from_chosen(delta, node):
+            return np.minimum((gain_3gpp(delta, cfg) / s_th[node]) ** inv_alpha, r_l)
 
-        panels = [(phi_star, floor, _N_PHI, 2.0)]
+        groups = [(owner, phi_star, np.full(n, floor), _N_PHI, 2.0)]
         if floor < math.pi:
-            panels.append((floor, math.pi, None, 2.0))
-        return _assemble_exponent(params, panels, gain, rlo_from_chosen)
+            groups.append((owner, np.full(n, floor), np.full(n, math.pi), None, 2.0))
+        return _Grid(params, n, groups, gain, rlo_from_chosen)
 
     if exclusion != "all-beams":
         raise ValueError(f"unknown P1 exclusion {exclusion!r}; expected one of {P1_EXCLUSIONS}")
@@ -409,43 +520,44 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
         t = np.asarray(delta, dtype=float) % step
         return np.minimum(t, step - t)
 
-    def rlo_exact(delta):
-        return np.minimum((gain_approx(fold(delta), cfg) / s_th) ** inv_alpha, r_l)
+    def rlo_exact(delta, node):
+        return np.minimum((gain_approx(fold(delta), cfg) / s_th[node]) ** inv_alpha, r_l)
 
+    # The panel edges of every node, one row each: edges outside [0, pi] are
+    # clipped onto 0 or pi, which only adds panels of zero width.
     ks = np.arange(int((math.pi + step) / step) + 2) * step
     ks = ks[ks <= math.pi + step]
-    cand = np.concatenate([ks - phi_star, ks, ks + phi_star, ks + 0.5 * step])
-    edges = np.unique(np.concatenate([[0.0, math.pi, min(floor, math.pi)],
-                                      cand[(cand >= 0.0) & (cand <= math.pi)]]))
-    a, b = edges[:-1], edges[1:]
-    outside = fold(0.5 * (a + b)) >= phi_star     # panel midpoint not in a keep-out band
-    return _assemble_exponent(params, [(a[outside], b[outside], _N_PHI_NARROW, 2.0)],
-                              gain, rlo_exact)
+    star = phi_star[:, None]
+    edges = np.concatenate([np.broadcast_to([0.0, math.pi, min(floor, math.pi)], (n, 3)),
+                            ks - star, np.broadcast_to(ks, (n, ks.size)), ks + star,
+                            np.broadcast_to(ks + 0.5 * step, (n, ks.size))], axis=1)
+    edges = np.sort(np.clip(edges, 0.0, math.pi), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    outside = fold(0.5 * (a + b)) >= star    # panel midpoint not in a keep-out band
+    return _Grid(params, n, [(np.nonzero(outside)[0], a[outside], b[outside], _N_PHI_NARROW, 2.0)],
+                 gain, rlo_exact)
 
 
-def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _RegionExponent:
+def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     cfg = params.antenna
     floor = cfg.phi_a
     r_floor = _R_FLOOR_FRAC * params.r_los
+    n = phi_c.size
+    owner = np.arange(n)
 
-    def rlo(delta):
+    def rlo(delta, node):
         return np.full(np.shape(delta), r_floor)
 
     if exclusion in ("one-sided", "symmetric"):
         def side_panels(lower, mult):
-            out = []
-            if lower < floor:
-                out.append((lower, min(floor, math.pi), _N_PHI, mult))
-            flat_lo = max(lower, floor)
-            if flat_lo < math.pi:
-                out.append((flat_lo, math.pi, None, mult))
-            return out
+            return [(owner, lower, np.full(n, min(floor, math.pi)), _N_PHI, mult),
+                    (owner, np.maximum(lower, floor), np.full(n, math.pi), None, mult)]
 
         if exclusion == "symmetric":
-            panels = side_panels(phi_c, 2.0)
+            groups = side_panels(phi_c, 2.0)
         else:
-            panels = side_panels(phi_c, 1.0) + side_panels(0.0, 1.0)
-        return _assemble_exponent(params, panels, lambda d: gain_3gpp(d, cfg), rlo)
+            groups = side_panels(phi_c, 1.0) + side_panels(np.zeros(n), 1.0)
+        return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
     if exclusion != "grid":
         raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
@@ -458,44 +570,65 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
     # Keep-out of half-width phi_c around every beam maximum.  In link-relative
     # azimuth the maxima sit at k*step - phi_c (the serving link is phi_c off
     # its beam); the excluded azimuth bands are (k*step - 2 phi_c, k*step),
-    # which for k = 1 .. n_beams tile [0, 2*pi] without wrap handling.
+    # which for k = 1 .. n_beams tile [0, 2*pi] without wrap handling.  A node
+    # at phi_c = 0 has no bands: its band edges are put at 0.
     step = cfg.beam_spacing
-    ks = np.arange(1, cfg.n_beams + 1) * step if phi_c > 0.0 else np.empty(0)
-    band_lo = np.maximum(0.0, ks - 2.0 * phi_c)
+    ks = np.arange(1, cfg.n_beams + 1) * step
+    banded = (phi_c > 0.0)[:, None]
+    band_lo = np.where(banded, np.maximum(0.0, ks - 2.0 * phi_c[:, None]), 0.0)
     band_hi = np.minimum(TWO_PI, ks)
-    floors = [f for f in (floor, TWO_PI - floor) if 0.0 < f < TWO_PI]
-    edges = np.unique(np.concatenate([[0.0, TWO_PI, math.pi], floors, band_lo, band_hi]))
-    a, b = edges[:-1], edges[1:]
+    fixed = [0.0, TWO_PI, math.pi] + [f for f in (floor, TWO_PI - floor) if 0.0 < f < TWO_PI]
+    edges = np.sort(np.concatenate([np.broadcast_to(fixed, (n, len(fixed))), band_lo,
+                                    np.where(banded, band_hi, 0.0)], axis=1), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
     mid = 0.5 * (a + b)
-    in_band = np.zeros(mid.shape, dtype=bool)
-    if ks.size:
-        # Both band bounds rise with k, so only the first band ending at or
-        # after a midpoint can hold it.
-        first = np.minimum(np.searchsorted(band_hi + 1e-15, mid), ks.size - 1)
-        in_band = (band_lo[first] - 1e-15 <= mid) & (mid <= band_hi[first] + 1e-15)
+    # Both band bounds rise with k, so only the first band ending at or after
+    # a midpoint can hold it.
+    first = np.minimum(np.searchsorted(band_hi + 1e-15, mid), ks.size - 1)
+    in_band = banded & ((np.take_along_axis(band_lo, first, axis=1) - 1e-15 <= mid)
+                        & (mid <= band_hi[first] + 1e-15))
     flat = np.minimum(mid, TWO_PI - mid) >= floor
-    panels = [(a[~in_band & ~flat], b[~in_band & ~flat], _N_PHI_NARROW, 1.0),
-              (a[~in_band & flat], b[~in_band & flat], None, 1.0)]
-    return _assemble_exponent(params, panels, gain_fold, rlo)
+    groups = [(np.nonzero(keep)[0], a[keep], b[keep], order, 1.0)
+              for keep, order in ((~in_band & ~flat, _N_PHI_NARROW), (~in_band & flat, None))]
+    return _Grid(params, n, groups, gain_fold, rlo)
 
 
-def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
+def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
     cfg = params.antenna
     r_l = params.r_los
     floor = cfg.phi_a
-    r_lo_val = min(max(r1, _R_FLOOR_FRAC * r_l), r_l * (1.0 - 1e-12))
+    n = r1.size
+    owner = np.arange(n)
+    r_lo = np.minimum(np.maximum(r1, _R_FLOOR_FRAC * r_l), r_l * (1.0 - 1e-12))
 
-    def rlo(delta):
-        return np.full(np.shape(delta), r_lo_val)
+    def rlo(delta, node):
+        return r_lo[node]
 
-    panels = [(0.0, min(floor, math.pi), _N_PHI, 2.0)]
+    groups = [(owner, np.zeros(n), np.full(n, min(floor, math.pi)), _N_PHI, 2.0)]
     if floor < math.pi:
-        panels.append((floor, math.pi, None, 2.0))
-    return _assemble_exponent(params, panels, lambda d: gain_3gpp(d, cfg), rlo)
+        groups.append((owner, np.full(n, floor), np.full(n, math.pi), None, 2.0))
+    return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
 
 def _deriv_budget(params: NetworkParams) -> int:
     return max(params.channel.m_s - 1, 2)
+
+
+def _evaluator(grid: _Grid, params: NetworkParams) -> LaplaceEvaluator:
+    """The Laplace transform of the one node of ``grid``."""
+    expo = grid.exponents(0, 1)
+
+    def order(k):
+        def fn(s):
+            s_arr = np.asarray(s, dtype=float)
+            val = expo.derivatives(np.zeros(s_arr.size, dtype=np.intp), s_arr.reshape(-1), k)[k]
+            return float(val[0]) if s_arr.ndim == 0 else val.reshape(s_arr.shape)
+        return fn
+
+    max_order = _deriv_budget(params)
+    return LaplaceEvaluator(exponent_fn=order(0),
+                            exponent_derivs=tuple(order(k) for k in range(1, max_order + 1)),
+                            max_order=max_order)
 
 
 def laplace_p1(s_th: float, params: NetworkParams,
@@ -504,7 +637,7 @@ def laplace_p1(s_th: float, params: NetworkParams,
 
     By isotropy the transform does not depend on the serving beam's direction.
     """
-    return _p1_exponent(params, s_th, exclusion).to_evaluator(_deriv_budget(params))
+    return _evaluator(_p1_grid(params, np.array([float(s_th)]), exclusion), params)
 
 
 def laplace_p2(phi_c: float, params: NetworkParams,
@@ -512,14 +645,14 @@ def laplace_p2(phi_c: float, params: NetworkParams,
     """Conditional interference Laplace transform given the serving angular distance."""
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
-    return _p2_exponent(params, phi_c, exclusion).to_evaluator(_deriv_budget(params))
+    return _evaluator(_p2_grid(params, np.array([float(phi_c)]), exclusion), params)
 
 
 def laplace_p3(r1: float, params: NetworkParams) -> LaplaceEvaluator:
     """Conditional interference Laplace transform given the serving distance."""
     if not 0.0 <= r1 <= params.r_los:
         raise ValueError("r1 outside [0, R_los]")
-    return _p3_exponent(params, r1).to_evaluator(_deriv_budget(params))
+    return _evaluator(_p3_grid(params, np.array([float(r1)])), params)
 
 
 # ---------------------------------------------------------------------------
@@ -527,33 +660,16 @@ def laplace_p3(r1: float, params: NetworkParams) -> LaplaceEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
-    """Coverage given the interference exponent, integrated over the gamma fade:
+def _conditional_coverage(exponent: np.ndarray, s, params: NetworkParams):
+    """Coverage given the interference exponent derivatives [F, ..., F^(m_s-1)]
+    at ``s``, integrated over the gamma fade:
     sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)]."""
     ch = params.channel
-    s_arr = np.asarray(s, dtype=float)
-    levels = exp_derivatives(expo.derivatives(s_arr, ch.m_s - 1), s_arr, ch.noise_w)
+    levels = exp_derivatives(exponent, s, ch.noise_w)
     total = np.zeros_like(levels[0])
     for k in range(ch.m_s):
-        total = total + (-s_arr) ** k / math.factorial(k) * levels[k]
+        total = total + (-s) ** k / math.factorial(k) * levels[k]
     return total
-
-
-def _per_node(x: np.ndarray, evaluate) -> np.ndarray:
-    """``evaluate(node, rows)`` once per distinct abscissa of ``x``, where
-    ``rows`` indexes the entries of ``x`` equal to ``node``.
-
-    The conditioning exponent at a node does not depend on the threshold, so
-    the integrals of a whole curve build it once for every threshold that
-    asks for that node in the current round, then drop it.
-    """
-    nodes, inverse = np.unique(x, return_inverse=True)
-    groups = np.split(np.argsort(inverse, kind="stable"),
-                      np.cumsum(np.bincount(inverse, minlength=nodes.size))[:-1])
-    out = np.empty(x.shape)
-    for node, rows in zip(nodes, groups):
-        out[rows] = evaluate(float(node), rows)
-    return out
 
 
 def _thresholds(gamma):
@@ -591,11 +707,10 @@ def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
     s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
 
     def integrand(s_th, which):
-        def cond(node, rows):
-            expo = _p1_exponent(params, node, exclusion)
-            return _conditional_coverage(expo, s_const[which[rows]] / node, params)
-
-        return law.pdf(s_th, conditioned=True) * _per_node(s_th, cond)
+        nodes, node = np.unique(s_th, return_inverse=True)
+        s = s_const[which] / s_th
+        exponent = _exponent_derivatives(_p1_grid(params, nodes, exclusion), node, s, ch.m_s - 1)
+        return law.pdf(s_th, conditioned=True) * _conditional_coverage(exponent, s, params)
 
     return _curve("P1", gammas, shape, params, exclusion, integrand, law.w_min, math.inf)
 
@@ -612,22 +727,24 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
 
     def outer(phi_cs, which):
-        def inner_integrals(node, rows):
-            expo = _p2_exponent(params, node, exclusion)
-            s_coef = s_num[which[rows]] / (s_den * gain_approx(node, cfg))
+        # The inner integrals of every (phi_c, threshold) pair of the round
+        # run in lockstep, on the exponents of the round's distinct nodes.
+        nodes, node = np.unique(phi_cs, return_inverse=True)
+        expo = _p2_grid(params, nodes, exclusion).exponents(0, nodes.size)
+        s_coef = s_num[which] / (s_den * gain_approx(phi_cs, cfg))
 
-            def inner(d0, k):
-                return (2.0 * d0 / r_l**2) * _conditional_coverage(
-                    expo, s_coef[k] * d0**alpha, params)
+        def inner(d0, k):
+            s = s_coef[k] * d0**alpha
+            exponent = expo.derivatives(node[k], s, ch.m_s - 1)
+            return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, params)
 
-            try:
-                return integrate_many(inner, 0.0, r_l, rows.size, _INNER_SPEC)
-            except QuadratureError as err:
-                raise QuadratureError(f"inner integral at phi_c={node:.6g}: {err.message}",
-                                      err.estimate, err.error_bound,
-                                      int(which[rows[err.index]])) from err
-
-        return phi_c_pdf(phi_cs, params) / norm * _per_node(phi_cs, inner_integrals)
+        try:
+            vals = integrate_many(inner, 0.0, r_l, phi_cs.size, _INNER_SPEC)
+        except QuadratureError as err:
+            raise QuadratureError(f"inner integral at phi_c={phi_cs[err.index]:.6g}: "
+                                  f"{err.message}", err.estimate, err.error_bound,
+                                  int(which[err.index])) from err
+        return phi_c_pdf(phi_cs, params) / norm * vals
 
     return _curve("P2", gammas, shape, params, exclusion, outer, 0.0, 0.5 * cfg.beam_spacing)
 
@@ -643,11 +760,10 @@ def coverage_p3(gamma, params: NetworkParams):
     s_const = ch.m_s * gammas / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
 
     def integrand(r1, which):
-        def cond(node, rows):
-            expo = _p3_exponent(params, node)
-            return _conditional_coverage(expo, s_const[which[rows]] * node**ch.alpha_l, params)
-
+        nodes, node = np.unique(r1, return_inverse=True)
+        s = s_const[which] * r1**ch.alpha_l
+        exponent = _exponent_derivatives(_p3_grid(params, nodes), node, s, ch.m_s - 1)
         f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
-        return f_r1 * _per_node(r1, cond)
+        return f_r1 * _conditional_coverage(exponent, s, params)
 
     return _curve("P3", gammas, shape, params, None, integrand, 0.0, r_l)

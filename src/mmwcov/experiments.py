@@ -336,7 +336,8 @@ def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict
     ``run_coverages`` call, whose seconds and curve trials go to ``meter``);
     curves with the same ``sectors_exp`` should sit next to each other, so
     that they share the grid offsets.  The analytic engine takes a whole
-    curve per call, the dominant engine one threshold per call.
+    curve per call (its seconds and curve count go to ``meter`` too), the
+    dominant engine one threshold per call.
     """
     if engine == "mc":
         results = [None] * len(curves)
@@ -353,11 +354,15 @@ def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict
             for i, coverage in zip(group, coverages):
                 results[i] = (coverage.p_cov, coverage.stderr)
     elif engine == "analytic":
-        # looked up at call time, so that a wrapper installed on the module
-        # after import (a tracer's, say) sees the call
-        results = [(getattr(analytic, f"coverage_{c.policy.lower()}")(_linear(c.grid_db),
-                                                                        c.params),
-                    repeat(0.0)) for c in curves]
+        results = []
+        for c in curves:
+            # looked up at call time, so that a wrapper installed on the module
+            # after import (a tracer's, say) sees the call
+            coverage = getattr(analytic, f"coverage_{c.policy.lower()}")
+            start = time.perf_counter()
+            results.append((coverage(_linear(c.grid_db), c.params), repeat(0.0)))
+            meter["analytic_s"] += time.perf_counter() - start
+            meter["analytic_curves"] += 1
     else:
         results = [([getattr(dominant, f"coverage_dom_{c.policy.lower()}")(gamma, c.params)
                      for gamma in _linear(c.grid_db).tolist()], repeat(0.0)) for c in curves]
@@ -447,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     rows = {engine: [] for engine in config.engines}
     extras = {}
     runtimes = {}
-    meter = {"mc_s": 0.0, "mc_trials": 0}
+    meter = {"mc_s": 0.0, "mc_trials": 0, "analytic_s": 0.0, "analytic_curves": 0}
     start = time.perf_counter()
     if config.scenario == "fig4":
         _scenario_fig4(config, rows)
@@ -459,6 +464,8 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     if meter["mc_trials"]:
         runtimes["mc"] = meter["mc_s"]
         extras["mc_trials_per_s"] = meter["mc_trials"] / meter["mc_s"]
+    if meter["analytic_curves"]:
+        runtimes["analytic"] = meter["analytic_s"]
 
     written = []
     for engine, engine_rows in rows.items():

@@ -95,6 +95,24 @@ class _RegionExponent:
                * (self._pow(k) * u ** (-(self.m_x + k)) * self.w).sum(axis=-1))
         return float(val) if val.ndim == 0 else val
 
+    def derivatives(self, s, k_max: int) -> np.ndarray:
+        """[F(s), F'(s), ..., F^(k_max)(s)] on a leading axis, by the
+        arithmetic of the package's exponent kernel: with v = 1/(1 + s c),
+        F = -lambda sum w (1 - v^m) and
+        F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m."""
+        s_arr = np.asarray(s, dtype=float)
+        v = 1.0 / (1.0 + s_arr.reshape(-1)[:, None] * self.c)
+        v_m = v.copy()
+        for _ in range(self.m_x - 1):
+            v_m *= v
+        out = [-self.density * ((1.0 - v_m) * self.w).sum(axis=-1)]
+        cv = v * self.c
+        for k in range(1, k_max + 1):
+            v_m *= cv
+            rising = math.prod(range(self.m_x, self.m_x + k))
+            out.append(self.density * (-1.0) ** k * rising * (v_m * self.w).sum(axis=-1))
+        return np.stack(out).reshape((k_max + 1,) + s_arr.shape)
+
 def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
     """Build a region exponent from angular panels.
 

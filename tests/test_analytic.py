@@ -15,7 +15,6 @@ from mmwcov.analytic import (
     serving_power_cdf,
     serving_power_law,
     serving_power_pdf,
-    _p1_exponent,
 )
 from mmwcov.montecarlo import (
     SimPlan,
@@ -176,7 +175,7 @@ class TestLaplaceEvaluators:
             ref = -params.density * 2.0 * integrate_2d(
                 integrand, 0.0, math.pi, r_lo, params.r_los,
                 QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=20_000))
-            got = _p1_exponent(params, s_th, "single-beam").exponent(s)
+            got = laplace_p1(s_th, params, exclusion="single-beam").exponent_fn(s)
             assert got == pytest.approx(ref, rel=1e-6)
 
     def test_matches_conditioned_simulation_p1(self, params):
@@ -396,15 +395,16 @@ class TestCurveInterface:
         # 11 thresholds at sectors_exp 3 built 7,005 P1 exponents one
         # threshold at a time, over 705 distinct serving-power nodes
         built = []
-        build = analytic._p1_exponent
+        build = analytic._p1_grid
 
-        def counting(*args):
-            built.append(args[1])
-            return build(*args)
+        def counting(params, s_th, exclusion):
+            assert np.unique(s_th).size == s_th.size, "a node built twice in one call"
+            built.append(s_th.size)
+            return build(params, s_th, exclusion)
 
-        monkeypatch.setattr(analytic, "_p1_exponent", counting)
+        monkeypatch.setattr(analytic, "_p1_grid", counting)
         coverage_p1(_linear(FIG_GRID_DB), NetworkParams(antenna=AntennaConfig(sectors_exp=3)))
-        assert len(built) <= 1000
+        assert 0 < sum(built) <= 1000
 
     @pytest.mark.parametrize("policy,spec", [
         ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
@@ -423,3 +423,66 @@ class TestCurveInterface:
                      f"exclusion {exclusion}", "density 0.0016", "sectors_exp 3",
                      "max_subdivisions"):
             assert part in message
+        if spec == "_INNER_SPEC":
+            assert "inner integral at phi_c=" in message
+
+
+def _exponent_case(policy, exclusion, params):
+    """Conditioning nodes of one policy, the batched grid builder and the
+    per-node oracle exponent."""
+    if policy == "P1":
+        law = serving_power_law(params)
+        # from a node whose keep-out covers nearly every beam (most radial
+        # log-panels collapsed) to one past the mainlobe gain (none)
+        nodes = np.array([law.w_min * (1.0 + 1e-7), law.quantile(0.01), law.quantile(0.5),
+                          law.quantile(0.99), law.w_min * 1e4])
+        return (nodes, lambda x: analytic._p1_grid(params, x, exclusion),
+                lambda x: oracle._p1_exponent(params, x, exclusion))
+    if policy == "P2":
+        half = 0.5 * params.antenna.beam_spacing
+        nodes = np.array([0.0, 1e-4 * half, 0.3 * half, 0.999 * half])
+        return (nodes, lambda x: analytic._p2_grid(params, x, exclusion),
+                lambda x: oracle._p2_exponent(params, x, exclusion))
+    r_l = params.r_los
+    nodes = np.array([0.0, 1.0, 30.0, 0.999 * r_l, r_l])
+    return nodes, lambda x: analytic._p3_grid(params, x), lambda x: oracle._p3_exponent(params, x)
+
+
+class TestExponentOracle:
+    """Batched region exponents against the per-node oracle on the full grid."""
+
+    @pytest.mark.parametrize("sectors_exp", [0, 3, 8])
+    @pytest.mark.parametrize("policy,exclusion", CURVES)
+    def test_round_of_nodes_matches_per_node_exponents(self, policy, exclusion, sectors_exp):
+        params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
+        nodes, build, one = _exponent_case(policy, exclusion, params)
+        grid = build(nodes)
+        # one round: the nodes are asked for by 1, 2 or 3 thresholds each,
+        # and the (node, s) pairs come in no particular order
+        gen = np.random.default_rng(sectors_exp)
+        node = gen.permutation(np.repeat(np.arange(nodes.size), np.arange(nodes.size) % 3 + 1))
+        s = 10.0 ** gen.uniform(0.0, 6.0, node.size)
+        k_max = 3
+        oracles = [one(float(x)) for x in nodes]
+        expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
+                            axis=1)
+        expo = grid.exponents(0, nodes.size)
+        for got in (analytic._exponent_derivatives(grid, node, s, k_max),
+                    expo.derivatives(node, s, k_max)):
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        # collapsed radial log-panels are never built
+        assert np.all(expo.w > 0.0)
+        assert expo.c.size == sum(int((o.w > 0.0).sum()) for o in oracles)
+        if sectors_exp == 8 and exclusion in ("all-beams", "grid"):
+            assert np.diff(expo.bounds).max() > analytic._ELEMENT_BUDGET
+
+    def test_evaluator_is_a_one_node_batch(self, params):
+        law = serving_power_law(params)
+        s_th = law.quantile(0.3)
+        s = np.array([[1e3, 1e4], [1e5, 3e5]])
+        lt = laplace_p1(s_th, params)
+        expo = oracle._p1_exponent(params, s_th, "all-beams")
+        np.testing.assert_allclose(lt.exponent_fn(s), expo.derivatives(s, 0)[0], rtol=1e-13)
+        np.testing.assert_allclose(lt.exponent_derivs[1](s), expo.derivatives(s, 2)[2],
+                                   rtol=1e-13)
+        assert isinstance(lt.exponent_fn(1e4), float)

@@ -54,9 +54,11 @@ class TestValidateConfig:
             validate_config("alpha = 2\n", strict=True)
 
     def test_unknown_key_lenient_warns(self):
+        # a lenient unknown key is dropped: it sets nothing, not even the
+        # known key it resembles
         with pytest.warns(UserWarning, match="unknown key"):
-            config = validate_config("alpha = 2\n")
-        assert config.params.channel.alpha_l == pytest.approx(2.0) or True
+            config = validate_config("alpha = 3\n", environ={})
+        assert config == validate_config("", environ={})
 
     def test_strict_via_config_key(self):
         with pytest.raises(ConfigError):
@@ -188,6 +190,14 @@ class TestRunExperiment:
         assert manifest["mc_trials_per_s"] == pytest.approx(
             config.trials / manifest["runtimes_s"]["mc"])
         assert set(manifest["outputs"]) == {"custom_mc.csv"}
+
+    def test_manifest_times_the_analytic_engine(self, tmp_path):
+        config = _tiny_config(tmp_path, "custom", engines=("analytic",), policies=("P1", "P3"))
+        run_experiment(config)
+        manifest = json.loads((tmp_path / "custom" / "custom_manifest.json").read_text())
+        runtimes = manifest["runtimes_s"]
+        assert set(runtimes) == {"total", "analytic"}
+        assert 0.0 < runtimes["analytic"] <= runtimes["total"]
 
     def test_replay_is_byte_identical(self, tmp_path):
         config = _tiny_config(tmp_path, "custom", engines=("mc",), policies=("P1",))
