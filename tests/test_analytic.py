@@ -432,8 +432,8 @@ def _exponent_case(policy, exclusion, params):
     per-node oracle exponent."""
     if policy == "P1":
         law = serving_power_law(params)
-        # from a node whose keep-out covers nearly every beam (most radial
-        # log-panels collapsed) to one past the mainlobe gain (none)
+        # from a node just above the support, where most radial log-panels
+        # collapse, to one above the mainlobe gain, where none do
         nodes = np.array([law.w_min * (1.0 + 1e-7), law.quantile(0.01), law.quantile(0.5),
                           law.quantile(0.99), law.w_min * 1e4])
         return (nodes, lambda x: analytic._p1_grid(params, x, exclusion),
