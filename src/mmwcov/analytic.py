@@ -281,12 +281,12 @@ class _Exponents:
         One pass over the grid per pair: with v = 1/(1 + s c),
         F = -lambda sum w (1 - v^m) and
         F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m.  The
-        (1 - v^m) form keeps F accurate as s c -> 0.  The nodes go through in
-        blocks of whole nodes of at most ``_ELEMENT_BUDGET`` elements (a larger
-        node alone, in pieces of that size).  Within a block the nodes are put
-        in order of falling pair count, so that the r-th pairs of all nodes
-        with more than r pairs lie over a prefix of its elements, summed per
-        node by one ``np.add.reduceat``.
+        (1 - v^m) form keeps F accurate as s c -> 0.  The nodes are put in
+        order of falling pair count, so that the r-th pairs of all nodes with
+        more than r pairs lie over a prefix of the elements.  That prefix goes
+        through in chunks of at most ``_ELEMENT_BUDGET`` elements, summed per
+        node by one ``np.add.reduceat``; a node cut by a chunk boundary is
+        summed in pieces.
         """
         node = np.asarray(node, dtype=np.intp)
         s = np.asarray(s, dtype=float)
@@ -296,12 +296,8 @@ class _Exponents:
         by_node = np.argsort(node, kind="stable")      # the pairs of each node
         pair_first = np.cumsum(count) - count
         count *= size > 0                              # an empty region has F = 0
-        for lo, hi in _blocks(self.bounds):
-            order = np.argsort(-count[lo:hi], kind="stable")
-            n_nodes = int(np.count_nonzero(count[lo:hi]))
-            if not n_nodes:
-                continue
-            order = order[:n_nodes] + lo
+        order = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
+        if order.size:
             n_pairs, n_elems = count[order], size[order]
             ends = np.cumsum(n_elems)
             starts = ends - n_elems
@@ -427,15 +423,7 @@ class _Grid:
         self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
 
     def exponents(self, lo: int, hi: int) -> _Exponents:
-        """The exponents of nodes lo .. hi-1, built a block of nodes at a time."""
-        bounds = (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD
-        c, weight = np.empty((2, bounds[-1]))
-        for a, b in _blocks(bounds):
-            self._fill(lo + a, lo + b, c[bounds[a]:bounds[b]], weight[bounds[a]:bounds[b]])
-        return _Exponents(self.density, self.m_x, c, weight, bounds)
-
-    def _fill(self, lo: int, hi: int, c: np.ndarray, weight: np.ndarray) -> None:
-        """Write the grid elements of nodes lo .. hi-1 into ``c`` and ``weight``."""
+        """The exponents of nodes lo .. hi-1."""
         ang = np.arange(self.angular[lo], self.angular[hi])
         n_live = self.n_live[ang]
         panel = _runs(np.zeros_like(n_live), n_live)    # radial panel of each angular node
@@ -447,15 +435,15 @@ class _Grid:
         half = (0.5 * (end - start))[:, None]
         v = half * x
         v += (0.5 * (start + end))[:, None]
-        c = c.reshape(v.shape)
-        weight = weight.reshape(v.shape)
-        np.exp(v, out=c)
+        c = np.exp(v)
         c **= -self.alpha                           # r**-alpha at r = exp(v)
         c *= self.amp_gain[ang, None]
-        np.multiply(half, w, out=weight)
+        weight = half * w
         v *= 2.0
         weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
         weight *= self.ang_w[ang, None]
+        return _Exponents(self.density, self.m_x, c.ravel(), weight.ravel(),
+                          (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD)
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -616,12 +604,11 @@ def _deriv_budget(params: NetworkParams) -> int:
 
 def _evaluator(grid: _Grid, params: NetworkParams) -> LaplaceEvaluator:
     """The Laplace transform of the one node of ``grid``."""
-    expo = grid.exponents(0, 1)
-
     def order(k):
         def fn(s):
             s_arr = np.asarray(s, dtype=float)
-            val = expo.derivatives(np.zeros(s_arr.size, dtype=np.intp), s_arr.reshape(-1), k)[k]
+            val = _exponent_derivatives(grid, np.zeros(s_arr.size, dtype=np.intp),
+                                        s_arr.reshape(-1), k)[k]
             return float(val[0]) if s_arr.ndim == 0 else val.reshape(s_arr.shape)
         return fn
 
@@ -730,12 +717,12 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
         # The inner integrals of every (phi_c, threshold) pair of the round
         # run in lockstep, on the exponents of the round's distinct nodes.
         nodes, node = np.unique(phi_cs, return_inverse=True)
-        expo = _p2_grid(params, nodes, exclusion).exponents(0, nodes.size)
+        grid = _p2_grid(params, nodes, exclusion)
         s_coef = s_num[which] / (s_den * gain_approx(phi_cs, cfg))
 
         def inner(d0, k):
             s = s_coef[k] * d0**alpha
-            exponent = expo.derivatives(node[k], s, ch.m_s - 1)
+            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1)
             return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, params)
 
         try:
