@@ -360,8 +360,8 @@ def _blocks(bounds: np.ndarray):
 
 class _Grid:
     """Angular and radial panels of the region exponents of a batch of
-    conditioning nodes; the grid elements are built by :meth:`exponents`, a
-    block of whole nodes at a time.
+    conditioning nodes; :meth:`exponents` builds the grid elements of a range
+    of them (see :func:`_exponent_derivatives`).
 
     Each entry of ``groups`` is ``(owner, a, b, order, mult)``: panel i spans
     the offsets [a[i], b[i]] of node ``owner[i]``, with ``order``
