@@ -16,13 +16,14 @@ from mmwcov.dominant import build_discrepancy_report, coverage_dom_p2, coverage_
 
 params = NetworkParams()
 gammas_db = np.arange(-10.0, 16.0, 5.0)
+gammas = 10.0 ** (gammas_db / 10.0)
+curves = (coverage_dom_p2(gammas, params), coverage_dom_p3(gammas, params),
+          coverage_p1(gammas, params))
 
 print("dominant-interferer SIR coverage vs the full max-power coverage")
 print(f"{'gamma dB':>9} | {'angle-dom':>9} {'euclid-dom':>10} | {'max-power':>9}")
-for g_db in gammas_db:
-    g = 10.0 ** (g_db / 10.0)
-    print(f"{g_db:9.1f} | {coverage_dom_p2(g, params):9.4f} "
-          f"{coverage_dom_p3(g, params):10.4f} | {coverage_p1(g, params):9.4f}")
+for g_db, angle, euclid, full in zip(gammas_db, *curves):
+    print(f"{g_db:9.1f} | {angle:9.4f} {euclid:10.4f} | {full:9.4f}")
 
 print("\nformula arbitrations (implemented vs rejected closed forms):")
 report = build_discrepancy_report(params, seed=99, n_trials=50_000, include_regions=False)

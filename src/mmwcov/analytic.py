@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (LaplaceEvaluator, QuadratureError, QuadratureSpec, exp_derivatives,
-                       integrate_many)
+from .numerics import QuadratureError, QuadratureSpec, exp_derivatives, integrate_many
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
 # scipy.special is imported inside the functions that call it: importing it
@@ -130,31 +129,30 @@ class ServingPowerLaw:
         return np.minimum(np.asarray(w, dtype=float) * self.params.r_los**alpha,
                           self.params.antenna.g_max)
 
-    def _gauss_profile(self):
-        cfg, ch = self.params.antenna, self.params.channel
-        q = (2.0 / ch.alpha_l) * _curvature(cfg) * _LN10
-        return q, math.sqrt(math.pi / (4.0 * q))
-
-    def _phi_lo(self, w):
-        """Misalignment below which a transmitter at the disk edge still beats ``w``."""
-        cfg = self.params.antenna
-        y = self.psi(w)
-        kappa = _curvature(cfg)
-        arg = np.maximum(np.log10(cfg.g_max / y), 0.0) / kappa
-        return np.sqrt(arg)
-
-    def inner_pdf(self, w):
-        """Density of a single transmitter's normalized power."""
+    def _window(self, w):
+        """The misalignment ``lo`` below which a transmitter at the disk edge
+        still beats power level ``w``, and the gaussian-in-angle (erf) window
+        of the misalignments from ``lo`` to half the beam spacing."""
         from scipy import special
 
         cfg, ch = self.params.antenna, self.params.channel
-        w_arr = np.asarray(w, dtype=float)
-        alpha, r_l = ch.alpha_l, self.params.r_los
-        q, amp = self._gauss_profile()
-        lo = self._phi_lo(w_arr)
+        kappa = _curvature(cfg)
+        y = self.psi(w)
+        arg = np.maximum(np.log10(cfg.g_max / y), 0.0) / kappa
+        lo = np.sqrt(arg)
+        q = (2.0 / ch.alpha_l) * kappa * _LN10
+        amp = math.sqrt(math.pi / (4.0 * q))
         # clamp: rounding can push the window a few ulp negative at w_min
         window = np.maximum(
             amp * (special.erf(math.sqrt(q) * self._half) - special.erf(np.sqrt(q) * lo)), 0.0)
+        return lo, window
+
+    def inner_pdf(self, w):
+        """Density of a single transmitter's normalized power."""
+        cfg, ch = self.params.antenna, self.params.channel
+        w_arr = np.asarray(w, dtype=float)
+        alpha, r_l = ch.alpha_l, self.params.r_los
+        _, window = self._window(w_arr)
         beta = (alpha + 2.0) / alpha
         dens = (4.0 * cfg.g_max ** (2.0 / alpha) / (self.params.antenna.beam_spacing * alpha * r_l**2)
                 * w_arr ** (-beta) * window)
@@ -162,15 +160,10 @@ class ServingPowerLaw:
         return float(out) if out.ndim == 0 else out
 
     def inner_cdf(self, w):
-        from scipy import special
-
         cfg, ch = self.params.antenna, self.params.channel
         w_arr = np.asarray(w, dtype=float)
         alpha, r_l = ch.alpha_l, self.params.r_los
-        q, amp = self._gauss_profile()
-        lo = self._phi_lo(w_arr)
-        window = np.maximum(
-            amp * (special.erf(math.sqrt(q) * self._half) - special.erf(np.sqrt(q) * lo)), 0.0)
+        lo, window = self._window(w_arr)
         half = self._half
         tail = cfg.g_max ** (2.0 / alpha) / (np.maximum(w_arr, self.w_min) ** (2.0 / alpha) * r_l**2)
         cdf = (2.0 / self.params.antenna.beam_spacing) * (np.maximum(half - lo, 0.0) - tail * window)
@@ -598,48 +591,41 @@ def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
     return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
 
-def _deriv_budget(params: NetworkParams) -> int:
-    return max(params.channel.m_s - 1, 2)
+def _one_node(grid: _Grid):
+    """``exponent(s, k_max=0)``: [F, ..., F^(k_max)] of the one node of
+    ``grid`` at ``s``, stacked on a leading axis.  The transform and its
+    derivatives are ``exp_derivatives(exponent(s, k), s)``."""
+    def exponent(s, k_max: int = 0):
+        s_arr = np.asarray(s, dtype=float)
+        out = _exponent_derivatives(grid, np.zeros(s_arr.size, dtype=np.intp),
+                                    s_arr.reshape(-1), k_max)
+        return out.reshape((k_max + 1,) + s_arr.shape)
+    return exponent
 
 
-def _evaluator(grid: _Grid, params: NetworkParams) -> LaplaceEvaluator:
-    """The Laplace transform of the one node of ``grid``."""
-    def order(k):
-        def fn(s):
-            s_arr = np.asarray(s, dtype=float)
-            val = _exponent_derivatives(grid, np.zeros(s_arr.size, dtype=np.intp),
-                                        s_arr.reshape(-1), k)[k]
-            return float(val[0]) if s_arr.ndim == 0 else val.reshape(s_arr.shape)
-        return fn
-
-    max_order = _deriv_budget(params)
-    return LaplaceEvaluator(exponent_fn=order(0),
-                            exponent_derivs=tuple(order(k) for k in range(1, max_order + 1)),
-                            max_order=max_order)
-
-
-def laplace_p1(s_th: float, params: NetworkParams,
-               exclusion: str = "all-beams") -> LaplaceEvaluator:
-    """Conditional interference Laplace transform given the serving power level.
+def laplace_p1(s_th: float, params: NetworkParams, exclusion: str = "all-beams"):
+    """Exponent of the conditional interference Laplace transform given the
+    serving power level (see :func:`_one_node`).
 
     By isotropy the transform does not depend on the serving beam's direction.
     """
-    return _evaluator(_p1_grid(params, np.array([float(s_th)]), exclusion), params)
+    return _one_node(_p1_grid(params, np.array([float(s_th)]), exclusion))
 
 
-def laplace_p2(phi_c: float, params: NetworkParams,
-               exclusion: str = "grid") -> LaplaceEvaluator:
-    """Conditional interference Laplace transform given the serving angular distance."""
+def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
+    """Exponent of the conditional interference Laplace transform given the
+    serving angular distance (see :func:`_one_node`)."""
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
-    return _evaluator(_p2_grid(params, np.array([float(phi_c)]), exclusion), params)
+    return _one_node(_p2_grid(params, np.array([float(phi_c)]), exclusion))
 
 
-def laplace_p3(r1: float, params: NetworkParams) -> LaplaceEvaluator:
-    """Conditional interference Laplace transform given the serving distance."""
+def laplace_p3(r1: float, params: NetworkParams):
+    """Exponent of the conditional interference Laplace transform given the
+    serving distance (see :func:`_one_node`)."""
     if not 0.0 <= r1 <= params.r_los:
         raise ValueError("r1 outside [0, R_los]")
-    return _evaluator(_p3_grid(params, np.array([float(r1)])), params)
+    return _one_node(_p3_grid(params, np.array([float(r1)])))
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +651,26 @@ def _thresholds(gamma):
     return g.reshape(-1), g.shape
 
 
-def _curve(policy: str, gammas: np.ndarray, shape, params: NetworkParams,
-           exclusion: str | None, integrand, a: float, b: float):
-    """Outer coverage integrals of every threshold, in lockstep, clipped to
-    [0, 1]; a quadrature failure names the curve point it came from."""
+def _curve(label: str, detail: str, gammas: np.ndarray, shape, integrand, a: float,
+           b: float, spec: QuadratureSpec | None = None):
+    """Coverage integrals of every threshold over [a, b] to ``spec`` (by
+    default ``_OUTER_SPEC``), in lockstep, clipped to [0, 1].  A quadrature
+    failure names the curve point it came from: the ``label`` curve at the
+    failing threshold, and ``detail``, its parameters."""
     try:
-        vals = integrate_many(integrand, a, b, gammas.size, _OUTER_SPEC)
+        vals = integrate_many(integrand, a, b, gammas.size, spec or _OUTER_SPEC)
     except QuadratureError as err:
         gamma = gammas[err.index]
         g_db = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
-        raise QuadratureError(
-            f"{policy} coverage at threshold {g_db:.2f} dB (exclusion {exclusion}, "
-            f"density {params.density:g}, sectors_exp {params.antenna.sectors_exp}): "
-            f"{err.message}", err.estimate, err.error_bound, err.index) from err
+        raise QuadratureError(f"{label} coverage at threshold {g_db:.2f} dB ({detail}): "
+                              f"{err.message}", err.estimate, err.error_bound, err.index) from err
     out = np.clip(vals, 0.0, 1.0)
     return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _detail(params: NetworkParams, exclusion: str | None) -> str:
+    return (f"exclusion {exclusion}, density {params.density:g}, "
+            f"sectors_exp {params.antenna.sectors_exp}")
 
 
 def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
@@ -699,7 +690,7 @@ def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
         exponent = _exponent_derivatives(_p1_grid(params, nodes, exclusion), node, s, ch.m_s - 1)
         return law.pdf(s_th, conditioned=True) * _conditional_coverage(exponent, s, params)
 
-    return _curve("P1", gammas, shape, params, exclusion, integrand, law.w_min, math.inf)
+    return _curve("P1", _detail(params, exclusion), gammas, shape, integrand, law.w_min, math.inf)
 
 
 def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
@@ -733,7 +724,8 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
                                   int(which[err.index])) from err
         return phi_c_pdf(phi_cs, params) / norm * vals
 
-    return _curve("P2", gammas, shape, params, exclusion, outer, 0.0, 0.5 * cfg.beam_spacing)
+    return _curve("P2", _detail(params, exclusion), gammas, shape, outer, 0.0,
+                  0.5 * cfg.beam_spacing)
 
 
 def coverage_p3(gamma, params: NetworkParams):
@@ -753,4 +745,4 @@ def coverage_p3(gamma, params: NetworkParams):
         f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
         return f_r1 * _conditional_coverage(exponent, s, params)
 
-    return _curve("P3", gammas, shape, params, None, integrand, 0.0, r_l)
+    return _curve("P3", _detail(params, None), gammas, shape, integrand, 0.0, r_l)

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .numerics import QuadratureError, QuadratureSpec, integrate_1d
+from .analytic import _curvature, _curve, _thresholds
+from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_many
 from .radio import NetworkParams, gain_approx
 
 # scipy.special is imported inside the functions that call it: importing it
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+_P2_COV_SPEC = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7)
 _COV_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
 
 # The P2 ratio laws integrate every point on the same fixed composite
@@ -98,10 +100,6 @@ def _blockwise(kernel, x):
     for i in range(0, x.size, _BLOCK):
         out[i:i + _BLOCK] = kernel(x[i:i + _BLOCK])
     return out
-
-
-def _curvature(cfg) -> float:
-    return 1.2 / cfg.phi_3db**2
 
 
 def mainlobe_pair_probability(params: NetworkParams) -> float:
@@ -259,14 +257,13 @@ def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
 
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     out = np.zeros_like(w_arr)
-    for i, wv in enumerate(w_arr):
-        if wv <= 0.0:
-            continue
+    positive = ~(w_arr <= 0.0)
+    w_pos = w_arr[positive]
 
-        def integrand(w2):
-            return w2 * component_pdf(wv * w2, ch.m_s) * component_pdf(w2, ch.m_x)
+    def integrand(w2, which):
+        return w2 * component_pdf(w_pos[which] * w2, ch.m_s) * component_pdf(w2, ch.m_x)
 
-        out[i] = integrate_1d(integrand, 0.0, math.inf, _SPEC)
+    out[positive] = integrate_many(integrand, 0.0, math.inf, w_pos.size, _SPEC)
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
@@ -298,33 +295,36 @@ def pathloss_fade_ratio_ccdf_p2(t, params: NetworkParams):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _coverage_integral(policy: str, gamma: float, params: NetworkParams, integrand,
-                       a: float, b: float, spec: QuadratureSpec) -> float:
-    """``integrate_1d`` of a dominant coverage integral at threshold ``gamma > 0``;
-    a quadrature failure names the curve point it came from."""
+def _dominant_curve(policy: str, gamma, params: NetworkParams, integrand, a: float,
+                    b: float, spec: QuadratureSpec):
+    """Coverage of every threshold in ``gamma`` (scalar or array), integrated
+    in lockstep by :func:`analytic._curve`; ``integrand(x, t)`` takes the
+    abscissae and the threshold of each.  A threshold <= 0 gives exactly 1."""
+    gammas, shape = _thresholds(gamma)
+    out = np.ones(gammas.size)
+    live = np.flatnonzero(~(gammas <= 0.0))
+    ch = params.channel
+    detail = (f"density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
+              f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}")
     try:
-        return integrate_1d(integrand, a, b, spec)
+        out[live] = _curve(f"{policy} dominant", detail, gammas[live], live.shape,
+                           lambda x, which: integrand(x, gammas[live[which]]), a, b, spec)
     except QuadratureError as err:
-        ch = params.channel
-        raise QuadratureError(
-            f"{policy} dominant coverage at threshold {10.0 * math.log10(gamma):.2f} dB "
-            f"(density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
-            f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}): {err.message}",
-            err.estimate, err.error_bound) from err
+        err.index = int(live[err.index])    # the position among all thresholds
+        raise
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def coverage_dom_p2(gamma: float, params: NetworkParams) -> float:
-    """P(SIR > gamma) with only the dominant angle-based interferer retained."""
+def coverage_dom_p2(gamma, params: NetworkParams):
+    """P(SIR > gamma) with only the dominant angle-based interferer retained;
+    scalar or array ``gamma``, as in :func:`analytic.coverage_p1`."""
     cfg = params.antenna
-    if gamma <= 0.0:
-        return 1.0
 
-    def integrand(g):
-        return gain_ratio_pdf_p2(g, params) * pathloss_fade_ratio_ccdf_p2(gamma / g, params)
+    def integrand(g, t):
+        return gain_ratio_pdf_p2(g, params) * pathloss_fade_ratio_ccdf_p2(t / g, params)
 
-    val = _coverage_integral("P2", gamma, params, integrand, 1.0, cfg.g_max / cfg.g_s,
-                             QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7))
-    return float(np.clip(val, 0.0, 1.0))
+    return _dominant_curve("P2", gamma, params, integrand, 1.0, cfg.g_max / cfg.g_s,
+                           _P2_COV_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +425,27 @@ def distance_ratio_ccdf_p3(w, params: NetworkParams):
     return float(out) if out.ndim == 0 else out
 
 
-def coverage_dom_p3(gamma: float, params: NetworkParams, pairing: str = "product") -> float:
-    """P(SIR > gamma) with only the second-nearest transmitter retained.
+def coverage_dom_p3(gamma, params: NetworkParams, pairing: str = "product"):
+    """P(SIR > gamma) with only the second-nearest transmitter retained;
+    scalar or array ``gamma``, as in :func:`analytic.coverage_p1`.
 
     ``pairing="product"`` pairs the gain-fade ratio with the distance ratio
     (the SIR factorization); ``pairing="self"`` reproduces the rejected
-    self-convolution of the distance-ratio law.
+    self-convolution of the distance-ratio law, whose ccdf has the closed
+    form ``gamma**(-2/alpha) * (1 + (2/alpha) ln gamma)`` above 1.
     """
-    if gamma <= 0.0:
-        return 1.0
-    alpha = params.channel.alpha_l
-    if pairing == "self":
-        beta = (2.0 + alpha) / alpha
-        if gamma <= 1.0:
-            return 1.0
-
-        def integrand(x):
-            return (2.0 / alpha) ** 2 * x ** (-beta) * np.log(x)
-
-        val = _coverage_integral("P3", gamma, params, integrand, 1.0, gamma, _COV_SPEC)
-        return float(np.clip(1.0 - val, 0.0, 1.0))
-    if pairing != "product":
+    if pairing not in ("product", "self"):
         raise ValueError("pairing must be 'product' or 'self'")
+    if pairing == "self":
+        a = 2.0 / params.channel.alpha_l
+        g = np.maximum(np.asarray(gamma, dtype=float), 1.0)    # exactly 1 at g = 1
+        out = g**-a * (1.0 + a * np.log(g))
+        return float(out) if out.ndim == 0 else out
 
-    def integrand(g):
-        return gain_fade_ratio_pdf_p3(g, params) * distance_ratio_ccdf_p3(gamma / g, params)
+    def integrand(g, t):
+        return gain_fade_ratio_pdf_p3(g, params) * distance_ratio_ccdf_p3(t / g, params)
 
-    val = _coverage_integral("P3", gamma, params, integrand, 0.0, math.inf, _COV_SPEC)
-    return float(np.clip(val, 0.0, 1.0))
+    return _dominant_curve("P3", gamma, params, integrand, 0.0, math.inf, _COV_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +522,17 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
 
     # SIR pairing arbitration for the nearest-transmitter policy.
     sir_samples, _ = sample_statistic(plan, "SIR_dom_p3")
+    gammas_db = (-3.0, 0.0, 3.0)
+    gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
+    pairings = {pairing: coverage_dom_p3(gammas, params, pairing=pairing)
+                for pairing in ("product", "self")}
     evid = {}
-    for gamma_db in (-3.0, 0.0, 3.0):
-        gamma = 10.0 ** (gamma_db / 10.0)
-        mc = float((sir_samples > gamma).mean())
+    for j, gamma_db in enumerate(gammas_db):
+        mc = float((sir_samples > gammas[j]).mean())
         evid[f"{gamma_db:+.0f}dB"] = {
             "mc": mc,
-            "product_pairing": coverage_dom_p3(gamma, params, pairing="product"),
-            "self_pairing": coverage_dom_p3(gamma, params, pairing="self"),
+            "product_pairing": float(pairings["product"][j]),
+            "self_pairing": float(pairings["self"][j]),
             "mc_stderr": float(math.sqrt(mc * (1 - mc) / sir_samples.size)),
         }
     report.append({

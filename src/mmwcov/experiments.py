@@ -21,6 +21,7 @@ import os
 import sys
 import time
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -329,15 +330,18 @@ def _plan(config: ExperimentConfig, params: NetworkParams, policy: str,
                    n_trials=config.trials, master_seed=config.seed)
 
 
+# the module and name prefix of the coverage functions of each curve engine
+_COVERAGE = {"analytic": (analytic, "coverage_"), "dominant": (dominant, "coverage_dom_")}
+
+
 def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict) -> list:
-    """Rows of every curve on ``engine``, in curve order.
+    """Rows of every curve on ``engine``, in curve order; the seconds spent in
+    the engine's calls are added to ``meter[engine]``.
 
     Monte Carlo evaluates the curves of one density on one shared draw (one
-    ``run_coverages`` call, whose seconds and curve trials go to ``meter``);
-    curves with the same ``sectors_exp`` should sit next to each other, so
-    that they share the grid offsets.  The analytic engine takes a whole
-    curve per call (its seconds and curve count go to ``meter`` too), the
-    dominant engine one threshold per call.
+    ``run_coverages`` call); curves with the same ``sectors_exp`` should sit
+    next to each other, so that they share the grid offsets.  The analytic
+    and dominant engines take a whole curve per call.
     """
     if engine == "mc":
         results = [None] * len(curves)
@@ -349,23 +353,19 @@ def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict
                      for i in group]
             start = time.perf_counter()
             coverages = run_coverages(plans, n_workers=config.workers)
-            meter["mc_s"] += time.perf_counter() - start
-            meter["mc_trials"] += sum(plan.n_trials for plan in plans)
+            meter["mc"] += time.perf_counter() - start
             for i, coverage in zip(group, coverages):
                 results[i] = (coverage.p_cov, coverage.stderr)
-    elif engine == "analytic":
+    else:
+        module, prefix = _COVERAGE[engine]
         results = []
         for c in curves:
             # looked up at call time, so that a wrapper installed on the module
             # after import (a tracer's, say) sees the call
-            coverage = getattr(analytic, f"coverage_{c.policy.lower()}")
+            coverage = getattr(module, prefix + c.policy.lower())
             start = time.perf_counter()
             results.append((coverage(_linear(c.grid_db), c.params), repeat(0.0)))
-            meter["analytic_s"] += time.perf_counter() - start
-            meter["analytic_curves"] += 1
-    else:
-        results = [([getattr(dominant, f"coverage_dom_{c.policy.lower()}")(gamma, c.params)
-                     for gamma in _linear(c.grid_db).tolist()], repeat(0.0)) for c in curves]
+            meter[engine] += time.perf_counter() - start
     return [(x, v, s, engine, c.key) for c, (values, errors) in zip(curves, results)
             for x, v, s in zip(c.x, values, errors)]
 
@@ -452,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     rows = {engine: [] for engine in config.engines}
     extras = {}
     runtimes = {}
-    meter = {"mc_s": 0.0, "mc_trials": 0, "analytic_s": 0.0, "analytic_curves": 0}
+    meter = defaultdict(float)   # seconds of each engine's curve calls
     start = time.perf_counter()
     if config.scenario == "fig4":
         _scenario_fig4(config, rows)
@@ -460,12 +460,10 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         curves = _CURVES[config.scenario](config)
         for engine in config.engines:
             rows[engine] = _curve_rows(config, engine, curves.get(engine, []), meter)
+        if "mc" in meter:
+            extras["mc_trials_per_s"] = len(curves["mc"]) * config.trials / meter["mc"]
     runtimes["total"] = time.perf_counter() - start
-    if meter["mc_trials"]:
-        runtimes["mc"] = meter["mc_s"]
-        extras["mc_trials_per_s"] = meter["mc_trials"] / meter["mc_s"]
-    if meter["analytic_curves"]:
-        runtimes["analytic"] = meter["analytic_s"]
+    runtimes.update(meter)
 
     written = []
     for engine, engine_rows in rows.items():

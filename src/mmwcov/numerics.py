@@ -18,8 +18,6 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_many",
-    "LaplaceEvaluator",
-    "laplace_derivatives",
     "exp_derivatives",
 ]
 
@@ -236,49 +234,6 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     bounds and endpoint singularities).
     """
     return float(integrate_many(lambda x, _which: f(x), a, b, 1, spec)[0])
-
-
-@dataclass(frozen=True)
-class LaplaceEvaluator:
-    """A Laplace transform L(s) = exp(F(s)) with analytic exponent derivatives.
-
-    ``exponent_derivs[k-1]`` evaluates the k-th derivative of the exponent;
-    having those in closed (quadrated) form lets us obtain derivatives of L
-    itself by recursion instead of finite differencing, which stays stable
-    for the derivative orders needed by integer-shape fading.
-    """
-
-    exponent_fn: Callable
-    exponent_derivs: tuple
-    max_order: int
-
-    def __post_init__(self) -> None:
-        if len(self.exponent_derivs) < self.max_order:
-            raise ValueError("need an exponent derivative for every order up to max_order")
-
-    def value(self, s):
-        return np.exp(self.exponent_fn(np.asarray(s, dtype=float)))
-
-    def derivatives(self, s, k_max: int):
-        return laplace_derivatives(self, s, k_max)
-
-
-def laplace_derivatives(lt: LaplaceEvaluator, s, k_max: int):
-    """Evaluate [L(s), L'(s), ..., L^(k_max)(s)] by the exponent recursion.
-
-    ``s`` may be a scalar or an ndarray; the output stacks orders along the
-    leading axis.  See :func:`exp_derivatives` for the recursion.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    if k_max > lt.max_order:
-        raise ValueError(f"k_max={k_max} exceeds available exponent derivatives ({lt.max_order})")
-    s_arr = np.asarray(s, dtype=float)
-    exponent = [np.asarray(lt.exponent_fn(s_arr), dtype=float)]
-    exponent += [np.asarray(lt.exponent_derivs[k - 1](s_arr), dtype=float)
-                 for k in range(1, k_max + 1)]
-    out = np.stack(exp_derivatives(exponent, s_arr))
-    return out if s_arr.ndim else out.reshape(k_max + 1)
 
 
 def exp_derivatives(exponent, s, shift: float = 0.0) -> list:

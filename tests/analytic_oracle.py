@@ -137,6 +137,8 @@ def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
         w_parts.append(wts)
         gain_parts.append(np.asarray(gain_fn(nodes), dtype=float))
         rlo_parts.append(np.asarray(rlo_fn(nodes), dtype=float))
+    if not w_parts:     # an empty region: F = 0
+        return _RegionExponent(params.density, ch.m_x, np.empty(0), np.empty(0))
     ang_w = np.concatenate(w_parts)
     gains = np.concatenate(gain_parts)
     r_lo = np.concatenate(rlo_parts)

@@ -25,7 +25,7 @@ from mmwcov.montecarlo import (
     sample_statistic,
 )
 from mmwcov import analytic
-from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d, laplace_derivatives
+from mmwcov.numerics import QuadratureError, QuadratureSpec, exp_derivatives, integrate_1d
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_pdf_mainlobe)
 from conftest import ks_distance
@@ -117,6 +117,11 @@ class TestServingPowerLaw:
         assert np.max(np.abs(ana - curve.ccdf)) < 0.01
 
 
+def _transform(exponent, s, k_max=0):
+    """[L, L', ..., L^(k_max)] at ``s`` of the transform with this exponent."""
+    return exp_derivatives(exponent(s, k_max), s)
+
+
 class TestLaplaceEvaluators:
     def test_value_at_zero(self, params):
         law = serving_power_law(params)
@@ -124,14 +129,14 @@ class TestLaplaceEvaluators:
         for lt in (laplace_p1(med, params),
                    laplace_p2(0.05, params),
                    laplace_p3(20.0, params)):
-            assert lt.value(0.0) == pytest.approx(1.0, rel=1e-12)
+            assert _transform(lt, 0.0)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_and_sign_pattern(self, params):
         law = serving_power_law(params)
         med = law.quantile(0.5)
         lt = laplace_p1(med, params)
         s = np.logspace(2.0, 6.0, 24)
-        derivs = laplace_derivatives(lt, s, 2)
+        derivs = _transform(lt, s, 2)
         assert np.all(np.diff(derivs[0]) < 0.0)            # L decreasing
         assert np.all(derivs[0] > 0.0) and np.all(derivs[0] <= 1.0)
         assert np.all(derivs[1] <= 0.0)                    # (-1)^1 L' >= 0
@@ -140,8 +145,8 @@ class TestLaplaceEvaluators:
     def test_more_serving_power_admits_closer_interferers(self, params):
         law = serving_power_law(params)
         s = 1e4
-        l_small = laplace_p1(5.0 * law.w_min, params, exclusion="single-beam").value(s)
-        l_large = laplace_p1(500.0 * law.w_min, params, exclusion="single-beam").value(s)
+        l_small = _transform(laplace_p1(5.0 * law.w_min, params, exclusion="single-beam"), s)[0]
+        l_large = _transform(laplace_p1(500.0 * law.w_min, params, exclusion="single-beam"), s)[0]
         assert l_large < l_small
 
     def test_derivatives_against_finite_differences(self, params):
@@ -152,8 +157,8 @@ class TestLaplaceEvaluators:
             s = 10.0 ** gen.uniform(3.0, 5.5)
             lt = laplace_p1(s_th, params)
             h = 1e-5 * s
-            fd = (lt.value(s + h) - lt.value(s - h)) / (2.0 * h)
-            got = laplace_derivatives(lt, s, 1)[1]
+            fd = (_transform(lt, s + h)[0] - _transform(lt, s - h)[0]) / (2.0 * h)
+            got = _transform(lt, s, 1)[1]
             assert got == pytest.approx(fd, rel=1e-4)
 
     def test_exponent_matches_generic_quadrature(self, params):
@@ -175,7 +180,7 @@ class TestLaplaceEvaluators:
             ref = -params.density * 2.0 * integrate_2d(
                 integrand, 0.0, math.pi, r_lo, params.r_los,
                 QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=20_000))
-            got = laplace_p1(s_th, params, exclusion="single-beam").exponent_fn(s)
+            got = laplace_p1(s_th, params, exclusion="single-beam")(s)[0]
             assert got == pytest.approx(ref, rel=1e-6)
 
     def test_matches_conditioned_simulation_p1(self, params):
@@ -190,7 +195,7 @@ class TestLaplaceEvaluators:
                                  * ch.path_gain_const * med)
         for s in (1.0, s_meaningful):
             mc = np.exp(-s * inter).mean()
-            assert lt.value(s) == pytest.approx(mc, rel=0.01)
+            assert _transform(lt, s)[0] == pytest.approx(mc, rel=0.01)
 
     def test_matches_conditioned_simulation_p3(self, params):
         plan = SimPlan(params=params, policy="P3", thresholds_db=(0.0,),
@@ -202,7 +207,7 @@ class TestLaplaceEvaluators:
         s = ch.m_s * r1**ch.alpha_l / (ch.tx_power_w * ch.path_gain_const
                                        * params.antenna.g_max**2)
         mc = np.exp(-s * inter).mean()
-        assert lt.value(s) == pytest.approx(mc, rel=0.01)
+        assert _transform(lt, s)[0] == pytest.approx(mc, rel=0.01)
 
     def test_domain_checks(self, params):
         law = serving_power_law(params)
@@ -283,7 +288,7 @@ class TestCoverage:
             for r1 in np.atleast_1d(r1_arr):
                 s = s_const * r1**ch.alpha_l
                 lt = laplace_p3(float(r1), params)
-                out.append(math.exp(-ch.noise_w * s) * float(lt.value(s)))
+                out.append(math.exp(-ch.noise_w * s) * float(_transform(lt, s)[0]))
             f = 2.0 * math.pi * lam * np.atleast_1d(r1_arr) * np.exp(
                 -lam * math.pi * np.atleast_1d(r1_arr) ** 2) / norm
             return f * np.array(out)
@@ -440,7 +445,8 @@ def _exponent_case(policy, exclusion, params):
                 lambda x: oracle._p1_exponent(params, x, exclusion))
     if policy == "P2":
         half = 0.5 * params.antenna.beam_spacing
-        nodes = np.array([0.0, 1e-4 * half, 0.3 * half, 0.999 * half])
+        # at half the spacing and sectors_exp 0 the symmetric region is empty
+        nodes = np.array([0.0, 1e-4 * half, 0.3 * half, 0.999 * half, half])
         return (nodes, lambda x: analytic._p2_grid(params, x, exclusion),
                 lambda x: oracle._p2_exponent(params, x, exclusion))
     r_l = params.r_los
@@ -480,9 +486,10 @@ class TestExponentOracle:
         law = serving_power_law(params)
         s_th = law.quantile(0.3)
         s = np.array([[1e3, 1e4], [1e5, 3e5]])
-        lt = laplace_p1(s_th, params)
+        exponent = laplace_p1(s_th, params)
         expo = oracle._p1_exponent(params, s_th, "all-beams")
-        np.testing.assert_allclose(lt.exponent_fn(s), expo.derivatives(s, 0)[0], rtol=1e-13)
-        np.testing.assert_allclose(lt.exponent_derivs[1](s), expo.derivatives(s, 2)[2],
-                                   rtol=1e-13)
-        assert isinstance(lt.exponent_fn(1e4), float)
+        got = exponent(s, 2)
+        assert got.shape == (3, 2, 2)
+        np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-13)
+        np.testing.assert_allclose(got[2], expo.derivatives(s, 2)[2], rtol=1e-13)
+        assert exponent(1e4).shape == (1,)

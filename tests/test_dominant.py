@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mmwcov import dominant
+from mmwcov import analytic
 from mmwcov.dominant import (
     _LN10,
     _curvature,
@@ -142,7 +143,8 @@ class TestFixedNodeLawsP2:
 
     @pytest.mark.parametrize("law,point", ((gain_ratio_pdf_p2, 1.5),
                                            (gain_ratio_ccdf_p2, 1.5),
-                                           (pathloss_fade_ratio_ccdf_p2, 0.3)))
+                                           (pathloss_fade_ratio_ccdf_p2, 0.3),
+                                           (pathloss_fade_ratio_pdf_p2, 0.3)))
     def test_scalar_and_empty(self, params, law, point):
         value = law(point, params)
         assert isinstance(value, float)
@@ -250,6 +252,11 @@ class TestPathlossFadeRatioLawP2:
                 np.vectorize(lambda w: pathloss_fade_ratio_pdf_p2(float(w), params)),
                 t, math.inf, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=20_000))
             assert pathloss_fade_ratio_ccdf_p2(t, params) == pytest.approx(tail, rel=1e-4)
+
+    def test_points_integrate_as_if_alone(self, params):
+        w = np.array([-1.0, 0.0, 1e-3, 0.05, 2.0])
+        alone = [pathloss_fade_ratio_pdf_p2(x, params) for x in w.tolist()]
+        assert np.array_equal(pathloss_fade_ratio_pdf_p2(w, params), alone)
 
     def test_median_is_one_for_equal_shapes(self, params):
         # W is a ratio of i.i.d. variables when m_s == m_x
@@ -395,24 +402,98 @@ class TestCoverageDomP3:
         assert coverage_dom_p3(0.5, params, pairing="product") < 0.99
 
 
-@pytest.mark.parametrize("policy, pairing", [("P2", None), ("P3", "product"), ("P3", "self")])
-def test_quadrature_failure_names_the_curve_point(policy, pairing, monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise QuadratureError("max_subdivisions exhausted", 0.25, 1e-3)
+FIG8_GRID_DB = (-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
 
-    monkeypatch.setattr(dominant, "integrate_1d", exhausted)
+# The fig8 curves at sectors_exp 0-3, and two off-default corners of the
+# parameter box of test_analytic.py.
+CURVE_SETS = {
+    **{f"sectors_{m}": NetworkParams(antenna=AntennaConfig(sectors_exp=m)) for m in range(4)},
+    "fading_4_3": NetworkParams(channel=ChannelParams(m_s=4, m_x=3)),
+    "density_5e-3": NetworkParams(density=5e-3),
+}
+CURVES = {
+    "P2": coverage_dom_p2,
+    "P3-product": functools.partial(coverage_dom_p3, pairing="product"),
+    "P3-self": functools.partial(coverage_dom_p3, pairing="self"),
+}
+
+
+class TestCurveInterface:
+    @pytest.mark.parametrize("curve", CURVES)
+    @pytest.mark.parametrize("name", CURVE_SETS)
+    def test_curve_matches_per_threshold_calls(self, curve, name):
+        fn, params = CURVES[curve], CURVE_SETS[name]
+        gammas = np.array([10.0 ** (g_db / 10.0) for g_db in FIG8_GRID_DB])
+        alone = [fn(gamma, params) for gamma in gammas.tolist()]
+        np.testing.assert_allclose(fn(gammas, params), alone, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_scalar_in_float_out_array_in_array_out(self, params, curve):
+        fn = CURVES[curve]
+        scalar = fn(2.0, params)
+        assert isinstance(scalar, float)
+        grid = fn(np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 10.0]]), params)
+        assert grid.shape == (2, 3)
+        assert grid[0, 0] == 1.0 and grid[1, 0] == 1.0
+        assert grid[0, 2] == pytest.approx(scalar, rel=0.0, abs=1e-13)
+        empty = fn(np.empty(0), params)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, 2.0, np.array([0.0, 2.0]), np.empty(0)])
+    def test_unknown_pairing_raises_for_any_threshold(self, params, gamma):
+        with pytest.raises(ValueError, match="pairing"):
+            coverage_dom_p3(gamma, params, pairing="bogus")
+
+    @pytest.mark.parametrize("alpha", (2.0, 2.2, 2.5))
+    def test_self_pairing_closed_form_against_quadrature(self, alpha):
+        # the rejected self-convolution: 1 - int_1^gamma (2/alpha)^2 x^-beta ln x dx
+        params = NetworkParams(channel=ChannelParams(alpha_l=alpha))
+        beta = (2.0 + alpha) / alpha
+        for g_db in (3.0, 10.0, 15.0):
+            gamma = 10.0 ** (g_db / 10.0)
+            mass = integrate_1d(lambda x: (2.0 / alpha) ** 2 * x ** (-beta) * np.log(x),
+                                1.0, gamma, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15))
+            assert coverage_dom_p3(gamma, params, pairing="self") == pytest.approx(
+                1.0 - mass, rel=0.0, abs=1e-12)
+
+
+def _failing_curve(policy, pairing, gamma, failing, monkeypatch):
+    """The error of a dominant curve whose ``failing``-th integral exhausts
+    its budget; its message names the curve point at 5 dB."""
+    def exhausted(f, a, b, n, spec=None):
+        raise QuadratureError("max_subdivisions exhausted", 0.25, 1e-3, failing)
+
+    monkeypatch.setattr(analytic, "integrate_many", exhausted)
     params = NetworkParams(density=1.6e-3, antenna=AntennaConfig(sectors_exp=3),
                            channel=ChannelParams(alpha_l=2.2, m_s=3, m_x=4))
     with pytest.raises(QuadratureError) as excinfo:
         if policy == "P2":
-            coverage_dom_p2(10.0 ** 0.5, params)
+            coverage_dom_p2(gamma, params)
         else:
-            coverage_dom_p3(10.0 ** 0.5, params, pairing=pairing)
+            coverage_dom_p3(gamma, params, pairing=pairing)
     message = str(excinfo.value)
     for part in (f"{policy} dominant coverage", "threshold 5.00 dB", "density 0.0016",
                  "sectors_exp 3", "m_s 3", "m_x 4", "alpha 2.2", "max_subdivisions"):
         assert part in message
     assert excinfo.value.estimate == 0.25
+    return excinfo.value
+
+
+@pytest.mark.parametrize("policy, pairing", [("P2", None), ("P3", "product")])
+def test_quadrature_failure_names_the_curve_point(policy, pairing, monkeypatch):
+    _failing_curve(policy, pairing, 10.0 ** 0.5, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("thresholds_db, failing", [
+    ((0.0, 5.0, 10.0), 1),
+    # a threshold <= 0 is not integrated, so the second integral of the
+    # batch is the second positive threshold
+    ((-math.inf, 5.0, 10.0), 0)])
+@pytest.mark.parametrize("policy, pairing", [("P2", None), ("P3", "product")])
+def test_quadrature_failure_names_the_failing_threshold_of_a_curve(
+        policy, pairing, thresholds_db, failing, monkeypatch):
+    gammas = np.array([10.0 ** (g_db / 10.0) for g_db in thresholds_db])
+    assert _failing_curve(policy, pairing, gammas, failing, monkeypatch).index == 1
 
 
 class TestDiscrepancyReport:

@@ -254,8 +254,10 @@ class TestRunExperiment:
                                              "p3-distance-ratio-constant",
                                              "p3-dominant-sir-pairing"}
         manifest = json.loads((tmp_path / "fig8" / "fig8_manifest.json").read_text())
-        assert set(manifest["runtimes_s"]) == {"total", "discrepancy_report"}
-        assert manifest["runtimes_s"]["discrepancy_report"] > 0.0
+        runtimes = manifest["runtimes_s"]
+        assert set(runtimes) == {"total", "dominant", "discrepancy_report"}
+        assert 0.0 < runtimes["dominant"] <= runtimes["total"]
+        assert runtimes["discrepancy_report"] > 0.0
 
     def test_csv_full_precision(self, tmp_path):
         config = _tiny_config(tmp_path, "custom", engines=("mc",), policies=("P3",),

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from mmwcov import numerics
 from mmwcov.numerics import (
-    LaplaceEvaluator,
     QuadratureError,
     QuadratureSpec,
     exp_derivatives,
     integrate_1d,
     integrate_many,
-    laplace_derivatives,
 )
 from field_oracle import integrate_2d
 
@@ -226,47 +224,30 @@ class TestIntegrate2d:
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
-def _pure_noise_evaluator():
-    return LaplaceEvaluator(
-        exponent_fn=lambda s: -np.asarray(s, dtype=float),
-        exponent_derivs=(lambda s: -np.ones_like(np.asarray(s, dtype=float)),
-                         lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-                         lambda s: np.zeros_like(np.asarray(s, dtype=float))),
-        max_order=3,
-    )
+def _pure_noise_exponent(s, k_max):
+    """[F, F', ..., F^(k_max)] of F(s) = -s."""
+    s = np.asarray(s, dtype=float)
+    return [-s, -np.ones_like(s), np.zeros_like(s), np.zeros_like(s)][:k_max + 1]
 
 
 class TestLaplaceDerivatives:
     def test_pure_exponential(self):
-        lt = _pure_noise_evaluator()
-        out = laplace_derivatives(lt, 1.0, 1)
+        out = exp_derivatives(_pure_noise_exponent(1.0, 1), 1.0)
         assert out[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
         assert out[1] == pytest.approx(-math.exp(-1.0), rel=1e-14)
 
     def test_zero_exponent(self):
-        lt = LaplaceEvaluator(
-            exponent_fn=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            exponent_derivs=(lambda s: np.zeros_like(np.asarray(s, dtype=float)),) * 2,
-            max_order=2,
-        )
-        out = laplace_derivatives(lt, 2.0, 2)
+        out = exp_derivatives([np.zeros(()), np.zeros(()), np.zeros(())], 2.0)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
 
     def test_k_zero_is_plain_value(self):
-        lt = _pure_noise_evaluator()
-        out = laplace_derivatives(lt, 0.7, 0)
+        out = np.stack(exp_derivatives(_pure_noise_exponent(0.7, 0), 0.7))
         assert out.shape == (1,)
         assert out[0] == pytest.approx(math.exp(-0.7), rel=1e-14)
 
-    def test_order_budget_enforced(self):
-        lt = _pure_noise_evaluator()
-        with pytest.raises(ValueError):
-            laplace_derivatives(lt, 1.0, 4)
-
     def test_vectorized_s(self):
-        lt = _pure_noise_evaluator()
         s = np.array([0.5, 1.0, 2.0])
-        out = laplace_derivatives(lt, s, 2)
+        out = np.stack(exp_derivatives(_pure_noise_exponent(s, 2), s))
         assert out.shape == (3, 3)
         np.testing.assert_allclose(out[0], np.exp(-s))
 
@@ -286,10 +267,9 @@ class TestLaplaceDerivatives:
             s = np.asarray(s, dtype=float)
             return 2.0 * a * b / (1.0 + b * s) ** 3
 
-        lt = LaplaceEvaluator(exponent_fn=f, exponent_derivs=(f1, f2), max_order=2)
         for s in (0.2, 1.0, 3.0):
             h = 1e-5 * s
-            val = laplace_derivatives(lt, s, 2)
+            val = exp_derivatives([f(s), f1(s), f2(s)], s)
             lp = (math.exp(f(s + h)) - math.exp(f(s - h))) / (2.0 * h)
             lpp = (math.exp(f(s + h)) - 2.0 * math.exp(f(s)) + math.exp(f(s - h))) / h**2
             assert val[1] == pytest.approx(lp, rel=1e-6)
@@ -304,9 +284,3 @@ class TestLaplaceDerivatives:
         for k, level in enumerate(levels):
             np.testing.assert_allclose(level, (-(a + shift)) ** k * np.exp(-(a + shift) * s),
                                        rtol=1e-14)
-
-    def test_zero_shift_is_the_plain_transform(self):
-        lt = _pure_noise_evaluator()
-        s = np.array([0.5, 2.0])
-        levels = exp_derivatives([-s, -np.ones(2), np.zeros(2)], s)
-        assert np.array_equal(np.stack(levels), laplace_derivatives(lt, s, 2))
