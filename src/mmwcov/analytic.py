@@ -8,10 +8,10 @@ Two knobs deserve a note.  Laws with a finite void mass (no transmitter in
 the disk) expose both the raw form and a ``conditioned`` form renormalized on
 the nonempty event, matching the simulator's conditioning.  Interference
 regions expose ``exclusion`` variants: the simple one-sided / single-beam
-descriptions, and sharper variants ("exact" for P1, "grid" for P2) that keep
-out interferers around every beam maximum, which is what the selection rule
-actually implies; the Monte Carlo engine arbitrates which variant a given
-study should use.
+descriptions, and sharper variants ("all-beams" for P1, "grid" for P2) that
+keep out interferers around every beam maximum, which is what the selection
+rule actually implies; the Monte Carlo engine arbitrates which variant a
+given study should use.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import QuadratureError, QuadratureSpec, exp_derivatives, integrate_many
+from .numerics import (QuadratureError, QuadratureSpec, exp_derivatives, gauss_legendre,
+                       integrate_many)
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
 # scipy.special is imported inside the functions that call it: importing it
@@ -72,11 +73,6 @@ _RAD_ENDS = np.append(_RAD_EDGES[1:], math.inf)  # and ends, before clipping at 
 # temporaries stay in a per-core cache, and peak memory does not grow with
 # the number of nodes in a quadrature round.
 _ELEMENT_BUDGET = 2**14
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _curvature(cfg) -> float:
@@ -380,7 +376,7 @@ class _Grid:
                 nodes.append(0.5 * (a + b))
                 weights.append((b - a) * mult)
             else:
-                x, w = _leggauss(order)
+                x, w = gauss_legendre(order)
                 half = 0.5 * (b - a)
                 owners.append(np.repeat(owner, order))
                 nodes.append(((0.5 * (a + b))[:, None] + half[:, None] * x).ravel())
@@ -424,7 +420,7 @@ class _Grid:
         v_lo = self.v_lo[ang]
         start = np.minimum(v_lo + _RAD_EDGES[panel], self.v_hi)
         end = np.minimum(v_lo + _RAD_ENDS[panel], self.v_hi)
-        x, w = _leggauss(_N_RAD)
+        x, w = gauss_legendre(_N_RAD)
         half = (0.5 * (end - start))[:, None]
         v = half * x
         v += (0.5 * (start + end))[:, None]

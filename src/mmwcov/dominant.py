@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .analytic import _curvature, _curve, _thresholds
-from .numerics import QuadratureError, QuadratureSpec, integrate_1d, integrate_many
+from .numerics import (QuadratureError, QuadratureSpec, gauss_legendre, integrate_1d,
+                       integrate_many)
 from .radio import NetworkParams, gain_approx
 
 # scipy.special is imported inside the functions that call it: importing it
@@ -69,13 +70,11 @@ _ANGULAR_TAIL = 60.0
 
 def _composite_gauss_legendre(edges, n: int):
     """Nodes and weights of an n-point Gauss-Legendre rule on each panel."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     lo, hi = edges[:-1, None], edges[1:, None]
     return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
 
 
-# The rules are built on first use, not at import: the first LAPACK call
-# inside leggauss adds about 1 MB of resident memory.
 @functools.cache
 def _angular_rule():
     """8 equal panels of 12 nodes on [0, 1], scaled to each point's s range."""
@@ -201,42 +200,31 @@ def gain_ratio_ccdf_p2(g, params: NetworkParams):
     return float(out[0]) if np.ndim(g) == 0 else out
 
 
-def _joint_gain_density_p2(g1, g2, params: NetworkParams, exponent_sign: float = -1.0,
-                           enforce_support: bool = True):
-    """Joint density of the two mainlobe gains in gain coordinates.
-
-    ``exponent_sign=+1`` reproduces the rejected sign variant; the support
-    mask can be dropped to reproduce the out-of-support inner limits.  Not
-    normalized by the conditioning probability.
-    """
+def _rejected_variant_gain_ratio_pdf_p2(g, params: NetworkParams):
+    """Rejected variant of :func:`gain_ratio_pdf_p2`: the joint density of the
+    two mainlobe gains with a positive exponent, integrated over the
+    out-of-support inner range [g_s/g, g_max/g].  Scalar in, scalar out; the
+    inner integrals of an array run in lockstep, each mapped onto [0, 1]."""
     cfg = params.antenna
     lam_r2 = params.density * params.r_los**2
-    g1_arr = np.asarray(g1, dtype=float)
-    g2_arr = np.asarray(g2, dtype=float)
-    l1 = np.log10(cfg.g_max / g1_arr)
-    l2 = np.log10(cfg.g_max / g2_arr)
-    phi2 = cfg.phi_3db * np.sqrt(10.0 * np.abs(l2)) / (2.0 * math.sqrt(3.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = (5.0 * (lam_r2 * cfg.phi_3db) ** 2 / 24.0
-                * np.exp(exponent_sign * lam_r2 * phi2)
-                / (_LN10**2 * g1_arr * g2_arr * np.sqrt(np.abs(l1 * l2))))
-    if enforce_support:
-        ok = (g2_arr >= cfg.g_s) & (g2_arr <= g1_arr) & (g1_arr <= cfg.g_max)
-        dens = np.where(ok, dens, 0.0)
-    return dens
+    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    lo = cfg.g_s / g_arr
+    width = cfg.g_max / g_arr * (1.0 - 1e-12) - lo
 
+    def integrand(t, which):
+        g2 = lo[which] + t * width[which]
+        g1 = g_arr[which] * g2
+        l1 = np.log10(cfg.g_max / g1)
+        l2 = np.log10(cfg.g_max / g2)
+        phi2 = cfg.phi_3db * np.sqrt(10.0 * np.abs(l2)) / (2.0 * math.sqrt(3.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = (5.0 * (lam_r2 * cfg.phi_3db) ** 2 / 24.0 * np.exp(lam_r2 * phi2)
+                    / (_LN10**2 * g1 * g2 * np.sqrt(np.abs(l1 * l2))))
+        return width[which] * g2 * dens
 
-def _rejected_variant_gain_ratio_pdf_p2(g: float, params: NetworkParams) -> float:
-    """Rejected variant: positive exponent, inner limits [g_s/g, g_max/g]."""
-    cfg = params.antenna
     p_cond = mainlobe_pair_probability(params)
-    lo, hi = cfg.g_s / g, cfg.g_max / g
-
-    def integrand(g2):
-        return g2 * _joint_gain_density_p2(g * g2, g2, params, exponent_sign=+1.0,
-                                           enforce_support=False)
-
-    return integrate_1d(integrand, lo, hi * (1.0 - 1e-12), _SPEC) / p_cond
+    out = integrate_many(integrand, 0.0, 1.0, g_arr.size, _SPEC) / p_cond
+    return float(out[0]) if np.ndim(g) == 0 else out
 
 
 def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
@@ -321,7 +309,10 @@ def coverage_dom_p2(gamma, params: NetworkParams):
     cfg = params.antenna
 
     def integrand(g, t):
-        return gain_ratio_pdf_p2(g, params) * pathloss_fade_ratio_ccdf_p2(t / g, params)
+        # the law does not depend on the threshold, and the lockstep
+        # integrals mostly ask for the same abscissae
+        nodes, node = np.unique(g, return_inverse=True)
+        return gain_ratio_pdf_p2(nodes, params)[node] * pathloss_fade_ratio_ccdf_p2(t / g, params)
 
     return _dominant_curve("P2", gamma, params, integrand, 1.0, cfg.g_max / cfg.g_s,
                            _P2_COV_SPEC)
@@ -354,16 +345,10 @@ def uniform_mainlobe_gain_cdf(g2, params: NetworkParams):
     return float(out) if out.ndim == 0 else out
 
 
-@functools.cache
-def _offset_rule():
-    """96-node Gauss-Legendre rule on [-1, 1] for the mainlobe offset."""
-    return np.polynomial.legendre.leggauss(96)
-
-
 def _p3_gain_offsets(params: NetworkParams):
     """Gauss-Legendre nodes over the uniform mainlobe offset."""
     cfg = params.antenna
-    x, w = _offset_rule()
+    x, w = gauss_legendre(96)
     phi = 0.5 * cfg.phi_a * (x + 1.0)
     wts = 0.5 * w   # of the normalized uniform density on [0, phi_a]
     return gain_approx(phi, cfg), wts
@@ -484,10 +469,10 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
     mass_spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=20_000)
     mass_corrected = integrate_1d(lambda g: gain_ratio_pdf_p2(g, params),
                                   1.0, cfg.g_max / cfg.g_s, mass_spec)
-    mass_rejected = integrate_1d(
-        np.vectorize(lambda g: _rejected_variant_gain_ratio_pdf_p2(float(g), params)),
-        1.0, cfg.g_max / cfg.g_s, QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6,
-                                                 max_subdivisions=20_000))
+    mass_rejected = integrate_1d(lambda g: _rejected_variant_gain_ratio_pdf_p2(g, params),
+                                 1.0, cfg.g_max / cfg.g_s,
+                                 QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6,
+                                                max_subdivisions=20_000))
     report.append({
         "id": "p2-gain-ratio-density",
         "implemented": "negative exponential argument; inner integral over [g_s, g_max/g]",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
 import sys
 import time
@@ -124,6 +125,11 @@ class ExperimentConfig:
 
 
 _KNOWN_KEYS = tuple(ExperimentConfig().to_flat().keys())
+# Infinite values a float key may take: -inf dBm is no noise at all, and an
+# infinite threshold is certain or impossible coverage.  NaN is never valid.
+_INFINITIES = {"channel.noise_dbm": (-math.inf,),
+               "grid.gamma_db": (-math.inf, math.inf),
+               "grid.fig7_gamma_db": (-math.inf, math.inf)}
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -143,14 +149,19 @@ def _parse_value(key: str, raw: str, where: str):
         if key in ("run.engines", "run.policies"):
             return tuple(part.strip().lower() if key == "run.engines" else part.strip().upper()
                          for part in raw.split(",") if part.strip())
-        if key in ("grid.gamma_db", "sweep.density"):
-            return tuple(float(part) for part in raw.split(",") if part.strip())
         if key == "sweep.sectors":
             return tuple(int(part) for part in raw.split(",") if part.strip())
         if key in ("antenna.sectors_exp", "channel.m_s", "channel.m_x",
                    "run.seed", "run.trials", "run.workers"):
             return int(raw)
-        return float(raw)
+        if key in ("grid.gamma_db", "sweep.density"):
+            value = tuple(float(part) for part in raw.split(",") if part.strip())
+        else:
+            value = float(raw)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (math.isfinite(v) or v in _INFINITIES.get(key, ())):
+                raise err(f"must not be {v!r}")
+        return value
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -182,7 +193,8 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     ``source`` may be a ``pathlib.Path`` to a config file, a ``str`` of
     config text, or None (pure defaults).  Environment overrides are applied
     after the file.  Unknown keys raise in strict mode (with a spelling
-    suggestion) and warn otherwise.
+    suggestion) and warn otherwise; the mode is on when ``strict`` is, or
+    when the last ``run.strict`` of the file and environment is true.
     """
     text = source or ""
     if isinstance(source, Path):
@@ -197,6 +209,12 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
 
     locations: dict = {}
     for where, key, raw in pairs:
+        if key in _KNOWN_KEYS:
+            values[key] = _parse_value(key, raw, where)
+            locations[key] = where
+    # unknown keys are judged once every pair is read, so that strictness
+    # does not depend on where run.strict appears
+    for where, key, raw in pairs:
         if key not in _KNOWN_KEYS:
             suggestion = difflib.get_close_matches(key, _KNOWN_KEYS, n=1, cutoff=0.4)
             hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
@@ -204,9 +222,6 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
             if strict or values.get("run.strict", False):
                 raise ConfigError(message)
             warnings.warn(message, stacklevel=2)
-            continue
-        values[key] = _parse_value(key, raw, where)
-        locations[key] = where
 
     def rng_check(key, ok, msg):
         if key in values and not ok(values[key]):
@@ -220,6 +235,7 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     rng_check("sweep.density", lambda v: all(d > 0 for d in v), "must all be positive")
     rng_check("sweep.sectors", lambda v: all(0 <= m <= 8 for m in v), "must all lie in [0, 8]")
     rng_check("antenna.sla_db", lambda v: v > 0, "must be positive")
+    rng_check("antenna.phi_3db", lambda v: 0 < v <= 2 * math.pi, "must lie in (0, 2*pi]")
     rng_check("channel.m_s", lambda v: v >= 1, "must be at least 1")
     rng_check("channel.m_x", lambda v: v >= 1, "must be at least 1")
     rng_check("run.trials", lambda v: v >= 1, "must be at least 1")

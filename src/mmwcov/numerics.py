@@ -7,6 +7,7 @@ receive a 1-D ndarray of abscissae and must return values of the same shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,10 @@ __all__ = [
     "integrate_1d",
     "integrate_many",
     "exp_derivatives",
+    "gauss_legendre",
 ]
+
+INFINITE_TAIL_MASS = 1e-9    # see QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -31,22 +35,19 @@ class QuadratureSpec:
     total number of interval bisections before :class:`QuadratureError` is
     raised.  Semi-infinite ranges are mapped onto ``[0, 1)`` through
     ``x = a + t/(1-t)``; the panel touching ``t = 1`` is additionally
-    required to carry at most ``infinite_tail_cutoff_mass`` of the total
-    absolute mass, otherwise it keeps being subdivided.
+    required to carry at most ``INFINITE_TAIL_MASS`` of the total absolute
+    mass, otherwise it keeps being subdivided.
     """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
     max_subdivisions: int = 2000
-    infinite_tail_cutoff_mass: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("quadrature tolerances must be strictly positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.infinite_tail_cutoff_mass <= 0.0:
-            raise ValueError("infinite_tail_cutoff_mass must be strictly positive")
 
 
 class QuadratureError(RuntimeError):
@@ -64,6 +65,14 @@ class QuadratureError(RuntimeError):
         self.estimate = estimate
         self.error_bound = error_bound
         self.index = index
+
+
+# Built on first use, not at import: the first LAPACK call inside leggauss
+# adds about 1 MB of resident memory.
+@functools.cache
+def gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
@@ -123,11 +132,11 @@ class _Panels:
         tail_bad = False
         if tail_guard:
             # Panel adjacent to the mapped point at infinity must carry less
-            # than the overall tolerance (or the configured tail mass bound)
+            # than the overall tolerance (or INFINITE_TAIL_MASS of the total)
             # before we trust the estimate.
             tail = self.hi == b
             tail_mass = float(self.resabs[tail].sum())
-            bound = max(tol, spec.infinite_tail_cutoff_mass * float(self.resabs.sum()) + spec.abs_tol)
+            bound = max(tol, INFINITE_TAIL_MASS * float(self.resabs.sum()) + spec.abs_tol)
             tail_bad = tail_mass > bound
         if total_err <= tol and not tail_bad:
             return total

@@ -21,8 +21,6 @@ __all__ = [
     "AntennaConfig",
     "ChannelParams",
     "NetworkParams",
-    "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "gain_3gpp",
@@ -32,14 +30,6 @@ __all__ = [
     "sample_fading",
     "gain_pdf_mainlobe",
 ]
-
-
-def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 def dbm_to_watts(x_dbm):

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from mmwcov.dominant import _SPEC, _joint_gain_density_p2, mainlobe_pair_probability
+from mmwcov.dominant import _LN10, _SPEC, mainlobe_pair_probability
 from mmwcov.geometry import TWO_PI, angular_offset
 from mmwcov.numerics import QuadratureSpec, integrate_1d
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, beam_maxima_pmf,
@@ -254,6 +254,24 @@ def integrate_2d(f: Callable, x_lo: float, x_hi: float, y_lo, y_hi,
         ])
 
     return integrate_1d(outer, x_lo, x_hi, spec)
+
+
+def _joint_gain_density_p2(g1, g2, params: NetworkParams):
+    """Joint density of the two mainlobe gains in gain coordinates, zero
+    outside g_s <= g2 <= g1 <= g_max.  Not normalized by the conditioning
+    probability."""
+    cfg = params.antenna
+    lam_r2 = params.density * params.r_los**2
+    g1_arr = np.asarray(g1, dtype=float)
+    g2_arr = np.asarray(g2, dtype=float)
+    l1 = np.log10(cfg.g_max / g1_arr)
+    l2 = np.log10(cfg.g_max / g2_arr)
+    phi2 = cfg.phi_3db * np.sqrt(10.0 * np.abs(l2)) / (2.0 * math.sqrt(3.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = (5.0 * (lam_r2 * cfg.phi_3db) ** 2 / 24.0 * np.exp(-lam_r2 * phi2)
+                / (_LN10**2 * g1_arr * g2_arr * np.sqrt(np.abs(l1 * l2))))
+    ok = (g2_arr >= cfg.g_s) & (g2_arr <= g1_arr) & (g1_arr <= cfg.g_max)
+    return np.where(ok, dens, 0.0)
 
 
 def corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:

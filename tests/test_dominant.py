@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mmwcov import analytic
+from mmwcov import analytic, dominant
 from mmwcov.dominant import (
     _LN10,
     _curvature,
@@ -201,6 +201,14 @@ class TestGainRatioLawP2:
             assert gain_ratio_pdf_p2(g, params) == pytest.approx(
                 corrected_gain_ratio_pdf_g2space(g, params), rel=1e-5)
 
+    def test_gain_space_oracle_pinned(self, params):
+        # the oracle's gain-space density is a copy of the one the package
+        # used to share with it; these are the values of the shared one
+        pinned = ("0x1.2d4f0444ca9d5p-2", "0x1.0f4ecc83a4f68p-7",
+                  "0x1.b1eb01c33495bp-15", "0x1.a0329b4781869p-22")
+        for g, value in zip((1.5, 4.0, 30.0, 300.0), pinned):
+            assert corrected_gain_ratio_pdf_g2space(g, params) == float.fromhex(value)
+
     def test_ks_against_simulation(self, params):
         samples, _ = _stat(params, "G_ratio_p2")
         samples = np.sort(samples)
@@ -214,6 +222,16 @@ class TestGainRatioLawP2:
             1.0, cfg.g_max / cfg.g_s,
             QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, max_subdivisions=20_000))
         assert abs(mass - 1.0) > 0.5
+
+    def test_rejected_variant_takes_arrays(self, params):
+        cfg = params.antenna
+        g = np.concatenate([[1.0 + 1e-9, 1.01], np.geomspace(1.1, cfg.g_max / cfg.g_s, 10)])
+        alone = [_rejected_variant_gain_ratio_pdf_p2(x, params) for x in g.tolist()]
+        assert all(isinstance(x, float) for x in alone)
+        np.testing.assert_allclose(_rejected_variant_gain_ratio_pdf_p2(g, params), alone,
+                                   rtol=1e-12, atol=0.0)
+        empty = _rejected_variant_gain_ratio_pdf_p2(np.array([]), params)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestPathlossFadeRatioLawP2:
@@ -286,6 +304,22 @@ class TestCoverageDomP2:
         for g_db, value in zip(np.arange(-10.0, 15.1, 2.5), pinned):
             assert coverage_dom_p2(10.0 ** (g_db / 10.0), params) == pytest.approx(
                 value, rel=0.0, abs=1e-8)
+
+    def test_law_sees_each_abscissa_once_per_round(self, params, monkeypatch):
+        # the gain-ratio law does not depend on the threshold, so the lockstep
+        # integrals of a curve share its values
+        calls = []
+
+        def counting(g, p):
+            calls.append(np.array(g))
+            return gain_ratio_pdf_p2(g, p)
+
+        monkeypatch.setattr(dominant, "gain_ratio_pdf_p2", counting)
+        gammas = np.array([10.0 ** (g_db / 10.0) for g_db in np.arange(-10.0, 15.1, 2.5)])
+        values = coverage_dom_p2(gammas, params)
+        assert all(np.unique(g).size == g.size for g in calls)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(values, coverage_dom_p2(gammas, params))
 
     def test_monotone(self, params):
         vals = [coverage_dom_p2(10.0 ** (g / 10.0), params) for g in (-5.0, 0.0, 5.0)]

@@ -63,6 +63,45 @@ class TestValidateConfig:
     def test_strict_via_config_key(self):
         with pytest.raises(ConfigError):
             validate_config("run.strict = true\nbogus.key = 1\n")
+        # strictness does not depend on where run.strict appears
+        with pytest.raises(ConfigError, match=r"line 1: unknown key 'bogus'"):
+            validate_config("bogus = 1\nrun.strict = true\n", environ={})
+        with pytest.raises(ConfigError, match=r"line 1: unknown key 'bogus'"):
+            validate_config("bogus = 1\n", environ={"MMWCOV_RUN__STRICT": "true"})
+        with pytest.warns(UserWarning, match="unknown key 'bogus'"):
+            config = validate_config("run.strict = true\nbogus = 1\n",
+                                     environ={"MMWCOV_RUN__STRICT": "false"})
+        assert config.strict is False
+
+    def test_phi_3db_range_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: antenna\.phi_3db must lie in "
+                                              r"\(0, 2\*pi\] \(got -1\.0\)"):
+            validate_config("run.engines = dominant\nantenna.phi_3db = -1\n", environ={})
+        config = validate_config(f"antenna.phi_3db = {2.0 * math.pi!r}\n", environ={})
+        assert config.params.antenna.phi_3db == 2.0 * math.pi
+
+    def test_infinite_value_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: channel\.r_los must not be inf"):
+            validate_config("run.engines = analytic\nchannel.r_los = inf\n", environ={})
+        for key in ("network.density", "antenna.g_max_db", "antenna.phi_3db", "channel.f_c",
+                    "channel.tx_power_dbm", "channel.noise_dbm", "sweep.density"):
+            with pytest.raises(ConfigError, match=rf"line 1: {key} must not be inf"):
+                validate_config(f"{key} = inf\n", environ={})
+        with pytest.raises(ConfigError, match=r"env MMWCOV_CHANNEL__ALPHA_L: .* must not be -inf"):
+            validate_config(None, environ={"MMWCOV_CHANNEL__ALPHA_L": "-inf"})
+        # -inf dBm is no noise, and infinite thresholds are valid thresholds
+        config = validate_config("channel.noise_dbm = -inf\ngrid.gamma_db = -inf,0,inf\n"
+                                 "grid.fig7_gamma_db = inf\n", environ={})
+        assert config.params.channel.noise_w == 0.0
+        assert config.gamma_grid_db == (-math.inf, 0.0, math.inf)
+        assert config.fig7_gamma_db == math.inf
+
+    def test_nan_value_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 2: grid\.gamma_db must not be nan"):
+            validate_config("run.engines = dominant\ngrid.gamma_db = 0,nan\n", environ={})
+        for key in ("channel.noise_dbm", "grid.fig7_gamma_db", "antenna.sla_db", "channel.r_los"):
+            with pytest.raises(ConfigError, match=rf"line 1: {key} must not be nan"):
+                validate_config(f"{key} = nan\n", environ={})
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):

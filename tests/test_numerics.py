@@ -92,7 +92,7 @@ def _reference_adaptive(f, a, b, spec, tail_guard=False):
         tail_bad = False
         if tail_guard:
             tail_mass = float(resabs[hi == b].sum())
-            bound = max(tol, spec.infinite_tail_cutoff_mass * float(resabs.sum()) + spec.abs_tol)
+            bound = max(tol, numerics.INFINITE_TAIL_MASS * float(resabs.sum()) + spec.abs_tol)
             tail_bad = tail_mass > bound
         if total_err <= tol and not tail_bad:
             return total
