@@ -26,8 +26,9 @@ from .numerics import (QuadratureError, QuadratureSpec, exp_derivatives, gauss_l
                        integrate_many)
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
-# scipy.special is imported inside the functions that call it: importing it
-# costs about 0.2 s of CPU, which Monte Carlo runs never need.
+# No scipy.special here: erf comes from the standard library, element by
+# element, which is cheaper than the 0.2-0.3 s of CPU that importing
+# scipy.special costs every process.
 
 TWO_PI = 2.0 * math.pi
 _LN10 = math.log(10.0)
@@ -129,8 +130,6 @@ class ServingPowerLaw:
         """The misalignment ``lo`` below which a transmitter at the disk edge
         still beats power level ``w``, and the gaussian-in-angle (erf) window
         of the misalignments from ``lo`` to half the beam spacing."""
-        from scipy import special
-
         cfg, ch = self.params.antenna, self.params.channel
         kappa = _curvature(cfg)
         y = self.psi(w)
@@ -138,9 +137,10 @@ class ServingPowerLaw:
         lo = np.sqrt(arg)
         q = (2.0 / ch.alpha_l) * kappa * _LN10
         amp = math.sqrt(math.pi / (4.0 * q))
+        z = np.sqrt(q) * lo
+        erf_lo = np.fromiter(map(math.erf, z.flat), float, z.size).reshape(z.shape)
         # clamp: rounding can push the window a few ulp negative at w_min
-        window = np.maximum(
-            amp * (special.erf(math.sqrt(q) * self._half) - special.erf(np.sqrt(q) * lo)), 0.0)
+        window = np.maximum(amp * (math.erf(math.sqrt(q) * self._half) - erf_lo), 0.0)
         return lo, window
 
     def inner_pdf(self, w):
@@ -642,25 +642,33 @@ def _conditional_coverage(exponent: np.ndarray, s, params: NetworkParams):
 
 
 def _thresholds(gamma):
-    """Flat float thresholds and the shape to return results in."""
+    """The thresholds in ``gamma`` that need quadrature, and the curve to pass
+    :func:`_curve`: the flat thresholds, the shape to return results in and
+    the positions of the first ones among them.  A threshold <= 0 has
+    coverage exactly 1 and a threshold of +inf exactly 0."""
     g = np.asarray(gamma, dtype=float)
-    return g.reshape(-1), g.shape
+    flat = g.reshape(-1)
+    live = np.flatnonzero(~((flat <= 0.0) | (flat == math.inf)))
+    return flat[live], (flat, g.shape, live)
 
 
-def _curve(label: str, detail: str, gammas: np.ndarray, shape, integrand, a: float,
-           b: float, spec: QuadratureSpec | None = None):
-    """Coverage integrals of every threshold over [a, b] to ``spec`` (by
-    default ``_OUTER_SPEC``), in lockstep, clipped to [0, 1].  A quadrature
-    failure names the curve point it came from: the ``label`` curve at the
-    failing threshold, and ``detail``, its parameters."""
+def _curve(label: str, detail: str, curve, integrand, a: float, b: float,
+           spec: QuadratureSpec | None = None):
+    """Coverage integrals of the thresholds that :func:`_thresholds` kept,
+    over [a, b] to ``spec`` (by default ``_OUTER_SPEC``), in lockstep,
+    clipped to [0, 1], and put into the ``curve`` they came from.  A
+    quadrature failure names the curve point it came from: the ``label``
+    curve at the failing threshold, and ``detail``, its parameters."""
+    flat, shape, live = curve
+    out = np.where(flat <= 0.0, 1.0, 0.0)
     try:
-        vals = integrate_many(integrand, a, b, gammas.size, spec or _OUTER_SPEC)
+        vals = integrate_many(integrand, a, b, live.size, spec or _OUTER_SPEC)
     except QuadratureError as err:
-        gamma = gammas[err.index]
-        g_db = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
+        index = int(live[err.index])        # the position among all thresholds
+        g_db = 10.0 * math.log10(flat[index])
         raise QuadratureError(f"{label} coverage at threshold {g_db:.2f} dB ({detail}): "
-                              f"{err.message}", err.estimate, err.error_bound, err.index) from err
-    out = np.clip(vals, 0.0, 1.0)
+                              f"{err.message}", err.estimate, err.error_bound, index) from err
+    out[live] = np.clip(vals, 0.0, 1.0)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -676,7 +684,7 @@ def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
     a float, an array an array of the same shape.
     """
     cfg, ch = params.antenna, params.channel
-    gammas, shape = _thresholds(gamma)
+    gammas, curve = _thresholds(gamma)
     law = serving_power_law(params)
     s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
 
@@ -686,14 +694,14 @@ def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
         exponent = _exponent_derivatives(_p1_grid(params, nodes, exclusion), node, s, ch.m_s - 1)
         return law.pdf(s_th, conditioned=True) * _conditional_coverage(exponent, s, params)
 
-    return _curve("P1", _detail(params, exclusion), gammas, shape, integrand, law.w_min, math.inf)
+    return _curve("P1", _detail(params, exclusion), curve, integrand, law.w_min, math.inf)
 
 
 def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
     """Coverage probability when the minimum-angular-distance pair serves
     (P2; scalar or array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
-    gammas, shape = _thresholds(gamma)
+    gammas, curve = _thresholds(gamma)
     r_l = params.r_los
     alpha = ch.alpha_l
     norm = 1.0 - params.void_probability
@@ -720,7 +728,7 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
                                   int(which[err.index])) from err
         return phi_c_pdf(phi_cs, params) / norm * vals
 
-    return _curve("P2", _detail(params, exclusion), gammas, shape, outer, 0.0,
+    return _curve("P2", _detail(params, exclusion), curve, outer, 0.0,
                   0.5 * cfg.beam_spacing)
 
 
@@ -728,7 +736,7 @@ def coverage_p3(gamma, params: NetworkParams):
     """Coverage probability when the nearest transmitter serves (P3; scalar
     or array ``gamma``, as in :func:`coverage_p1`)."""
     cfg, ch = params.antenna, params.channel
-    gammas, shape = _thresholds(gamma)
+    gammas, curve = _thresholds(gamma)
     r_l = params.r_los
     lam = params.density
     norm = 1.0 - params.void_probability
@@ -741,4 +749,4 @@ def coverage_p3(gamma, params: NetworkParams):
         f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
         return f_r1 * _conditional_coverage(exponent, s, params)
 
-    return _curve("P3", _detail(params, None), gammas, shape, integrand, 0.0, r_l)
+    return _curve("P3", _detail(params, None), curve, integrand, 0.0, r_l)

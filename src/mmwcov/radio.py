@@ -37,7 +37,9 @@ def dbm_to_watts(x_dbm):
 
 
 def watts_to_dbm(x_w):
-    return 10.0 * np.log10(np.asarray(x_w, dtype=float)) + 30.0
+    """dBm of a power in W; 0 W (no noise) is -inf dBm, without a warning."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(np.asarray(x_w, dtype=float)) + 30.0
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,14 @@ class TestCurveInterface:
             assert grid[0, 1] == scalar
             assert fn(np.empty(0), params).shape == (0,)
 
+    @pytest.mark.parametrize("fn", (coverage_p1, coverage_p2, coverage_p3))
+    def test_threshold_edges_are_exact(self, params, fn):
+        # a threshold <= 0 is always met and +inf never, with no quadrature
+        assert fn(math.inf, params) == 0.0
+        grid = fn(np.array([-math.inf, 0.0, 2.0, math.inf]), params)
+        assert np.array_equal(grid[[0, 1, 3]], [1.0, 1.0, 0.0])
+        assert grid[2] == fn(2.0, params)
+
     def test_each_exponent_built_once_per_round(self, params, monkeypatch):
         # 11 thresholds at sectors_exp 3 built 7,005 P1 exponents one
         # threshold at a time, over 705 distinct serving-power nodes

@@ -1,10 +1,11 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mmwcov import analytic, dominant
 from mmwcov.dominant import (
@@ -88,6 +89,14 @@ def oracle_gain_ratio_ccdf_p2(g, params):
     return out
 
 
+def oracle_fade_ratio_ccdf(t, m_s, m_x):
+    """P(h1/h2 > t) from scipy's regularized incomplete beta, 1 - I_x(m_s, m_x)."""
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    with np.errstate(divide="ignore"):
+        x = 1.0 / (1.0 + m_x / (m_s * t))      # 0 at t = 0, 1 at t = inf
+    return special.betaincc(m_s, m_x, x)
+
+
 def oracle_pathloss_fade_ratio_ccdf_p2(t, params):
     """The radius-ratio density (v on [0, 1], v^-3 above) against the
     fade-ratio ccdf, integrated over [0, inf) point by point."""
@@ -100,7 +109,7 @@ def oracle_pathloss_fade_ratio_ccdf_p2(t, params):
 
         def integrand(v):
             disk = np.where(v <= 1.0, v, v**-3.0)
-            return disk * _fade_ratio_ccdf(tv * v**ch.alpha_l, ch.m_s, ch.m_x)
+            return disk * oracle_fade_ratio_ccdf(tv * v**ch.alpha_l, ch.m_s, ch.m_x)
 
         out[i] = integrate_1d(integrand, 0.0, math.inf, ORACLE_SPEC)
     return out
@@ -110,6 +119,38 @@ def _assert_oracle_close(value, oracle):
     err = np.abs(value - oracle)
     bound = np.maximum(1e-12, 1e-8 * np.abs(oracle))
     assert np.all(err <= bound), np.max(err / bound)
+
+
+FADE_SHAPES = ((1, 1), (2, 2), (4, 3), (8, 8), (1, 8), (8, 1), (600, 600))
+
+
+class TestFadeRatioCcdf:
+    @pytest.mark.parametrize("m_s,m_x", FADE_SHAPES)
+    def test_against_incomplete_beta(self, m_s, m_x):
+        t = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 625), [math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _fade_ratio_ccdf(t, m_s, m_x)
+        oracle = oracle_fade_ratio_ccdf(t, m_s, m_x)
+        assert not np.isnan(value).any()
+        err = np.abs(value - oracle)
+        bound = np.maximum(1e-14, 1e-10 * np.abs(value))
+        assert np.all(err <= bound), np.max(err / bound)
+        assert value[0] == 1.0 and value[-1] == 0.0
+
+    @pytest.mark.parametrize("m_s,m_x", FADE_SHAPES)
+    def test_tail_keeps_relative_accuracy(self, m_s, m_x):
+        # I_y(m_x, m_s), y = m_x / (m_s t + m_x), is the same ccdf with the
+        # tail at small y, where 1 - I_x(m_s, m_x) cancels
+        t = np.geomspace(1e-12, 1e300, 625)
+        oracle = special.betainc(m_x, m_s, m_x / (m_s * t + m_x))
+        tail = oracle > 1e-280
+        value = _fade_ratio_ccdf(t[tail], m_s, m_x)
+        np.testing.assert_allclose(value, oracle[tail], rtol=1e-10, atol=0.0)
+
+    def test_below_zero_and_nan(self):
+        value = _fade_ratio_ccdf(np.array([-math.inf, -1.0, -0.0, math.nan]), 3, 5)
+        assert np.array_equal(value[:3], [1.0, 1.0, 1.0]) and math.isnan(value[3])
 
 
 class TestFixedNodeLawsP2:
@@ -472,6 +513,14 @@ class TestCurveInterface:
         assert grid[0, 2] == pytest.approx(scalar, rel=0.0, abs=1e-13)
         empty = fn(np.empty(0), params)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("curve", ("P2", "P3-product"))
+    def test_infinite_threshold_is_never_met(self, params, curve):
+        fn = CURVES[curve]
+        assert fn(math.inf, params) == 0.0
+        grid = fn(np.array([-math.inf, 0.0, 2.0, math.inf]), params)
+        assert np.array_equal(grid[[0, 1, 3]], [1.0, 1.0, 0.0])
+        assert grid[2] == pytest.approx(fn(2.0, params), rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, 2.0, np.array([0.0, 2.0]), np.empty(0)])
     def test_unknown_pairing_raises_for_any_threshold(self, params, gamma):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,13 @@ class TestValidateConfig:
         assert config.params.channel.noise_w == 0.0
         assert config.gamma_grid_db == (-math.inf, 0.0, math.inf)
         assert config.fig7_gamma_db == math.inf
+
+    def test_no_noise_config_flattens_without_warning(self):
+        config = validate_config("channel.noise_dbm = -inf\n", environ={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = config.to_flat()
+        assert flat["channel.noise_dbm"] == "-inf"
 
     def test_nan_value_names_key_and_line(self):
         with pytest.raises(ConfigError, match=r"line 2: grid\.gamma_db must not be nan"):
@@ -307,6 +315,26 @@ class TestRunExperiment:
         assert "e" in x_field and len(x_field.split("e")[0].split(".")[1]) == 10
 
 
+class TestThresholdEdges:
+    @pytest.mark.parametrize("engine, policies", [("analytic", "P1,P2,P3"),
+                                                  ("dominant", "P2,P3")])
+    def test_infinite_threshold_gives_zero_coverage(self, tmp_path, engine, policies):
+        config = validate_config(f"scenario = custom\nrun.engines = {engine}\n"
+                                 f"run.policies = {policies}\ngrid.gamma_db = -inf,0,inf\n"
+                                 f"run.out_dir = {tmp_path}\n", environ={})
+        run_experiment(config)
+        with open(tmp_path / f"custom_{engine}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        keys = [p + ("-dominant" if engine == "dominant" else "") for p in policies.split(",")]
+        assert [row["policy"] for row in rows] == [k for k in keys for _ in range(3)]
+        for row in rows:
+            x, value = float(row["x"]), float(row["value"])
+            if math.isinf(x):
+                assert value == (1.0 if x < 0 else 0.0)
+            else:
+                assert 0.0 < value < 1.0
+
+
 class TestCli:
     def test_runs_scenario(self, tmp_path, capsys):
         rc = main(["custom", "--out", str(tmp_path), "--trials", "1000",
@@ -381,3 +409,18 @@ class TestImportHygiene:
                 "run_experiment(config)")
         assert _scipy_modules_loaded(body) == ""
         assert (tmp_path / "custom_mc.csv").is_file()
+
+    # The analytic and dominant scenarios need no scipy.special either.
+    @pytest.mark.parametrize("scenarios, engine, outputs", [
+        (("fig6", "fig7"), "analytic", ("fig6_analytic.csv", "fig7_analytic.csv")),
+        (("fig8",), "dominant", ("fig8_dominant.csv", "discrepancies.json"))])
+    def test_quadrature_runs_load_no_scipy_special(self, tmp_path, scenarios, engine, outputs):
+        body = ("from dataclasses import replace\n"
+                "from mmwcov.experiments import run_experiment, validate_config\n"
+                "base = validate_config(None, environ={})\n"
+                f"for scenario in {scenarios!r}:\n"
+                f"    run_experiment(replace(base, scenario=scenario, engines=({engine!r},),\n"
+                f"                           trials=2000, out_dir={str(tmp_path)!r}))")
+        assert _scipy_modules_loaded(body) == ""
+        for name in outputs:
+            assert (tmp_path / name).is_file()
