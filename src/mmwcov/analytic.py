@@ -643,8 +643,8 @@ def _conditional_coverage(exponent: np.ndarray, s, params: NetworkParams):
 
 def _thresholds(gamma):
     """The thresholds in ``gamma`` that need quadrature, and the curve to pass
-    :func:`_curve`: the flat thresholds, the shape to return results in and
-    the positions of the first ones among them.  A threshold <= 0 has
+    :func:`_curve`: all thresholds flat, the shape to return results in and
+    the positions of those that need quadrature.  A threshold <= 0 has
     coverage exactly 1 and a threshold of +inf exactly 0."""
     g = np.asarray(gamma, dtype=float)
     flat = g.reshape(-1)

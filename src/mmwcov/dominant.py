@@ -143,15 +143,14 @@ def _fade_ratio_ccdf(t, m_s: int, m_x: int):
     base = np.log1p(odds)
     base *= -m_x                                  # m_x log y
     out = np.exp(base)                            # the i = 0 term
-    if m_s > 1:
-        with np.errstate(divide="ignore"):        # 1/0 = inf: log x = -inf at t = 0
-            neg_log_x = np.log1p(np.divide(1.0, odds, out=odds), out=odds)
-        term = np.empty_like(out)
-        for i in range(1, m_s):
-            np.multiply(neg_log_x, -i, out=term)
-            term += base
-            term += math.log(math.comb(m_x - 1 + i, i))
-            out += np.exp(term, out=term)
+    with np.errstate(divide="ignore"):            # 1/0 = inf: log x = -inf at t = 0
+        neg_log_x = np.log1p(np.divide(1.0, odds, out=odds), out=odds)
+    term = np.empty_like(out)
+    for i in range(1, m_s):
+        np.multiply(neg_log_x, -i, out=term)
+        term += base
+        term += math.log(math.comb(m_x - 1 + i, i))
+        out += np.exp(term, out=term)
     return out
 
 
