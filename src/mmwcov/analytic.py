@@ -17,7 +17,7 @@ given study should use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -251,31 +251,30 @@ def phi_c_pdf(phi_c, params: NetworkParams, conditioned: bool = False):
 
 
 class _Exponents:
-    """Laplace exponents F_j(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of
-    a block of conditioning nodes j on one flat panelized Gauss-Legendre grid:
-    node j owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``."""
+    """The lambda-free grid sums of the Laplace exponents
+    F_j(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of a block of
+    conditioning nodes j on one flat panelized Gauss-Legendre grid: node j
+    owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``."""
 
-    def __init__(self, density: float, m_x: int, c: np.ndarray, w: np.ndarray,
-                 bounds: np.ndarray):
-        self.density = density
+    def __init__(self, m_x: int, c: np.ndarray, w: np.ndarray, bounds: np.ndarray):
         self.m_x = m_x
         self.c = c
         self.w = w
         self.bounds = bounds
 
-    def derivatives(self, node, s, k_max: int) -> np.ndarray:
-        """[F, F', ..., F^(k_max)] of exponent ``node[i]`` at ``s[i]`` for every
-        i, stacked on a leading axis.
+    def sums(self, node, s, k_max: int) -> np.ndarray:
+        """[S_0, S_1, ..., S_k_max] of node ``node[i]`` at ``s[i]`` for every
+        i, stacked on a leading axis: with v = 1/(1 + s c),
+        S_0 = sum w (1 - v^m) and S_k = sum w (c v)^k v^m, so that
+        F = -lambda S_0 and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k.
 
-        One pass over the grid per pair: with v = 1/(1 + s c),
-        F = -lambda sum w (1 - v^m) and
-        F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m.  The
-        (1 - v^m) form keeps F accurate as s c -> 0.  The nodes are put in
-        order of falling pair count, so that the r-th pairs of all nodes with
-        more than r pairs lie over a prefix of the elements.  That prefix goes
-        through in chunks of at most ``_ELEMENT_BUDGET`` elements, summed per
-        node by one ``np.add.reduceat``; a node cut by a chunk boundary is
-        summed in pieces.
+        One pass over the grid per pair.  The (1 - v^m) form keeps F
+        accurate as s c -> 0.  The nodes are put in order of falling pair
+        count, so that the r-th pairs of all nodes with more than r pairs lie
+        over a prefix of the elements.  That prefix goes through in chunks
+        of at most ``_ELEMENT_BUDGET`` elements, summed per node by one
+        ``np.add.reduceat``; a node cut by a chunk boundary is summed in
+        pieces.
         """
         node = np.asarray(node, dtype=np.intp)
         s = np.asarray(s, dtype=float)
@@ -308,9 +307,6 @@ class _Exponents:
                     seg = np.maximum(starts[qa:qb], e0)
                     self._accumulate(sums, pairs[qa:qb], c[e0:e1], w[e0:e1], seg - e0,
                                      np.minimum(ends[qa:qb], e1) - seg, s, k_max)
-        sums[0] *= -self.density
-        for k in range(1, k_max + 1):
-            sums[k] *= self.density * (-1.0) ** k * math.prod(range(self.m_x, self.m_x + k))
         return sums
 
     def _accumulate(self, sums, pair, c, w, offsets, length, s, k_max: int) -> None:
@@ -404,7 +400,6 @@ class _Grid:
         for edge in _RAD_EDGES:
             self.n_live += self.v_lo + edge < self.v_hi
         self.alpha = ch.alpha_l
-        self.density = params.density
         self.m_x = ch.m_x
         # angular nodes of node j: angular[j]:angular[j+1]; its radial panels
         # likewise in panels
@@ -431,7 +426,7 @@ class _Grid:
         v *= 2.0
         weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
         weight *= self.ang_w[ang, None]
-        return _Exponents(self.density, self.m_x, c.ravel(), weight.ravel(),
+        return _Exponents(self.m_x, c.ravel(), weight.ravel(),
                           (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD)
 
 
@@ -441,18 +436,31 @@ def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _exponent_derivatives(grid: _Grid, node, s, k_max: int) -> np.ndarray:
-    """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` for
-    every i, built and evaluated one block of nodes at a time."""
-    out = np.empty((k_max + 1, s.size))
-    by_node = np.argsort(node, kind="stable")
-    sorted_nodes = node[by_node]
+def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarray:
+    """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` and
+    density ``density[i]`` (or one ``density`` for all) for every i.
+
+    Density enters an exponent only as its prefactor, so the lambda-free
+    sums of each distinct (node, s) pair are built and evaluated once, one
+    block of nodes at a time, and then scaled per i."""
+    by_pair = np.lexsort((s, node))
+    node_sorted, s_sorted = node[by_pair], s[by_pair]
+    first = np.ones(node.size, dtype=bool)
+    first[1:] = (node_sorted[1:] != node_sorted[:-1]) | (s_sorted[1:] != s_sorted[:-1])
+    pair = np.empty(node.size, dtype=np.intp)
+    pair[by_pair] = np.cumsum(first) - 1                # the distinct pair of each i
+    pair_node, pair_s = node_sorted[first], s_sorted[first]
+    sums = np.empty((k_max + 1, pair_s.size))
     for lo, hi in _blocks(grid.panels * _N_RAD):
-        first, last = np.searchsorted(sorted_nodes, (lo, hi))
-        if first < last:
-            rows = by_node[first:last]
-            out[:, rows] = grid.exponents(lo, hi).derivatives(node[rows] - lo, s[rows], k_max)
-    return out
+        first_pair, last_pair = np.searchsorted(pair_node, (lo, hi))
+        if first_pair < last_pair:
+            rows = slice(first_pair, last_pair)
+            sums[:, rows] = grid.exponents(lo, hi).sums(pair_node[rows] - lo, pair_s[rows], k_max)
+    scale = np.empty((k_max + 1, np.size(density)))
+    scale[0] = -density
+    for k in range(1, k_max + 1):
+        scale[k] = density * (-1.0) ** k * math.prod(range(grid.m_x, grid.m_x + k))
+    return sums[:, pair] * scale
 
 
 def _exclusion_angle(params: NetworkParams, s_th: np.ndarray) -> np.ndarray:
@@ -587,14 +595,14 @@ def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
     return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
 
-def _one_node(grid: _Grid):
+def _one_node(grid: _Grid, density: float):
     """``exponent(s, k_max=0)``: [F, ..., F^(k_max)] of the one node of
-    ``grid`` at ``s``, stacked on a leading axis.  The transform and its
-    derivatives are ``exp_derivatives(exponent(s, k), s)``."""
+    ``grid`` at ``s`` and ``density``, stacked on a leading axis.  The
+    transform and its derivatives are ``exp_derivatives(exponent(s, k), s)``."""
     def exponent(s, k_max: int = 0):
         s_arr = np.asarray(s, dtype=float)
         out = _exponent_derivatives(grid, np.zeros(s_arr.size, dtype=np.intp),
-                                    s_arr.reshape(-1), k_max)
+                                    s_arr.reshape(-1), k_max, density)
         return out.reshape((k_max + 1,) + s_arr.shape)
     return exponent
 
@@ -605,7 +613,7 @@ def laplace_p1(s_th: float, params: NetworkParams, exclusion: str = "all-beams")
 
     By isotropy the transform does not depend on the serving beam's direction.
     """
-    return _one_node(_p1_grid(params, np.array([float(s_th)]), exclusion))
+    return _one_node(_p1_grid(params, np.array([float(s_th)]), exclusion), params.density)
 
 
 def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
@@ -613,7 +621,7 @@ def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
     serving angular distance (see :func:`_one_node`)."""
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
-    return _one_node(_p2_grid(params, np.array([float(phi_c)]), exclusion))
+    return _one_node(_p2_grid(params, np.array([float(phi_c)]), exclusion), params.density)
 
 
 def laplace_p3(r1: float, params: NetworkParams):
@@ -621,7 +629,7 @@ def laplace_p3(r1: float, params: NetworkParams):
     serving distance (see :func:`_one_node`)."""
     if not 0.0 <= r1 <= params.r_los:
         raise ValueError("r1 outside [0, R_los]")
-    return _one_node(_p3_grid(params, np.array([float(r1)])))
+    return _one_node(_p3_grid(params, np.array([float(r1)])), params.density)
 
 
 # ---------------------------------------------------------------------------
@@ -641,35 +649,77 @@ def _conditional_coverage(exponent: np.ndarray, s, params: NetworkParams):
     return total
 
 
-def _thresholds(gamma):
+def _thresholds(gamma, lead: tuple = ()):
     """The thresholds in ``gamma`` that need quadrature, and the curve to pass
-    :func:`_curve`: all thresholds flat, the shape to return results in and
-    the positions of those that need quadrature.  A threshold <= 0 has
-    coverage exactly 1 and a threshold of +inf exactly 0."""
+    :func:`_curve`: all thresholds flat, the shape to return results in
+    (``lead``, the shape of the curves, then that of ``gamma``) and the
+    positions of those that need quadrature.  A threshold <= 0 has coverage
+    exactly 1 and a threshold of +inf exactly 0."""
     g = np.asarray(gamma, dtype=float)
     flat = g.reshape(-1)
     live = np.flatnonzero(~((flat <= 0.0) | (flat == math.inf)))
-    return flat[live], (flat, g.shape, live)
+    return flat[live], (flat, lead + g.shape, live)
 
 
-def _curve(label: str, detail: str, curve, integrand, a: float, b: float,
+def _family(params) -> tuple[list, tuple]:
+    """The curves of a coverage call and the leading shape of its result:
+    one ``NetworkParams`` is one curve and adds no axis; a sequence of them
+    is one curve each, on a leading axis.  Curves of one call may differ
+    only in density, which enters their region exponents as a prefactor."""
+    if isinstance(params, NetworkParams):
+        return [params], ()
+    family = list(params)
+    if not family:
+        raise ValueError("a coverage call needs at least one NetworkParams")
+    base = family[0]
+    for i, other in enumerate(family[1:], start=1):
+        for part in ("antenna", "channel"):
+            ours, theirs = getattr(base, part), getattr(other, part)
+            for f in fields(ours):
+                mine, yours = getattr(ours, f.name), getattr(theirs, f.name)
+                if yours != mine:
+                    raise ValueError(f"params {i} differs from params 0 in more than density: "
+                                     f"{part}.{f.name} is {yours!r}, not {mine!r}")
+    return family, (len(family),)
+
+
+def _by_curve(curve_of, x, laws):
+    """``laws[i](x)`` at the points ``x`` of each curve i (``curve_of`` names
+    the curve of each point): the laws of the serving statistic and its
+    void conditioning depend on each curve's density."""
+    out = np.empty_like(x)
+    for i, law in enumerate(laws):
+        mine = curve_of == i
+        if mine.any():
+            out[mine] = law(x[mine])
+    return out
+
+
+def _curve(label: str, details: list, curve, integrand, a: float, b: float,
            spec: QuadratureSpec | None = None):
-    """Coverage integrals of the thresholds that :func:`_thresholds` kept,
-    over [a, b] to ``spec`` (by default ``_OUTER_SPEC``), in lockstep,
-    clipped to [0, 1], and put into the ``curve`` they came from.  A
-    quadrature failure names the curve point it came from: the ``label``
-    curve at the failing threshold, and ``detail``, its parameters."""
+    """Coverage integrals of every curve (one entry of ``details`` each) at
+    the thresholds that :func:`_thresholds` kept, over [a, b] to ``spec``
+    (by default ``_OUTER_SPEC``), in lockstep, clipped to [0, 1], and put
+    into the ``curve`` they came from.  ``integrand(x, which)`` takes
+    integral ``which = c * n + t`` to be that of curve c at kept threshold
+    t, with n kept thresholds.  A quadrature failure names the curve point
+    it came from: the ``label`` curve at the failing threshold, and the
+    curve's parameters ``details[c]``; its index is the position of that
+    point in the result."""
     flat, shape, live = curve
-    out = np.where(flat <= 0.0, 1.0, 0.0)
+    n_curves = len(details)
+    out = np.tile(np.where(flat <= 0.0, 1.0, 0.0), (n_curves, 1))
     try:
-        vals = integrate_many(integrand, a, b, live.size, spec or _OUTER_SPEC)
+        vals = integrate_many(integrand, a, b, n_curves * live.size, spec or _OUTER_SPEC)
     except QuadratureError as err:
-        index = int(live[err.index])        # the position among all thresholds
+        c, t = divmod(err.index, live.size)
+        index = int(live[t])                # the position among all thresholds
         g_db = 10.0 * math.log10(flat[index])
-        raise QuadratureError(f"{label} coverage at threshold {g_db:.2f} dB ({detail}): "
-                              f"{err.message}", err.estimate, err.error_bound, index) from err
-    out[live] = np.clip(vals, 0.0, 1.0)
-    return float(out[0]) if shape == () else out.reshape(shape)
+        raise QuadratureError(f"{label} coverage at threshold {g_db:.2f} dB ({details[c]}): "
+                              f"{err.message}", err.estimate, err.error_bound,
+                              c * flat.size + index) from err
+    out[:, live] = np.clip(vals.reshape(n_curves, live.size), 0.0, 1.0)
+    return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
 def _detail(params: NetworkParams, exclusion: str | None) -> str:
@@ -677,48 +727,65 @@ def _detail(params: NetworkParams, exclusion: str | None) -> str:
             f"sectors_exp {params.antenna.sectors_exp}")
 
 
-def coverage_p1(gamma, params: NetworkParams, exclusion: str = "all-beams"):
+def coverage_p1(gamma, params, exclusion: str = "all-beams"):
     """Coverage probability when the maximum-power pair serves (P1).
 
     ``gamma`` is a linear SINR threshold or an array of them; a scalar gives
-    a float, an array an array of the same shape.
+    a float, an array an array of the same shape.  ``params`` is one
+    ``NetworkParams``, or a sequence of n that differ only in density: then
+    the result has a leading axis of n curves, and the curves share the
+    region exponents of every round (see :func:`_exponent_derivatives`).
     """
-    cfg, ch = params.antenna, params.channel
-    gammas, curve = _thresholds(gamma)
-    law = serving_power_law(params)
+    family, lead = _family(params)
+    base = family[0]
+    cfg, ch = base.antenna, base.channel
+    gammas, curve = _thresholds(gamma, lead)
+    density = np.array([p.density for p in family])
+    pdfs = [lambda s_th, law=serving_power_law(p): law.pdf(s_th, conditioned=True)
+            for p in family]
     s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
 
     def integrand(s_th, which):
+        c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(s_th, return_inverse=True)
-        s = s_const[which] / s_th
-        exponent = _exponent_derivatives(_p1_grid(params, nodes, exclusion), node, s, ch.m_s - 1)
-        return law.pdf(s_th, conditioned=True) * _conditional_coverage(exponent, s, params)
+        s = s_const[t] / s_th
+        exponent = _exponent_derivatives(_p1_grid(base, nodes, exclusion), node, s,
+                                         ch.m_s - 1, density[c])
+        return _by_curve(c, s_th, pdfs) * _conditional_coverage(exponent, s, base)
 
-    return _curve("P1", _detail(params, exclusion), curve, integrand, law.w_min, math.inf)
+    return _curve("P1", [_detail(p, exclusion) for p in family], curve, integrand,
+                  serving_power_law(base).w_min, math.inf)
 
 
-def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
+def coverage_p2(gamma, params, exclusion: str = "grid"):
     """Coverage probability when the minimum-angular-distance pair serves
-    (P2; scalar or array ``gamma``, as in :func:`coverage_p1`)."""
-    cfg, ch = params.antenna, params.channel
-    gammas, curve = _thresholds(gamma)
-    r_l = params.r_los
+    (P2; scalar or array ``gamma`` and one or a sequence of ``params``, as
+    in :func:`coverage_p1`)."""
+    family, lead = _family(params)
+    base = family[0]
+    cfg, ch = base.antenna, base.channel
+    gammas, curve = _thresholds(gamma, lead)
+    r_l = base.r_los
     alpha = ch.alpha_l
-    norm = 1.0 - params.void_probability
+    density = np.array([p.density for p in family])
+    pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) / (1.0 - p.void_probability)
+            for p in family]
     s_num = ch.m_s * gammas
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
 
     def outer(phi_cs, which):
-        # The inner integrals of every (phi_c, threshold) pair of the round
-        # run in lockstep, on the exponents of the round's distinct nodes.
+        # The inner integrals of every (phi_c, curve, threshold) triple of the
+        # round run in lockstep, on the exponents of the round's distinct nodes.
+        c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(phi_cs, return_inverse=True)
-        grid = _p2_grid(params, nodes, exclusion)
-        s_coef = s_num[which] / (s_den * gain_approx(phi_cs, cfg))
+        grid = _p2_grid(base, nodes, exclusion)
+        s_coef = s_num[t] / (s_den * gain_approx(phi_cs, cfg))
+        inner_density = density[c]
 
         def inner(d0, k):
             s = s_coef[k] * d0**alpha
-            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1)
-            return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, params)
+            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1, inner_density[k])
+            return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, base)
 
         try:
             vals = integrate_many(inner, 0.0, r_l, phi_cs.size, _INNER_SPEC)
@@ -726,27 +793,32 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
             raise QuadratureError(f"inner integral at phi_c={phi_cs[err.index]:.6g}: "
                                   f"{err.message}", err.estimate, err.error_bound,
                                   int(which[err.index])) from err
-        return phi_c_pdf(phi_cs, params) / norm * vals
+        return _by_curve(c, phi_cs, pdfs) * vals
 
-    return _curve("P2", _detail(params, exclusion), curve, outer, 0.0,
+    return _curve("P2", [_detail(p, exclusion) for p in family], curve, outer, 0.0,
                   0.5 * cfg.beam_spacing)
 
 
-def coverage_p3(gamma, params: NetworkParams):
+def coverage_p3(gamma, params):
     """Coverage probability when the nearest transmitter serves (P3; scalar
-    or array ``gamma``, as in :func:`coverage_p1`)."""
-    cfg, ch = params.antenna, params.channel
-    gammas, curve = _thresholds(gamma)
-    r_l = params.r_los
-    lam = params.density
-    norm = 1.0 - params.void_probability
+    or array ``gamma`` and one or a sequence of ``params``, as in
+    :func:`coverage_p1`)."""
+    family, lead = _family(params)
+    base = family[0]
+    cfg, ch = base.antenna, base.channel
+    gammas, curve = _thresholds(gamma, lead)
+    density = np.array([p.density for p in family])
+    pdfs = [lambda r1, lam=p.density, norm=1.0 - p.void_probability:
+            2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
+            for p in family]
     s_const = ch.m_s * gammas / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
 
     def integrand(r1, which):
+        c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(r1, return_inverse=True)
-        s = s_const[which] * r1**ch.alpha_l
-        exponent = _exponent_derivatives(_p3_grid(params, nodes), node, s, ch.m_s - 1)
-        f_r1 = 2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
-        return f_r1 * _conditional_coverage(exponent, s, params)
+        s = s_const[t] * r1**ch.alpha_l
+        exponent = _exponent_derivatives(_p3_grid(base, nodes), node, s, ch.m_s - 1,
+                                         density[c])
+        return _by_curve(c, r1, pdfs) * _conditional_coverage(exponent, s, base)
 
-    return _curve("P3", _detail(params, None), curve, integrand, 0.0, r_l)
+    return _curve("P3", [_detail(p, None) for p in family], curve, integrand, 0.0, base.r_los)

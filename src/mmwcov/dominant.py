@@ -113,13 +113,24 @@ def mainlobe_pair_probability(params: NetworkParams) -> float:
 
 
 def _fade_ratio_pdf(t, m_s: int, m_x: int):
+    """Density of T at ``t``, zero for ``t <= 0``.
+
+    With the odds ``u = m_s t / m_x`` it is
+    ``(m_s/m_x) u**(m_s - 1) (1 + u)**-(m_s + m_x) / B(m_s, m_x)``, taken as
+    the exp of its log with ``log B`` from ``math.lgamma``, so that no
+    factor overflows at any shape; ``t = inf`` gives exactly 0.
+    """
     t_arr = np.asarray(t, dtype=float)
-    const = (math.gamma(m_s + m_x) / (math.gamma(m_s) * math.gamma(m_x))
-             * m_s**m_s * m_x**m_x)
-    out = np.where(t_arr > 0.0,
-                   const * t_arr ** (m_s - 1) / (m_s * t_arr + m_x) ** (m_s + m_x),
-                   0.0)
-    return out
+    odds = np.maximum(t_arr, 0.0) * (m_s / m_x)
+    log_pdf = -(m_s + m_x) * np.log1p(odds)
+    log_pdf += (math.lgamma(m_s + m_x) - math.lgamma(m_s) - math.lgamma(m_x)
+                + math.log(m_s / m_x))
+    if m_s > 1:
+        # log 0 = -inf at t = 0, and -inf + inf = nan at t = inf: both are
+        # replaced below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pdf += (m_s - 1) * np.log(odds)
+    return np.where((t_arr > 0.0) & (t_arr < math.inf), np.exp(log_pdf), 0.0)
 
 
 def _fade_ratio_ccdf(t, m_s: int, m_x: int):
@@ -316,7 +327,7 @@ def _dominant_curve(policy: str, gamma, params: NetworkParams, integrand, a: flo
     ch = params.channel
     detail = (f"density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
               f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}")
-    return _curve(f"{policy} dominant", detail, curve,
+    return _curve(f"{policy} dominant", [detail], curve,
                   lambda x, which: integrand(x, gammas[which]), a, b, spec)
 
 

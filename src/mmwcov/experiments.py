@@ -354,34 +354,46 @@ def _curve_rows(config: ExperimentConfig, engine: str, curves: list, meter: dict
     """Rows of every curve on ``engine``, in curve order; the seconds spent in
     the engine's calls are added to ``meter[engine]``.
 
-    Monte Carlo evaluates the curves of one density on one shared draw (one
-    ``run_coverages`` call); curves with the same ``sectors_exp`` should sit
-    next to each other, so that they share the grid offsets.  The analytic
-    and dominant engines take a whole curve per call.
+    Each engine call takes a group of curves.  Monte Carlo evaluates the
+    curves of one density on one shared draw (one ``run_coverages`` call);
+    curves with the same ``sectors_exp`` should sit next to each other, so
+    that they share the grid offsets.  The analytic engine evaluates the
+    curves that differ only in density (one policy, threshold grid, antenna
+    and channel) in one ``coverage_pN`` call, which shares their region
+    exponents: fig7 makes one call per policy and ``sectors_exp``.  The
+    dominant engine takes one curve per call.
     """
-    if engine == "mc":
-        results = [None] * len(curves)
-        by_density = {}
-        for i, curve in enumerate(curves):
-            by_density.setdefault(curve.params.density, []).append(i)
-        for group in by_density.values():
-            plans = [_plan(config, curves[i].params, curves[i].policy, curves[i].grid_db)
-                     for i in group]
-            start = time.perf_counter()
-            coverages = run_coverages(plans, n_workers=config.workers)
-            meter["mc"] += time.perf_counter() - start
-            for i, coverage in zip(group, coverages):
-                results[i] = (coverage.p_cov, coverage.stderr)
-    else:
-        module, prefix = _COVERAGE[engine]
-        results = []
-        for c in curves:
+    groups = {}
+    for i, c in enumerate(curves):
+        if engine == "mc":
+            key = c.params.density
+        elif engine == "analytic":
+            key = (c.policy, c.grid_db, c.params.antenna, c.params.channel)
+        else:
+            key = i
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(curves)
+    for group in groups.values():
+        members = [curves[i] for i in group]
+        start = time.perf_counter()
+        if engine == "mc":
+            plans = [_plan(config, c.params, c.policy, c.grid_db) for c in members]
+            found = [(coverage.p_cov, coverage.stderr)
+                     for coverage in run_coverages(plans, n_workers=config.workers)]
+        else:
+            module, prefix = _COVERAGE[engine]
             # looked up at call time, so that a wrapper installed on the module
             # after import (a tracer's, say) sees the call
-            coverage = getattr(module, prefix + c.policy.lower())
-            start = time.perf_counter()
-            results.append((coverage(_linear(c.grid_db), c.params), repeat(0.0)))
-            meter[engine] += time.perf_counter() - start
+            coverage = getattr(module, prefix + members[0].policy.lower())
+            gammas = _linear(members[0].grid_db)
+            if engine == "analytic":
+                values = coverage(gammas, [c.params for c in members])
+            else:
+                values = [coverage(gammas, members[0].params)]
+            found = [(v, repeat(0.0)) for v in values]
+        meter[engine] += time.perf_counter() - start
+        for i, result in zip(group, found):
+            results[i] = result
     return [(x, v, s, engine, c.key) for c, (values, errors) in zip(curves, results)
             for x, v, s in zip(c.x, values, errors)]
 

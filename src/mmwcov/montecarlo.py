@@ -39,6 +39,7 @@ __all__ = [
     "sample_statistic",
     "sample_conditioned_interference",
     "check_chunk_points",
+    "default_power_levels",
 ]
 
 CHUNK_TRIALS = 4096

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from mmwcov.montecarlo import (
     sample_statistic,
 )
 from mmwcov import analytic
-from mmwcov.numerics import QuadratureError, QuadratureSpec, exp_derivatives, integrate_1d
+from mmwcov.numerics import (QuadratureError, QuadratureSpec, exp_derivatives, integrate_1d,
+                             integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_pdf_mainlobe)
 from conftest import ks_distance
@@ -385,6 +387,126 @@ class TestCurveOracle:
                                        err_msg=f"{policy} {exclusion}")
 
 
+def _counting_pairs(monkeypatch):
+    """A list that collects the number of (node, s) pairs of every exponent
+    block the kernel sums."""
+    counted = []
+    sums = analytic._Exponents.sums
+
+    def counting(self, node, s, k_max):
+        counted.append(len(node))
+        return sums(self, node, s, k_max)
+
+    monkeypatch.setattr(analytic._Exponents, "sums", counting)
+    return counted
+
+
+class TestCurveFamily:
+    """Curves that differ only in density in one call, against one call per
+    curve."""
+
+    @pytest.mark.parametrize("sectors_exp", [1, 2, 3])
+    def test_fig7_grid(self, sectors_exp):
+        gamma = 10.0 ** 0.3
+        family = [NetworkParams(density=d, antenna=AntennaConfig(sectors_exp=sectors_exp))
+                  for d in (4e-4, 8e-4, 1.6e-3)]
+        for fn in (coverage_p1, coverage_p3):
+            batched = fn(gamma, family)
+            assert batched.shape == (3,)
+            np.testing.assert_allclose(batched, [fn(gamma, p) for p in family],
+                                       rtol=0.0, atol=1e-13, err_msg=fn.__name__)
+
+    @pytest.mark.parametrize("name", sorted(OFF_DEFAULT))
+    def test_off_default_sets_every_exclusion(self, name):
+        base = OFF_DEFAULT[name]
+        family = [replace(base, density=f * base.density) for f in (0.25, 0.5, 1.0)]
+        gammas = _linear(OFF_GRID_DB)
+        for policy, exclusion in CURVES:
+            new, _ = _both(policy, exclusion)
+            batched = new(gammas, family)
+            assert batched.shape == (3, gammas.size)
+            np.testing.assert_allclose(batched, [new(gammas, p) for p in family],
+                                       rtol=0.0, atol=1e-13, err_msg=f"{policy} {exclusion}")
+
+    def test_shapes_and_threshold_edges(self, params):
+        family = [params, replace(params, density=2.0 * params.density)]
+        grid = np.array([[-math.inf, 2.0], [math.inf, 0.5]])
+        for fn in (coverage_p1, coverage_p2, coverage_p3):
+            out = fn(grid, family)
+            assert out.shape == (2, 2, 2)
+            assert np.array_equal(out[:, 0, 0], [1.0, 1.0])
+            assert np.array_equal(out[:, 1, 0], [0.0, 0.0])
+            assert fn(grid, family[:1]).shape == (1, 2, 2)
+            assert fn(np.empty(0), family).shape == (2, 0)
+
+    @pytest.mark.parametrize("field, changed", [
+        ("antenna.sectors_exp", lambda p: replace(p, antenna=AntennaConfig(sectors_exp=3))),
+        ("channel.m_s", lambda p: replace(p, channel=ChannelParams(m_s=3))),
+        ("channel.noise_w", lambda p: replace(p, channel=ChannelParams(noise_w=0.0)))])
+    def test_params_that_differ_in_more_than_density_are_refused(self, params, field, changed):
+        family = [params, replace(params, density=1e-3), changed(replace(params, density=2e-3))]
+        for fn in (coverage_p1, coverage_p2, coverage_p3):
+            with pytest.raises(ValueError, match=f"params 2 differs .* {field} is "):
+                fn(1.0, family)
+        with pytest.raises(ValueError, match="at least one"):
+            coverage_p1(1.0, [])
+
+    @pytest.mark.parametrize("policy,spec", [
+        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
+    def test_quadrature_failure_names_the_curve(self, policy, spec, monkeypatch):
+        # the last integral of the failing call fails: for the outer call the
+        # second curve at 10 dB, for an inner call a node of that curve
+        def exhausted(f, a, b, n, quad_spec=None):
+            if quad_spec is getattr(analytic, spec):
+                raise QuadratureError("max_subdivisions exhausted", 0.25, 1e-3, n - 1)
+            return integrate_many(f, a, b, n, quad_spec)
+
+        monkeypatch.setattr(analytic, "integrate_many", exhausted)
+        family = [NetworkParams(density=d, antenna=AntennaConfig(sectors_exp=3))
+                  for d in (8e-4, 1.6e-3)]
+        fn = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
+        with pytest.raises(QuadratureError) as excinfo:
+            fn(_linear((5.0, 10.0)), family)
+        err = excinfo.value
+        assert err.index == 3               # curve 1, threshold 1 of the (2, 2) result
+        message = str(err)
+        for part in (f"{policy} coverage", "threshold 10.00 dB", "density 0.0016",
+                     "sectors_exp 3", "max_subdivisions"):
+            assert part in message
+        assert "density 0.0008" not in message
+        assert ("inner integral at phi_c=" in message) == (spec == "_INNER_SPEC")
+
+    def test_fig7_p1_evaluates_each_exponent_pair_once_per_round(self, monkeypatch):
+        # the 9 fig7 P1 curves ask for 5,445 (node, s) pairs one curve per
+        # call; the three densities of a beam count share theirs
+        counted = _counting_pairs(monkeypatch)
+        gamma = 10.0 ** 0.3
+        families = [[NetworkParams(density=d, antenna=AntennaConfig(sectors_exp=m))
+                     for d in (4e-4, 8e-4, 1.6e-3)] for m in (1, 2, 3)]
+        for family in families:
+            for p in family:
+                coverage_p1(gamma, p)
+        assert sum(counted) == 5445
+        counted.clear()
+        for family in families:
+            coverage_p1(gamma, family)
+        assert sum(counted) <= 2200
+
+    def test_kernel_scales_distinct_pairs_per_density(self, params):
+        # repeated (node, s) pairs at different densities are summed once
+        law = serving_power_law(params)
+        nodes = np.array([law.quantile(0.2), law.quantile(0.7)])
+        grid = analytic._p1_grid(params, nodes, "all-beams")
+        node = np.array([1, 0, 1, 1, 0])
+        s = np.array([3e4, 1e5, 3e4, 3e4, 1e5])
+        density = np.array([4e-4, 8e-4, 8e-4, 1.6e-3, 4e-4])
+        got = analytic._exponent_derivatives(grid, node, s, 2, density)
+        for i in range(node.size):
+            one = oracle._p1_exponent(replace(params, density=density[i]), nodes[node[i]],
+                                      "all-beams")
+            np.testing.assert_allclose(got[:, i], one.derivatives(s[i], 2), rtol=1e-13)
+
+
 class TestCurveInterface:
     def test_scalar_in_float_out_array_in_array_out(self, params):
         gammas = _linear((-5.0, 0.0, 5.0, 10.0))
@@ -481,8 +603,12 @@ class TestExponentOracle:
         expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
         expo = grid.exponents(0, nodes.size)
-        for got in (analytic._exponent_derivatives(grid, node, s, k_max),
-                    expo.derivatives(node, s, k_max)):
+        # F = -lambda S_0 and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k
+        m_x = params.channel.m_x
+        scale = params.density * np.array(
+            [-1.0] + [(-1.0) ** k * math.prod(range(m_x, m_x + k)) for k in range(1, k_max + 1)])
+        for got in (analytic._exponent_derivatives(grid, node, s, k_max, params.density),
+                    expo.sums(node, s, k_max) * scale[:, None]):
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
         # collapsed radial log-panels are never built
         assert np.all(expo.w > 0.0)

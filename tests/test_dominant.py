@@ -153,6 +153,29 @@ class TestFadeRatioCcdf:
         assert np.array_equal(value[:3], [1.0, 1.0, 1.0]) and math.isnan(value[3])
 
 
+class TestFadeRatioPdf:
+    @pytest.mark.parametrize("m_s,m_x", FADE_SHAPES + ((80, 80), (90, 90)))
+    def test_against_beta_prime(self, m_s, m_x):
+        # T = h1/h2 is a beta-prime(m_s, m_x) variable scaled by m_x/m_s
+        t = np.concatenate([[-1.0, 0.0], np.geomspace(1e-12, 1e300, 625), [math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = dominant._fade_ratio_pdf(t, m_s, m_x)
+        assert np.all(np.isfinite(value))
+        assert np.array_equal(value[[0, 1, -1]], [0.0, 0.0, 0.0])
+        oracle = stats.betaprime(m_s, m_x, scale=m_x / m_s).pdf(t[2:-1])
+        kept = oracle > 1e-280
+        np.testing.assert_allclose(value[2:-1][kept], oracle[kept], rtol=1e-12, atol=0.0)
+
+    def test_p3_dominant_curve_at_large_shapes(self):
+        params = NetworkParams(channel=ChannelParams(m_s=90, m_x=90))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = coverage_dom_p3(10.0 ** (np.array([-5.0, 0.0, 5.0, 10.0]) / 10.0), params)
+        assert np.all((cov >= 0.0) & (cov <= 1.0))
+        assert np.all(np.diff(cov) <= 0.0)
+
+
 class TestFixedNodeLawsP2:
     @pytest.mark.parametrize("density", (5e-5, 8e-4, 5e-3))
     @pytest.mark.parametrize("sectors_exp", (0, 2, 5, 8))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmwcov import montecarlo
+from mmwcov import analytic, montecarlo
 from mmwcov.cli import main
 from mmwcov.experiments import (
     ConfigError,
@@ -19,6 +19,7 @@ from mmwcov.experiments import (
     run_experiment,
     validate_config,
 )
+from mmwcov.radio import AntennaConfig, NetworkParams
 
 
 class TestValidateConfig:
@@ -222,6 +223,34 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "fig7" / "fig7_manifest.json").read_text())
         assert manifest["mc_trials_per_s"] * manifest["runtimes_s"]["mc"] == pytest.approx(
             30 * 500)
+
+    def test_fig7_analytic_curves_share_one_call_per_beam_count(self, tmp_path, monkeypatch):
+        # the curves that differ only in density go to one coverage call, and
+        # the rows come back in curve order
+        calls = []
+        for name in ("coverage_p1", "coverage_p3"):
+            def counting(gamma, params, fn=getattr(analytic, name), name=name):
+                calls.append((name, [p.density for p in params],
+                              {p.antenna.sectors_exp for p in params}))
+                return fn(gamma, params)
+            monkeypatch.setattr(analytic, name, counting)
+        densities = (4e-4, 8e-4, 1.6e-3)
+        config = _tiny_config(tmp_path, "fig7", engines=("analytic",),
+                              density_sweep=densities, sector_sweep=(1, 2))
+        run_experiment(config)
+        assert sorted((name, tuple(d), tuple(m)) for name, d, m in calls) == [
+            (name, densities, (m,)) for name in ("coverage_p1", "coverage_p3") for m in (1, 2)]
+        monkeypatch.undo()
+        rows = list(csv.DictReader(open(tmp_path / "fig7" / "fig7_analytic.csv")))
+        gamma = 10.0 ** (config.fig7_gamma_db / 10.0)
+        expected = [(f"{policy};density={d:g}", float(m),
+                     fn(gamma, NetworkParams(density=d, antenna=AntennaConfig(sectors_exp=m))))
+                    for d in densities for m in (1, 2)
+                    for policy, fn in (("P1", analytic.coverage_p1),
+                                       ("P3", analytic.coverage_p3))]
+        assert [(r["policy"], float(r["x"])) for r in rows] == [e[:2] for e in expected]
+        np.testing.assert_allclose([float(r["value"]) for r in rows], [e[2] for e in expected],
+                                   rtol=1e-9, atol=0.0)
 
     def test_manifest_closure(self, tmp_path):
         config = _tiny_config(tmp_path, "custom", engines=("mc",), policies=("P3",))

@@ -18,7 +18,7 @@ from mmwcov.geometry import (
     joint_distance_pdf,
 )
 from mmwcov.numerics import QuadratureSpec, integrate_1d
-from conftest import batch_fields, ecdf_2d, ks_distance, order_stat_per_field
+from conftest import batch_fields, ecdf_2d, ks_distance, order_stat_per_field, sort_within_fields
 from field_oracle import integrate_2d, sample_ppp, wrap_angle
 
 LAM, R = 8e-4, 75.0
@@ -56,6 +56,16 @@ class TestSamplePpp:
             sample_ppp(0.0, R, gen)
         with pytest.raises(ValueError):
             sample_ppp(LAM, -1.0, gen)
+
+
+def test_sort_within_fields_is_the_lexsort_order():
+    # more than 2**16 fields, so both digits of the field index matter, and
+    # rounded values, so fields hold ties
+    counts, _, _, phi = batch_fields(LAM, R, 70_000, seed=46)
+    phi = np.round(phi, 2)
+    field = np.repeat(np.arange(counts.size), counts)
+    expected = phi[np.lexsort((phi, field))]
+    assert np.array_equal(sort_within_fields(phi, counts), expected)
 
 
 class TestAngularLaws:
@@ -101,7 +111,7 @@ class TestAngularLaws:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ks_one_directional(self, n):
         counts, starts, _, phi = batch_fields(LAM, R, N_FIELDS, seed=42)
-        samples = np.sort(order_stat_per_field(phi, counts, starts, n))
+        samples = np.sort(order_stat_per_field(sort_within_fields(phi, counts), counts, starts, n))
         mass = special.gammainc(n, LAM * math.pi * R**2)
         cdf = angular_cdf_nth(n, samples, R, LAM) / mass
         assert ks_distance(samples, cdf) < KS_TOL
@@ -109,7 +119,7 @@ class TestAngularLaws:
     @pytest.mark.parametrize("n", [1, 2])
     def test_ks_absolute(self, n):
         counts, starts, _, phi = batch_fields(LAM, R, N_FIELDS, seed=43)
-        folded = np.minimum(phi, 2.0 * math.pi - phi)
+        folded = sort_within_fields(np.minimum(phi, 2.0 * math.pi - phi), counts)
         samples = np.sort(order_stat_per_field(folded, counts, starts, n))
         mass = special.gammainc(n, LAM * math.pi * R**2)
         cdf = abs_angular_cdf_nth(n, samples, R, LAM) / mass
@@ -145,7 +155,7 @@ class TestJointAngularLaw:
 
     def test_ks_2d(self):
         counts, starts, _, phi = batch_fields(LAM, R, N_FIELDS, seed=44)
-        folded = np.minimum(phi, 2.0 * math.pi - phi)
+        folded = sort_within_fields(np.minimum(phi, 2.0 * math.pi - phi), counts)
         p1 = order_stat_per_field(folded, counts, starts, 1, min_count=2)
         p2 = order_stat_per_field(folded, counts, starts, 2)
         grid = np.linspace(0.0, math.pi, 41)
@@ -172,6 +182,7 @@ class TestJointDistanceLaw:
 
     def test_ks_2d(self):
         counts, starts, r, _ = batch_fields(LAM, R, N_FIELDS, seed=45)
+        r = sort_within_fields(r, counts)
         r1 = order_stat_per_field(r, counts, starts, 1, min_count=2)
         r2 = order_stat_per_field(r, counts, starts, 2)
         grid = np.linspace(0.0, R, 41)
