@@ -22,8 +22,9 @@ plan = SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                n_trials=100_000, master_seed=7)
 # both policies on one random draw per chunk
 mc_p1, mc_p3 = run_power_ccdfs([plan, replace(plan, policy="P3")], levels=levels, n_workers=4)
-an_p1 = serving_power_ccdf(levels, params, conditioned=True)
-an_p3 = nearest_power_ccdf(levels, params, conditioned=True)
+# both laws are given a nonempty disk, as every simulated trial is
+an_p1 = serving_power_ccdf(levels, params)
+an_p3 = nearest_power_ccdf(levels, params)
 
 print("normalized power ccdf (beam-managed max vs nearest transmitter)")
 print(f"{'level dB':>9} | {'mc max':>7} {'exact max':>9} | {'mc nearest':>10} {'exact nearest':>13}")

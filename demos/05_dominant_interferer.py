@@ -26,7 +26,7 @@ for g_db, angle, euclid, full in zip(gammas_db, *curves):
     print(f"{g_db:9.1f} | {angle:9.4f} {euclid:10.4f} | {full:9.4f}")
 
 print("\nformula arbitrations (implemented vs rejected closed forms):")
-report = build_discrepancy_report(params, seed=99, n_trials=50_000, include_regions=False)
+report = build_discrepancy_report(params, seed=99, n_trials=50_000)
 for entry in report:
     print(f"  - {entry['id']}: {entry['note']}")
 print("\nfull evidence as JSON:")

@@ -4,14 +4,13 @@ Mirrors the Monte Carlo engine: serving-power law, conditional interference
 Laplace transforms over policy-specific regions, and the coverage integrals
 for the three serving policies.
 
-Two knobs deserve a note.  Laws with a finite void mass (no transmitter in
-the disk) expose both the raw form and a ``conditioned`` form renormalized on
-the nonempty event, matching the simulator's conditioning.  Interference
-regions expose ``exclusion`` variants: the simple one-sided / single-beam
-descriptions, and sharper variants ("all-beams" for P1, "grid" for P2) that
-keep out interferers around every beam maximum, which is what the selection
-rule actually implies; the Monte Carlo engine arbitrates which variant a
-given study should use.
+Every law here is the law given a nonempty disk (at least one transmitter
+within ``r_los``), as the simulator conditions every trial.  Interference
+regions come in two ``exclusion`` variants per policy: the simple
+single-beam (P1) / one-sided (P2) descriptions, and the sharper ones
+("all-beams", "grid") that keep out interferers around every beam maximum,
+which is what the selection rule implies.  The sharper ones are the
+defaults; the discrepancy report arbitrates the two against Monte Carlo.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ _LN10 = math.log(10.0)
 __all__ = [
     "ServingPowerLaw",
     "serving_power_law",
-    "serving_power_pdf",
-    "serving_power_cdf",
     "serving_power_ccdf",
     "nearest_power_ccdf",
     "phi_c_pdf",
@@ -52,7 +49,7 @@ __all__ = [
 ]
 
 P1_EXCLUSIONS = ("single-beam", "all-beams")
-P2_EXCLUSIONS = ("one-sided", "symmetric", "grid")
+P2_EXCLUSIONS = ("one-sided", "grid")
 
 # Quadrature specs for the coverage integrals: the inner/outer split keeps the
 # combined error comfortably below the cross-engine comparison tolerances.
@@ -88,14 +85,14 @@ def _curvature(cfg) -> float:
 
 @dataclass(frozen=True)
 class ServingPowerLaw:
-    """Distribution of the normalized maximum received power.
+    """Distribution of the normalized maximum received power, given a
+    nonempty disk.
 
     Per transmitter the best beam is the nearest maximum, so the misalignment
     is uniform on [0, beam_spacing/2] and independent of the radius; the
     maximum over a Poisson number of such draws has the closed form below
-    (gaussian-in-angle integrals reduce to erf).  The raw cdf carries the
-    void mass at ``w_min``; ``conditioned=True`` renormalizes on a nonempty
-    disk, matching the simulation engine.
+    (gaussian-in-angle integrals reduce to erf), from which the void mass
+    ``void_mass`` at ``w_min`` is taken out.
     """
 
     params: NetworkParams
@@ -166,35 +163,33 @@ class ServingPowerLaw:
         out = np.clip(np.where(w_arr >= self.w_min, cdf, 0.0), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def cdf(self, s0, conditioned: bool = False):
+    def cdf(self, s0):
         m = self.params.mean_count
-        raw = np.exp(-m * (1.0 - self.inner_cdf(s0)))
+        raw = np.exp(-m * (1.0 - self.inner_cdf(s0)))    # void_mass at w_min
         s_arr = np.asarray(s0, dtype=float)
-        raw = np.where(s_arr >= self.w_min, raw, 0.0 if conditioned else self.void_mass)
-        if conditioned:
-            raw = np.clip((raw - self.void_mass) / (1.0 - self.void_mass), 0.0, 1.0)
-        return float(raw) if raw.ndim == 0 else raw
+        raw = np.where(s_arr >= self.w_min, raw, 0.0)
+        out = np.clip((raw - self.void_mass) / (1.0 - self.void_mass), 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
-    def pdf(self, s0, conditioned: bool = False):
+    def pdf(self, s0):
         m = self.params.mean_count
-        dens = m * self.inner_pdf(s0) * np.exp(-m * (1.0 - self.inner_cdf(s0)))
-        if conditioned:
-            dens = dens / (1.0 - self.void_mass)
+        dens = (m * self.inner_pdf(s0) * np.exp(-m * (1.0 - self.inner_cdf(s0)))
+                / (1.0 - self.void_mass))
         return float(dens) if np.ndim(dens) == 0 else dens
 
-    def ccdf(self, s0, conditioned: bool = False):
-        return 1.0 - self.cdf(s0, conditioned=conditioned)
+    def ccdf(self, s0):
+        return 1.0 - self.cdf(s0)
 
-    def quantile(self, p: float, conditioned: bool = True) -> float:
+    def quantile(self, p: float) -> float:
         """Numeric inverse of the cdf by bisection (monotone)."""
         lo, hi = self.w_min, self.w_min * 2.0
-        while self.cdf(hi, conditioned=conditioned) < p:
+        while self.cdf(hi) < p:
             hi *= 2.0
             if hi > self.w_min * 1e12:
                 raise RuntimeError("quantile bracket failed")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid, conditioned=conditioned) < p:
+            if self.cdf(mid) < p:
                 lo = mid
             else:
                 hi = mid
@@ -206,42 +201,30 @@ def serving_power_law(params: NetworkParams) -> ServingPowerLaw:
     return ServingPowerLaw(params)
 
 
-def serving_power_pdf(s0, params: NetworkParams, conditioned: bool = False):
-    return serving_power_law(params).pdf(s0, conditioned=conditioned)
+def serving_power_ccdf(s0, params: NetworkParams):
+    return serving_power_law(params).ccdf(s0)
 
 
-def serving_power_cdf(s0, params: NetworkParams, conditioned: bool = False):
-    return serving_power_law(params).cdf(s0, conditioned=conditioned)
-
-
-def serving_power_ccdf(s0, params: NetworkParams, conditioned: bool = False):
-    return serving_power_law(params).ccdf(s0, conditioned=conditioned)
-
-
-def nearest_power_ccdf(tau, params: NetworkParams, conditioned: bool = True):
-    """ccdf of the boresight power g_max * r1**(-alpha) from the nearest transmitter."""
+def nearest_power_ccdf(tau, params: NetworkParams):
+    """ccdf of the boresight power g_max * r1**(-alpha) from the nearest
+    transmitter, given a nonempty disk."""
     cfg, ch = params.antenna, params.channel
     tau_arr = np.asarray(tau, dtype=float)
     radius = np.minimum((cfg.g_max / tau_arr) ** (1.0 / ch.alpha_l), params.r_los)
     prob = 1.0 - np.exp(-params.density * math.pi * radius**2)
-    if conditioned:
-        prob = prob / (1.0 - params.void_probability)
-    out = np.clip(prob, 0.0, 1.0)
+    out = np.clip(prob / (1.0 - params.void_probability), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def phi_c_pdf(phi_c, params: NetworkParams, conditioned: bool = False):
-    """Density of the minimum angular distance over all beams and transmitters.
-
-    Support [0, beam_spacing/2]; the raw form leaves the void mass in place.
-    """
+def phi_c_pdf(phi_c, params: NetworkParams):
+    """Density of the minimum angular distance over all beams and
+    transmitters, given a nonempty disk; support [0, beam_spacing/2]."""
     cfg = params.antenna
     phi_arr = np.asarray(phi_c, dtype=float)
     rate = params.density * cfg.n_beams * params.r_los**2
     dens = rate * np.exp(-rate * phi_arr)
-    out = np.where((phi_arr >= 0.0) & (phi_arr <= 0.5 * cfg.beam_spacing), dens, 0.0)
-    if conditioned:
-        out = out / (1.0 - params.void_probability)
+    out = (np.where((phi_arr >= 0.0) & (phi_arr <= 0.5 * cfg.beam_spacing), dens, 0.0)
+           / (1.0 - params.void_probability))
     return float(out) if out.ndim == 0 else out
 
 
@@ -471,6 +454,14 @@ def _exclusion_angle(params: NetworkParams, s_th: np.ndarray) -> np.ndarray:
     return np.minimum(np.sqrt(np.log10(ratio) / _curvature(cfg)), cfg.phi_a)
 
 
+def _check_exclusion(policy: str, exclusion: str) -> None:
+    """Refuse an unknown region variant up front: a curve whose thresholds
+    need no quadrature builds no region to refuse it."""
+    known = P1_EXCLUSIONS if policy == "P1" else P2_EXCLUSIONS
+    if exclusion not in known:
+        raise ValueError(f"unknown {policy} exclusion {exclusion!r}; expected one of {known}")
+
+
 def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
     cfg, ch = params.antenna, params.channel
     if np.any(s_th < serving_power_law(params).w_min):
@@ -493,9 +484,6 @@ def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
         if floor < math.pi:
             groups.append((owner, np.full(n, floor), np.full(n, math.pi), None, 2.0))
         return _Grid(params, n, groups, gain, rlo_from_chosen)
-
-    if exclusion != "all-beams":
-        raise ValueError(f"unknown P1 exclusion {exclusion!r}; expected one of {P1_EXCLUSIONS}")
 
     # Keep-out around *every* beam maximum: a transmitter beats s_th whenever
     # its own best-beam gain does, so the empty bands repeat with the beam grid.
@@ -533,19 +521,13 @@ def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     def rlo(delta, node):
         return np.full(np.shape(delta), r_floor)
 
-    if exclusion in ("one-sided", "symmetric"):
-        def side_panels(lower, mult):
-            return [(owner, lower, np.full(n, min(floor, math.pi)), _N_PHI, mult),
-                    (owner, np.maximum(lower, floor), np.full(n, math.pi), None, mult)]
+    if exclusion == "one-sided":
+        def side_panels(lower):
+            return [(owner, lower, np.full(n, min(floor, math.pi)), _N_PHI, 1.0),
+                    (owner, np.maximum(lower, floor), np.full(n, math.pi), None, 1.0)]
 
-        if exclusion == "symmetric":
-            groups = side_panels(phi_c, 2.0)
-        else:
-            groups = side_panels(phi_c, 1.0) + side_panels(np.zeros(n), 1.0)
+        groups = side_panels(phi_c) + side_panels(np.zeros(n))
         return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
-
-    if exclusion != "grid":
-        raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
 
     def gain_fold(psi):
         psi_arr = np.asarray(psi, dtype=float)
@@ -613,6 +595,7 @@ def laplace_p1(s_th: float, params: NetworkParams, exclusion: str = "all-beams")
 
     By isotropy the transform does not depend on the serving beam's direction.
     """
+    _check_exclusion("P1", exclusion)
     return _one_node(_p1_grid(params, np.array([float(s_th)]), exclusion), params.density)
 
 
@@ -621,6 +604,7 @@ def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
     serving angular distance (see :func:`_one_node`)."""
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
+    _check_exclusion("P2", exclusion)
     return _one_node(_p2_grid(params, np.array([float(phi_c)]), exclusion), params.density)
 
 
@@ -736,13 +720,13 @@ def coverage_p1(gamma, params, exclusion: str = "all-beams"):
     the result has a leading axis of n curves, and the curves share the
     region exponents of every round (see :func:`_exponent_derivatives`).
     """
+    _check_exclusion("P1", exclusion)
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
     gammas, curve = _thresholds(gamma, lead)
     density = np.array([p.density for p in family])
-    pdfs = [lambda s_th, law=serving_power_law(p): law.pdf(s_th, conditioned=True)
-            for p in family]
+    pdfs = [serving_power_law(p).pdf for p in family]
     s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
 
     def integrand(s_th, which):
@@ -761,6 +745,7 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     """Coverage probability when the minimum-angular-distance pair serves
     (P2; scalar or array ``gamma`` and one or a sequence of ``params``, as
     in :func:`coverage_p1`)."""
+    _check_exclusion("P2", exclusion)
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
@@ -768,8 +753,7 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     r_l = base.r_los
     alpha = ch.alpha_l
     density = np.array([p.density for p in family])
-    pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) / (1.0 - p.void_probability)
-            for p in family]
+    pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) for p in family]
     s_num = ch.m_s * gammas
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
 

@@ -9,6 +9,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,20 +38,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # The scenario and the engines decide which configs cannot run, so they
+    # reach the validator as environment overrides (which win over the
+    # file), and its checks see the config that will run.
+    environ = dict(os.environ, MMWCOV_SCENARIO=args.scenario)
+    if args.engines is not None:
+        environ["MMWCOV_RUN__ENGINES"] = args.engines
     try:
         config = validate_config(None if args.config is None else Path(args.config),
-                                 strict=args.strict)
+                                 strict=args.strict, environ=environ)
         if args.seed is not None:
             try:
                 config = replace(config, seed=args.seed)
             except ConfigError as exc:
                 raise ConfigError(f"--seed: {exc}") from None
-        overrides = {"scenario": args.scenario}
+        overrides = {}
         if args.trials is not None:
             overrides["trials"] = args.trials
-        if args.engines is not None:
-            overrides["engines"] = tuple(e.strip().lower() for e in args.engines.split(",")
-                                         if e.strip())
         if args.out is not None:
             overrides["out_dir"] = args.out
         if args.strict:

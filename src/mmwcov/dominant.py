@@ -2,9 +2,10 @@
 
 The SIR factorizes as a gain-type ratio times a pathloss/fade-type ratio.
 For several of these laws an alternative closed form exists that fails Monte
-Carlo arbitration; the corrected form is shipped and the rejected variant
-stays available for the machine-readable discrepancy report (see
-:func:`build_discrepancy_report`).  The known arbitrations are:
+Carlo arbitration; the corrected form is shipped, and only the
+machine-readable discrepancy report (:func:`build_discrepancy_report`) calls
+the rejected ones, private ``_rejected_variant_*`` functions and
+:func:`lemma_bracket_constant`.  The known arbitrations are:
 
 * the angle-based gain-ratio density must carry a *negative* exponential
   argument (a sign slip), and its inner integral must stay inside the
@@ -413,21 +414,13 @@ def lemma_bracket_constant(params: NetworkParams) -> float:
             - math.exp(-lam * math.pi))
 
 
-def distance_ratio_pdf_p3(w, params: NetworkParams, form: str = "corrected"):
-    """Density of (r1/r2)^-alpha for the two nearest transmitters; support [1, inf).
-
-    ``form="corrected"`` is mass-1 (constant 2/alpha); ``form="bracket"``
-    applies the rejected bracket constant instead.
-    """
+def distance_ratio_pdf_p3(w, params: NetworkParams):
+    """Density of (r1/r2)^-alpha for the two nearest transmitters; support
+    [1, inf), mass 1 with the constant 2/alpha (the rejected constant is
+    :func:`lemma_bracket_constant` / alpha)."""
     alpha = params.channel.alpha_l
     w_arr = np.asarray(w, dtype=float)
-    if form == "corrected":
-        const = 2.0 / alpha
-    elif form == "bracket":
-        const = lemma_bracket_constant(params) / alpha
-    else:
-        raise ValueError("form must be 'corrected' or 'bracket'")
-    out = np.where(w_arr >= 1.0, const * w_arr ** (-(2.0 + alpha) / alpha), 0.0)
+    out = np.where(w_arr >= 1.0, (2.0 / alpha) * w_arr ** (-(2.0 + alpha) / alpha), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -438,27 +431,27 @@ def distance_ratio_ccdf_p3(w, params: NetworkParams):
     return float(out) if out.ndim == 0 else out
 
 
-def coverage_dom_p3(gamma, params: NetworkParams, pairing: str = "product"):
+def coverage_dom_p3(gamma, params: NetworkParams):
     """P(SIR > gamma) with only the second-nearest transmitter retained;
-    scalar or array ``gamma``, as in :func:`analytic.coverage_p1`.
-
-    ``pairing="product"`` pairs the gain-fade ratio with the distance ratio
-    (the SIR factorization); ``pairing="self"`` reproduces the rejected
-    self-convolution of the distance-ratio law, whose ccdf has the closed
-    form ``gamma**(-2/alpha) * (1 + (2/alpha) ln gamma)`` above 1.
-    """
-    if pairing not in ("product", "self"):
-        raise ValueError("pairing must be 'product' or 'self'")
-    if pairing == "self":
-        a = 2.0 / params.channel.alpha_l
-        g = np.maximum(np.asarray(gamma, dtype=float), 1.0)    # exactly 1 at g = 1
-        out = g**-a * (1.0 + a * np.log(g))
-        return float(out) if out.ndim == 0 else out
-
+    scalar or array ``gamma``, as in :func:`analytic.coverage_p1`.  The
+    gain-fade ratio is paired with the distance ratio (the SIR
+    factorization)."""
     def integrand(g, t):
         return gain_fade_ratio_pdf_p3(g, params) * distance_ratio_ccdf_p3(t / g, params)
 
     return _dominant_curve("P3", gamma, params, integrand, 0.0, math.inf, _COV_SPEC)
+
+
+def _rejected_variant_coverage_dom_p3(gamma, params: NetworkParams):
+    """Rejected variant of :func:`coverage_dom_p3`: the self-convolution of
+    the distance-ratio law, whose ccdf has the closed form
+    ``gamma**(-2/alpha) * (1 + (2/alpha) ln gamma)`` above 1, exactly 1 at
+    and below it, and exactly 0 at ``gamma = inf``."""
+    a = 2.0 / params.channel.alpha_l
+    g = np.maximum(np.asarray(gamma, dtype=float), 1.0)
+    with np.errstate(invalid="ignore"):         # 0 * inf at g = inf, replaced below
+        out = np.where(g == math.inf, 0.0, g**-a * (1.0 + a * np.log(g)))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +467,16 @@ def _ks_distance(samples: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
-                             n_trials: int = 200_000,
-                             include_regions: bool = True) -> list[dict]:
+                             n_trials: int = 200_000) -> list[dict]:
     """Arbitrate each known formula defect against Monte Carlo and report.
 
     Returns a JSON-ready list; every entry records the implemented form, the
-    rejected variant, and the numeric evidence behind the choice.  With
-    ``include_regions`` the interference-region variants of the aggregate
-    engines are arbitrated as well (adds a few coverage evaluations).
+    rejected variant, and the numeric evidence behind the choice.  The
+    interference-region variants of the aggregate engines are arbitrated as
+    well.
     """
-    from .montecarlo import SimPlan, sample_statistic
+    from .analytic import coverage_p1, coverage_p2
+    from .montecarlo import SimPlan, run_coverages, sample_statistic
 
     cfg, ch = params.antenna, params.channel
     plan = SimPlan(params=params, policy="P3", thresholds_db=(0.0,),
@@ -537,8 +530,8 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
     sir_samples, _ = sample_statistic(plan, "SIR_dom_p3")
     gammas_db = (-3.0, 0.0, 3.0)
     gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
-    pairings = {pairing: coverage_dom_p3(gammas, params, pairing=pairing)
-                for pairing in ("product", "self")}
+    pairings = {"product": coverage_dom_p3(gammas, params),
+                "self": _rejected_variant_coverage_dom_p3(gammas, params)}
     evid = {}
     for j, gamma_db in enumerate(gammas_db):
         mc = float((sir_samples > gammas[j]).mean())
@@ -556,40 +549,36 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
         "note": "self-pairing ignores the antenna gain ratio and is pinned at 1 below gamma=1",
     })
 
-    if include_regions:
-        from .analytic import coverage_p1, coverage_p2
-        from .montecarlo import run_coverages
-
-        gammas_db = (0.0, 5.0)
-        regions = (
-            ("P1", coverage_p1, "all-beams", "single-beam",
-             "single-beam keep-out under-excludes interferers near the other beam maxima"),
-            ("P2", coverage_p2, "grid", "one-sided",
-             "one-sided keep-out misses that every beam maximum repels interferers by phi_c"),
-        )
-        mc_curves = run_coverages([SimPlan(params=params, policy=policy, thresholds_db=gammas_db,
-                                           n_trials=n_trials, master_seed=seed + 1)
-                                   for policy, *_ in regions])
-        for (policy, cov_fn, keep, drop, note), mc in zip(regions, mc_curves):
-            gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
-            implemented = cov_fn(gammas, params, exclusion=keep)
-            rejected = cov_fn(gammas, params, exclusion=drop)
-            evid = {}
-            for j, g_db in enumerate(gammas_db):
-                evid[f"{g_db:+.0f}dB"] = {
-                    "mc": float(mc.p_cov[j]),
-                    "mc_stderr": float(mc.stderr[j]),
-                    "implemented": float(implemented[j]),
-                    "rejected": float(rejected[j]),
-                }
-            report.append({
-                "id": f"{policy.lower()}-interference-exclusion-region",
-                "implemented": {"P1": "keep-out around every beam maximum (per-transmitter "
-                                      "best-beam power stays below the serving level)",
-                                "P2": "keep-out band of half-width phi_c around every beam maximum"}[policy],
-                "rejected_variant": {"P1": "keep-out radius from the selected beam's gain only",
-                                     "P2": "one-sided angular keep-out of width phi_c beside the link"}[policy],
-                "evidence": {"coverage": evid, "n_trials": n_trials},
-                "note": note,
-            })
+    gammas_db = (0.0, 5.0)
+    regions = (
+        ("P1", coverage_p1, "all-beams", "single-beam",
+         "single-beam keep-out under-excludes interferers near the other beam maxima"),
+        ("P2", coverage_p2, "grid", "one-sided",
+         "one-sided keep-out misses that every beam maximum repels interferers by phi_c"),
+    )
+    mc_curves = run_coverages([SimPlan(params=params, policy=policy, thresholds_db=gammas_db,
+                                       n_trials=n_trials, master_seed=seed + 1)
+                               for policy, *_ in regions])
+    for (policy, cov_fn, keep, drop, note), mc in zip(regions, mc_curves):
+        gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
+        implemented = cov_fn(gammas, params, exclusion=keep)
+        rejected = cov_fn(gammas, params, exclusion=drop)
+        evid = {}
+        for j, g_db in enumerate(gammas_db):
+            evid[f"{g_db:+.0f}dB"] = {
+                "mc": float(mc.p_cov[j]),
+                "mc_stderr": float(mc.stderr[j]),
+                "implemented": float(implemented[j]),
+                "rejected": float(rejected[j]),
+            }
+        report.append({
+            "id": f"{policy.lower()}-interference-exclusion-region",
+            "implemented": {"P1": "keep-out around every beam maximum (per-transmitter "
+                                  "best-beam power stays below the serving level)",
+                            "P2": "keep-out band of half-width phi_c around every beam maximum"}[policy],
+            "rejected_variant": {"P1": "keep-out radius from the selected beam's gain only",
+                                 "P2": "one-sided angular keep-out of width phi_c beside the link"}[policy],
+            "evidence": {"coverage": evid, "n_trials": n_trials},
+            "note": note,
+        })
     return report

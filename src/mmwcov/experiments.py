@@ -194,7 +194,9 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     config text, or None (pure defaults).  Environment overrides are applied
     after the file.  Unknown keys raise in strict mode (with a spelling
     suggestion) and warn otherwise; the mode is on when ``strict`` is, or
-    when the last ``run.strict`` of the file and environment is true.
+    when the last ``run.strict`` of the file and environment is true.  A
+    config whose run would fail before it computes anything is refused as
+    well (see :func:`_check_runnable`).
     """
     text = source or ""
     if isinstance(source, Path):
@@ -243,18 +245,6 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
     rng_check("run.seed", lambda v: 0 <= v < 2**128, "must lie in [0, 2**128)")
 
     base = ExperimentConfig()
-    if "mc" in values.get("run.engines", base.engines):
-        r_los = values.get("channel.r_los", base.params.r_los)
-        for key, densities in (
-                ("network.density", (values.get("network.density", base.params.density),)),
-                ("sweep.density", values.get("sweep.density", base.density_sweep))):
-            for density in densities:
-                try:
-                    check_chunk_points(density, r_los)
-                except ValueError as exc:
-                    where = locations.get(key, locations.get("channel.r_los"))
-                    raise ConfigError(f"{where}: {key} {exc}") from None
-
     antenna_kwargs = dict(
         g_max_db=values.get("antenna.g_max_db", base.params.antenna.g_max_db),
         sla_db=values.get("antenna.sla_db", base.params.antenna.sla_db),
@@ -278,7 +268,7 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
         antenna=AntennaConfig(**antenna_kwargs),
         channel=channel,
     )
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scenario=values.get("scenario", base.scenario),
         params=params,
         engines=values.get("run.engines", base.engines),
@@ -293,6 +283,45 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
         density_sweep=values.get("sweep.density", base.density_sweep),
         sector_sweep=values.get("sweep.sectors", base.sector_sweep),
     )
+    _check_runnable(config, locations)
+    return config
+
+
+def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
+    """Refuse a config whose run would fail before it computes anything,
+    naming the key and its ``locations`` entry: a field too dense for the
+    chunk budget (mc, or fig8's report), or an antenna that the P1
+    serving-power law (analytic P1 and fig4, or fig8's report) cannot take."""
+    mc = "mc" in config.engines
+    report = config.scenario == "fig8" and "dominant" in config.engines
+    drawn = [("network.density", config.params.density)] if mc or report else []
+    drawn += [("sweep.density", density) for density in config.density_sweep] if mc else []
+    for key, density in drawn:
+        try:
+            check_chunk_points(density, config.params.r_los)
+        except ValueError as exc:
+            where = locations.get(key, locations.get("channel.r_los"))
+            raise ConfigError(f"{where}: {key} {exc}") from None
+
+    own = ("antenna.phi_3db", "antenna.sla_db", "antenna.sectors_exp")
+    fig4 = config.scenario == "fig4" and "analytic" in config.engines
+    laws = [(config.params, own)] if report or fig4 else []
+    if "analytic" in config.engines and config.scenario != "fig4":
+        keys = own if config.scenario == "custom" else ("antenna.sla_db",)  # phi_3db is reset
+        laws += [(c.params, keys) for c in _CURVES[config.scenario](config)["analytic"]
+                 if c.policy == "P1"]
+    for params, keys in laws:
+        try:
+            analytic.ServingPowerLaw(params)
+        except ValueError:
+            key = next((k for k in keys if k in locations), keys[0])
+            ant = params.antenna
+            raise ConfigError(
+                f"{locations.get(key, 'default')}: {key} leaves beams up to half the spacing "
+                f"{0.5 * ant.beam_spacing:.4g} rad off a beam maximum, beyond the mainlobe "
+                f"half-width phi_a {ant.phi_a:.4g} rad that the P1 serving-power law needs "
+                f"(sectors_exp {ant.sectors_exp}, phi_3db {ant.phi_3db:.4g} rad, "
+                f"sla_db {ant.sla_db:g})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +441,7 @@ def _scenario_fig4(config: ExperimentConfig, rows: dict) -> None:
                                in zip(levels_db, curve.ccdf, curve.stderr)]
         if "analytic" in config.engines:
             for policy, law in laws.items():
-                vals = law(levels, params, conditioned=True)
+                vals = law(levels, params)
                 rows["analytic"] += [(x, v, 0.0, "analytic", keys[policy])
                                      for x, v in zip(levels_db, vals)]
 

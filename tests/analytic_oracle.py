@@ -217,7 +217,7 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
         folded = np.minimum(psi_arr % TWO_PI, TWO_PI - psi_arr % TWO_PI)
         return gain_3gpp(folded, cfg)
 
-    if exclusion in ("one-sided", "symmetric"):
+    if exclusion == "one-sided":
         def side_panels(lower):
             out = []
             if lower < floor:
@@ -228,12 +228,7 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
                 out.append((flat_lo, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
             return out
 
-        one_side = side_panels(phi_c)
-        if exclusion == "symmetric":
-            panels = [(a, b, n, g, r, 2.0 * m) for a, b, n, g, r, m in one_side]
-        else:
-            panels = one_side + side_panels(0.0)
-        return _assemble_exponent(params, panels)
+        return _assemble_exponent(params, side_panels(phi_c) + side_panels(0.0))
 
     if exclusion != "grid":
         raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
@@ -318,7 +313,7 @@ def coverage_p1(gamma: float, params: NetworkParams, exclusion: str = "all-beams
         for i, value in enumerate(s_th):
             expo = _p1_exponent(params, float(value), exclusion)
             cond[i] = _conditional_coverage(expo, s_const / value, params)
-        return law.pdf(s_th, conditioned=True) * cond
+        return law.pdf(s_th) * cond
 
     return float(np.clip(integrate_1d(integrand, law.w_min, math.inf, _OUTER_SPEC), 0.0, 1.0))
 
@@ -328,7 +323,6 @@ def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid") ->
     cfg, ch = params.antenna, params.channel
     r_l = params.r_los
     alpha = ch.alpha_l
-    norm = 1.0 - params.void_probability
 
     def outer(phi_cs):
         phi_cs = np.atleast_1d(phi_cs)
@@ -343,7 +337,7 @@ def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid") ->
                     expo, s_coef * d0**alpha, params)
 
             vals[i] = integrate_1d(inner, 0.0, r_l, _INNER_SPEC)
-        return phi_c_pdf(phi_cs, params) / norm * vals
+        return phi_c_pdf(phi_cs, params) * vals
 
     return float(np.clip(integrate_1d(outer, 0.0, 0.5 * cfg.beam_spacing, _OUTER_SPEC),
                          0.0, 1.0))

@@ -155,7 +155,7 @@ def test_criterion_3_distribution_oracles(params, angle_fields):
     s_samples, _ = sample_statistic(plan, "S", n_workers=8)
     s_samples = np.sort(s_samples)
     law = serving_power_law(params)
-    results["serving-power"] = ks_distance(s_samples, law.cdf(s_samples, conditioned=True))
+    results["serving-power"] = ks_distance(s_samples, law.cdf(s_samples))
 
     # minimum angular distance law
     plan = SimPlan(params=params, policy="P2", thresholds_db=(0.0,),
@@ -238,10 +238,9 @@ def test_criterion_6_numerical_self_consistency(params):
     # (b) analytic densities nonnegative and normalized at stated tolerances
     spec = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=20_000)
     masses = {
-        "serving-power": (integrate_1d(lambda w: law.pdf(w, conditioned=True),
-                                       law.w_min, math.inf, spec), 1e-6),
+        "serving-power": (integrate_1d(law.pdf, law.w_min, math.inf, spec), 1e-6),
         "min-angular-distance": (integrate_1d(
-            lambda x: phi_c_pdf(x, params, conditioned=True),
+            lambda x: phi_c_pdf(x, params),
             0.0, 0.5 * params.antenna.beam_spacing, spec), 1e-6),
         "gain-ratio": (integrate_1d(
             lambda g: gain_ratio_pdf_p2(g, params), 1.0,
@@ -274,8 +273,7 @@ def test_criterion_6_numerical_self_consistency(params):
 
 
 def test_criterion_7_discrepancy_reporting(params, tmp_path):
-    report = build_discrepancy_report(params, seed=314_159, n_trials=100_000,
-                                      include_regions=True)
+    report = build_discrepancy_report(params, seed=314_159, n_trials=100_000)
     path = tmp_path / "discrepancies.json"
     path.write_text(json.dumps(report, indent=2))
     parsed = json.loads(path.read_text())

@@ -13,9 +13,8 @@ from mmwcov.analytic import (
     laplace_p3,
     nearest_power_ccdf,
     phi_c_pdf,
-    serving_power_cdf,
+    serving_power_ccdf,
     serving_power_law,
-    serving_power_pdf,
 )
 from mmwcov.montecarlo import (
     SimPlan,
@@ -53,16 +52,26 @@ PARAMETER_BOX = {
 
 class TestServingPowerLaw:
     def test_void_mass_at_support_edge(self, params):
+        # the Poisson maximum puts the void mass at w_min; the conditioned law
+        # takes it out there and rescales everything above
         law = serving_power_law(params)
         expected = math.exp(-params.mean_count)
-        assert law.cdf(law.w_min) == pytest.approx(expected, rel=1e-9)
+        assert law.void_mass == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(7.2e-7, rel=0.01)
+        assert law.cdf(law.w_min) == 0.0
+        s0 = np.array([law.w_min, 0.002, 0.01, 0.05, 0.3])
+        poisson_max = np.exp(-params.mean_count * (1.0 - law.inner_cdf(s0)))
+        assert poisson_max[0] == pytest.approx(expected, rel=1e-9)
+        np.testing.assert_allclose(expected + (1.0 - expected) * law.cdf(s0), poisson_max,
+                                   rtol=1e-12)
 
     def test_pdf_mass(self, params):
         law = serving_power_law(params)
         mass = integrate_1d(lambda w: law.pdf(w), law.w_min, math.inf,
                             QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13))
-        assert mass == pytest.approx(1.0 - law.void_mass, abs=1e-6)
+        # 1e-8 tells the conditioned law from the unconditioned one, whose
+        # mass is 1 - void_mass (void_mass ~7.2e-7)
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_cdf_pdf_consistency(self, params):
         law = serving_power_law(params)
@@ -101,21 +110,22 @@ class TestServingPowerLaw:
 
     def test_below_support(self, params):
         law = serving_power_law(params)
-        assert serving_power_pdf(law.w_min * 0.5, params) == 0.0
-        assert serving_power_cdf(law.w_min * 0.5, params) == pytest.approx(law.void_mass)
+        assert law.pdf(law.w_min * 0.5) == 0.0
+        assert law.cdf(law.w_min * 0.5) == 0.0
+        assert serving_power_ccdf(law.w_min * 0.5, params) == 1.0
 
     def test_ccdf_matches_simulation(self, params):
         plan = SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                        n_trials=200_000, master_seed=321)
         curve = run_power_ccdf(plan, n_workers=4)
         law = serving_power_law(params)
-        assert np.max(np.abs(law.ccdf(curve.levels, conditioned=True) - curve.ccdf)) < 0.01
+        assert np.max(np.abs(law.ccdf(curve.levels) - curve.ccdf)) < 0.01
 
     def test_nearest_power_ccdf_matches_simulation(self, params):
         plan = SimPlan(params=params, policy="P3", thresholds_db=(0.0,),
                        n_trials=200_000, master_seed=321)
         curve = run_power_ccdf(plan, n_workers=4)
-        ana = nearest_power_ccdf(curve.levels, params, conditioned=True)
+        ana = nearest_power_ccdf(curve.levels, params)
         assert np.max(np.abs(ana - curve.ccdf)) < 0.01
 
 
@@ -225,12 +235,15 @@ class TestLaplaceEvaluators:
 
 class TestPhiCLaw:
     def test_value_at_origin(self, params):
-        assert phi_c_pdf(0.0, params) == pytest.approx(18.0, rel=1e-12)
+        # rate = density * n_beams * r_los**2 = 18, over P(nonempty disk)
+        nonempty = -math.expm1(-params.density * math.pi * params.r_los**2)
+        assert phi_c_pdf(0.0, params) == pytest.approx(18.0 / nonempty, rel=1e-12)
 
     def test_truncated_mass(self, params):
         upper = 0.5 * params.antenna.beam_spacing
         mass = integrate_1d(lambda p: phi_c_pdf(p, params), 0.0, upper)
-        assert mass == pytest.approx(1.0 - params.void_probability, rel=1e-9)
+        assert mass == pytest.approx(1.0, rel=1e-9)
+        assert phi_c_pdf([-1e-9, upper * (1.0 + 1e-9)], params).tolist() == [0.0, 0.0]
 
     def test_ks_against_simulation(self, params):
         plan = SimPlan(params=params, policy="P2", thresholds_db=(0.0,),
@@ -319,11 +332,19 @@ class TestCoverage:
     def test_region_variants_exposed(self, params):
         g = 1.0
         one_sided = coverage_p2(g, params, exclusion="one-sided")
-        symmetric = coverage_p2(g, params, exclusion="symmetric")
         grid = coverage_p2(g, params, exclusion="grid")
-        # one-sided keep-out admits the most interference
-        assert one_sided <= symmetric <= grid
+        # one-sided keep-out admits more interference
+        assert one_sided <= grid
         assert coverage_p1(g, params, exclusion="single-beam") <= coverage_p1(g, params)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, 2.0, np.array([0.0, math.inf]),
+                                       np.empty(0)])
+    @pytest.mark.parametrize("policy, fn", [("P1", coverage_p1), ("P2", coverage_p2)])
+    def test_unknown_exclusion_raises_for_any_threshold(self, params, policy, fn, gamma):
+        # thresholds that need no quadrature build no region, and must not
+        # let an unknown variant through either
+        with pytest.raises(ValueError, match=rf"unknown {policy} exclusion 'symmetric'"):
+            fn(gamma, params, exclusion="symmetric")
 
 
 def _linear(grid_db):
@@ -575,7 +596,7 @@ def _exponent_case(policy, exclusion, params):
                 lambda x: oracle._p1_exponent(params, x, exclusion))
     if policy == "P2":
         half = 0.5 * params.antenna.beam_spacing
-        # at half the spacing and sectors_exp 0 the symmetric region is empty
+        # from no keep-out band to bands that tile the whole circle
         nodes = np.array([0.0, 1e-4 * half, 0.3 * half, 0.999 * half, half])
         return (nodes, lambda x: analytic._p2_grid(params, x, exclusion),
                 lambda x: oracle._p2_exponent(params, x, exclusion))

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import warnings
@@ -12,6 +11,7 @@ from mmwcov.dominant import (
     _LN10,
     _curvature,
     _fade_ratio_ccdf,
+    _rejected_variant_coverage_dom_p3,
     _rejected_variant_gain_ratio_pdf_p2,
     build_discrepancy_report,
     coverage_dom_p2,
@@ -449,9 +449,11 @@ class TestDistanceRatioLawP3:
         assert mass == pytest.approx(1.0, rel=1e-8)
 
     def test_rejected_constant_reported(self, params):
+        # the rejected density is the corrected one with the constant
+        # bracket / alpha in place of 2 / alpha
         bracket = lemma_bracket_constant(params)
         assert abs(bracket / 2.0 - 1.0) > 1.0   # wildly off unit mass
-        mass = integrate_1d(lambda w: distance_ratio_pdf_p3(w, params, form="bracket"),
+        mass = integrate_1d(lambda w: bracket / 2.0 * distance_ratio_pdf_p3(w, params),
                             1.0, math.inf)
         assert mass == pytest.approx(bracket / 2.0, rel=1e-8)
 
@@ -496,8 +498,8 @@ class TestCoverageDomP3:
             assert coverage_dom_p3(gamma, params) == pytest.approx(mc, abs=0.015 + 3.0 * se)
 
     def test_rejected_pairing_is_degenerate_below_one(self, params):
-        assert coverage_dom_p3(0.5, params, pairing="self") == 1.0
-        assert coverage_dom_p3(0.5, params, pairing="product") < 0.99
+        assert _rejected_variant_coverage_dom_p3(0.5, params) == 1.0
+        assert coverage_dom_p3(0.5, params) < 0.99
 
 
 FIG8_GRID_DB = (-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0)
@@ -511,8 +513,8 @@ CURVE_SETS = {
 }
 CURVES = {
     "P2": coverage_dom_p2,
-    "P3-product": functools.partial(coverage_dom_p3, pairing="product"),
-    "P3-self": functools.partial(coverage_dom_p3, pairing="self"),
+    "P3-product": coverage_dom_p3,
+    "P3-self": _rejected_variant_coverage_dom_p3,
 }
 
 
@@ -537,18 +539,15 @@ class TestCurveInterface:
         empty = fn(np.empty(0), params)
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
-    @pytest.mark.parametrize("curve", ("P2", "P3-product"))
+    @pytest.mark.parametrize("curve", CURVES)
     def test_infinite_threshold_is_never_met(self, params, curve):
         fn = CURVES[curve]
-        assert fn(math.inf, params) == 0.0
-        grid = fn(np.array([-math.inf, 0.0, 2.0, math.inf]), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(math.inf, params) == 0.0
+            grid = fn(np.array([-math.inf, 0.0, 2.0, math.inf]), params)
         assert np.array_equal(grid[[0, 1, 3]], [1.0, 1.0, 0.0])
         assert grid[2] == pytest.approx(fn(2.0, params), rel=0.0, abs=1e-13)
-
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, 2.0, np.array([0.0, 2.0]), np.empty(0)])
-    def test_unknown_pairing_raises_for_any_threshold(self, params, gamma):
-        with pytest.raises(ValueError, match="pairing"):
-            coverage_dom_p3(gamma, params, pairing="bogus")
 
     @pytest.mark.parametrize("alpha", (2.0, 2.2, 2.5))
     def test_self_pairing_closed_form_against_quadrature(self, alpha):
@@ -559,7 +558,7 @@ class TestCurveInterface:
             gamma = 10.0 ** (g_db / 10.0)
             mass = integrate_1d(lambda x: (2.0 / alpha) ** 2 * x ** (-beta) * np.log(x),
                                 1.0, gamma, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15))
-            assert coverage_dom_p3(gamma, params, pairing="self") == pytest.approx(
+            assert _rejected_variant_coverage_dom_p3(gamma, params) == pytest.approx(
                 1.0 - mass, rel=0.0, abs=1e-12)
 
 
@@ -573,10 +572,7 @@ def _failing_curve(policy, pairing, gamma, failing, monkeypatch):
     params = NetworkParams(density=1.6e-3, antenna=AntennaConfig(sectors_exp=3),
                            channel=ChannelParams(alpha_l=2.2, m_s=3, m_x=4))
     with pytest.raises(QuadratureError) as excinfo:
-        if policy == "P2":
-            coverage_dom_p2(gamma, params)
-        else:
-            coverage_dom_p3(gamma, params, pairing=pairing)
+        CURVES[policy if pairing is None else f"{policy}-{pairing}"](gamma, params)
     message = str(excinfo.value)
     for part in (f"{policy} dominant coverage", "threshold 5.00 dB", "density 0.0016",
                  "sectors_exp 3", "m_s 3", "m_x 4", "alpha 2.2", "max_subdivisions"):
@@ -604,11 +600,11 @@ def test_quadrature_failure_names_the_failing_threshold_of_a_curve(
 
 class TestDiscrepancyReport:
     def test_structure_and_verdicts(self, params):
-        report = build_discrepancy_report(params, seed=5, n_trials=30_000,
-                                          include_regions=False)
+        report = build_discrepancy_report(params, seed=5, n_trials=30_000)
         ids = {entry["id"] for entry in report}
         assert ids == {"p2-gain-ratio-density", "p3-distance-ratio-constant",
-                       "p3-dominant-sir-pairing"}
+                       "p3-dominant-sir-pairing", "p1-interference-exclusion-region",
+                       "p2-interference-exclusion-region"}
         json.dumps(report)   # machine readable
         by_id = {e["id"]: e for e in report}
         gain = by_id["p2-gain-ratio-density"]["evidence"]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -174,6 +175,32 @@ class TestValidateConfig:
             validate_config("channel.r_los = 2000\n", environ={})
         # engines other than mc hold no per-trial point arrays
         config = validate_config("run.engines = analytic\nnetwork.density = 1.0\n", environ={})
+        assert config.params.density == 1.0
+
+    def test_serving_law_names_key_and_line(self):
+        # the analytic P1 curves need half the beam spacing within phi_a
+        with pytest.raises(ConfigError, match=r"line 1: antenna\.phi_3db leaves beams up to "
+                                              r"half the spacing 0\.7854 rad .*phi_a 0\.1581"):
+            validate_config("antenna.phi_3db = 0.1\n", environ={})
+        # fig5 keeps sla_db in its sector sweep but resets phi_3db
+        with pytest.raises(ConfigError, match=r"line 2: antenna\.sla_db .*sla_db 2\)"):
+            validate_config("scenario = fig5\nantenna.sla_db = 2\n", environ={})
+        # fig8's report builds the law of its own antenna on the dominant engine
+        with pytest.raises(ConfigError, match=r"line 3: antenna\.phi_3db"):
+            validate_config("scenario = fig8\nrun.engines = dominant\nantenna.phi_3db = 0.1\n",
+                            environ={})
+        # no law is built: Monte Carlo only, a P3-only custom run, fig6's reset phi_3db
+        for text in ("run.engines = mc\nantenna.phi_3db = 0.1\n",
+                     "run.policies = P3\nantenna.phi_3db = 0.1\n",
+                     "scenario = fig6\nantenna.phi_3db = 0.1\n"):
+            assert validate_config(text, environ={}).params.antenna.phi_3db == 0.1
+
+    def test_discrepancy_report_draws_within_the_chunk_budget(self):
+        with pytest.raises(ConfigError, match=r"line 3: network\.density density 1 /m\^2"):
+            validate_config("scenario = fig8\nrun.engines = dominant\nnetwork.density = 1\n",
+                            environ={})
+        config = validate_config("scenario = fig6\nrun.engines = dominant\n"
+                                 "network.density = 1\n", environ={})
         assert config.params.density == 1.0
 
     def test_unknown_scenario(self):
@@ -397,6 +424,43 @@ class TestCli:
                    "--out", str(tmp_path / "top")])
         assert rc == 0
         assert (tmp_path / "top" / "custom_mc.csv").is_file()
+
+    @pytest.mark.parametrize("scenario, text, flags, message", [
+        ("custom", "antenna.phi_3db = 0.1\nrun.engines = analytic\n", [],
+         r"line 1: antenna\.phi_3db leaves beams up to half the spacing"),
+        ("fig5", "antenna.sla_db = 2\n", [], r"line 1: antenna\.sla_db leaves beams"),
+        ("custom", "network.density = 1\nrun.engines = analytic\n", ["--engines", "mc"],
+         r"line 1: network\.density density 1 /m\^2 .*over the budget")],
+        ids=["custom-phi_3db", "fig5-sla_db", "density-engines-flag"])
+    def test_config_that_cannot_run_is_refused(self, tmp_path, capsys, scenario, text, flags,
+                                                message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        rc = main([scenario, "--config", str(cfg), "--out", str(out), "--trials", "10", *flags])
+        assert rc == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_checks_run_on_the_config_the_flags_make(self, tmp_path, monkeypatch):
+        # the file alone is a custom analytic P1 run that cannot build its
+        # serving law; fig6 resets phi_3db per beam count and runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("antenna.phi_3db = 0.1\nrun.engines = analytic\nsweep.sectors = 2\n"
+                       "grid.gamma_db = 0\n")
+        with pytest.raises(ConfigError, match=r"antenna\.phi_3db"):
+            validate_config(cfg, environ={})
+        rc = main(["fig6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "fig6_analytic.csv").is_file()
+        # the flags win over the file, and over the environment
+        cfg.write_text("network.density = 1\nrun.engines = mc\ngrid.gamma_db = 0\n"
+                       "run.policies = P3\n")
+        monkeypatch.setenv("MMWCOV_RUN__ENGINES", "mc")
+        rc = main(["custom", "--config", str(cfg), "--engines", "analytic",
+                   "--out", str(tmp_path / "dense")])
+        assert rc == 0
+        assert (tmp_path / "dense" / "custom_analytic.csv").is_file()
 
     def test_strict_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.cfg"

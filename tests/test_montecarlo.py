@@ -432,7 +432,7 @@ class TestPowerCcdf:
     def test_p1_matches_serving_power_law(self, params):
         curve = run_power_ccdf(_plan(params, "P1", n=200_000), n_workers=4)
         law = serving_power_law(params)
-        ana = law.ccdf(curve.levels, conditioned=True)
+        ana = law.ccdf(curve.levels)
         assert np.max(np.abs(ana - curve.ccdf)) < 0.01
 
     def test_p3_overestimates_low_power_region(self, params):

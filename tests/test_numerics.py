@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ class TestIntegrate1d:
         val = integrate_1d(lambda x: x * np.exp(-x * x), 0.0, np.inf)
         assert val == pytest.approx(0.5, rel=1e-8)
 
-    def test_reversed_bounds_negate(self):
-        f = lambda x: x**2
-        assert integrate_1d(f, 1.0, 0.0) == pytest.approx(-1.0 / 3.0, rel=1e-9)
+    def test_reversed_bounds_rejected(self):
+        with pytest.raises(ValueError, match=r"range \[1\.0, 0\.0\]"):
+            integrate_1d(lambda x: x**2, 1.0, 0.0)
 
     def test_doubly_infinite(self):
-        val = integrate_1d(lambda x: np.exp(-x * x), -np.inf, np.inf)
-        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+        with pytest.raises(ValueError, match=r"range \[-inf, inf\]"):
+            integrate_1d(lambda x: np.exp(-x * x), -np.inf, np.inf)
 
     def test_endpoint_singularity(self):
         # integrable 1/sqrt singularity
@@ -146,11 +147,10 @@ class TestIntegrateMany:
         for f in (lambda x: np.exp(-x), lambda x: x * np.exp(-x * x), lambda x: 1.0 / (1.0 + x**2)):
             assert integrate_1d(f, 0.5, math.inf, spec) == _reference_semi_infinite(f, 0.5, spec)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (2.0, 0.0), (0.0, math.inf),
-                                     (-math.inf, 0.5), (-math.inf, math.inf)])
+    @pytest.mark.parametrize("a,b", [(0.0, 2.0), (0.0, math.inf)])
     def test_lockstep_equals_separate_calls_bitwise(self, a, b):
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
-        family = FAMILY if math.isfinite(a) and math.isfinite(b) else (
+        family = FAMILY if math.isfinite(b) else (
             lambda x: np.exp(-x * x), lambda x: 1.0 / (1.0 + x**2),
             lambda x: np.exp(-np.abs(x - 0.3)) * (1.0 + np.cos(5.0 * x) ** 2),
             lambda x: 1.0 / (1e-3 + (x - 0.2) ** 2) / (1.0 + x**2))
@@ -169,8 +169,8 @@ class TestIntegrateMany:
         assert together.tolist() == alone
         # the integrals finish in different rounds, so later calls hold fewer
         assert seen[0] == len(family) and min(seen) < len(family)
-        if math.isfinite(a) and math.isfinite(b):
-            assert len({self._rounds(f, min(a, b), max(a, b), spec) for f in family}) > 2
+        if math.isfinite(b):
+            assert len({self._rounds(f, a, b, spec) for f in family}) > 2
 
     def test_empty_and_degenerate_ranges(self):
         def never(x, which):
@@ -180,6 +180,18 @@ class TestIntegrateMany:
         assert integrate_many(never, 1.0, 1.0, 3).tolist() == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             integrate_many(never, math.nan, 1.0, 2)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 0.0), (-math.inf, 0.5), (-math.inf, math.inf),
+                                     (0.0, -math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                                     (0.0, math.nan)])
+    def test_unsupported_ranges_name_the_range(self, a, b):
+        # only a finite a <= b, with b finite or +inf, is a range
+        def never(x, which):
+            raise AssertionError("integrand must not be called")
+
+        with pytest.raises(ValueError, match=rf"range \[{re.escape(repr(a))}, "
+                                             rf"{re.escape(repr(b))}\]"):
+            integrate_many(never, a, b, 2)
 
     def test_failure_names_the_integral(self):
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=8)
