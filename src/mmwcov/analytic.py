@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (QuadratureError, QuadratureSpec, exp_derivatives, gauss_legendre,
-                       integrate_many)
+from .numerics import (QuadratureError, QuadratureSpec, Workspace, exp_derivatives,
+                       gauss_legendre, integrate_many)
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
 # No scipy.special here: erf comes from the standard library, element by
@@ -237,13 +237,16 @@ class _Exponents:
     """The lambda-free grid sums of the Laplace exponents
     F_j(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of a block of
     conditioning nodes j on one flat panelized Gauss-Legendre grid: node j
-    owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``."""
+    owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``.  The
+    kernel's temporaries live in ``ws``, shared with the grid that built it."""
 
-    def __init__(self, m_x: int, c: np.ndarray, w: np.ndarray, bounds: np.ndarray):
+    def __init__(self, m_x: int, c: np.ndarray, w: np.ndarray, bounds: np.ndarray,
+                 ws: Workspace):
         self.m_x = m_x
         self.c = c
         self.w = w
         self.bounds = bounds
+        self.ws = ws
 
     def sums(self, node, s, k_max: int) -> np.ndarray:
         """[S_0, S_1, ..., S_k_max] of node ``node[i]`` at ``s[i]`` for every
@@ -278,7 +281,8 @@ class _Exponents:
                 w = self.w[first[0]:first[0] + ends[-1]]
             else:
                 idx = _runs(first, n_elems)
-                c, w = self.c[idx], self.w[idx]
+                c = np.take(self.c, idx, out=self.ws.take("c", idx.size))
+                w = np.take(self.w, idx, out=self.ws.take("w", idx.size))
             for r in range(int(n_pairs[0])):
                 n_live = int(np.count_nonzero(n_pairs > r))
                 live_end = int(ends[n_live - 1])
@@ -300,10 +304,11 @@ class _Exponents:
         v *= c
         v += 1.0
         np.reciprocal(v, out=v)
-        v_m = v.copy()
+        v_m = self.ws.take("v", v.size)        # the grid's buffer, free once it is built
+        v_m[:] = v
         for _ in range(self.m_x - 1):
             v_m *= v
-        term = 1.0 - v_m
+        term = np.subtract(1.0, v_m, out=self.ws.take("term", v.size))
         term *= w
         np.add.at(sums[0], pair, np.add.reduceat(term, offsets))
         if k_max:
@@ -388,6 +393,7 @@ class _Grid:
         # likewise in panels
         self.angular = np.searchsorted(owner, np.arange(n_nodes + 1))
         self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
+        self.ws = Workspace()       # temporaries of every block of this grid
 
     def exponents(self, lo: int, hi: int) -> _Exponents:
         """The exponents of nodes lo .. hi-1."""
@@ -400,7 +406,7 @@ class _Grid:
         end = np.minimum(v_lo + _RAD_ENDS[panel], self.v_hi)
         x, w = gauss_legendre(_N_RAD)
         half = (0.5 * (end - start))[:, None]
-        v = half * x
+        v = np.multiply(half, x, out=self.ws.take("v", half.size * _N_RAD).reshape(-1, _N_RAD))
         v += (0.5 * (start + end))[:, None]
         c = np.exp(v)
         c **= -self.alpha                           # r**-alpha at r = exp(v)
@@ -410,7 +416,7 @@ class _Grid:
         weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
         weight *= self.ang_w[ang, None]
         return _Exponents(self.m_x, c.ravel(), weight.ravel(),
-                          (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD)
+                          (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD, self.ws)
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:

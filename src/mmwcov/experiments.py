@@ -300,7 +300,7 @@ def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
         try:
             check_chunk_points(density, config.params.r_los)
         except ValueError as exc:
-            where = locations.get(key, locations.get("channel.r_los"))
+            where = locations.get(key, locations.get("channel.r_los", "default"))
             raise ConfigError(f"{where}: {key} {exc}") from None
 
     own = ("antenna.phi_3db", "antenna.sla_db", "antenna.sectors_exp")
@@ -499,7 +499,12 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
-    """Run one scenario and emit per-engine CSVs plus a JSON manifest."""
+    """Run one scenario and emit per-engine CSVs plus a JSON manifest.
+
+    The config is checked again as ``validate_config`` checks it, because a
+    caller may have changed it since; a run that cannot succeed is refused
+    before the output directory is made."""
+    _check_runnable(config, {})
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,9 +6,11 @@ are bit-identical for any worker count.  All cross-chunk accumulation is in
 integer counts (or ordered concatenation), which makes the reduction exact
 and order-independent.  A chunk's draw depends on the seed, the density and
 the channel only, so ``run_coverages`` draws it once for every curve that
-shares those and evaluates each curve's policy and beam grid on it.  Each
-worker reuses one workspace of point-sized buffers for every chunk of a
-call, and drops it when the call returns.
+shares those and evaluates each curve's policy and beam grid on it.  P2 and
+P3 pick their serving transmitter among every point of a field; P1 only
+among the few points whose path loss leaves them a chance to win
+(``_p1_candidates``).  Each worker reuses one workspace of point-sized
+buffers for every chunk of a call, and drops it when the call returns.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, angular_offset
+from .numerics import Workspace as _Workspace
 from .radio import (NetworkParams, _gain_3gpp_core, _mainlobe_core, gain_approx,
                     sample_fading)
 
@@ -44,11 +47,12 @@ __all__ = [
 
 CHUNK_TRIALS = 4096
 
-# Largest expected point count of one chunk.  A chunk holds about 105 bytes
-# of arrays per point at its peak (ten float64 and two bool workspace
-# buffers with 1/16 spare, the int64 segment index, and short-lived index
-# arrays; tracemalloc peak of a nine-curve chunk), so this is about 0.9 GB
-# per worker.
+# Largest expected point count of one chunk.  A chunk holds about 98 bytes
+# of arrays per point at its peak (nine float64 and two bool point-sized
+# workspace buffers with 1/16 spare, the int64 segment index, the P1
+# candidates' buffers and short-lived index arrays; tracemalloc peak of the
+# nine curves P1/P2/P3 x sectors_exp 1-3 on one chunk at density 1.6e-3), so
+# this is about 0.8 GB per worker.
 CHUNK_POINT_BUDGET = 2**23
 
 STATISTICS = ("phi_c", "S", "G_ratio_p2", "W_ratio_p2", "G_p3", "W_p3", "varphi12",
@@ -139,24 +143,6 @@ def _chunk_sizes(n_trials: int):
     return [CHUNK_TRIALS] * (n_chunks - 1) + [n_trials - CHUNK_TRIALS * (n_chunks - 1)]
 
 
-class _Workspace:
-    """Named point-sized buffers that one worker reuses for every chunk of one call.
-
-    ``take(name, size)`` is the first ``size`` elements of the named buffer;
-    a chunk that needs more grows it once, with room to spare for the next
-    chunk's Poisson point count.  Workspace views never leave a chunk.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def take(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size + size // 16, dtype)
-        return buf[:size]
-
-
 def _map_chunks(fn, n_trials: int, n_workers: int):
     """Apply ``fn(chunk_index, chunk_size, workspace)`` to every chunk, results
     in index order.
@@ -204,27 +190,32 @@ def _sample_batch(params: NetworkParams, n: int, rng: np.random.Generator, ws: _
 
 
 def _select(best_of, key, tiebreak, seg, starts, ws: _Workspace):
-    """Per-segment index of the extremum of ``key`` (one O(points) pass).
+    """Per-segment index of the extremum of ``key`` (one pass over ``key``).
 
     ``best_of`` is ``np.maximum`` or ``np.minimum``; segments must be
     nonempty.  Exact ties on ``key`` go to the smallest of the ``tiebreak``
     arrays in priority order (the policies pass radius, then azimuth), then to
-    the lowest index.  Only segments with a tie are sorted, and only their
+    the lowest index.  The hits are counted per segment from their segment
+    numbers, one per hit; only segments with a tie are sorted, and only their
     tied points.
     """
     ext = best_of.reduceat(key, starts)
     hit = np.equal(key, np.take(ext, seg, out=ws.take("tmp1", key.size), mode="clip"),
                    out=ws.take("mask", key.size, bool))
     idx = np.flatnonzero(hit)
-    n_hits = np.add.reduceat(hit, starts)
-    win = idx[np.cumsum(n_hits) - n_hits]
-    tied = n_hits > 1
-    if tied.any():
-        cand = idx[tied[seg[idx]]]
+    s = seg[idx]                    # nondecreasing, every segment at least once
+    lead = np.empty(s.size, bool)   # the first hit of each segment
+    lead[0] = True
+    np.not_equal(s[1:], s[:-1], out=lead[1:])
+    win = idx[lead]
+    if win.size < idx.size:
+        tied = np.zeros(win.size, bool)
+        tied[s[~lead]] = True
+        cand = idx[tied[s]]
         order = cand[np.lexsort(tuple(t[cand] for t in reversed(tiebreak)) + (seg[cand],))]
         s = seg[order]
-        lead = np.concatenate([[True], s[1:] != s[:-1]])
-        win[s[lead]] = order[lead]
+        first = np.concatenate([[True], s[1:] != s[:-1]])
+        win[s[first]] = order[first]
     return win
 
 
@@ -257,18 +248,12 @@ def _split_step(step: float):
     return hi, step - hi
 
 
-def _grid_offset(phi, step: float, memo: dict, ws: _Workspace):
-    """Offset of every point to the nearest beam maximum of a grid of spacing
-    ``step``, bit for bit ``t = np.remainder(phi - step/2, step)`` then
-    ``min(t, step - t)``.
-
-    The offsets live in the workspace's ``grid`` buffer and ``memo`` holds
-    their spacing, so a chunk holds one grid at a time.
-    """
+def _grid_offset(phi, step: float, ws: _Workspace, off):
+    """Offset of each azimuth to the nearest beam maximum of a grid of spacing
+    ``step``, written into ``off``: bit for bit
+    ``t = np.remainder(phi - step/2, step)`` then ``min(t, step - t)``.
+    Elementwise, so a subset of the points gets the bits of the whole."""
     size = phi.size
-    off = ws.take("grid", size)
-    if memo.get("grid") == step:
-        return off
     # The floor-mod by exact arithmetic (np.remainder computes a full
     # floor-divmod).  a = phi - step/2 lies in [-step/2, 2 pi); q = floor(a/step)
     # is below 2*pi/step = 2**sectors_exp.  With step = hi + lo as _split_step
@@ -298,7 +283,6 @@ def _grid_offset(phi, step: float, memo: dict, ws: _Workspace):
     t[bad] = np.remainder(a[bad], step)
     np.subtract(step, t, out=q)
     np.minimum(t, q, out=off)
-    memo["grid"] = step
     return off
 
 
@@ -313,42 +297,87 @@ def _interferer_offset(ref, seg, phi, out, ws: _Workspace):
     return np.minimum(d, wrap, out=d)
 
 
+def _p1_candidates(cfg, field: tuple, memo: dict, ws: _Workspace):
+    """The points of a drawn chunk that can win or tie under P1, with their
+    fields' layout: ``(cand, seg, starts, r, phi, rpow)`` of the candidates.
+
+    A field's nearest point has a grid offset of at most half the spacing, so
+    its key is at least ``g_lo * rpow_max``, where ``g_lo`` is the gain at
+    that offset (the floor ``g_s`` beyond ``phi_a``) and ``rpow_max`` the
+    field's largest ``r**-alpha``.  No key exceeds ``g_max * rpow``, so a
+    point with ``rpow < (g_lo / g_max) rpow_max`` can neither win nor tie;
+    the factor ``1 - 1e-9`` keeps every winner and tied point through
+    rounding.  The candidates of the latest bound are kept in ``memo`` (the
+    bound depends on the antenna, not on the beam count when ``phi_3db`` is
+    the spacing), their arrays in the workspace.
+    """
+    bound = gain_approx(0.5 * cfg.beam_spacing, cfg) / cfg.g_max * (1.0 - 1e-9)
+    if memo.get("P1", (None,))[0] == bound:
+        return memo["P1"][1]
+    counts, starts, seg, r, phi, h_s, h_x, rpow = field
+    if "rpow_max" not in memo:
+        memo["rpow_max"] = np.maximum.reduceat(rpow, starts)
+    low = np.take(memo["rpow_max"], seg, out=ws.take("tmp1", r.size), mode="clip")
+    low *= bound
+    cand = np.flatnonzero(np.greater_equal(rpow, low, out=ws.take("mask", r.size, bool)))
+    k = cand.size
+    seg_c = np.take(seg, cand, out=ws.take("p1_seg", k, seg.dtype))
+    # the nearest point of every field is a candidate, so every field has a run
+    starts_c = np.flatnonzero(np.diff(seg_c, prepend=-1))
+    arrays = (cand, seg_c, starts_c, np.take(r, cand, out=ws.take("p1_r", k)),
+              np.take(phi, cand, out=ws.take("p1_phi", k)),
+              np.take(rpow, cand, out=ws.take("p1_rpow", k)))
+    memo["P1"] = bound, arrays
+    return arrays
+
+
 def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict,
                  ws: _Workspace):
     """One policy on a drawn chunk: serving link, interference and SINR per trial.
 
-    The serving transmitter of each field is picked by ``_select`` in
-    O(points): the extremum of the policy key (max power for P1, min angular
-    distance for P2, min distance for P3), then the smaller radius, then the
-    smaller azimuth, then the lower index.  ``memo`` carries what curves on
-    the same ``field`` share: the latest grid offset, and the P3 winner with
-    its interferers' offsets, which no grid changes.  Point-sized
-    temporaries live in ``ws``; every returned array is a fresh one.
+    The serving transmitter of each field is picked by ``_select``: the
+    extremum of the policy key (max power for P1, min angular distance for
+    P2, min distance for P3), then the smaller radius, then the smaller
+    azimuth, then the lower index.  P2 and P3 select over every point; P1
+    over the few points of ``_p1_candidates`` that can win, so its grid
+    offsets, mainlobe gains and keys are computed for those only.  ``memo``
+    carries what curves on the same ``field`` share: the P1 candidates, the
+    latest all-point grid offset (P2), and the P3 winner with its
+    interferers' offsets, which no grid changes.  Point-sized temporaries
+    live in ``ws``; every returned array is a fresh one.
     """
     cfg, ch = params.antenna, params.channel
     counts, starts, seg, r, phi, h_s, h_x, rpow = field
     n, size = counts.size, r.size
     step = cfg.beam_spacing
-    off = _grid_offset(phi, step, memo, ws)
     # the interference term: interferer offsets, then gains, then h_x * gain * rpow
     term = ws.take("term", size)
 
     out = {"counts": counts}
     if policy == "P1":
-        ga = _mainlobe_core(off, cfg, term)
+        cand, seg_c, starts_c, r_c, phi_c, rpow_c = _p1_candidates(cfg, field, memo, ws)
+        off = _grid_offset(phi_c, step, ws, ws.take("p1_off", cand.size))
+        ga = _mainlobe_core(off, cfg, term[:cand.size])
         if 0.5 * step > cfg.phi_a:      # else every grid offset is in the mainlobe
-            floor = np.greater(off, cfg.phi_a, out=ws.take("mask", size, bool))
+            floor = np.greater(off, cfg.phi_a, out=ws.take("mask", off.size, bool))
             np.copyto(ga, cfg.g_s, where=floor)
-        key = np.multiply(ga, rpow, out=ws.take("key", size))
-        win = _select(np.maximum, key, (r, phi), seg, starts, ws)
+        key = np.multiply(ga, rpow_c, out=ws.take("key", off.size))
+        win_c = _select(np.maximum, key, (r_c, phi_c), seg_c, starts_c, ws)
+        win = cand[win_c]
         beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
         ref = 0.5 * step + beam * step
-        g_serve = ga[win]
-        out["s_norm"] = key[win]
+        g_serve = ga[win_c]
+        serving_offset = off[win_c]
+        out["s_norm"] = key[win_c]
     elif policy == "P2":
+        off = ws.take("grid", size)
+        if memo.get("grid") != step:
+            _grid_offset(phi, step, ws, off)
+            memo["grid"] = step
         win = _select(np.minimum, off, (r, phi), seg, starts, ws)
         ref = phi[win]
         g_serve = gain_approx(off[win], cfg)
+        serving_offset = off[win]
         out["phi_c"] = off[win]
     elif policy == "P3":
         if "P3" not in memo:
@@ -357,6 +386,7 @@ def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict,
                                                  ws.take("p3_offset", size), ws)
         win, d = memo["P3"]
         g_serve = np.full(n, cfg.g_max)
+        serving_offset = _grid_offset(phi[win], step, ws, np.empty(n))
         out["s_norm"] = cfg.g_max * rpow[win]
     else:
         raise ValueError(f"unknown policy {policy!r}")
@@ -372,7 +402,7 @@ def _curve_chunk(params: NetworkParams, policy: str, field: tuple, memo: dict,
     out["signal_w"] = pk * g_serve * h_s * rpow[win]
     out["sinr"] = out["signal_w"] / (out["interference_w"] + ch.noise_w)
     out["serving_r"] = r[win]
-    out["serving_offset"] = off[win]
+    out["serving_offset"] = serving_offset
     return out
 
 

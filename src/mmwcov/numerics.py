@@ -26,6 +26,24 @@ __all__ = [
 INFINITE_TAIL_MASS = 1e-9    # see QuadratureSpec
 
 
+class Workspace:
+    """Named work buffers that one thread reuses across the calls of a kernel.
+
+    ``take(name, size)`` is the first ``size`` elements of the named buffer;
+    a call that needs more grows it once, with room to spare for the next
+    call's size.  Workspace views never leave the kernel that took them.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size + size // 16, dtype)
+        return buf[:size]
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance contract for the adaptive integrators.

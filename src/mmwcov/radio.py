@@ -159,6 +159,25 @@ def _match_scalar(x_in, out):
     return float(out) if np.isscalar(x_in) or np.ndim(x_in) == 0 else out
 
 
+# A read-only array of tens, shared by every thread: with an array as the
+# base, numpy's power takes its vectorized loop, about twice as fast per
+# element as the strided loop of a scalar base, with the same bits.
+_TENS = np.full(2**14, 10.0)
+_TENS.flags.writeable = False
+
+
+def _pow10(x):
+    """``10**x`` written into ``x``, bit for bit ``np.power(10.0, x)``;
+    ``x`` may be 0-d.  Arrays longer than ``_TENS`` go in pieces."""
+    flat = x.ravel(order="K")
+    if not np.may_share_memory(flat, x):        # ravel copied, or x is empty
+        return np.power(10.0, x, out=x)
+    for lo in range(0, flat.size, _TENS.size):
+        part = flat[lo:lo + _TENS.size]
+        np.power(_TENS[:part.size], part, out=part)
+    return x
+
+
 def _gain_3gpp_core(d, cfg: AntennaConfig, out):
     """``gain_3gpp`` at offsets ``d >= 0``, written into ``out`` (which may be ``d``)."""
     np.divide(d, cfg.phi_3db, out=out)
@@ -167,7 +186,7 @@ def _gain_3gpp_core(d, cfg: AntennaConfig, out):
     np.minimum(out, cfg.sla_db, out=out)
     np.subtract(cfg.g_max_db, out, out=out)
     np.divide(out, 10.0, out=out)
-    return np.power(10.0, out, out=out)
+    return _pow10(out)
 
 
 def _mainlobe_core(d, cfg: AntennaConfig, out):
@@ -177,7 +196,7 @@ def _mainlobe_core(d, cfg: AntennaConfig, out):
     np.divide(out, cfg.phi_3db, out=out)
     np.square(out, out=out)
     np.multiply(-0.3, out, out=out)
-    np.power(10.0, out, out=out)
+    _pow10(out)
     return np.multiply(cfg.g_max, out, out=out)
 
 

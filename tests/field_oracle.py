@@ -5,7 +5,9 @@ The Monte Carlo engine evaluates every field of a chunk at once in flat
 arrays; the functions here do the same work one field at a time, written as
 directly as the model states it.  ``test_association`` checks the engine's
 chunk kernel against them, and several quadrature tests integrate laws with
-:func:`integrate_2d`.
+:func:`integrate_2d`.  :func:`full_scan_chunk` evaluates a whole drawn chunk
+as the engine did before it pruned the P1 search: every point of every field
+is scanned.
 
 Three association policies:
 
@@ -284,3 +286,67 @@ def corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
         return g2 * _joint_gain_density_p2(g * g2, g2, params)
 
     return integrate_1d(integrand, cfg.g_s, cfg.g_max / g * (1.0 - 1e-12), _SPEC) / p_cond
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo chunk kernel by full scan
+# ---------------------------------------------------------------------------
+
+
+def formula_gain_3gpp(d, cfg: AntennaConfig):
+    """``gain_3gpp`` at offsets ``d >= 0`` as its closed form reads."""
+    att_db = np.minimum(12.0 * (d / cfg.phi_3db) ** 2, cfg.sla_db)
+    return 10.0 ** ((cfg.g_max_db - att_db) / 10.0)
+
+
+def formula_gain_approx(d, cfg: AntennaConfig):
+    """``gain_approx`` at offsets ``d >= 0`` as its closed form reads."""
+    main = cfg.g_max * 10.0 ** (-0.3 * (2.0 * d / cfg.phi_3db) ** 2)
+    return np.where(d <= cfg.phi_a, main, cfg.g_s)
+
+
+def full_scan_chunk(params: NetworkParams, policy: str, field: tuple) -> dict:
+    """One policy on a drawn chunk, every point of every field scanned.
+
+    ``field`` is ``(counts, starts, seg, r, phi, h_s, h_x, rpow)`` in the flat
+    segment layout of ``montecarlo._field_chunk``.  Every point gets its grid
+    offset, and P1 its mainlobe gain and key; the winner of each field is the
+    first of a full lexsort by key, radius, azimuth and index; interferers are
+    offset by the wrapped ``angular_offset``.  Returns fresh per-trial arrays
+    under the names the package kernel uses.
+    """
+    cfg, ch = params.antenna, params.channel
+    counts, starts, seg, r, phi, h_s, h_x, rpow = field
+    n = counts.size
+    step = cfg.beam_spacing
+    t = np.remainder(phi - 0.5 * step, step)
+    off = np.minimum(t, step - t)
+
+    out = {"counts": counts}
+    if policy == "P1":
+        key = formula_gain_approx(off, cfg) * rpow
+        win = np.lexsort((phi, r, -key, seg))[starts]
+        beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
+        ref = 0.5 * step + beam * step
+        g_serve = formula_gain_approx(off[win], cfg)
+        out["s_norm"] = key[win]
+    elif policy == "P2":
+        win = np.lexsort((phi, r, off, seg))[starts]
+        ref = phi[win]
+        g_serve = formula_gain_approx(off[win], cfg)
+        out["phi_c"] = off[win]
+    else:
+        win = np.lexsort((phi, r, seg))[starts]
+        ref = phi[win]
+        g_serve = np.full(n, cfg.g_max)
+        out["s_norm"] = cfg.g_max * rpow[win]
+
+    term = h_x * formula_gain_3gpp(angular_offset(ref[seg], phi), cfg) * rpow
+    inter_norm = np.add.reduceat(term, starts) - term[win]
+    pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
+    out["interference_w"] = pk * inter_norm
+    out["signal_w"] = pk * g_serve * h_s * rpow[win]
+    out["sinr"] = out["signal_w"] / (out["interference_w"] + ch.noise_w)
+    out["serving_r"] = r[win]
+    out["serving_offset"] = off[win]
+    return out

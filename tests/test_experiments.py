@@ -237,6 +237,20 @@ class TestRunExperiment:
         assert {r["engine"] for r in mc_rows} == {"mc"}
         assert len(mc_rows) == 3 * 2   # 3 thresholds x (P1, P3) at one sector count
 
+    def test_replaced_config_that_cannot_run_is_refused_before_any_output(self, tmp_path):
+        # a library caller changes a validated config: the run re-checks it
+        base = validate_config("antenna.sla_db = 2\nrun.engines = mc\n", environ={})
+        out = tmp_path / "refused"
+        config = replace(base, scenario="fig5", engines=("analytic",), out_dir=str(out))
+        with pytest.raises(ConfigError, match=r"antenna\.sla_db leaves beams up to half the "
+                                              r"spacing .*sla_db 2\)"):
+            run_experiment(config)
+        dense = replace(validate_config("run.engines = mc\n", environ={}), out_dir=str(out),
+                        params=NetworkParams(density=1.0))
+        with pytest.raises(ConfigError, match=r"network\.density density 1 /m\^2"):
+            run_experiment(dense)
+        assert not out.exists()
+
     def test_fig7_grid_size(self, tmp_path):
         config = _tiny_config(tmp_path, "fig7", engines=("mc",),
                               density_sweep=(4e-4, 8e-4, 1.6e-3),

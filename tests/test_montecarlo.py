@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import itertools
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -21,7 +23,10 @@ from mmwcov.montecarlo import (
     _Workspace,
     _chunk_rng,
     _chunk_sizes,
+    _curve_chunk,
+    _field_chunk,
     _grid_offset,
+    _p1_candidates,
     _policy_chunk,
     _select,
     _two_smallest,
@@ -35,6 +40,8 @@ from mmwcov.montecarlo import (
     sample_statistic,
 )
 from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams
+
+from field_oracle import formula_gain_approx, full_scan_chunk
 
 GAMMAS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 
@@ -169,59 +176,19 @@ def _oracle_fading(m, rng, size):
     return rng.gamma(shape=float(m), scale=1.0 / float(m), size=size)
 
 
-def _oracle_gain_3gpp(d, cfg):
-    att_db = np.minimum(12.0 * (d / cfg.phi_3db) ** 2, cfg.sla_db)
-    return 10.0 ** ((cfg.g_max_db - att_db) / 10.0)
-
-
-def _oracle_gain_approx(d, cfg):
-    main = cfg.g_max * 10.0 ** (-0.3 * (2.0 * d / cfg.phi_3db) ** 2)
-    return np.where(d <= cfg.phi_a, main, cfg.g_s)
+def _oracle_field(params, n, rng):
+    """The chunk draw into fresh arrays: fields, fades and ``r**-alpha``."""
+    ch = params.channel
+    counts, starts, seg, r, phi = _oracle_sample_batch(params, n, rng)
+    h_s = _oracle_fading(ch.m_s, rng, n)
+    h_x = _oracle_fading(ch.m_x, rng, r.size)
+    return counts, starts, seg, r, phi, h_s, h_x, r ** (-ch.alpha_l)
 
 
 def _oracle_policy_chunk(params, policy, n, rng):
     """One chunk of one policy as a single curve computes it: its own draw
-    into fresh arrays, its own ``%`` grid offset, winners by a full lexsort,
-    and the wrapped ``angular_offset`` for interferers."""
-    cfg, ch = params.antenna, params.channel
-    counts, starts, seg, r, phi = _oracle_sample_batch(params, n, rng)
-    h_s = _oracle_fading(ch.m_s, rng, n)
-    h_x = _oracle_fading(ch.m_x, rng, r.size)
-
-    rpow = r ** (-ch.alpha_l)
-    step = cfg.beam_spacing
-    t = (phi - 0.5 * step) % step
-    off = np.minimum(t, step - t)
-
-    out = {"counts": counts}
-    if policy == "P1":
-        key = _oracle_gain_approx(off, cfg) * rpow
-        win = np.lexsort((phi, r, -key, seg))[starts]
-        beam = np.rint((phi[win] - 0.5 * step) / step).astype(int) % cfg.n_beams
-        ref = 0.5 * step + beam * step
-        g_serve = _oracle_gain_approx(off[win], cfg)
-        out["s_norm"] = key[win]
-    elif policy == "P2":
-        win = np.lexsort((phi, r, off, seg))[starts]
-        ref = phi[win]
-        g_serve = _oracle_gain_approx(off[win], cfg)
-        out["phi_c"] = off[win]
-    else:
-        win = np.lexsort((phi, r, seg))[starts]
-        ref = phi[win]
-        g_serve = np.full(n, cfg.g_max)
-        out["s_norm"] = cfg.g_max * rpow[win]
-
-    gains = _oracle_gain_3gpp(angular_offset(ref[seg], phi), cfg)
-    term = h_x * gains * rpow
-    inter_norm = np.add.reduceat(term, starts) - term[win]
-    pk = ch.tx_power_w * ch.path_gain_const * cfg.g_max
-    out["interference_w"] = pk * inter_norm
-    out["signal_w"] = pk * g_serve * h_s * rpow[win]
-    out["sinr"] = out["signal_w"] / (out["interference_w"] + ch.noise_w)
-    out["serving_r"] = r[win]
-    out["serving_offset"] = off[win]
-    return out
+    into fresh arrays, every point scanned (``field_oracle.full_scan_chunk``)."""
+    return full_scan_chunk(params, policy, _oracle_field(params, n, rng))
 
 
 def _oracle_coverage(plan):
@@ -331,7 +298,7 @@ class TestSharedDraw:
         for phi in (edges[(edges >= 0.0) & (edges < TWO_PI)], uniform):
             t = np.remainder(phi - 0.5 * step, step)
             want = np.minimum(t, step - t)
-            got = _grid_offset(phi, step, {}, _Workspace())
+            got = _grid_offset(phi, step, _Workspace(), np.empty_like(phi))
             assert got.tobytes() == want.tobytes()
 
     def test_workspaces_are_per_thread_and_die_with_the_call(self, params, monkeypatch):
@@ -387,6 +354,122 @@ class TestSharedDraw:
         d = np.abs(a - b)
         assert (d % TWO_PI).tobytes() == d.tobytes()
         assert angular_offset(a, b).tobytes() == np.minimum(d, TWO_PI - d).tobytes()
+
+
+def _box_params(density, sectors_exp, narrow, sla_db, alpha, fades):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # alpha 4 lies outside the usual LOS range
+        channel = ChannelParams(alpha_l=alpha, m_s=fades[0], m_x=fades[1])
+    return NetworkParams(density=density, channel=channel, antenna=AntennaConfig(
+        sectors_exp=sectors_exp, sla_db=sla_db, phi_3db=0.3 if narrow else None))
+
+
+# sectors_exp, phi_3db 0.3 rad (or the spacing), sla_db, alpha, (m_s, m_x)
+_BOX = list(itertools.product((0, 1, 2, 5, 8), (False, True), (3.0, 30.0), (2.0, 4.0),
+                              ((2, 2), (1, 1), (8, 8))))
+
+
+def _tied_field(gen, params, n):
+    """``n`` fields whose best P1 keys often tie exactly: a point and its copy
+    (settled by the index), and two points on one radius mirrored about a
+    beam maximum (settled by the azimuth), among farther or random points."""
+    cfg, ch = params.antenna, params.channel
+    step = cfg.beam_spacing
+
+    def offset(phi):
+        t = np.remainder(phi - 0.5 * step, step)
+        return np.minimum(t, step - t)
+
+    fields = []
+    for j in range(n):
+        r0 = gen.uniform(5.0, 45.0)
+        beam = 0.5 * step + int(gen.integers(cfg.n_beams)) * step
+        while True:
+            delta = gen.uniform(0.0, 0.5 * step)
+            pair = np.array([beam + delta, beam - delta])
+            if pair.min() >= 0.0 and pair.max() < TWO_PI and offset(pair[0]) == offset(pair[1]):
+                break
+        kind = j % 4
+        r = [r0, r0] if kind in (0, 2) else [r0]
+        phi = list(pair) if kind in (0, 2) else [pair[0]]
+        if kind == 1:
+            r, phi = r * 2, phi * 2
+        if kind == 2:
+            r, phi = r * 2, phi * 2
+        extra = int(gen.integers(0, 4))
+        r += list(gen.uniform(r0 if kind == 3 else 1.5 * r0, 75.0, extra))
+        phi += list(gen.uniform(0.0, TWO_PI, extra))
+        order = gen.permutation(len(r))
+        fields.append((np.array(r)[order], np.array(phi)[order]))
+    counts = np.array([f[0].size for f in fields])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    seg = np.repeat(np.arange(n), counts)
+    r = np.concatenate([f[0] for f in fields])
+    phi = np.concatenate([f[1] for f in fields])
+    h_s = gen.gamma(2.0, 0.5, n)
+    h_x = gen.gamma(2.0, 0.5, r.size)
+    return counts, starts, seg, r, phi, h_s, h_x, r ** (-ch.alpha_l)
+
+
+class TestP1Candidates:
+    """P1 evaluates only the points that can win; every output keeps its bits."""
+
+    @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
+    @pytest.mark.parametrize("density", [5e-5, 8e-4, 1e-2])
+    def test_policy_chunk_matches_full_scan_over_the_box(self, density, policy):
+        ws = _Workspace()
+        floor_cases = 0
+        for i, case in enumerate(_BOX):
+            params = _box_params(density, *case)
+            got = _policy_chunk(params, policy, 256, _chunk_rng(521, i), ws)
+            want = _oracle_policy_chunk(params, policy, 256, _chunk_rng(521, i))
+            assert set(got) == set(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (case, name)
+            floor_cases += 0.5 * params.antenna.beam_spacing > params.antenna.phi_a
+        assert floor_cases >= 8     # the P1 floor branch ran
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_exact_ties_keep_the_full_scan_winner(self, narrow):
+        params = _box_params(8e-4, 2, narrow, 3.0 if narrow else 30.0, 2.0, (2, 2))
+        assert (0.5 * params.antenna.beam_spacing > params.antenna.phi_a) == narrow
+        field = _tied_field(np.random.default_rng(522), params, 2000)
+        for policy in ("P1", "P2", "P3"):
+            got = _curve_chunk(params, policy, field, {}, _Workspace())
+            want = full_scan_chunk(params, policy, field)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (policy, name)
+        # many P1 winners tie on the key: some ties are settled by the radius
+        # or the azimuth, some only by the index
+        counts, starts, seg, r, phi = field[:5]
+        step = params.antenna.beam_spacing
+        t = np.remainder(phi - 0.5 * step, step)
+        key = formula_gain_approx(np.minimum(t, step - t), params.antenna) * field[7]
+        win = np.lexsort((phi, r, -key, seg))[starts]
+        best = key == key[win][seg]
+        same = best & (r == r[win][seg]) & (phi == phi[win][seg])
+        n_best, n_same = np.add.reduceat(best, starts), np.add.reduceat(same, starts)
+        assert (n_best > 1).sum() > 500
+        assert (n_best > n_same).sum() > 100
+        assert (n_same > 1).sum() > 100
+
+    def test_candidates_are_few_at_the_defaults(self, params):
+        ws = _Workspace()
+        field = _field_chunk(params, CHUNK_TRIALS, _chunk_rng(20240, 0), ws)
+        cand, seg_c, starts_c, *_ = _p1_candidates(params.antenna, field, {}, ws)
+        assert starts_c.size == CHUNK_TRIALS        # every field keeps its nearest point
+        assert np.array_equal(seg_c[starts_c], np.arange(CHUNK_TRIALS))
+        assert cand.size <= 0.25 * field[3].size
+
+    def test_beam_counts_with_the_spacing_as_beamwidth_share_one_set(self, params):
+        ws = _Workspace()
+        field = _field_chunk(params, 1000, _chunk_rng(20240, 1), ws)
+        memo = {}
+        first = _p1_candidates(AntennaConfig(sectors_exp=1), field, memo, ws)
+        for sectors_exp in (2, 3):
+            assert _p1_candidates(AntennaConfig(sectors_exp=sectors_exp), field, memo, ws) is first
+        narrower = _p1_candidates(AntennaConfig(sectors_exp=2, phi_3db=1.0), field, memo, ws)
+        assert narrower is not first and narrower[0].size > first[0].size
 
 
 # SHA-256 of results taken with the lexsort winner selection that _select

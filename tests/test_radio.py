@@ -1,12 +1,17 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import constants, special
 
+from mmwcov import radio
 from mmwcov.numerics import integrate_1d, QuadratureSpec
 from mmwcov.radio import (
     TWO_PI,
+    _gain_3gpp_core,
+    _mainlobe_core,
+    _pow10,
     AntennaConfig,
     ChannelParams,
     NetworkParams,
@@ -18,6 +23,7 @@ from mmwcov.radio import (
     sample_fading,
 )
 from conftest import ks_distance
+from field_oracle import formula_gain_3gpp
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +88,54 @@ class TestGainPatterns:
                 got = fn(float(x), cfg)
                 assert type(got) is float
                 assert got == fn(np.array([x]), cfg)[0] == fn(np.float64(x), cfg)
+
+    def test_vector_base_is_the_scalar_base_bit_for_bit(self):
+        # the gain exponents of every pattern lie in [-3, 1.5] at the defaults;
+        # more values than one base array holds, and the special values
+        x = np.concatenate([np.random.default_rng(14).uniform(-3.0, 1.5, 1_200_000),
+                            [0.0, -0.0, np.nan, np.inf, -np.inf, -400.0, 400.0, -310.0, 5e-324]])
+        assert x.size > radio._TENS.size
+        with np.errstate(over="ignore"):
+            assert _pow10(x.copy()).tobytes() == np.power(10.0, x).tobytes()
+        zero_d = np.array(-0.37)
+        assert _pow10(zero_d) is zero_d and zero_d.tobytes() == np.power(10.0, -0.37).tobytes()
+        # a Fortran-ordered block and a strided view are written in place too
+        block = x[:3000].reshape(30, 100).copy(order="F")
+        assert _pow10(block).tobytes() == np.power(10.0, x[:3000].reshape(30, 100)).tobytes(
+            order="A")
+        y = x[:6000].copy()
+        _pow10(y[::2])
+        assert y[::2].tobytes() == np.power(10.0, x[:6000:2]).tobytes()
+        assert y[1::2].tobytes() == x[1:6000:2].tobytes()
+        assert _pow10(np.empty(0)).size == 0
+
+    def test_vector_base_cores_match_the_formulas_on_many_offsets(self, cfg):
+        d = np.random.default_rng(15).uniform(0.0, math.pi, 1_000_000)
+        main = cfg.g_max * np.power(10.0, -0.3 * (2.0 * d / cfg.phi_3db) ** 2)
+        assert _gain_3gpp_core(d, cfg, np.empty_like(d)).tobytes() == \
+            formula_gain_3gpp(d, cfg).tobytes()
+        assert _mainlobe_core(d, cfg, np.empty_like(d)).tobytes() == main.tobytes()
+        for x in (0.0, 0.2, cfg.phi_a, math.pi):
+            got = _gain_3gpp_core(np.array(x), cfg, np.empty(()))
+            assert got.shape == () and got.tobytes() == formula_gain_3gpp(np.array(x), cfg).tobytes()
+
+    def test_base_array_is_read_only_and_shared_between_threads(self):
+        assert not radio._TENS.flags.writeable
+        gen = np.random.default_rng(16)
+        inputs = [gen.uniform(-3.0, 1.5, size) for size in (10, 5000, 70_000, 300_000) * 4]
+        results = [None] * len(inputs)
+
+        def work(i):
+            results[i] = _pow10(inputs[i].copy())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got.tobytes() == np.power(10.0, x).tobytes() for got, x in zip(results, inputs))
+        assert np.all(radio._TENS == 10.0)
 
     def test_phi_a_clamped_to_pi(self):
         cfg = AntennaConfig(sectors_exp=0)   # phi_3db = 2*pi
