@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -66,10 +67,10 @@ _N_RAD = 20          # order per radial log-panel
 _RAD_EDGES = np.array([0.0, 0.9, 2.7, 8.1])  # log-radius panel starts above the lower edge
 _RAD_ENDS = np.append(_RAD_EDGES[1:], math.inf)  # and ends, before clipping at the disk edge
 
-# Grid elements of one block of the exponent build and of one chunk of
-# (node, s) terms of the exponent kernel: small enough that their few
-# temporaries stay in a per-core cache, and peak memory does not grow with
-# the number of nodes in a quadrature round.
+# Grid elements of one block of the exponent build, and (node, s) pairs
+# times elements of one piece of a node's exponent matrix: small enough that
+# their few temporaries stay in a per-core cache, and peak memory does not
+# grow with the number of nodes or pairs in a quadrature round.
 _ELEMENT_BUDGET = 2**14
 
 
@@ -233,92 +234,6 @@ def phi_c_pdf(phi_c, params: NetworkParams):
 # ---------------------------------------------------------------------------
 
 
-class _Exponents:
-    """The lambda-free grid sums of the Laplace exponents
-    F_j(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of a block of
-    conditioning nodes j on one flat panelized Gauss-Legendre grid: node j
-    owns the elements ``bounds[j]:bounds[j+1]`` of ``c`` and ``w``.  The
-    kernel's temporaries live in ``ws``, shared with the grid that built it."""
-
-    def __init__(self, m_x: int, c: np.ndarray, w: np.ndarray, bounds: np.ndarray,
-                 ws: Workspace):
-        self.m_x = m_x
-        self.c = c
-        self.w = w
-        self.bounds = bounds
-        self.ws = ws
-
-    def sums(self, node, s, k_max: int) -> np.ndarray:
-        """[S_0, S_1, ..., S_k_max] of node ``node[i]`` at ``s[i]`` for every
-        i, stacked on a leading axis: with v = 1/(1 + s c),
-        S_0 = sum w (1 - v^m) and S_k = sum w (c v)^k v^m, so that
-        F = -lambda S_0 and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k.
-
-        One pass over the grid per pair.  The (1 - v^m) form keeps F
-        accurate as s c -> 0.  The nodes are put in order of falling pair
-        count, so that the r-th pairs of all nodes with more than r pairs lie
-        over a prefix of the elements.  That prefix goes through in chunks
-        of at most ``_ELEMENT_BUDGET`` elements, summed per node by one
-        ``np.add.reduceat``; a node cut by a chunk boundary is summed in
-        pieces.
-        """
-        node = np.asarray(node, dtype=np.intp)
-        s = np.asarray(s, dtype=float)
-        sums = np.zeros((k_max + 1, s.size))
-        size = self.bounds[1:] - self.bounds[:-1]
-        count = np.bincount(node, minlength=size.size)
-        by_node = np.argsort(node, kind="stable")      # the pairs of each node
-        pair_first = np.cumsum(count) - count
-        count *= size > 0                              # an empty region has F = 0
-        order = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
-        if order.size:
-            n_pairs, n_elems = count[order], size[order]
-            ends = np.cumsum(n_elems)
-            starts = ends - n_elems
-            first = self.bounds[order]
-            if np.all(order[1:] - order[:-1] == 1):     # contiguous already
-                c = self.c[first[0]:first[0] + ends[-1]]
-                w = self.w[first[0]:first[0] + ends[-1]]
-            else:
-                idx = _runs(first, n_elems)
-                c = np.take(self.c, idx, out=self.ws.take("c", idx.size))
-                w = np.take(self.w, idx, out=self.ws.take("w", idx.size))
-            for r in range(int(n_pairs[0])):
-                n_live = int(np.count_nonzero(n_pairs > r))
-                live_end = int(ends[n_live - 1])
-                pairs = by_node[pair_first[order[:n_live]] + r]
-                for e0 in range(0, live_end, _ELEMENT_BUDGET):
-                    e1 = min(e0 + _ELEMENT_BUDGET, live_end)
-                    qa = int(np.searchsorted(ends, e0, "right"))
-                    qb = int(np.searchsorted(starts, e1, "left"))
-                    seg = np.maximum(starts[qa:qb], e0)
-                    self._accumulate(sums, pairs[qa:qb], c[e0:e1], w[e0:e1], seg - e0,
-                                     np.minimum(ends[qa:qb], e1) - seg, s, k_max)
-        return sums
-
-    def _accumulate(self, sums, pair, c, w, offsets, length, s, k_max: int) -> None:
-        """Add the grid sums of one chunk to ``sums``: elements
-        ``offsets[i]:offsets[i] + length[i]`` of ``c`` and ``w`` belong to
-        ``pair[i]``."""
-        v = np.repeat(s[pair], length)
-        v *= c
-        v += 1.0
-        np.reciprocal(v, out=v)
-        v_m = self.ws.take("v", v.size)        # the grid's buffer, free once it is built
-        v_m[:] = v
-        for _ in range(self.m_x - 1):
-            v_m *= v
-        term = np.subtract(1.0, v_m, out=self.ws.take("term", v.size))
-        term *= w
-        np.add.at(sums[0], pair, np.add.reduceat(term, offsets))
-        if k_max:
-            cv = np.multiply(v, c, out=v)
-            for k in range(1, k_max + 1):
-                v_m *= cv
-                np.multiply(v_m, w, out=term)
-                np.add.at(sums[k], pair, np.add.reduceat(term, offsets))
-
-
 def _blocks(bounds: np.ndarray):
     """Ranges (lo, hi) of whole nodes with at most ``_ELEMENT_BUDGET``
     elements together, or one node that has more; node j has the elements
@@ -333,8 +248,8 @@ def _blocks(bounds: np.ndarray):
 
 class _Grid:
     """Angular and radial panels of the region exponents of a batch of
-    conditioning nodes; :meth:`exponents` builds the grid elements of a range
-    of them (see :func:`_exponent_derivatives`).
+    conditioning nodes; :meth:`exponents` builds the grid elements and
+    weights of a range of them, which :func:`_exponent_derivatives` sums.
 
     Each entry of ``groups`` is ``(owner, a, b, order, mult)``: panel i spans
     the offsets [a[i], b[i]] of node ``owner[i]``, with ``order``
@@ -395,8 +310,10 @@ class _Grid:
         self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
         self.ws = Workspace()       # temporaries of every block of this grid
 
-    def exponents(self, lo: int, hi: int) -> _Exponents:
-        """The exponents of nodes lo .. hi-1."""
+    def exponents(self, lo: int, hi: int):
+        """The grid elements ``c`` and weights ``w`` of nodes lo .. hi-1, and
+        their ``bounds``: node lo + j owns the elements
+        ``bounds[j]:bounds[j+1]``."""
         ang = np.arange(self.angular[lo], self.angular[hi])
         n_live = self.n_live[ang]
         panel = _runs(np.zeros_like(n_live), n_live)    # radial panel of each angular node
@@ -415,8 +332,7 @@ class _Grid:
         v *= 2.0
         weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
         weight *= self.ang_w[ang, None]
-        return _Exponents(self.m_x, c.ravel(), weight.ravel(),
-                          (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD, self.ws)
+        return c.ravel(), weight.ravel(), (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -429,9 +345,16 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
     """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` and
     density ``density[i]`` (or one ``density`` for all) for every i.
 
-    Density enters an exponent only as its prefactor, so the lambda-free
-    sums of each distinct (node, s) pair are built and evaluated once, one
-    block of nodes at a time, and then scaled per i."""
+    With v = 1/(1 + s c) over a node's grid elements, the lambda-free sums
+    S_0 = sum w (1 - v^m) and S_k = sum w (c v)^k v^m give F = -lambda S_0
+    and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k; the (1 - v^m) form keeps
+    F accurate as s c -> 0.  Density enters only as that prefactor, so the
+    sums of each distinct (node, s) pair are evaluated once, a block of
+    nodes at a time, and then scaled per i.  A node's pairs times its
+    elements form one matrix, taken in pieces of at most ``_ELEMENT_BUDGET``
+    elements: whole rows, or for a node above the budget, one row in even
+    column pieces.  Each row is reduced on its own, so the sums of a pair
+    do not depend on the other pairs of the call."""
     by_pair = np.lexsort((s, node))
     node_sorted, s_sorted = node[by_pair], s[by_pair]
     first = np.ones(node.size, dtype=bool)
@@ -439,12 +362,38 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
     pair = np.empty(node.size, dtype=np.intp)
     pair[by_pair] = np.cumsum(first) - 1                # the distinct pair of each i
     pair_node, pair_s = node_sorted[first], s_sorted[first]
-    sums = np.empty((k_max + 1, pair_s.size))
+    sums = np.zeros((k_max + 1, pair_s.size))
+    work = grid.ws.take("piece", (k_max + 3) * _ELEMENT_BUDGET)
     for lo, hi in _blocks(grid.panels * _N_RAD):
-        first_pair, last_pair = np.searchsorted(pair_node, (lo, hi))
-        if first_pair < last_pair:
-            rows = slice(first_pair, last_pair)
-            sums[:, rows] = grid.exponents(lo, hi).sums(pair_node[rows] - lo, pair_s[rows], k_max)
+        pair_bounds = np.searchsorted(pair_node, np.arange(lo, hi + 1))   # the pairs of each node
+        if pair_bounds[0] == pair_bounds[-1]:
+            continue
+        c, w, bounds = grid.exponents(lo, hi)
+        # the nodes with pairs and elements: an empty region has F = 0
+        live = (pair_bounds[1:] > pair_bounds[:-1]) & (bounds[1:] > bounds[:-1])
+        for j in np.flatnonzero(live):
+            size = int(bounds[j + 1] - bounds[j])
+            width = -(-size // -(-size // _ELEMENT_BUDGET))     # even column pieces
+            n_rows = _ELEMENT_BUDGET // width
+            for r0, e0 in product(range(pair_bounds[j], pair_bounds[j + 1], n_rows),
+                                  range(bounds[j], bounds[j + 1], width)):
+                rows = slice(r0, min(r0 + n_rows, pair_bounds[j + 1]))
+                cols = slice(e0, min(e0 + width, bounds[j + 1]))
+                shape = (k_max + 3, rows.stop - rows.start, cols.stop - cols.start)
+                buf = work[:math.prod(shape)].reshape(shape)
+                v, v_m, terms = buf[0], buf[1], buf[2:]     # terms[k] sums to S_k
+                np.multiply.outer(pair_s[rows], c[cols], out=v)
+                v += 1.0
+                np.reciprocal(v, out=v)
+                v_m[:] = v
+                for _ in range(grid.m_x - 1):
+                    v_m *= v
+                np.subtract(1.0, v_m, out=terms[0])
+                if k_max:
+                    v *= c[cols]                                # c v
+                for k in range(1, k_max + 1):
+                    v_m = np.multiply(v_m, v, out=terms[k])
+                sums[:, rows] += np.einsum("kij,j->ki", terms, w[cols])
     scale = np.empty((k_max + 1, np.size(density)))
     scale[0] = -density
     for k in range(1, k_max + 1):

@@ -47,14 +47,13 @@ def main(argv=None) -> int:
     try:
         config = validate_config(None if args.config is None else Path(args.config),
                                  strict=args.strict, environ=environ)
-        if args.seed is not None:
-            try:
-                config = replace(config, seed=args.seed)
-            except ConfigError as exc:
-                raise ConfigError(f"--seed: {exc}") from None
+        for flag in ("seed", "trials"):
+            if getattr(args, flag) is not None:
+                try:
+                    config = replace(config, **{flag: getattr(args, flag)})
+                except ConfigError as exc:
+                    raise ConfigError(f"--{flag}: {exc}") from None
         overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
         if args.out is not None:
             overrides["out_dir"] = args.out
         if args.strict:

@@ -28,7 +28,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .radio import AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, watts_to_dbm
@@ -545,6 +544,8 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
         runtimes["discrepancy_report"] = time.perf_counter() - report_start
         written.append(report_path)
         extras["discrepancy_report"] = report_path.name
+
+    import scipy        # here, where its version is read, not in every process's setup
 
     manifest = {
         "scenario": config.scenario,

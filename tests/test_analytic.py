@@ -365,6 +365,7 @@ OFF_DEFAULT = {
 }
 CURVES = ([("P1", e) for e in analytic.P1_EXCLUSIONS]
           + [("P2", e) for e in analytic.P2_EXCLUSIONS] + [("P3", None)])
+SHARP_CURVES = [("P1", "all-beams"), ("P2", "grid"), ("P3", None)]
 
 
 def _both(policy, exclusion):
@@ -409,16 +410,16 @@ class TestCurveOracle:
 
 
 def _counting_pairs(monkeypatch):
-    """A list that collects the number of (node, s) pairs of every exponent
-    block the kernel sums."""
+    """A list that collects the number of distinct (node, s) pairs of every
+    exponent evaluation."""
     counted = []
-    sums = analytic._Exponents.sums
+    evaluate = analytic._exponent_derivatives
 
-    def counting(self, node, s, k_max):
-        counted.append(len(node))
-        return sums(self, node, s, k_max)
+    def counting(grid, node, s, k_max, density):
+        counted.append(len(set(zip(node.tolist(), s.tolist()))))
+        return evaluate(grid, node, s, k_max, density)
 
-    monkeypatch.setattr(analytic._Exponents, "sums", counting)
+    monkeypatch.setattr(analytic, "_exponent_derivatives", counting)
     return counted
 
 
@@ -623,19 +624,52 @@ class TestExponentOracle:
         oracles = [one(float(x)) for x in nodes]
         expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
-        expo = grid.exponents(0, nodes.size)
-        # F = -lambda S_0 and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k
-        m_x = params.channel.m_x
-        scale = params.density * np.array(
-            [-1.0] + [(-1.0) ** k * math.prod(range(m_x, m_x + k)) for k in range(1, k_max + 1)])
-        for got in (analytic._exponent_derivatives(grid, node, s, k_max, params.density),
-                    expo.sums(node, s, k_max) * scale[:, None]):
-            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        got = analytic._exponent_derivatives(grid, node, s, k_max, params.density)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
         # collapsed radial log-panels are never built
-        assert np.all(expo.w > 0.0)
-        assert expo.c.size == sum(int((o.w > 0.0).sum()) for o in oracles)
+        c, w, bounds = grid.exponents(0, nodes.size)
+        assert np.all(w > 0.0)
+        assert c.size == sum(int((o.w > 0.0).sum()) for o in oracles)
         if sectors_exp == 8 and exclusion in ("all-beams", "grid"):
-            assert np.diff(expo.bounds).max() > analytic._ELEMENT_BUDGET
+            assert np.diff(bounds).max() > analytic._ELEMENT_BUDGET
+
+    @pytest.mark.parametrize("sectors_exp", [0, 2, 5, 8])
+    @pytest.mark.parametrize("policy,exclusion", SHARP_CURVES)
+    def test_pair_sums_do_not_depend_on_the_other_pairs(self, policy, exclusion, sectors_exp):
+        # a curve's threshold gives the same coverage alone as in a grid of
+        # thresholds only if each pair's sums are bitwise the same in any call
+        params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
+        nodes, build, _ = _exponent_case(policy, exclusion, params)
+        grid = build(nodes)
+        size = np.diff(grid.panels) * analytic._N_RAD
+        if sectors_exp == 8 and policy != "P3":
+            assert size.max() > analytic._ELEMENT_BUDGET
+        # enough pairs that the pairs of a small node take several row pieces
+        node = np.repeat(np.arange(nodes.size),
+                         2 * analytic._ELEMENT_BUDGET // np.maximum(size, 1) + 3)
+        gen = np.random.default_rng(sectors_exp)
+        s = 10.0 ** gen.uniform(0.0, 6.0, node.size)
+        full = analytic._exponent_derivatives(grid, node, s, 3, params.density)
+        for keep in (gen.random(node.size) < 0.5, gen.random(node.size) < 0.05,
+                     gen.integers(node.size, size=1)):
+            got = analytic._exponent_derivatives(grid, node[keep], s[keep], 3, params.density)
+            assert np.array_equal(got, full[:, keep])
+
+    @pytest.mark.parametrize("policy,exclusion", SHARP_CURVES)
+    def test_exponent_stays_accurate_as_s_c_vanishes(self, policy, exclusion, params):
+        # the largest s c of a node from 1e-3 down to 1e-12: there the form
+        # sum w - sum w v^m cancels to a relative error of 5e-5 or more
+        nodes, build, one = _exponent_case(policy, exclusion, params)
+        grid = build(nodes)
+        for j, x in enumerate(nodes):
+            expo = one(float(x))
+            c = expo.c[expo.w > 0.0]
+            if c.size:
+                s = 10.0 ** -np.arange(3.0, 13.0) / c.max()
+                got = analytic._exponent_derivatives(grid, np.full(s.size, j), s, 0,
+                                                     params.density)
+                np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-12,
+                                           atol=0.0, err_msg=f"node {j}")
 
     def test_evaluator_is_a_one_node_batch(self, params):
         law = serving_power_law(params)

@@ -439,6 +439,12 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "top" / "custom_mc.csv").is_file()
 
+    def test_trials_range_names_the_flag(self, tmp_path, capsys):
+        rc = main(["custom", "--trials", "0", "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert "--trials: run.trials must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("scenario, text, flags, message", [
         ("custom", "antenna.phi_3db = 0.1\nrun.engines = analytic\n", [],
          r"line 1: antenna\.phi_3db leaves beams up to half the spacing"),
