@@ -61,11 +61,20 @@ _INNER_SPEC = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-9, max_subdivisions=4000)
 # interference exponent (the integrand is bounded by r there).
 _R_FLOOR_FRAC = 1e-6
 
-_N_PHI = 32          # Gauss-Legendre order for wide angular panels
-_N_PHI_NARROW = 12   # order for the short panels of the per-beam regions
-_N_RAD = 20          # order per radial log-panel
-_RAD_EDGES = np.array([0.0, 0.9, 2.7, 8.1])  # log-radius panel starts above the lower edge
-_RAD_ENDS = np.append(_RAD_EDGES[1:], math.inf)  # and ends, before clipping at the disk edge
+# The Gauss-Legendre rule of the region exponents: every angular panel whose
+# gain or keep-out radius varies is cut into equal pieces no wider than
+# phi_3db/2, with _N_ANG nodes each, and every radial log-panel has _N_RAD
+# nodes.  The log-panels of P1 and P3 start at the keep-out radius, where
+# their integrands peak (_RAD_FROM_LOW); P2's floor is nominal, so its
+# log-panels are graded down from the disk edge instead (_RAD_FROM_EDGE).
+# Panels are clipped to [keep-out radius, disk edge].  Sized by measured
+# error: at the corners of the parameter box the conditional coverages stay
+# within 1e-8 (P1, P3) and 1e-5 (P2) of two fine rules
+# (tests/test_analytic.py, TestExponentRule).
+_N_ANG = 8
+_N_RAD = 16
+_RAD_FROM_LOW = np.array([0.0, 0.75, 2.2, 6.0, math.inf])
+_RAD_FROM_EDGE = np.array([-math.inf, -9.0, -4.0, -1.5, 0.0])
 
 # Grid elements of one block of the exponent build, and (node, s) pairs
 # times elements of one piece of a node's exponent matrix: small enough that
@@ -251,35 +260,41 @@ class _Grid:
     conditioning nodes; :meth:`exponents` builds the grid elements and
     weights of a range of them, which :func:`_exponent_derivatives` sums.
 
-    Each entry of ``groups`` is ``(owner, a, b, order, mult)``: panel i spans
-    the offsets [a[i], b[i]] of node ``owner[i]``, with ``order``
-    Gauss-Legendre nodes and weight multiplier ``mult``.  ``order=None`` marks
-    panels whose gain and keep-out radius are constant, integrated exactly as
-    width * (single radial integral).  A node's panels keep the order of the
-    groups.  ``gain_fn(delta)`` and ``rlo_fn(delta, owner)`` give the gain and
-    the keep-out radius at angular offsets of the given nodes; they are
-    called on the angular nodes of all panels together, in slices of at most
-    ``_ELEMENT_BUDGET``.  Of the radial log-panels above an angular node's
-    keep-out radius, those that start at or beyond the disk edge have zero
-    width and weight, and are left out.
+    Each entry of ``groups`` is ``(owner, a, b, flat, mult)``: panel i spans
+    the offsets [a[i], b[i]] of node ``owner[i]``, with weight multiplier
+    ``mult``.  A ``flat`` group's gain and keep-out radius are constant on
+    each panel, which is integrated exactly as width * (single radial
+    integral); the other panels are cut into equal pieces no wider than
+    ``phi_3db/2``, with ``_N_ANG`` Gauss-Legendre nodes each.  A node's
+    panels keep the order of the groups.  ``gain_fn(delta)`` and
+    ``rlo_fn(delta, owner)`` give the gain and the keep-out radius at
+    angular offsets of the given nodes; they are called on the angular nodes
+    of all panels together, in slices of at most ``_ELEMENT_BUDGET``.  The
+    radial log-panels are ``_RAD_FROM_EDGE`` below the disk edge if
+    ``from_edge``, else ``_RAD_FROM_LOW`` above each angular node's keep-out
+    radius, with ``_N_RAD`` nodes each; those left with zero width between
+    the keep-out radius and the disk edge are left out.
     """
 
-    def __init__(self, params: NetworkParams, n_nodes: int, groups, gain_fn, rlo_fn):
+    def __init__(self, params: NetworkParams, n_nodes: int, groups, gain_fn, rlo_fn,
+                 from_edge: bool = False):
         cfg, ch = params.antenna, params.channel
+        x, w = gauss_legendre(_N_ANG)
         owners, nodes, weights = [], [], []
-        for owner, a, b, order, mult in groups:
+        for owner, a, b, flat, mult in groups:
             wide = b - a > 1e-13
             owner, a, b = owner[wide], a[wide], b[wide]
-            if order is None:
+            if flat:
                 owners.append(owner)
                 nodes.append(0.5 * (a + b))
                 weights.append((b - a) * mult)
-            else:
-                x, w = gauss_legendre(order)
-                half = 0.5 * (b - a)
-                owners.append(np.repeat(owner, order))
-                nodes.append(((0.5 * (a + b))[:, None] + half[:, None] * x).ravel())
-                weights.append((half[:, None] * w * mult).ravel())
+                continue
+            count = np.maximum(np.ceil((b - a) / (0.5 * cfg.phi_3db)), 1.0).astype(np.intp)
+            half = np.repeat(0.5 * (b - a) / count, count)
+            mid = np.repeat(a, count) + (2.0 * _runs(np.zeros_like(count), count) + 1.0) * half
+            owners.append(np.repeat(owner, count * _N_ANG))
+            nodes.append((mid[:, None] + half[:, None] * x).ravel())
+            weights.append((half[:, None] * w * mult).ravel())
         owner, delta, ang_w = owners[0], nodes[0], weights[0]
         if len(groups) > 1:
             owner, delta, ang_w = (np.concatenate(parts) for parts in (owners, nodes, weights))
@@ -297,38 +312,42 @@ class _Grid:
         self.ang_w = ang_w
         self.v_lo = np.log(r_lo, out=r_lo)
         self.v_hi = math.log(params.r_los)
-        # radial log-panels that start below the disk edge; the others collapse
-        # onto it
-        self.n_live = np.zeros(r_lo.size, dtype=np.intp)
-        for edge in _RAD_EDGES:
-            self.n_live += self.v_lo + edge < self.v_hi
+        # the log-panels between each angular node's keep-out radius and the
+        # disk edge, at edges above its anchor: a run of live ones, from the
+        # first
+        self.edges = _RAD_FROM_EDGE if from_edge else _RAD_FROM_LOW
+        self.anchor = np.full_like(self.v_lo, self.v_hi) if from_edge else self.v_lo
+        live = (np.minimum(self.anchor[:, None] + self.edges[1:], self.v_hi)
+                > np.maximum(self.anchor[:, None] + self.edges[:-1], self.v_lo[:, None]))
+        self.first = np.argmax(live, axis=1)
+        self.n_live = np.count_nonzero(live, axis=1)
         self.alpha = ch.alpha_l
         self.m_x = ch.m_x
         # angular nodes of node j: angular[j]:angular[j+1]; its radial panels
         # likewise in panels
         self.angular = np.searchsorted(owner, np.arange(n_nodes + 1))
         self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
-        self.ws = Workspace()       # temporaries of every block of this grid
 
-    def exponents(self, lo: int, hi: int):
+    def exponents(self, lo: int, hi: int, ws: Workspace):
         """The grid elements ``c`` and weights ``w`` of nodes lo .. hi-1, and
         their ``bounds``: node lo + j owns the elements
-        ``bounds[j]:bounds[j+1]``."""
+        ``bounds[j]:bounds[j+1]``.  ``c`` and ``w`` are views of ``ws``."""
         ang = np.arange(self.angular[lo], self.angular[hi])
         n_live = self.n_live[ang]
-        panel = _runs(np.zeros_like(n_live), n_live)    # radial panel of each angular node
+        panel = _runs(self.first[ang], n_live)      # radial panel of each angular node
         ang = np.repeat(ang, n_live)
-        v_lo = self.v_lo[ang]
-        start = np.minimum(v_lo + _RAD_EDGES[panel], self.v_hi)
-        end = np.minimum(v_lo + _RAD_ENDS[panel], self.v_hi)
+        v_lo, anchor = self.v_lo[ang], self.anchor[ang]
+        start = np.clip(anchor + self.edges[panel], v_lo, self.v_hi)
+        end = np.clip(anchor + self.edges[panel + 1], v_lo, self.v_hi)
         x, w = gauss_legendre(_N_RAD)
+        size = ang.size * _N_RAD
         half = (0.5 * (end - start))[:, None]
-        v = np.multiply(half, x, out=self.ws.take("v", half.size * _N_RAD).reshape(-1, _N_RAD))
+        v = np.multiply(half, x, out=ws.take("v", size).reshape(-1, _N_RAD))
         v += (0.5 * (start + end))[:, None]
-        c = np.exp(v)
-        c **= -self.alpha                           # r**-alpha at r = exp(v)
+        c = np.multiply(v, -self.alpha, out=ws.take("c", size).reshape(-1, _N_RAD))
+        np.exp(c, out=c)                            # r**-alpha at r = exp(v)
         c *= self.amp_gain[ang, None]
-        weight = half * w
+        weight = np.multiply(half, w, out=ws.take("w", size).reshape(-1, _N_RAD))
         v *= 2.0
         weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
         weight *= self.ang_w[ang, None]
@@ -341,9 +360,11 @@ def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarray:
+def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
+                          ws: Workspace) -> np.ndarray:
     """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` and
-    density ``density[i]`` (or one ``density`` for all) for every i.
+    density ``density[i]`` (or one ``density`` for all) for every i; the
+    temporaries come from ``ws``.
 
     With v = 1/(1 + s c) over a node's grid elements, the lambda-free sums
     S_0 = sum w (1 - v^m) and S_k = sum w (c v)^k v^m give F = -lambda S_0
@@ -363,12 +384,12 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
     pair[by_pair] = np.cumsum(first) - 1                # the distinct pair of each i
     pair_node, pair_s = node_sorted[first], s_sorted[first]
     sums = np.zeros((k_max + 1, pair_s.size))
-    work = grid.ws.take("piece", (k_max + 3) * _ELEMENT_BUDGET)
+    work = ws.take("piece", (k_max + 3) * _ELEMENT_BUDGET)
     for lo, hi in _blocks(grid.panels * _N_RAD):
         pair_bounds = np.searchsorted(pair_node, np.arange(lo, hi + 1))   # the pairs of each node
         if pair_bounds[0] == pair_bounds[-1]:
             continue
-        c, w, bounds = grid.exponents(lo, hi)
+        c, w, bounds = grid.exponents(lo, hi, ws)
         # the nodes with pairs and elements: an empty region has F = 0
         live = (pair_bounds[1:] > pair_bounds[:-1]) & (bounds[1:] > bounds[:-1])
         for j in np.flatnonzero(live):
@@ -385,8 +406,11 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
                 np.multiply.outer(pair_s[rows], c[cols], out=v)
                 v += 1.0
                 np.reciprocal(v, out=v)
-                v_m[:] = v
-                for _ in range(grid.m_x - 1):
+                if grid.m_x == 1:
+                    v_m[:] = v
+                else:
+                    np.multiply(v, v, out=v_m)
+                for _ in range(grid.m_x - 2):
                     v_m *= v
                 np.subtract(1.0, v_m, out=terms[0])
                 if k_max:
@@ -435,9 +459,9 @@ def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
         def rlo_from_chosen(delta, node):
             return np.minimum((gain_3gpp(delta, cfg) / s_th[node]) ** inv_alpha, r_l)
 
-        groups = [(owner, phi_star, np.full(n, floor), _N_PHI, 2.0)]
+        groups = [(owner, phi_star, np.full(n, floor), False, 2.0)]
         if floor < math.pi:
-            groups.append((owner, np.full(n, floor), np.full(n, math.pi), None, 2.0))
+            groups.append((owner, np.full(n, floor), np.full(n, math.pi), True, 2.0))
         return _Grid(params, n, groups, gain, rlo_from_chosen)
 
     # Keep-out around *every* beam maximum: a transmitter beats s_th whenever
@@ -462,7 +486,7 @@ def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
     edges = np.sort(np.clip(edges, 0.0, math.pi), axis=1)
     a, b = edges[:, :-1], edges[:, 1:]
     outside = fold(0.5 * (a + b)) >= star    # panel midpoint not in a keep-out band
-    return _Grid(params, n, [(np.nonzero(outside)[0], a[outside], b[outside], _N_PHI_NARROW, 2.0)],
+    return _Grid(params, n, [(np.nonzero(outside)[0], a[outside], b[outside], False, 2.0)],
                  gain, rlo_exact)
 
 
@@ -476,13 +500,16 @@ def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     def rlo(delta, node):
         return np.full(np.shape(delta), r_floor)
 
+    # r_floor is nominal (a keep-out radius of zero would do), so the radial
+    # log-panels are graded down from the disk edge, where the mass is: from
+    # the floor, they would put most of their nodes where there is none.
     if exclusion == "one-sided":
         def side_panels(lower):
-            return [(owner, lower, np.full(n, min(floor, math.pi)), _N_PHI, 1.0),
-                    (owner, np.maximum(lower, floor), np.full(n, math.pi), None, 1.0)]
+            return [(owner, lower, np.full(n, min(floor, math.pi)), False, 1.0),
+                    (owner, np.maximum(lower, floor), np.full(n, math.pi), True, 1.0)]
 
         groups = side_panels(phi_c) + side_panels(np.zeros(n))
-        return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
+        return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo, from_edge=True)
 
     def gain_fold(psi):
         psi_arr = np.asarray(psi, dtype=float)
@@ -510,9 +537,9 @@ def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     in_band = banded & ((np.take_along_axis(band_lo, first, axis=1) - 1e-15 <= mid)
                         & (mid <= band_hi[first] + 1e-15))
     flat = np.minimum(mid, TWO_PI - mid) >= floor
-    groups = [(np.nonzero(keep)[0], a[keep], b[keep], order, 1.0)
-              for keep, order in ((~in_band & ~flat, _N_PHI_NARROW), (~in_band & flat, None))]
-    return _Grid(params, n, groups, gain_fold, rlo)
+    groups = [(np.nonzero(keep)[0], a[keep], b[keep], is_flat, 1.0)
+              for keep, is_flat in ((~in_band & ~flat, False), (~in_band & flat, True))]
+    return _Grid(params, n, groups, gain_fold, rlo, from_edge=True)
 
 
 def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
@@ -526,20 +553,23 @@ def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
     def rlo(delta, node):
         return r_lo[node]
 
-    groups = [(owner, np.zeros(n), np.full(n, min(floor, math.pi)), _N_PHI, 2.0)]
+    groups = [(owner, np.zeros(n), np.full(n, min(floor, math.pi)), False, 2.0)]
     if floor < math.pi:
-        groups.append((owner, np.full(n, floor), np.full(n, math.pi), None, 2.0))
+        groups.append((owner, np.full(n, floor), np.full(n, math.pi), True, 2.0))
     return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
 
 def _one_node(grid: _Grid, density: float):
     """``exponent(s, k_max=0)``: [F, ..., F^(k_max)] of the one node of
     ``grid`` at ``s`` and ``density``, stacked on a leading axis.  The
-    transform and its derivatives are ``exp_derivatives(exponent(s, k), s)``."""
+    transform and its derivatives are ``exp_derivatives(exponent(s, k), s)``.
+    Its calls share one workspace."""
+    ws = Workspace()
+
     def exponent(s, k_max: int = 0):
         s_arr = np.asarray(s, dtype=float)
         out = _exponent_derivatives(grid, np.zeros(s_arr.size, dtype=np.intp),
-                                    s_arr.reshape(-1), k_max, density)
+                                    s_arr.reshape(-1), k_max, density, ws)
         return out.reshape((k_max + 1,) + s_arr.shape)
     return exponent
 
@@ -683,13 +713,14 @@ def coverage_p1(gamma, params, exclusion: str = "all-beams"):
     density = np.array([p.density for p in family])
     pdfs = [serving_power_law(p).pdf for p in family]
     s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
+    ws = Workspace()        # the temporaries of every round of the curve
 
     def integrand(s_th, which):
         c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(s_th, return_inverse=True)
         s = s_const[t] / s_th
         exponent = _exponent_derivatives(_p1_grid(base, nodes, exclusion), node, s,
-                                         ch.m_s - 1, density[c])
+                                         ch.m_s - 1, density[c], ws)
         return _by_curve(c, s_th, pdfs) * _conditional_coverage(exponent, s, base)
 
     return _curve("P1", [_detail(p, exclusion) for p in family], curve, integrand,
@@ -711,6 +742,7 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) for p in family]
     s_num = ch.m_s * gammas
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
+    ws = Workspace()        # the temporaries of every round of the curve
 
     def outer(phi_cs, which):
         # The inner integrals of every (phi_c, curve, threshold) triple of the
@@ -723,7 +755,8 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
 
         def inner(d0, k):
             s = s_coef[k] * d0**alpha
-            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1, inner_density[k])
+            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1, inner_density[k],
+                                             ws)
             return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, base)
 
         try:
@@ -751,13 +784,14 @@ def coverage_p3(gamma, params):
             2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
             for p in family]
     s_const = ch.m_s * gammas / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
+    ws = Workspace()        # the temporaries of every round of the curve
 
     def integrand(r1, which):
         c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(r1, return_inverse=True)
         s = s_const[t] * r1**ch.alpha_l
         exponent = _exponent_derivatives(_p3_grid(base, nodes), node, s, ch.m_s - 1,
-                                         density[c])
+                                         density[c], ws)
         return _by_curve(c, r1, pdfs) * _conditional_coverage(exponent, s, base)
 
     return _curve("P3", [_detail(p, None) for p in family], curve, integrand, 0.0, base.r_los)

@@ -20,12 +20,12 @@ from mmwcov.analytic import (
     P2_EXCLUSIONS,
     TWO_PI,
     _INNER_SPEC,
-    _N_PHI,
-    _N_PHI_NARROW,
+    _N_ANG,
     _N_RAD,
     _OUTER_SPEC,
     _R_FLOOR_FRAC,
-    _RAD_EDGES,
+    _RAD_FROM_EDGE,
+    _RAD_FROM_LOW,
     _curvature,
     phi_c_pdf,
     serving_power_law,
@@ -39,12 +39,15 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _radial_weights(r_lo: np.ndarray, r_hi: float, n: int = _N_RAD):
-    """Nodes/weights of int f(r) r dr over [r_lo_i, r_hi] on log-radius panels."""
-    v_lo = np.log(r_lo)
+def _radial_weights(r_lo: np.ndarray, r_hi: float, from_edge: bool, n: int = _N_RAD):
+    """Nodes/weights of int f(r) r dr over [r_lo_i, r_hi] on log-radius
+    panels: ``_RAD_FROM_EDGE`` below log(r_hi) if ``from_edge``, else
+    ``_RAD_FROM_LOW`` above log(r_lo_i), clipped to [log r_lo_i, log r_hi]."""
+    v_lo = np.log(r_lo)[:, None]
     v_hi = math.log(r_hi)
-    starts = np.minimum(v_lo[:, None] + _RAD_EDGES[None, :], v_hi)
-    ends = np.concatenate([starts[:, 1:], np.full((r_lo.size, 1), v_hi)], axis=1)
+    edges = np.clip((v_hi if from_edge else v_lo)
+                    + (_RAD_FROM_EDGE if from_edge else _RAD_FROM_LOW)[None, :], v_lo, v_hi)
+    starts, ends = edges[:, :-1], edges[:, 1:]
     x, w = _leggauss(n)
     mid = 0.5 * (starts + ends)[..., None]
     half = 0.5 * (ends - starts)[..., None]
@@ -113,26 +116,36 @@ class _RegionExponent:
             out.append(self.density * (-1.0) ** k * rising * (v_m * self.w).sum(axis=-1))
         return np.stack(out).reshape((k_max + 1,) + s_arr.shape)
 
-def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
+def _assemble_exponent(params: NetworkParams, panels,
+                       from_edge: bool = False) -> _RegionExponent:
     """Build a region exponent from angular panels.
 
-    Each panel is ``(a, b, order, gain_fn, rlo_fn, mult)``;  ``order=None``
-    marks a panel whose gain and lower radius are constant, which is then
-    integrated exactly as width * (single radial integral).
+    Each panel is ``(a, b, flat, gain_fn, rlo_fn, mult)``;  ``flat`` marks a
+    panel whose gain and lower radius are constant, which is then
+    integrated exactly as width * (single radial integral).  Any other panel
+    is cut into the fewest equal pieces no wider than ``phi_3db/2``, with
+    ``_N_ANG`` Gauss-Legendre nodes each.  ``from_edge`` picks the radial
+    panels (see :func:`_radial_weights`).
     """
     cfg, ch = params.antenna, params.channel
     ang_parts, w_parts = [], []
     gain_parts, rlo_parts = [], []
-    for a, b, order, gain_fn, rlo_fn, mult in panels:
+    for a, b, flat, gain_fn, rlo_fn, mult in panels:
         if b - a <= 1e-13:
             continue
-        if order is None:
+        if flat:
             nodes = np.array([0.5 * (a + b)])
             wts = np.array([(b - a) * mult])
         else:
-            x, w = _leggauss(order)
-            nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
-            wts = 0.5 * (b - a) * w * mult
+            x, w = _leggauss(_N_ANG)
+            count = max(math.ceil((b - a) / (0.5 * cfg.phi_3db)), 1)
+            width = (b - a) / count
+            nodes, wts = [], []
+            for j in range(count):
+                mid = a + (j + 0.5) * width
+                nodes.append(mid + 0.5 * width * x)
+                wts.append(0.5 * width * w * mult)
+            nodes, wts = np.concatenate(nodes), np.concatenate(wts)
         ang_parts.append(nodes)
         w_parts.append(wts)
         gain_parts.append(np.asarray(gain_fn(nodes), dtype=float))
@@ -142,7 +155,7 @@ def _assemble_exponent(params: NetworkParams, panels) -> _RegionExponent:
     ang_w = np.concatenate(w_parts)
     gains = np.concatenate(gain_parts)
     r_lo = np.concatenate(rlo_parts)
-    r, rad_w = _radial_weights(r_lo, params.r_los)
+    r, rad_w = _radial_weights(r_lo, params.r_los, from_edge)
     amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
     c = (amp * gains[:, None] * r ** (-ch.alpha_l)).ravel()
     w_total = (ang_w[:, None] * rad_w).ravel()
@@ -164,9 +177,9 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
         return np.minimum((gain_3gpp(delta, cfg) / s_th) ** inv_alpha, r_l)
 
     if exclusion == "single-beam":
-        panels = [(phi_star, floor, _N_PHI, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0)]
+        panels = [(phi_star, floor, False, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0)]
         if floor < math.pi:
-            panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0))
+            panels.append((floor, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0))
         return _assemble_exponent(params, panels)
 
     if exclusion != "all-beams":
@@ -199,7 +212,7 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
         midpoint = 0.5 * (a + b)
         if fold(midpoint) < phi_star:          # inside a keep-out band
             continue
-        panels.append((a, b, _N_PHI_NARROW, lambda d: gain_3gpp(d, cfg), rlo_exact, 2.0))
+        panels.append((a, b, False, lambda d: gain_3gpp(d, cfg), rlo_exact, 2.0))
     return _assemble_exponent(params, panels)
 
 
@@ -221,14 +234,14 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
         def side_panels(lower):
             out = []
             if lower < floor:
-                out.append((lower, min(floor, math.pi), _N_PHI,
+                out.append((lower, min(floor, math.pi), False,
                             lambda d: gain_3gpp(d, cfg), rlo, 1.0))
             flat_lo = max(lower, floor)
             if flat_lo < math.pi:
-                out.append((flat_lo, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
+                out.append((flat_lo, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
             return out
 
-        return _assemble_exponent(params, side_panels(phi_c) + side_panels(0.0))
+        return _assemble_exponent(params, side_panels(phi_c) + side_panels(0.0), from_edge=True)
 
     if exclusion != "grid":
         raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
@@ -259,9 +272,8 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
         if b - a <= 1e-13 or in_band(0.5 * (a + b)):
             continue
         fold_mid = min(0.5 * (a + b), TWO_PI - 0.5 * (a + b))
-        order = None if fold_mid >= floor else _N_PHI_NARROW
-        panels.append((a, b, order, gain_fold, rlo, 1.0))
-    return _assemble_exponent(params, panels)
+        panels.append((a, b, fold_mid >= floor, gain_fold, rlo, 1.0))
+    return _assemble_exponent(params, panels, from_edge=True)
 
 
 def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
@@ -273,9 +285,9 @@ def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
     def rlo(delta):
         return np.full(np.shape(np.asarray(delta)), r_lo_val)
 
-    panels = [(0.0, min(floor, math.pi), _N_PHI, lambda d: gain_3gpp(d, cfg), rlo, 2.0)]
+    panels = [(0.0, min(floor, math.pi), False, lambda d: gain_3gpp(d, cfg), rlo, 2.0)]
     if floor < math.pi:
-        panels.append((floor, math.pi, None, lambda d: gain_3gpp(d, cfg), rlo, 2.0))
+        panels.append((floor, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo, 2.0))
     return _assemble_exponent(params, panels)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,10 @@ from mmwcov.montecarlo import (
     sample_statistic,
 )
 from mmwcov import analytic
-from mmwcov.numerics import (QuadratureError, QuadratureSpec, exp_derivatives, integrate_1d,
-                             integrate_many)
+from mmwcov.numerics import (QuadratureError, QuadratureSpec, Workspace, exp_derivatives,
+                             integrate_1d, integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
-                          gain_pdf_mainlobe)
+                          gain_approx, gain_pdf_mainlobe)
 from conftest import ks_distance
 from field_oracle import integrate_2d
 import analytic_oracle as oracle
@@ -415,9 +416,9 @@ def _counting_pairs(monkeypatch):
     counted = []
     evaluate = analytic._exponent_derivatives
 
-    def counting(grid, node, s, k_max, density):
+    def counting(grid, node, s, k_max, density, ws):
         counted.append(len(set(zip(node.tolist(), s.tolist()))))
-        return evaluate(grid, node, s, k_max, density)
+        return evaluate(grid, node, s, k_max, density, ws)
 
     monkeypatch.setattr(analytic, "_exponent_derivatives", counting)
     return counted
@@ -522,7 +523,7 @@ class TestCurveFamily:
         node = np.array([1, 0, 1, 1, 0])
         s = np.array([3e4, 1e5, 3e4, 3e4, 1e5])
         density = np.array([4e-4, 8e-4, 8e-4, 1.6e-3, 4e-4])
-        got = analytic._exponent_derivatives(grid, node, s, 2, density)
+        got = analytic._exponent_derivatives(grid, node, s, 2, density, Workspace())
         for i in range(node.size):
             one = oracle._p1_exponent(replace(params, density=density[i]), nodes[node[i]],
                                       "all-beams")
@@ -624,10 +625,11 @@ class TestExponentOracle:
         oracles = [one(float(x)) for x in nodes]
         expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
-        got = analytic._exponent_derivatives(grid, node, s, k_max, params.density)
+        got = analytic._exponent_derivatives(grid, node, s, k_max, params.density,
+                                               Workspace())
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
         # collapsed radial log-panels are never built
-        c, w, bounds = grid.exponents(0, nodes.size)
+        c, w, bounds = grid.exponents(0, nodes.size, Workspace())
         assert np.all(w > 0.0)
         assert c.size == sum(int((o.w > 0.0).sum()) for o in oracles)
         if sectors_exp == 8 and exclusion in ("all-beams", "grid"):
@@ -649,10 +651,11 @@ class TestExponentOracle:
                          2 * analytic._ELEMENT_BUDGET // np.maximum(size, 1) + 3)
         gen = np.random.default_rng(sectors_exp)
         s = 10.0 ** gen.uniform(0.0, 6.0, node.size)
-        full = analytic._exponent_derivatives(grid, node, s, 3, params.density)
+        full = analytic._exponent_derivatives(grid, node, s, 3, params.density, Workspace())
         for keep in (gen.random(node.size) < 0.5, gen.random(node.size) < 0.05,
                      gen.integers(node.size, size=1)):
-            got = analytic._exponent_derivatives(grid, node[keep], s[keep], 3, params.density)
+            got = analytic._exponent_derivatives(grid, node[keep], s[keep], 3, params.density,
+                                                 Workspace())
             assert np.array_equal(got, full[:, keep])
 
     @pytest.mark.parametrize("policy,exclusion", SHARP_CURVES)
@@ -667,7 +670,7 @@ class TestExponentOracle:
             if c.size:
                 s = 10.0 ** -np.arange(3.0, 13.0) / c.max()
                 got = analytic._exponent_derivatives(grid, np.full(s.size, j), s, 0,
-                                                     params.density)
+                                                     params.density, Workspace())
                 np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-12,
                                            atol=0.0, err_msg=f"node {j}")
 
@@ -682,3 +685,96 @@ class TestExponentOracle:
         np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-13)
         np.testing.assert_allclose(got[2], expo.derivatives(s, 2)[2], rtol=1e-13)
         assert exponent(1e4).shape == (1,)
+
+
+# Two fine rules for the region exponents, with angular orders other than
+# each other's and radial log-panels other than the production ones and
+# other than each other's, so that their agreement covers the angular and
+# the radial error alike.
+FINE_RULES = tuple(
+    {"_N_ANG": n_ang, "_N_RAD": 48, "_RAD_FROM_LOW": np.array(low + [math.inf]),
+     "_RAD_FROM_EDGE": np.array([-math.inf] + edge)}
+    for n_ang, low, edge in (
+        (24, [0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0], [-11.0, -8.0, -6.0, -4.5, -3.0, -1.5, 0.0]),
+        (40, [0.0, 0.8, 2.0, 4.0, 6.5, 10.0], [-10.0, -7.0, -5.0, -3.5, -2.2, -1.0, 0.0])))
+
+
+def _corner(sectors_exp, density, alpha, m_x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # alpha outside the usual LOS range
+        return NetworkParams(density=density, antenna=AntennaConfig(sectors_exp=sectors_exp),
+                             channel=ChannelParams(alpha_l=alpha, m_x=m_x))
+
+
+def _rule_coverages(policy, exclusion, params):
+    """Conditional coverage given the policy's statistic, at nodes across its
+    support (rows) and thresholds from -30 to +30 dB (columns).  Given
+    phi_c, P2's serving distance d0 is uniform in the disk, so its coverage
+    is the average over d0, here by a fixed rule in (d0/r_los)**2 that
+    resolves small d0; that average is what the P2 inner integral takes."""
+    cfg, ch = params.antenna, params.channel
+    gamma = 10.0 ** np.arange(-3.0, 3.5, 1.0)
+    amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max
+    if policy == "P1":
+        # the support edge, and boresight powers at quantiles of the nearest
+        # distance from 1e-3 to 0.999 (in the disk)
+        near = np.sqrt(-np.log1p(-np.array([1e-3, 0.01, 0.1, 0.5, 0.9, 0.999]))
+                       / (params.density * math.pi))
+        nodes = np.append(serving_power_law(params).w_min * (1.0 + 1e-7),
+                          cfg.g_max * np.minimum(near, params.r_los) ** -ch.alpha_l)
+        grid = analytic._p1_grid(params, nodes, exclusion)
+        s = ch.m_s * gamma / (amp * nodes[:, None])
+        weights = np.ones(1)
+    elif policy == "P2":
+        nodes = 0.5 * cfg.beam_spacing * np.array([0.0, 1e-4, 0.01, 0.1, 0.3, 0.7, 1.0])
+        grid = analytic._p2_grid(params, nodes, exclusion)
+        x, w = np.polynomial.legendre.leggauss(12)
+        cuts = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+        lo, hi = cuts[:-1, None], cuts[1:, None]
+        u = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+        weights = (0.5 * (hi - lo) * w).ravel()
+        s = (ch.m_s * gamma[:, None] * (params.r_los**2 * u) ** (0.5 * ch.alpha_l)
+             / (amp * gain_approx(nodes, cfg)[:, None, None]))
+    else:
+        nodes = params.r_los * np.array([1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 0.999])
+        grid = analytic._p3_grid(params, nodes)
+        s = ch.m_s * gamma * nodes[:, None] ** ch.alpha_l / (amp * cfg.g_max)
+        weights = np.ones(1)
+    node = np.repeat(np.arange(nodes.size), s[0].size)
+    exponent = analytic._exponent_derivatives(grid, node, s.ravel(), ch.m_s - 1, params.density,
+                                              Workspace())
+    coverage = analytic._conditional_coverage(exponent, s.ravel(), params)
+    return coverage.reshape(nodes.size, gamma.size, -1) @ weights
+
+
+class TestExponentRule:
+    """The production region-exponent rule against two fine rules that agree
+    to 1e-11, at the defaults and at the worst corner of each region in a
+    sweep of sectors_exp {0, 1, 3, 8} x density {5e-5, 8e-4, 0.1} x alpha
+    {1.5, 2, 4, 6} x m_x {1, 8}, plus phi_3db 0.3 rad and sla_db 3 at
+    sectors_exp 3 and phi_3db 0.5 rad at sectors_exp 5."""
+
+    # corners are (sectors_exp, density, alpha, m_x); None is the defaults.
+    # P2 at alpha 4, m_x 8 is where the rule of 32/12 angular nodes per panel
+    # and 20 radial nodes per log-panel from the floor was off by 6e-5.
+    @pytest.mark.parametrize("policy,exclusion,corner", [
+        ("P1", "all-beams", (3, 5e-5, 1.5, 8)),
+        ("P1", "single-beam", (8, 0.1, 6.0, 1)),
+        ("P2", "grid", (8, 0.1, 6.0, 8)),
+        ("P2", "one-sided", (0, 8e-4, 6.0, 8)),
+        ("P2", "grid", (0, 8e-4, 4.0, 8)),
+        ("P2", "one-sided", (0, 8e-4, 4.0, 8)),
+        ("P3", None, (0, 0.1, 6.0, 8)),
+    ] + [(policy, exclusion, None) for policy, exclusion in CURVES])
+    def test_rule_error_within_bound(self, policy, exclusion, corner, monkeypatch):
+        params = NetworkParams() if corner is None else _corner(*corner)
+        got = _rule_coverages(policy, exclusion, params)
+        fine = []
+        for rule in FINE_RULES:
+            with monkeypatch.context() as m:
+                for name, value in rule.items():
+                    m.setattr(analytic, name, value)
+                fine.append(_rule_coverages(policy, exclusion, params))
+        assert np.abs(fine[0] - fine[1]).max() <= 1e-11
+        bound = 1e-5 if policy == "P2" else 1e-8
+        assert np.abs(got - fine[0]).max() <= bound
