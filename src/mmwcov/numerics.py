@@ -3,6 +3,14 @@
 These are the numerical workhorses behind every analytic (non Monte Carlo)
 computation in the package.  All integrands must be numpy-vectorized: they
 receive a 1-D ndarray of abscissae and must return values of the same shape.
+
+The adaptive Gauss-Kronrod integrator runs any number of integrals in
+lockstep on one flat panel table, so a round costs a fixed number of numpy
+calls, plus one gather per distinct panel count, however many integrals are
+running.  Each integral still gets bitwise the result it would get alone:
+its panels keep their order in the table, and its totals are summed as one
+row of a matrix of the integrals with equal panel counts, which numpy sums
+exactly as it sums a separate array.
 """
 
 from __future__ import annotations
@@ -85,12 +93,30 @@ class QuadratureError(RuntimeError):
         self.index = index
 
 
-# Built on first use, not at import: the first LAPACK call inside leggauss
-# adds about 1 MB of resident memory.
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+# Built on first use and cached.  Newton's method on the three-term
+# recurrence needs neither numpy.polynomial (an import of about 4 ms and
+# 0.75 MB) nor LAPACK (whose first call adds about 1 MB of resident memory).
 @functools.cache
 def gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+        if np.max(np.abs(p / dp)) < 1e-15:
+            break
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # symmetric about 0, as the exact rule is
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
@@ -115,98 +141,93 @@ _WG = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
+# Weights of a panel's Kronrod value, Gauss value and absolute mass, applied
+# to its integrand values y, y and |y|.
+_WEIGHTS = np.array([_WK, _WG, _WK])[:, None, :]
 
 
-class _Panels:
-    """Panel set of one adaptive integral: bounds, Kronrod values, Gauss-Kronrod
-    error estimates and absolute masses, plus its bisection count."""
-
-    def __init__(self, a: float, b: float):
-        self.lo = self.hi = self.val = self.err = self.resabs = np.empty(0)
-        self.n_splits = 0
-        # panels waiting for integrand values
-        self.new_lo, self.new_hi = np.array([a]), np.array([b])
-
-    def add(self, y):
-        """Fold in the integrand values (new panels x 15) of the waiting panels;
-        they go after the kept ones."""
-        half = 0.5 * (self.new_hi - self.new_lo)
-        val = half * (y * _WK).sum(axis=1)
-        gauss = half * (y * _WG).sum(axis=1)
-        resabs = half * (np.abs(y) * _WK).sum(axis=1)
-        self.lo = np.concatenate([self.lo, self.new_lo])
-        self.hi = np.concatenate([self.hi, self.new_hi])
-        self.val = np.concatenate([self.val, val])
-        self.err = np.concatenate([self.err, np.abs(val - gauss)])
-        self.resabs = np.concatenate([self.resabs, resabs])
-        self.new_lo = self.new_hi = None
-
-    def step(self, b: float, spec: QuadratureSpec, tail_guard: bool, index: int):
-        """Return the integral if it meets the tolerance; otherwise queue the
-        bisected panels and return None."""
-        total = float(self.val.sum())
-        total_err = float(self.err.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        tail_bad = False
-        if tail_guard:
-            # Panel adjacent to the mapped point at infinity must carry less
-            # than the overall tolerance (or INFINITE_TAIL_MASS of the total)
-            # before we trust the estimate.
-            tail = self.hi == b
-            tail_mass = float(self.resabs[tail].sum())
-            bound = max(tol, INFINITE_TAIL_MASS * float(self.resabs.sum()) + spec.abs_tol)
-            tail_bad = tail_mass > bound
-        if total_err <= tol and not tail_bad:
-            return total
-        split = self.err > tol / (2.0 * len(self.val))
-        if tail_bad:
-            split |= self.hi == b
-        if not split.any():
-            split = self.err >= 0.5 * self.err.max()
-        self.n_splits += int(split.sum())
-        if self.n_splits > spec.max_subdivisions:
-            raise QuadratureError("quadrature failed to converge within max_subdivisions",
-                                  total, total_err, index)
-        mids = 0.5 * (self.lo[split] + self.hi[split])
-        self.new_lo = np.concatenate([self.lo[split], mids])
-        self.new_hi = np.concatenate([mids, self.hi[split]])
-        keep = ~split
-        self.lo, self.hi = self.lo[keep], self.hi[keep]
-        self.val, self.err, self.resabs = self.val[keep], self.err[keep], self.resabs[keep]
-        return None
+def _integral_sums(table, counts):
+    """Per-integral sums of the val, err and resabs rows of ``table``, which
+    holds each integral's ``counts`` panels contiguously, in integral order.
+    Integrals with equal panel counts are summed as the rows of one gathered
+    matrix, which numpy sums bitwise as it sums each integral's own array."""
+    starts = counts.cumsum() - counts
+    sums = np.empty((3, counts.size))
+    for k in set(counts.tolist()):
+        rows = (counts == k).nonzero()[0]
+        sums[:, rows] = table[2:].take(starts[rows, None] + np.arange(k), axis=1).sum(axis=2)
+    return sums
 
 
 def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
               tail_guard: bool = False) -> np.ndarray:
     """Adaptive Gauss-Kronrod for ``n`` integrals over [a, b] in lockstep.
 
-    Each integral keeps its own panels, splits and stopping test, exactly as
-    if it ran alone; only the integrand calls are shared, one per round over
-    the waiting panels of every integral still running.
+    All panels of all running integrals sit in one table (rows lo, hi, val,
+    err, resabs), grouped by ``owner`` in integral order, each integral's
+    kept panels first, then its left halves, then its right halves.  Each
+    integral keeps its own splits and stopping test, exactly as if it ran
+    alone; a round is one integrand call over the new panels, then a fixed
+    set of array operations that merge them into the table and split it.
     """
     out = np.empty(n)
-    running = {i: _Panels(a, b) for i in range(n)}
-    while running:
-        xs, which = [], []
-        for i, panels in running.items():
-            mid = 0.5 * (panels.new_lo + panels.new_hi)
-            half = 0.5 * (panels.new_hi - panels.new_lo)
-            xs.append((mid[:, None] + half[:, None] * _XK[None, :]).ravel())
-            which.append(np.full(xs[-1].size, i))
-        x = np.concatenate(xs)
-        y = np.asarray(f(x, np.concatenate(which)), dtype=float).reshape(x.shape)
-        if not np.all(np.isfinite(y)):
-            bad = x[~np.isfinite(y)][0]
+    splits = np.zeros(n, dtype=np.int64)
+    table, owner = np.empty((5, 0)), np.empty(0, dtype=np.int64)
+    # new panels, waiting for integrand values: integral by integral, each
+    # integral's left halves before its right halves
+    lo, hi, new_owner = np.full(n, a), np.full(n, b), np.arange(n)
+    while new_owner.size:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = (mid[:, None] + half[:, None] * _XK).ravel()
+        y = np.asarray(f(x, new_owner.repeat(_XK.size)), dtype=float)
+        y = y.reshape(mid.size, _XK.size)
+        if not np.isfinite(y).all():
+            bad = x[~np.isfinite(y).ravel()][0]
             raise ValueError(f"integrand returned a non-finite value near x={bad!r}")
-        start = 0
-        for panels, xi in zip(running.values(), xs):
-            panels.add(y[start:start + xi.size].reshape(-1, _XK.size))
-            start += xi.size
-        for i in list(running):
-            total = running[i].step(b, spec, tail_guard, i)
-            if total is not None:
-                out[i] = total
-                del running[i]
+        val, gauss, resabs = (np.array([y, y, np.abs(y)]) * _WEIGHTS).sum(axis=2) * half
+        new = np.array([lo, hi, val, np.abs(val - gauss), resabs])
+        owner = np.concatenate([owner, new_owner])
+        order = owner.argsort(kind="stable")
+        owner = owner[order]
+        table = np.concatenate([table, new], axis=1).take(order, axis=1)
+
+        counts = np.bincount(owner, minlength=n)
+        ids = counts.nonzero()[0]    # running integrals
+        counts = counts[ids]
+        total, total_err, mass = _integral_sums(table, counts)
+        tol = np.fmax(spec.abs_tol, spec.rel_tol * np.abs(total))
+        split = table[3] > (tol / (2.0 * counts)).repeat(counts)
+        done = total_err <= tol
+        if tail_guard:
+            # Panel adjacent to the mapped point at infinity must carry less
+            # than the overall tolerance (or INFINITE_TAIL_MASS of the total)
+            # before we trust the estimate.
+            tail = table[1] == b
+            tail_mass = np.bincount(owner[tail], table[4, tail], n)[ids]
+            tail_bad = tail_mass > np.fmax(tol, INFINITE_TAIL_MASS * mass + spec.abs_tol)
+            done &= ~tail_bad
+            split |= tail_bad.repeat(counts) & tail
+        out[ids] = total    # final once an integral is done
+
+        # An unfinished integral always splits: either its tail panel, or
+        # some panel above tol / (2 * count), since shares of that size sum
+        # to at most tol / 2.
+        live = (~done).repeat(counts)
+        split &= live
+        splits += np.bincount(owner[split], minlength=n)
+        failed = (splits[ids] > spec.max_subdivisions).nonzero()[0]
+        if failed.size:
+            i = failed[0]
+            raise QuadratureError("quadrature failed to converge within max_subdivisions",
+                                  float(total[i]), float(total_err[i]), int(ids[i]))
+
+        lo, hi, new_owner = table[0, split], table[1, split], owner[split]
+        mid = 0.5 * (lo + hi)
+        halves = np.concatenate([new_owner, new_owner]).argsort(kind="stable")
+        lo, hi = np.concatenate([lo, mid])[halves], np.concatenate([mid, hi])[halves]
+        new_owner = new_owner.repeat(2)
+        keep = live & ~split
+        table, owner = table[:, keep], owner[keep]
     return out
 
 
@@ -220,6 +241,12 @@ def integrate_many(f: Callable, a: float, b: float, n: int,
     rule as :func:`integrate_1d` and gets the same result it would get alone;
     the batching only lets ``f`` share work between integrals that ask for
     the same abscissa.  Returns an ndarray of the ``n`` integrals.
+
+    All panels of all integrals sit in one flat table, and each round is one
+    call of ``f`` over the panels waiting for values, integral by integral,
+    each integral's left halves before its right halves.  An integral's
+    totals are summed as a row of the matrix of every integral with the same
+    panel count, which gives bitwise its own ``.sum()``.
 
     The range is ``a <= b`` with ``a`` finite and ``b`` finite or ``+inf``;
     any other range (reversed, ``-inf`` or NaN bounds) raises ``ValueError``.

@@ -492,19 +492,18 @@ class TestCli:
 
 # Monte Carlo never calls scipy.special or scipy.constants, so no MC process
 # pays for importing them.
-_SCIPY_FREE = """
+_LOADED = """
 import sys
 {body}
-loaded = sorted(m for m in ("scipy.special", "scipy.constants") if m in sys.modules)
-print(",".join(loaded))
+print("loaded:" + ",".join(sorted(m for m in {modules!r} if m in sys.modules)))
 """
 
 
-def _scipy_modules_loaded(body: str) -> str:
+def _modules_loaded(body: str, modules=("scipy.special", "scipy.constants")) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE.format(body=body)],
+    out = subprocess.run([sys.executable, "-c", _LOADED.format(body=body, modules=modules)],
                          capture_output=True, text=True, check=True, env=env)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1].removeprefix("loaded:")
 
 
 class TestImportHygiene:
@@ -512,7 +511,7 @@ class TestImportHygiene:
         body = ("import mmwcov, mmwcov.cli\n"
                 "from mmwcov import (analytic, dominant, experiments, geometry, montecarlo,\n"
                 "                    numerics, radio)")
-        assert _scipy_modules_loaded(body) == ""
+        assert _modules_loaded(body) == ""
 
     def test_monte_carlo_run_loads_no_scipy_special(self, tmp_path):
         body = ("from dataclasses import replace\n"
@@ -520,7 +519,7 @@ class TestImportHygiene:
                 "config = replace(validate_config(None, environ={}), scenario='custom',\n"
                 f"                 engines=('mc',), trials=2000, out_dir={str(tmp_path)!r})\n"
                 "run_experiment(config)")
-        assert _scipy_modules_loaded(body) == ""
+        assert _modules_loaded(body) == ""
         assert (tmp_path / "custom_mc.csv").is_file()
 
     # The analytic and dominant scenarios need no scipy.special either.
@@ -534,6 +533,19 @@ class TestImportHygiene:
                 f"for scenario in {scenarios!r}:\n"
                 f"    run_experiment(replace(base, scenario=scenario, engines=({engine!r},),\n"
                 f"                           trials=2000, out_dir={str(tmp_path)!r}))")
-        assert _scipy_modules_loaded(body) == ""
+        assert _modules_loaded(body) == ""
         for name in outputs:
             assert (tmp_path / name).is_file()
+
+    # numpy.polynomial (leggauss) and numpy.ma (np.unique of integers) add
+    # about 1.75 MB of resident memory; the quadrature path needs neither.
+    def test_quadrature_path_loads_no_numpy_polynomial_or_ma(self, tmp_path):
+        body = ("import numpy as np\n"
+                "from mmwcov.analytic import coverage_p1\n"
+                "from mmwcov.cli import main\n"
+                "from mmwcov.radio import NetworkParams\n"
+                "main(['fig8', '--engines', 'dominant', '--trials', '2000',\n"
+                f"      '--out', {str(tmp_path)!r}])\n"
+                "coverage_p1(np.array([0.5, 2.0]), NetworkParams())")
+        assert _modules_loaded(body, ("numpy.ma", "numpy.polynomial")) == ""
+        assert (tmp_path / "fig8_dominant.csv").is_file()
