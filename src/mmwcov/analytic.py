@@ -54,8 +54,16 @@ P2_EXCLUSIONS = ("one-sided", "grid")
 
 # Quadrature specs for the coverage integrals: the inner/outer split keeps the
 # combined error comfortably below the cross-engine comparison tolerances.
+# An inner integral of P2 must be within max(1e-9, 1e-5 |inner|).  It is a
+# width-weighted mean of pieces (see coverage_p2), each run to _INNER_SPEC,
+# so its bound is at most abs_tol + rel_tol |inner|: half those tolerances.
 _OUTER_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=1e-8, max_subdivisions=4000)
-_INNER_SPEC = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-9, max_subdivisions=4000)
+_INNER_SPEC = QuadratureSpec(rel_tol=5e-6, abs_tol=5e-10, max_subdivisions=4000)
+
+# P2's inner integrals are cut on a geometric lattice of z (see coverage_p2):
+# cells _Z_CELL wide, from _Z_FLOOR times the anchor of _z_anchor.
+_Z_CELL = 4.0
+_Z_FLOOR = 4.0**-3
 
 # Fraction of the disk radius below which radial mass is negligible for the
 # interference exponent (the integrand is bounded by r there).
@@ -727,10 +735,55 @@ def coverage_p1(gamma, params, exclusion: str = "all-beams"):
                   serving_power_law(base).w_min, math.inf)
 
 
+def _z_anchor(params: NetworkParams) -> float:
+    """The ``z`` of an interferer at the disk edge, on a beam maximum, whose
+    mean power reaches the serving power: ``z = r_los**2 / A**(2/alpha)``
+    with ``A`` the largest interference amplitude of the region exponents."""
+    cfg, ch = params.antenna, params.channel
+    amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max**2 / ch.m_x
+    return params.r_los**2 * amp ** (-2.0 / ch.alpha_l)
+
+
+def _z_pieces(u_top: np.ndarray, z_floor: float):
+    """The pieces of each ``[0, u_top[i]]`` on the lattice ``z_floor *
+    _Z_CELL**j`` (j >= 0), in order: ``[0, z_floor]``, the whole lattice
+    cells, and the partial cell that ends at ``u_top[i]``; one piece
+    ``[0, u_top[i]]`` if ``u_top[i] <= z_floor``.  Returns the owner i, the
+    bounds of every piece, and each i's piece count."""
+    # the first lattice point at or above u_top, from the logarithm and
+    # corrected for its rounding
+    j = np.ceil(np.log(np.maximum(u_top / z_floor, 1.0)) / math.log(_Z_CELL))
+    j += z_floor * _Z_CELL**j < u_top
+    j -= (j > 0) & (z_floor * _Z_CELL ** (j - 1) >= u_top)
+    count = j.astype(np.intp) + 1
+    owner = np.repeat(np.arange(u_top.size), count)
+    q = _runs(np.zeros_like(count), count)
+    lo = np.where(q == 0, 0.0, z_floor * _Z_CELL ** (q - 1.0))
+    hi = np.where(q == count[owner] - 1, u_top[owner], z_floor * _Z_CELL**q)
+    return owner, lo, hi, count
+
+
 def coverage_p2(gamma, params, exclusion: str = "grid"):
     """Coverage probability when the minimum-angular-distance pair serves
     (P2; scalar or array ``gamma`` and one or a sequence of ``params``, as
-    in :func:`coverage_p1`)."""
+    in :func:`coverage_p1`).
+
+    The outer integral runs over the serving angle ``phi_c`` and the inner
+    one over the serving distance ``d0``, uniform in the disk.  With
+    ``z = (coef_t d0**alpha)**(2/alpha)``, where ``s = coef_t d0**alpha`` is
+    the Laplace argument of threshold t, the inner integral is
+    ``(1/U_t) int_0^U_t C(z**(alpha/2)) dz`` with ``U_t = coef_t**(2/alpha)
+    r_los**2``, and the conditional coverage ``C`` of a ``(phi_c, curve)``
+    node no longer depends on the threshold.  ``[0, U_t]`` is cut on a
+    geometric lattice that depends on the curve alone (:func:`_z_pieces`),
+    so the thresholds of a node share their whole lattice cells; every
+    distinct ``(phi_c, curve, piece)`` is one integral of the round's one
+    inner :func:`integrate_many` call, of the mean of ``C`` over the piece
+    to ``_INNER_SPEC``, and each threshold sums its own pieces, weighted by
+    their widths, in lattice order.  A piece does not depend on the other
+    thresholds of the call, so a threshold gets bitwise the coverage it
+    gets alone.
+    """
     _check_exclusion("P2", exclusion)
     family, lead = _family(params)
     base = family[0]
@@ -742,30 +795,50 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) for p in family]
     s_num = ch.m_s * gammas
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
+    z_floor = _Z_FLOOR * _z_anchor(base)
     ws = Workspace()        # the temporaries of every round of the curve
 
     def outer(phi_cs, which):
         # The inner integrals of every (phi_c, curve, threshold) triple of the
-        # round run in lockstep, on the exponents of the round's distinct nodes.
+        # round run in lockstep as their distinct pieces, on the exponents of
+        # the round's distinct nodes.
         c, t = np.divmod(which, gammas.size)
         nodes, node = np.unique(phi_cs, return_inverse=True)
         grid = _p2_grid(base, nodes, exclusion)
-        s_coef = s_num[t] / (s_den * gain_approx(phi_cs, cfg))
-        inner_density = density[c]
+        u_top = (s_num[t] / (s_den * gain_approx(phi_cs, cfg))) ** (2.0 / alpha) * r_l**2
+        owner, lo, hi, count = _z_pieces(u_top, z_floor)
+        keys = np.array([node[owner], c[owner], lo, hi])
+        by_piece = np.lexsort(keys[::-1])
+        keys = keys[:, by_piece]
+        first = np.ones(by_piece.size, dtype=bool)
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        piece = np.empty(by_piece.size, dtype=np.intp)
+        piece[by_piece] = np.cumsum(first) - 1      # the distinct piece of each
+        p_node, p_c, p_lo, p_hi = keys[:, first]
+        p_node, p_density = p_node.astype(np.intp), density[p_c.astype(np.intp)]
+        width = p_hi - p_lo
 
-        def inner(d0, k):
-            s = s_coef[k] * d0**alpha
-            exponent = _exponent_derivatives(grid, node[k], s, ch.m_s - 1, inner_density[k],
-                                             ws)
-            return (2.0 * d0 / r_l**2) * _conditional_coverage(exponent, s, base)
+        def inner(z, k):
+            s = z ** (0.5 * alpha)
+            exponent = _exponent_derivatives(grid, p_node[k], s, ch.m_s - 1, p_density[k], ws)
+            return _conditional_coverage(exponent, s, base) / width[k]
 
         try:
-            vals = integrate_many(inner, 0.0, r_l, phi_cs.size, _INNER_SPEC)
+            vals = integrate_many(inner, p_lo, p_hi, p_lo.size, _INNER_SPEC) * width
         except QuadratureError as err:
-            raise QuadratureError(f"inner integral at phi_c={phi_cs[err.index]:.6g}: "
+            # named by the lowest threshold that uses the failing piece
+            users = owner[piece == err.index]
+            user = users[np.argmin(u_top[users])]
+            raise QuadratureError(f"inner integral at phi_c={phi_cs[user]:.6g}: "
                                   f"{err.message}", err.estimate, err.error_bound,
-                                  int(which[err.index])) from err
-        return _by_curve(c, phi_cs, pdfs) * vals
+                                  int(which[user])) from err
+        # each threshold sums its own pieces in lattice order
+        total = np.zeros(phi_cs.size)
+        starts = np.cumsum(count) - count
+        for q in range(int(count.max())):
+            mine = (count > q).nonzero()[0]
+            total[mine] += vals[piece[starts[mine] + q]]
+        return _by_curve(c, phi_cs, pdfs) * (total / u_top)
 
     return _curve("P2", [_detail(p, exclusion) for p in family], curve, outer, 0.0,
                   0.5 * cfg.beam_spacing)

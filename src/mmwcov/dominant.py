@@ -240,15 +240,12 @@ def _rejected_variant_gain_ratio_pdf_p2(g, params: NetworkParams):
     """Rejected variant of :func:`gain_ratio_pdf_p2`: the joint density of the
     two mainlobe gains with a positive exponent, integrated over the
     out-of-support inner range [g_s/g, g_max/g].  Scalar in, scalar out; the
-    inner integrals of an array run in lockstep, each mapped onto [0, 1]."""
+    inner integrals of an array run in lockstep, each over its own range."""
     cfg = params.antenna
     lam_r2 = params.density * params.r_los**2
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    lo = cfg.g_s / g_arr
-    width = cfg.g_max / g_arr * (1.0 - 1e-12) - lo
 
-    def integrand(t, which):
-        g2 = lo[which] + t * width[which]
+    def integrand(g2, which):
         g1 = g_arr[which] * g2
         l1 = np.log10(cfg.g_max / g1)
         l2 = np.log10(cfg.g_max / g2)
@@ -256,10 +253,11 @@ def _rejected_variant_gain_ratio_pdf_p2(g, params: NetworkParams):
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = (5.0 * (lam_r2 * cfg.phi_3db) ** 2 / 24.0 * np.exp(lam_r2 * phi2)
                     / (_LN10**2 * g1 * g2 * np.sqrt(np.abs(l1 * l2))))
-        return width[which] * g2 * dens
+        return g2 * dens
 
     p_cond = mainlobe_pair_probability(params)
-    out = integrate_many(integrand, 0.0, 1.0, g_arr.size, _SPEC) / p_cond
+    out = integrate_many(integrand, cfg.g_s / g_arr, cfg.g_max / g_arr * (1.0 - 1e-12),
+                         g_arr.size, _SPEC) / p_cond
     return float(out[0]) if np.ndim(g) == 0 else out
 
 

@@ -159,9 +159,10 @@ def _integral_sums(table, counts):
     return sums
 
 
-def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
-              tail_guard: bool = False) -> np.ndarray:
-    """Adaptive Gauss-Kronrod for ``n`` integrals over [a, b] in lockstep.
+def _adaptive(f, lo: np.ndarray, hi: np.ndarray, n: int, spec: QuadratureSpec,
+              guarded: np.ndarray | None = None) -> np.ndarray:
+    """Adaptive Gauss-Kronrod for ``n`` integrals in lockstep, integral i
+    over [lo[i], hi[i]].
 
     All panels of all running integrals sit in one table (rows lo, hi, val,
     err, resabs), grouped by ``owner`` in integral order, each integral's
@@ -169,13 +170,15 @@ def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
     integral keeps its own splits and stopping test, exactly as if it ran
     alone; a round is one integrand call over the new panels, then a fixed
     set of array operations that merge them into the table and split it.
+    The panel ending at 1 of an integral that is ``guarded`` is its tail,
+    the mapped point at infinity (see :class:`QuadratureSpec`).
     """
     out = np.empty(n)
     splits = np.zeros(n, dtype=np.int64)
     table, owner = np.empty((5, 0)), np.empty(0, dtype=np.int64)
     # new panels, waiting for integrand values: integral by integral, each
     # integral's left halves before its right halves
-    lo, hi, new_owner = np.full(n, a), np.full(n, b), np.arange(n)
+    new_owner = np.arange(n)
     while new_owner.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         x = (mid[:, None] + half[:, None] * _XK).ravel()
@@ -198,11 +201,11 @@ def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
         tol = np.fmax(spec.abs_tol, spec.rel_tol * np.abs(total))
         split = table[3] > (tol / (2.0 * counts)).repeat(counts)
         done = total_err <= tol
-        if tail_guard:
+        if guarded is not None:
             # Panel adjacent to the mapped point at infinity must carry less
             # than the overall tolerance (or INFINITE_TAIL_MASS of the total)
             # before we trust the estimate.
-            tail = table[1] == b
+            tail = (table[1] == 1.0) & guarded[owner]
             tail_mass = np.bincount(owner[tail], table[4, tail], n)[ids]
             tail_bad = tail_mass > np.fmax(tol, INFINITE_TAIL_MASS * mass + spec.abs_tol)
             done &= ~tail_bad
@@ -231,9 +234,28 @@ def _adaptive(f, a: float, b: float, n: int, spec: QuadratureSpec,
     return out
 
 
-def integrate_many(f: Callable, a: float, b: float, n: int,
+def _ranges(a, b, n: int):
+    """``a`` and ``b`` as arrays of the ``n`` integrals' bounds, after
+    checking that each range is a finite ``a <= b`` with ``b`` finite or
+    ``+inf``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bad = ~(np.isfinite(a) & (a <= b))
+    if bad.any():
+        i = np.argwhere(bad)[0]
+        a_i, b_i = (float(np.broadcast_to(x, bad.shape)[tuple(i)]) for x in (a, b))
+        raise ValueError(f"integration range [{a_i!r}, {b_i!r}]: "
+                         "need a finite a <= b, with b finite or +inf")
+    if n < 0:
+        raise ValueError("the number of integrals must be nonnegative")
+    if {a.shape, b.shape} - {(), (n,)}:
+        raise ValueError(f"ranges of shape {bad.shape} for {n} integrals")
+    zeros = np.zeros(n)
+    return a + zeros, b + zeros
+
+
+def integrate_many(f: Callable, a, b, n: int,
                    spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Integrate ``n`` vectorized real functions over the same [a, b].
+    """Integrate ``n`` vectorized real functions, integral i over [a[i], b[i]].
 
     ``f(x, which)`` receives a 1-D ndarray of abscissae and an equally long
     integer array naming the integral (0 .. n-1) each abscissa belongs to,
@@ -242,34 +264,50 @@ def integrate_many(f: Callable, a: float, b: float, n: int,
     the batching only lets ``f`` share work between integrals that ask for
     the same abscissa.  Returns an ndarray of the ``n`` integrals.
 
+    ``a`` and ``b`` are scalars, the range of every integral, or arrays of
+    the ``n`` integrals' own ranges (a QUADPACK routine takes one range
+    per call; here each integral has its own).  A range is ``a <= b`` with
+    ``a`` finite and ``b`` finite or ``+inf``; any other range (reversed,
+    ``-inf`` or NaN bounds) raises ``ValueError`` naming it.  ``[a, inf)``
+    is mapped to [0, 1) with ``x = a + t/(1 - t)``, so adaptivity is
+    preserved near ``a``.  Integrable endpoint singularities are allowed
+    (the Kronrod nodes are interior).  An integral with ``a == b`` is 0,
+    and its integrand is never called.
+
     All panels of all integrals sit in one flat table, and each round is one
     call of ``f`` over the panels waiting for values, integral by integral,
     each integral's left halves before its right halves.  An integral's
     totals are summed as a row of the matrix of every integral with the same
     panel count, which gives bitwise its own ``.sum()``.
-
-    The range is ``a <= b`` with ``a`` finite and ``b`` finite or ``+inf``;
-    any other range (reversed, ``-inf`` or NaN bounds) raises ``ValueError``.
-    ``[a, inf)`` is mapped to [0, 1) with ``x = a + t/(1 - t)``, so
-    adaptivity is preserved near ``a``.  Integrable endpoint singularities
-    are allowed (the Kronrod nodes are interior).
     """
     spec = spec or QuadratureSpec()
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and a <= b):
-        raise ValueError(f"integration range [{a!r}, {b!r}]: need a finite a <= b, "
-                         "with b finite or +inf")
-    if n < 0:
-        raise ValueError("the number of integrals must be nonnegative")
-    if a == b or n == 0:
-        return np.zeros(n)
-    if math.isinf(b):
-        def mapped(t, which):
-            one_m = 1.0 - t
-            return f(a + t / one_m, which) / one_m**2
-        return _adaptive(mapped, 0.0, 1.0, n, spec, tail_guard=True)
-    return _adaptive(f, a, b, n, spec)
+    a, b = _ranges(a, b, n)
+    inf = np.isinf(b)
+    wide = a < b
+    mapped = inf.any()
+    lo, hi = (np.where(inf, 0.0, a), np.where(inf, 1.0, b)) if mapped else (a, b)
+    out = np.zeros(n)
+    run = wide.nonzero()[0]
+    if run.size < n:
+        # an integral of zero width is 0, and its integrand is never called;
+        # the others run renumbered 0 .. run.size - 1
+        if not run.size:
+            return out
+        lo, hi, a, inf = lo[run], hi[run], a[run], inf[run]
+    if mapped:
+        def integrand(t, k):
+            tail = inf[k]
+            one_m = np.where(tail, 1.0 - t, 1.0)
+            return f(np.where(tail, a[k] + t / one_m, t), run[k]) / one_m**2
+    else:
+        def integrand(x, k):
+            return f(x, run[k])
+    try:
+        out[run] = _adaptive(integrand, lo, hi, run.size, spec, inf if mapped else None)
+    except QuadratureError as err:
+        err.index = int(run[err.index])
+        raise
+    return out
 
 
 def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:

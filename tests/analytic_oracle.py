@@ -4,8 +4,11 @@ This is the quadrature engine as it was before whole curves were evaluated
 in lockstep: one outer ``integrate_1d`` per threshold, one region exponent
 built per quadrature node, assembled one angular panel at a time on the full
 radial grid (log-panels of zero width included), and its derivatives taken
-by separate ``pow`` calls.  The package must agree with it
-to 1e-12 (see ``test_analytic.TestCurveOracle``).
+by separate ``pow`` calls.  P2's inner integral is cut into the package's
+lattice pieces of the serving-distance variable.  The package must agree
+with it to 1e-12 (see ``test_analytic.TestCurveOracle``).  The P2 inner
+integral over ``d0`` as it stood before those pieces is kept too, as
+:func:`coverage_p2_d0`.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from mmwcov.analytic import (
     _R_FLOOR_FRAC,
     _RAD_FROM_EDGE,
     _RAD_FROM_LOW,
+    _Z_CELL,
+    _Z_FLOOR,
     _curvature,
+    _z_anchor,
     phi_c_pdf,
     serving_power_law,
 )
-from mmwcov.numerics import integrate_1d
+from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_many
 from mmwcov.radio import NetworkParams, gain_3gpp, gain_approx
 
 
@@ -330,8 +336,87 @@ def coverage_p1(gamma: float, params: NetworkParams, exclusion: str = "all-beams
     return float(np.clip(integrate_1d(integrand, law.w_min, math.inf, _OUTER_SPEC), 0.0, 1.0))
 
 
-def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid") -> float:
-    """Coverage probability under minimum-angular-distance association."""
+def _z_pieces(u_top: float, z_floor: float) -> list:
+    """The pieces of [0, u_top] on the lattice ``z_floor * _Z_CELL**j``: the
+    bottom piece, the whole cells and the partial cell that ends at u_top,
+    or [0, u_top] alone when u_top is at or below the floor."""
+    if u_top <= z_floor:
+        return [(0.0, u_top)]
+    pieces, j = [(0.0, z_floor)], 0
+    while z_floor * _Z_CELL ** (j + 1) < u_top:
+        pieces.append((z_floor * _Z_CELL**j, z_floor * _Z_CELL ** (j + 1)))
+        j += 1
+    pieces.append((z_floor * _Z_CELL**j, u_top))
+    return pieces
+
+
+def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
+    """Coverage probability under minimum-angular-distance association, at
+    one threshold (float out) or each of a sequence of them (array out).
+
+    Each threshold has its own outer integral.  Its inner integral over
+    ``z = (coef d0**alpha)**(2/alpha)`` is cut into the package's lattice
+    pieces, one integral per piece.  The thresholds share the pieces of a
+    ``phi_c`` node: the first visit integrates all of them in one
+    ``integrate_many`` call, and each piece is bitwise its alone-value."""
+    cfg, ch = params.antenna, params.channel
+    r_l = params.r_los
+    alpha = ch.alpha_l
+    z_floor = _Z_FLOOR * _z_anchor(params)
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+    memo = {}
+
+    def u_top(g, pc):
+        s_coef = ch.m_s * g / (ch.tx_power_w * cfg.g_max * ch.path_gain_const
+                               * gain_approx(pc, cfg))
+        return s_coef ** (2.0 / alpha) * r_l**2
+
+    def pieces_at(pc):
+        """The value of every piece of every threshold at node ``pc``."""
+        if pc not in memo:
+            expo = _p2_exponent(params, pc, exclusion)
+            pieces = sorted({p for g in gammas for p in _z_pieces(u_top(g, pc), z_floor)})
+            lo, hi = np.array(pieces).T
+            width = hi - lo
+
+            def inner(z, k):
+                s = z ** (0.5 * alpha)
+                return _conditional_coverage(expo, s, params) / width[k]
+
+            vals = integrate_many(inner, lo, hi, lo.size, _INNER_SPEC) * width
+            memo[pc] = dict(zip(pieces, vals.tolist()))
+        return memo[pc]
+
+    def coverage(g):
+        def outer(phi_cs):
+            phi_cs = np.atleast_1d(phi_cs)
+            vals = np.empty_like(phi_cs)
+            for i, pc in enumerate(phi_cs.tolist()):
+                values, total = pieces_at(pc), 0.0
+                top = u_top(g, pc)
+                for piece in _z_pieces(top, z_floor):
+                    total += values[piece]
+                vals[i] = total / top
+            return phi_c_pdf(phi_cs, params) * vals
+
+        return float(np.clip(integrate_1d(outer, 0.0, 0.5 * cfg.beam_spacing, _OUTER_SPEC),
+                             0.0, 1.0))
+
+    out = np.array([coverage(g) for g in gammas])
+    return float(out[0]) if np.ndim(gamma) == 0 else out
+
+
+# The contract of one threshold's inner integral, to which the d0 form ran it
+# as a single integral: twice the tolerances of a piece (see analytic).
+_D0_INNER_SPEC = QuadratureSpec(rel_tol=2.0 * _INNER_SPEC.rel_tol,
+                                abs_tol=2.0 * _INNER_SPEC.abs_tol,
+                                max_subdivisions=_INNER_SPEC.max_subdivisions)
+
+
+def coverage_p2_d0(gamma: float, params: NetworkParams, exclusion: str = "grid") -> float:
+    """P2 coverage with the inner integral over the serving distance ``d0``
+    on [0, r_los], one adaptive integral per (phi_c node, threshold): the
+    form the package used before the lattice pieces."""
     cfg, ch = params.antenna, params.channel
     r_l = params.r_los
     alpha = ch.alpha_l
@@ -348,7 +433,7 @@ def coverage_p2(gamma: float, params: NetworkParams, exclusion: str = "grid") ->
                 return (2.0 * d0 / r_l**2) * _conditional_coverage(
                     expo, s_coef * d0**alpha, params)
 
-            vals[i] = integrate_1d(inner, 0.0, r_l, _INNER_SPEC)
+            vals[i] = integrate_1d(inner, 0.0, r_l, _D0_INNER_SPEC)
         return phi_c_pdf(phi_cs, params) * vals
 
     return float(np.clip(integrate_1d(outer, 0.0, 0.5 * cfg.beam_spacing, _OUTER_SPEC),

@@ -370,11 +370,15 @@ SHARP_CURVES = [("P1", "all-beams"), ("P2", "grid"), ("P3", None)]
 
 
 def _both(policy, exclusion):
-    """(lockstep curve, per-threshold oracle) functions of one policy."""
+    """(lockstep curve, per-threshold oracle) functions of one policy; the
+    oracle takes an array of thresholds.  P2's oracle takes the array
+    itself, so that its thresholds share the inner pieces of a node."""
     kw = {} if exclusion is None else {"exclusion": exclusion}
     new = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
-    old = {"P1": oracle.coverage_p1, "P2": oracle.coverage_p2, "P3": oracle.coverage_p3}[policy]
-    return (lambda g, p: new(g, p, **kw)), (lambda g, p: old(g, p, **kw))
+    if policy == "P2":
+        return (lambda g, p: new(g, p, **kw)), (lambda g, p: oracle.coverage_p2(g, p, **kw))
+    old = {"P1": oracle.coverage_p1, "P3": oracle.coverage_p3}[policy]
+    return (lambda g, p: new(g, p, **kw)), (lambda g, p: np.array([old(x, p, **kw) for x in g]))
 
 
 class TestCurveOracle:
@@ -386,8 +390,7 @@ class TestCurveOracle:
         params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
         new, old = _both(policy, {"P1": "all-beams", "P2": "grid"}[policy])
         gammas = _linear(FIG_GRID_DB)
-        expected = np.array([old(g, params) for g in gammas])
-        np.testing.assert_allclose(new(gammas, params), expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(new(gammas, params), old(gammas, params), rtol=0.0, atol=1e-12)
 
     def test_fig7_grid(self):
         gamma = 10.0 ** 0.3
@@ -405,9 +408,40 @@ class TestCurveOracle:
         gammas = _linear(OFF_GRID_DB)
         for policy, exclusion in CURVES:
             new, old = _both(policy, exclusion)
-            expected = np.array([old(g, params) for g in gammas])
-            np.testing.assert_allclose(new(gammas, params), expected, rtol=0.0, atol=1e-12,
-                                       err_msg=f"{policy} {exclusion}")
+            np.testing.assert_allclose(new(gammas, params), old(gammas, params), rtol=0.0,
+                                       atol=1e-12, err_msg=f"{policy} {exclusion}")
+
+
+class TestP2InnerForm:
+    """P2's inner integral as lattice pieces of z against the form it
+    replaced: one adaptive integral over the serving distance d0 per
+    (phi_c node, threshold), at the inner contract max(1e-9, 1e-5 |inner|)
+    (analytic_oracle.coverage_p2_d0)."""
+
+    # Both forms keep each inner integral within that contract; their
+    # curves differ by far less.  A hundred times a piece's absolute
+    # tolerance is 5e-8; the largest difference over these cases is 2.0e-9.
+    BOUND = 100.0 * analytic._INNER_SPEC.abs_tol
+
+    @staticmethod
+    def _check(params, grid_db, exclusion):
+        gammas = _linear(grid_db)
+        d0 = [oracle.coverage_p2_d0(g, params, exclusion=exclusion) for g in gammas]
+        np.testing.assert_allclose(coverage_p2(gammas, params, exclusion=exclusion), d0,
+                                   rtol=0.0, atol=TestP2InnerForm.BOUND)
+
+    @pytest.mark.parametrize("sectors_exp", [1, 2, 3])
+    def test_fig6_grid(self, sectors_exp):
+        self._check(NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp)),
+                    FIG_GRID_DB, "grid")
+
+    @pytest.mark.parametrize("exclusion", analytic.P2_EXCLUSIONS)
+    @pytest.mark.parametrize("name", sorted(OFF_DEFAULT))
+    def test_off_default_sets(self, name, exclusion):
+        self._check(OFF_DEFAULT[name], OFF_GRID_DB, exclusion)
+
+    def test_density_1e_2(self):
+        self._check(NetworkParams(density=1e-2), OFF_GRID_DB, "grid")
 
 
 def _counting_pairs(monkeypatch):
@@ -514,6 +548,27 @@ class TestCurveFamily:
         for family in families:
             coverage_p1(gamma, family)
         assert sum(counted) <= 2200
+
+    def test_fig6_p2_shares_inner_pieces_between_thresholds(self, monkeypatch):
+        # one inner integral per (phi_c, threshold) over d0 takes 20,175
+        # integrand points on the three fig6 P2 curves; the thresholds of a
+        # node share their whole lattice cells
+        points = []
+        run = analytic.integrate_many
+
+        def counting(f, a, b, n, spec=None):
+            if spec is analytic._INNER_SPEC:
+                def counted(x, which):
+                    points.append(x.size)
+                    return f(x, which)
+                return run(counted, a, b, n, spec)
+            return run(f, a, b, n, spec)
+
+        monkeypatch.setattr(analytic, "integrate_many", counting)
+        for m in (1, 2, 3):
+            coverage_p2(_linear(FIG_GRID_DB), NetworkParams(antenna=AntennaConfig(sectors_exp=m)))
+        assert sum(points) == 11745
+        assert sum(points) <= 2 * 20175 // 3
 
     def test_kernel_scales_distinct_pairs_per_density(self, params):
         # repeated (node, s) pairs at different densities are summed once

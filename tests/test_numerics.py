@@ -317,6 +317,65 @@ class TestSilentMiss:
         assert val == pytest.approx(100.0 * math.sqrt(math.pi), rel=1e-6)
 
 
+class TestRanges:
+    """Per-integral ranges of integrate_many."""
+
+    SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+    def test_each_range_equals_its_integral_alone_bitwise(self):
+        family = [_peak(10.0 ** -(1 + k % 4), 0.3 + 0.1 * k) for k in range(12)]
+        a = np.linspace(0.0, 1.1, 12)
+        b = np.where(np.arange(12) % 3 == 2, math.inf, a + 0.5 + 0.1 * np.arange(12))
+        together = integrate_many(_batched(family), a, b, len(family), self.SPEC)
+        alone = [integrate_1d(f, lo, hi, self.SPEC) for f, lo, hi in zip(family, a, b)]
+        assert together.tolist() == alone
+
+    def test_scalar_ranges_keep_their_bits(self):
+        tails = (lambda x: np.exp(-x), lambda x: 1.0 / (1.0 + x**2), lambda x: (1.0 + x) ** -3)
+        for b, family in ((2.0, FAMILY), (math.inf, tails)):
+            f, n = _batched(family), len(family)
+            scalar = integrate_many(f, 0.25, b, n, self.SPEC)
+            arrays = integrate_many(f, np.full(n, 0.25), np.full(n, b), n, self.SPEC)
+            assert scalar.tolist() == arrays.tolist()
+
+    def test_zero_width_ranges_are_zero_and_never_evaluated(self):
+        seen = []
+
+        def f(x, which):
+            seen.extend(set(which.tolist()))
+            return np.exp(-x)
+
+        out = integrate_many(f, [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, math.inf, 3.0], 4)
+        assert out[[1, 3]].tolist() == [0.0, 0.0]
+        assert out[[0, 2]] == pytest.approx([1.0 - math.exp(-1.0), math.exp(-2.0)], rel=1e-9)
+        assert set(seen) == {0, 2}
+
+    def test_a_failing_integral_is_named_among_all(self):
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=8)
+        family = (lambda x: np.ones_like(x), lambda x: np.sqrt(np.abs(np.sin(50.0 * x))),
+                  lambda x: x)
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_many(_batched(family), [0.0, 1.0, 0.0], [0.0, 3.0, 3.0], 3, spec)
+        assert excinfo.value.index == 1
+
+    @pytest.mark.parametrize("a,b", [([0.0, 2.0], [1.0, 0.0]), ([0.0, -math.inf], [1.0, 0.0]),
+                                     ([0.0, 0.0], [1.0, math.nan])])
+    def test_a_bad_range_is_named(self, a, b):
+        def never(x, which):
+            raise AssertionError("integrand must not be called")
+
+        with pytest.raises(ValueError, match=rf"range \[{re.escape(repr(a[1]))}, "
+                                             rf"{re.escape(repr(b[1]))}\]"):
+            integrate_many(never, a, b, 2)
+
+    def test_bad_shapes_are_refused(self):
+        def never(x, which):
+            raise AssertionError("integrand must not be called")
+
+        with pytest.raises(ValueError, match="for 3 integrals"):
+            integrate_many(never, [0.0, 0.0], 1.0, 3)
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [8, 10, 12, 16, 96])
     def test_matches_leggauss(self, n):
