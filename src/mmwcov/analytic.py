@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -45,6 +44,7 @@ __all__ = [
     "coverage_p1",
     "coverage_p2",
     "coverage_p3",
+    "check_alpha",
     "P1_EXCLUSIONS",
     "P2_EXCLUSIONS",
 ]
@@ -69,26 +69,42 @@ _Z_FLOOR = 4.0**-3
 # interference exponent (the integrand is bounded by r there).
 _R_FLOOR_FRAC = 1e-6
 
-# The Gauss-Legendre rule of the region exponents: every angular panel whose
-# gain or keep-out radius varies is cut into equal pieces no wider than
-# phi_3db/2, with _N_ANG nodes each, and every radial log-panel has _N_RAD
-# nodes.  The log-panels of P1 and P3 start at the keep-out radius, where
-# their integrands peak (_RAD_FROM_LOW); P2's floor is nominal, so its
-# log-panels are graded down from the disk edge instead (_RAD_FROM_EDGE).
-# Panels are clipped to [keep-out radius, disk edge].  Sized by measured
+# The angular rule of the region exponents: every angular panel whose gain
+# or keep-out radius varies is cut into equal pieces no wider than
+# phi_3db/2, with _N_ANG Gauss-Legendre nodes each.  Sized by measured
 # error: at the corners of the parameter box the conditional coverages stay
-# within 1e-8 (P1, P3) and 1e-5 (P2) of two fine rules
-# (tests/test_analytic.py, TestExponentRule).
+# within 1e-8 of a fine rule (tests/test_analytic.py, TestExponentRule).
 _N_ANG = 8
-_N_RAD = 16
-_RAD_FROM_LOW = np.array([0.0, 0.75, 2.2, 6.0, math.inf])
-_RAD_FROM_EDGE = np.array([-math.inf, -9.0, -4.0, -1.5, 0.0])
 
-# Grid elements of one block of the exponent build, and (node, s) pairs
-# times elements of one piece of a node's exponent matrix: small enough that
-# their few temporaries stay in a per-core cache, and peak memory does not
-# grow with the number of nodes or pairs in a quadrature round.
-_ELEMENT_BUDGET = 2**14
+# The radial part of an angular node's exponent needs no quadrature nodes.
+# With c = A r**-alpha its interferers' amplitude and u = log(s c), the
+# gamma fade integrated out leaves one integrand per derivative order k
+# (Andrews, Baccelli and Ganti, IEEE TCOM 2011; Bai and Heath, IEEE TWC
+# 2015):
+#     int (1 - (1 + s c)**-m) r dr         = (s A)**(2/alpha)/alpha int g_0 du,
+#     int c**k (1 + s c)**-(k + m) r dr    = s**-k (s A)**(2/alpha)/alpha int g_k du,
+#     g_0 = (1 - (1 + e**u)**-m) e**(-2u/alpha),
+#     g_k = e**((k - 2/alpha) u) (1 + e**u)**-(k + m),
+# over u from log(s A r_los**-alpha) up by alpha log(r_los / r_lo).
+# _RadialTable holds their antiderivatives for one (alpha, m_x, k_max):
+# _U_COEFS-coefficient panel polynomials on [-_U_HALF, _U_HALF], on panels
+# a power of two wide and at most _U_STEP over the steepest log-slope of the
+# g_k, exponential tails beyond, and a _U_SHORT-node Gauss-Legendre rule for
+# an interval shorter than one panel.  Intervals come out within 1e-12 of mpmath
+# (tests/test_analytic.py, TestRadialAntiderivative).  Below _ALPHA_MIN the
+# g_k span more than the float range on the table (g_0 grows as
+# e**((2/alpha - 1) |u|) to the left).
+_U_HALF = 40.0
+_U_COEFS = 8
+_U_STEP = 0.25
+_U_SHORT = 8
+_ALPHA_MIN = 0.25
+
+# (pair, angular node) elements of one block of the exponent sums at k_max 1
+# (see _block_size), and angular nodes of one slice of a grid build: small
+# enough that their temporaries stay in a per-core cache, and peak memory
+# does not grow with the number of nodes or pairs in a quadrature round.
+_ELEMENT_BUDGET = 2**12
 
 
 def _curvature(cfg) -> float:
@@ -251,22 +267,188 @@ def phi_c_pdf(phi_c, params: NetworkParams):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(bounds: np.ndarray):
-    """Ranges (lo, hi) of whole nodes with at most ``_ELEMENT_BUDGET``
-    elements together, or one node that has more; node j has the elements
+def _radial_integrand(u: np.ndarray, alpha: float, m_x: int, k_max: int) -> np.ndarray:
+    """[g_0(u), ..., g_k_max(u)] on a leading axis (see _RadialTable)."""
+    soft = np.logaddexp(0.0, u)                 # log(1 + e**u), without overflow
+    out = np.empty((k_max + 1,) + u.shape)
+    np.log(-np.expm1(-m_x * soft), out=out[0])
+    out[0] -= (2.0 / alpha) * u
+    for k in range(1, k_max + 1):
+        np.multiply(u, k - 2.0 / alpha, out=out[k])
+        out[k] -= (k + m_x) * soft
+    return np.exp(out, out=out)
+
+
+def _exp_span(rate: float, span):
+    """int_0^span e**(rate x) dx."""
+    return span if rate == 0.0 else np.expm1(rate * span) / rate
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse a path-loss exponent below ``_ALPHA_MIN``, which the radial
+    integrals of the region exponents cannot take."""
+    if not alpha >= _ALPHA_MIN:
+        raise ValueError(f"must be at least {_ALPHA_MIN:g} for the analytic region exponents "
+                         f"(got {alpha:g}): below it their radial integrands leave the float "
+                         f"range")
+
+
+class _RadialTable:
+    """The integrals ``int_a^(a + width) g_k(u) du``, k = 0 .. k_max, of the
+    radial integrands g_k of one (alpha, m_x) (see the comment at
+    ``_U_HALF``).
+
+    [-_U_HALF, _U_HALF] is cut into ``n`` panels of width ``h``, on which
+    each g_k is interpolated at ``_U_COEFS`` Gauss-Legendre nodes; panel i
+    keeps, per k, the masses of the panels before it and from it on, and
+    the coefficients of its partial integral ``p_i(t) = int_(left_i)^(left_i
+    + t h) g_k``, a polynomial with no constant term.  An interval of at
+    least one panel is the panel masses between its end panels, counted
+    from the end that leaves the smaller mass outside, plus and minus the
+    end polynomials; its parts beyond +-_U_HALF are the integrals of the
+    exponentials that g_k meets there (relative error below (k + m_x)
+    e**-_U_HALF).  A shorter interval is integrated directly by a
+    ``_U_SHORT``-node Gauss-Legendre rule, as the difference of two close
+    polynomial values would cancel.
+    """
+
+    def __init__(self, alpha: float, m_x: int, k_max: int):
+        check_alpha(alpha)
+        inv = 2.0 / alpha
+        slope = max([inv, abs(1.0 - inv)] + [max(m_x + inv, abs(k - inv))
+                                             for k in range(1, k_max + 1)])
+        self.alpha, self.m_x, self.k_max = alpha, m_x, k_max
+        # a power of two, so that every panel edge is exact and an end's
+        # offset from its panel's edge is computed without rounding
+        self.inv_h = 2.0 ** math.ceil(math.log2(slope / _U_STEP))
+        self.h = 1.0 / self.inv_h
+        self.n = n = round(2.0 * _U_HALF * self.inv_h)
+        # Legendre coefficients of each panel's interpolant from the values at
+        # the nodes, then its Taylor coefficients in t = (u - left) / h from
+        # those of the shifted Legendre polynomials P_j(2t - 1)
+        x, w = gauss_legendre(_U_COEFS)
+        legendre = np.empty((_U_COEFS, _U_COEFS))
+        legendre[0], legendre[1] = 1.0, x
+        for j in range(2, _U_COEFS):
+            legendre[j] = ((2 * j - 1) * x * legendre[j - 1] - (j - 1) * legendre[j - 2]) / j
+        project = (np.arange(_U_COEFS) + 0.5)[:, None] * w * legendre
+        shifted = np.array([[(-1) ** (j + i) * math.comb(j, i) * math.comb(j + i, i)
+                             for i in range(_U_COEFS)] for j in range(_U_COEFS)], dtype=float)
+        # rows[0] and rows[1]: the masses before and from each panel; then
+        # the coefficients of t, t**2, ... of its partial integral
+        self.rows = np.empty((_U_COEFS + 2, k_max + 1, n))
+        scale = (self.h / np.arange(1.0, _U_COEFS + 1.0))[:, None, None]
+        chunk = _block_size(k_max)
+        for lo in range(0, n, chunk):               # temporaries within the budget
+            left = -_U_HALF + self.h * np.arange(lo, min(lo + chunk, n))
+            values = _radial_integrand(left[:, None] + 0.5 * self.h * (x + 1.0),
+                                       alpha, m_x, k_max)
+            taylor = np.einsum("jq,knq->knj", project, values)
+            self.rows[2:, :, lo:lo + left.size] = np.einsum("knj,ji->ikn", taylor, shifted) * scale
+        coefs = self.rows[2:]
+        mass = coefs[-1].copy()
+        for c in coefs[-2::-1]:
+            mass += c                               # p_i(1), summed as evaluated
+        np.cumsum(mass[:, :-1], axis=1, out=self.rows[0][:, 1:])
+        self.rows[0][:, 0] = 0.0
+        np.cumsum(mass[:, ::-1], axis=1, out=self.rows[1][:, ::-1])
+        # g_k ~ coef e**(rate u) below -_U_HALF and above _U_HALF
+        self.below = [(float(m_x), 1.0 - inv)] + [(1.0, k - inv) for k in range(1, k_max + 1)]
+        self.above = [(1.0, -inv)] + [(1.0, -(m_x + inv))] * k_max
+
+    def integrals(self, a: np.ndarray, width: np.ndarray, ws: Workspace) -> np.ndarray:
+        """[int_a^(a + width) g_k] for k = 0 .. k_max on a leading axis,
+        for ``width >= 0``; ``width`` is taken as given, not from two
+        rounded table positions.  The largest temporary comes from ``ws``."""
+        out = np.empty((self.k_max + 1, a.size))
+        short = width < self.h
+        if short.any():
+            x, w = gauss_legendre(_U_SHORT)
+            half = 0.5 * width[short]
+            u = (a[short] + half)[:, None] + half[:, None] * x
+            out[:, short] = np.einsum("knq,q->kn", _radial_integrand(
+                u, self.alpha, self.m_x, self.k_max), w) * half
+            long = ~short
+            out[:, long] = self._long(a[long], width[long], ws)
+        else:
+            out[:] = self._long(a, width, ws)
+        return out
+
+    def _long(self, a: np.ndarray, width: np.ndarray, ws: Workspace) -> np.ndarray:
+        lim, n = _U_HALF, a.size
+        # the panels of both ends, then their t in the panel from the exact
+        # offsets of a and of a + width from the panel edges
+        b = a + width
+        ends = np.concatenate((a, b))
+        np.clip(ends, -lim, lim, out=ends)
+        ends += lim
+        ends *= self.inv_h
+        panel = ends.astype(np.intp)
+        np.minimum(panel, self.n - 1, out=panel)
+        t = np.multiply(panel, self.h, out=ends)
+        t -= lim
+        np.subtract(np.clip(a, -lim, lim), t[:n], out=t[:n])
+        np.subtract(a, t[n:], out=t[n:])
+        t[n:] += width
+        outside = np.abs(b) > lim
+        if outside.any():
+            t[n:][outside] = np.clip(t[n:][outside], 0.0, self.h)
+        t *= self.inv_h
+        shape = self.rows.shape[:2] + (2 * n,)
+        rows = np.take(self.rows, panel, axis=2, mode="clip",
+                       out=ws.take("rows", math.prod(shape)).reshape(shape))
+        poly = np.multiply(rows[-1], t)
+        for c in rows[-2:1:-1]:
+            poly += c
+            poly *= t
+        before, after = rows[0], rows[1]
+        val = np.where(before[:, :n] <= after[:, n:], before[:, n:] - before[:, :n],
+                       after[:, :n] - after[:, n:])
+        val += poly[:, n:]
+        val -= poly[:, :n]
+        below = a < -lim
+        if below.any():
+            span = np.minimum(width[below], -lim - a[below])
+            top = a[below] + span
+            for k, (coef, rate) in enumerate(self.below):
+                val[k, below] += coef * np.exp(rate * top) * _exp_span(-rate, span)
+        above = b > lim
+        if above.any():
+            span = width[above] - np.maximum(lim - a[above], 0.0)
+            bottom = b[above] - span
+            for k, (coef, rate) in enumerate(self.above):
+                val[k, above] += coef * np.exp(rate * bottom) * _exp_span(rate, span)
+        return val
+
+
+@lru_cache(maxsize=8)
+def _radial_table(alpha: float, m_x: int, k_max: int) -> _RadialTable:
+    return _RadialTable(alpha, m_x, k_max)
+
+
+def _block_size(k_max: int) -> int:
+    """Elements of one block of radial integrals of orders 0 .. k_max: the
+    budget at k_max 1, fewer at higher orders, so that the temporaries of a
+    block do not grow with k_max."""
+    return max(2 * _ELEMENT_BUDGET // (k_max + 1), 64)
+
+
+def _blocks(bounds: np.ndarray, size: int):
+    """Ranges (lo, hi) of whole pairs with at most ``size`` elements
+    together, or one pair that has more; pair j has the elements
     ``bounds[j]:bounds[j+1]``."""
-    lo, n_nodes = 0, bounds.size - 1
-    while lo < n_nodes:
-        hi = int(np.searchsorted(bounds, bounds[lo] + _ELEMENT_BUDGET, "right")) - 1
+    lo, n_pairs = 0, bounds.size - 1
+    while lo < n_pairs:
+        hi = int(np.searchsorted(bounds, bounds[lo] + size, "right")) - 1
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
 
 
 class _Grid:
-    """Angular and radial panels of the region exponents of a batch of
-    conditioning nodes; :meth:`exponents` builds the grid elements and
-    weights of a range of them, which :func:`_exponent_derivatives` sums.
+    """The angular nodes of the region exponents of a batch of conditioning
+    nodes, which :func:`_exponent_derivatives` sums with the radial
+    integrals of :class:`_RadialTable`.
 
     Each entry of ``groups`` is ``(owner, a, b, flat, mult)``: panel i spans
     the offsets [a[i], b[i]] of node ``owner[i]``, with weight multiplier
@@ -277,15 +459,19 @@ class _Grid:
     panels keep the order of the groups.  ``gain_fn(delta)`` and
     ``rlo_fn(delta, owner)`` give the gain and the keep-out radius at
     angular offsets of the given nodes; they are called on the angular nodes
-    of all panels together, in slices of at most ``_ELEMENT_BUDGET``.  The
-    radial log-panels are ``_RAD_FROM_EDGE`` below the disk edge if
-    ``from_edge``, else ``_RAD_FROM_LOW`` above each angular node's keep-out
-    radius, with ``_N_RAD`` nodes each; those left with zero width between
-    the keep-out radius and the disk edge are left out.
+    of all panels together, in slices of at most ``_ELEMENT_BUDGET``.
+
+    Node j owns the angular nodes ``angular[j]:angular[j+1]``.  With A the
+    interference amplitude of an angular node (``c = A r**-alpha``) and r_lo
+    its keep-out radius, it keeps its angular weight times
+    ``A**(2/alpha)/alpha`` (``weight``), ``log A - alpha log r_los``, which
+    ``log s`` shifts to the lower end of its u range (``offset``), and the
+    length ``alpha log(r_los / r_lo)`` of that range (``width``).  An
+    angular node whose keep-out radius reaches the disk edge has no width
+    and is left out.
     """
 
-    def __init__(self, params: NetworkParams, n_nodes: int, groups, gain_fn, rlo_fn,
-                 from_edge: bool = False):
+    def __init__(self, params: NetworkParams, n_nodes: int, groups, gain_fn, rlo_fn):
         cfg, ch = params.antenna, params.channel
         x, w = gauss_legendre(_N_ANG)
         owners, nodes, weights = [], [], []
@@ -315,51 +501,15 @@ class _Grid:
             part = slice(lo, lo + _ELEMENT_BUDGET)
             gains[part] = gain_fn(delta[part])
             r_lo[part] = rlo_fn(delta[part], owner[part])
-        gains *= ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
-        self.amp_gain = gains
-        self.ang_w = ang_w
-        self.v_lo = np.log(r_lo, out=r_lo)
-        self.v_hi = math.log(params.r_los)
-        # the log-panels between each angular node's keep-out radius and the
-        # disk edge, at edges above its anchor: a run of live ones, from the
-        # first
-        self.edges = _RAD_FROM_EDGE if from_edge else _RAD_FROM_LOW
-        self.anchor = np.full_like(self.v_lo, self.v_hi) if from_edge else self.v_lo
-        live = (np.minimum(self.anchor[:, None] + self.edges[1:], self.v_hi)
-                > np.maximum(self.anchor[:, None] + self.edges[:-1], self.v_lo[:, None]))
-        self.first = np.argmax(live, axis=1)
-        self.n_live = np.count_nonzero(live, axis=1)
-        self.alpha = ch.alpha_l
-        self.m_x = ch.m_x
-        # angular nodes of node j: angular[j]:angular[j+1]; its radial panels
-        # likewise in panels
-        self.angular = np.searchsorted(owner, np.arange(n_nodes + 1))
-        self.panels = np.concatenate(([0], np.cumsum(self.n_live)))[self.angular]
-
-    def exponents(self, lo: int, hi: int, ws: Workspace):
-        """The grid elements ``c`` and weights ``w`` of nodes lo .. hi-1, and
-        their ``bounds``: node lo + j owns the elements
-        ``bounds[j]:bounds[j+1]``.  ``c`` and ``w`` are views of ``ws``."""
-        ang = np.arange(self.angular[lo], self.angular[hi])
-        n_live = self.n_live[ang]
-        panel = _runs(self.first[ang], n_live)      # radial panel of each angular node
-        ang = np.repeat(ang, n_live)
-        v_lo, anchor = self.v_lo[ang], self.anchor[ang]
-        start = np.clip(anchor + self.edges[panel], v_lo, self.v_hi)
-        end = np.clip(anchor + self.edges[panel + 1], v_lo, self.v_hi)
-        x, w = gauss_legendre(_N_RAD)
-        size = ang.size * _N_RAD
-        half = (0.5 * (end - start))[:, None]
-        v = np.multiply(half, x, out=ws.take("v", size).reshape(-1, _N_RAD))
-        v += (0.5 * (start + end))[:, None]
-        c = np.multiply(v, -self.alpha, out=ws.take("c", size).reshape(-1, _N_RAD))
-        np.exp(c, out=c)                            # r**-alpha at r = exp(v)
-        c *= self.amp_gain[ang, None]
-        weight = np.multiply(half, w, out=ws.take("w", size).reshape(-1, _N_RAD))
-        v *= 2.0
-        weight *= np.exp(v, out=v)                  # times r**2 from r dr = r**2 dv
-        weight *= self.ang_w[ang, None]
-        return c.ravel(), weight.ravel(), (self.panels[lo:hi + 1] - self.panels[lo]) * _N_RAD
+        alpha = ch.alpha_l
+        log_amp = np.log(gains * (ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x))
+        width = alpha * np.log(params.r_los / r_lo)
+        keep = width > 0.0
+        self.alpha, self.m_x = alpha, ch.m_x
+        self.weight = ang_w[keep] * np.exp((2.0 / alpha) * log_amp[keep]) / alpha
+        self.offset = log_amp[keep] - alpha * math.log(params.r_los)
+        self.width = width[keep]
+        self.angular = np.searchsorted(owner[keep], np.arange(n_nodes + 1))
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -374,16 +524,18 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
     density ``density[i]`` (or one ``density`` for all) for every i; the
     temporaries come from ``ws``.
 
-    With v = 1/(1 + s c) over a node's grid elements, the lambda-free sums
-    S_0 = sum w (1 - v^m) and S_k = sum w (c v)^k v^m give F = -lambda S_0
-    and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k; the (1 - v^m) form keeps
-    F accurate as s c -> 0.  Density enters only as that prefactor, so the
-    sums of each distinct (node, s) pair are evaluated once, a block of
-    nodes at a time, and then scaled per i.  A node's pairs times its
-    elements form one matrix, taken in pieces of at most ``_ELEMENT_BUDGET``
-    elements: whole rows, or for a node above the budget, one row in even
-    column pieces.  Each row is reduced on its own, so the sums of a pair
-    do not depend on the other pairs of the call."""
+    With v = 1/(1 + s c) over a node's interferers, the lambda-free sums
+    S_0 = int (1 - v^m) and S_k = int (c v)^k v^m give F = -lambda S_0 and
+    F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k.  Over the radius of one
+    angular node they are the radial integrals of :class:`_RadialTable`, so
+    S_k = s**(2/alpha - k) sum weight * int_(log s + offset)^(... + width)
+    g_k du over the node's angular nodes (see :class:`_Grid`).  Density
+    enters only as the prefactor, so the sums of each distinct (node, s)
+    pair are evaluated once and then scaled per i.  The (pair, angular
+    node) elements of a call are evaluated in one flat pass, in blocks of
+    whole pairs of at most :func:`_block_size` elements (a larger pair
+    alone, in pieces), and each pair is reduced on its own, so the sums of
+    a pair do not depend on the other pairs of the call."""
     by_pair = np.lexsort((s, node))
     node_sorted, s_sorted = node[by_pair], s[by_pair]
     first = np.ones(node.size, dtype=bool)
@@ -391,41 +543,40 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
     pair = np.empty(node.size, dtype=np.intp)
     pair[by_pair] = np.cumsum(first) - 1                # the distinct pair of each i
     pair_node, pair_s = node_sorted[first], s_sorted[first]
+    table = _radial_table(grid.alpha, grid.m_x, k_max)
+    positive = pair_s > 0.0
+    log_s = np.log(pair_s, out=np.zeros_like(pair_s), where=positive)
+    start = grid.angular[pair_node]
+    count = np.where(positive, grid.angular[pair_node + 1] - start, 0)
+    bounds = np.concatenate(([0], np.cumsum(count)))
     sums = np.zeros((k_max + 1, pair_s.size))
-    work = ws.take("piece", (k_max + 3) * _ELEMENT_BUDGET)
-    for lo, hi in _blocks(grid.panels * _N_RAD):
-        pair_bounds = np.searchsorted(pair_node, np.arange(lo, hi + 1))   # the pairs of each node
-        if pair_bounds[0] == pair_bounds[-1]:
+    size = _block_size(k_max)
+    for lo, hi in _blocks(bounds, size):
+        if bounds[hi] == bounds[lo]:
+            continue                                    # empty regions: F = 0
+        ang = _runs(start[lo:hi], count[lo:hi])
+        u = np.repeat(log_s[lo:hi], count[lo:hi])
+        u += grid.offset[ang]
+        width, weight = grid.width[ang], grid.weight[ang]
+        if ang.size > size:
+            # one pair, in pieces of at most the block size
+            for e0 in range(0, ang.size, size):
+                piece = slice(e0, e0 + size)
+                vals = table.integrals(u[piece], width[piece], ws)
+                sums[:, lo] += np.einsum("kj,j->k", vals, weight[piece])
             continue
-        c, w, bounds = grid.exponents(lo, hi, ws)
-        # the nodes with pairs and elements: an empty region has F = 0
-        live = (pair_bounds[1:] > pair_bounds[:-1]) & (bounds[1:] > bounds[:-1])
-        for j in np.flatnonzero(live):
-            size = int(bounds[j + 1] - bounds[j])
-            width = -(-size // -(-size // _ELEMENT_BUDGET))     # even column pieces
-            n_rows = _ELEMENT_BUDGET // width
-            for r0, e0 in product(range(pair_bounds[j], pair_bounds[j + 1], n_rows),
-                                  range(bounds[j], bounds[j + 1], width)):
-                rows = slice(r0, min(r0 + n_rows, pair_bounds[j + 1]))
-                cols = slice(e0, min(e0 + width, bounds[j + 1]))
-                shape = (k_max + 3, rows.stop - rows.start, cols.stop - cols.start)
-                buf = work[:math.prod(shape)].reshape(shape)
-                v, v_m, terms = buf[0], buf[1], buf[2:]     # terms[k] sums to S_k
-                np.multiply.outer(pair_s[rows], c[cols], out=v)
-                v += 1.0
-                np.reciprocal(v, out=v)
-                if grid.m_x == 1:
-                    v_m[:] = v
-                else:
-                    np.multiply(v, v, out=v_m)
-                for _ in range(grid.m_x - 2):
-                    v_m *= v
-                np.subtract(1.0, v_m, out=terms[0])
-                if k_max:
-                    v *= c[cols]                                # c v
-                for k in range(1, k_max + 1):
-                    v_m = np.multiply(v_m, v, out=terms[k])
-                sums[:, rows] += np.einsum("kij,j->ki", terms, w[cols])
+        vals = table.integrals(u, width, ws)
+        vals *= weight
+        live = np.flatnonzero(count[lo:hi])
+        sums[:, lo + live] = np.add.reduceat(vals, bounds[lo + live] - bounds[lo], axis=1)
+    sums *= np.exp(np.multiply.outer(2.0 / grid.alpha - np.arange(k_max + 1), log_s))
+    for j in np.flatnonzero(~positive):
+        # s = 0: the limit of the integrals below -_U_HALF, S_0 = 0
+        ang = slice(grid.angular[pair_node[j]], grid.angular[pair_node[j] + 1])
+        for k in range(1, k_max + 1):
+            rate = k - 2.0 / grid.alpha
+            sums[k, j] = np.sum(grid.weight[ang] * np.exp(rate * grid.offset[ang])
+                                * _exp_span(rate, grid.width[ang]))
     scale = np.empty((k_max + 1, np.size(density)))
     scale[0] = -density
     for k in range(1, k_max + 1):
@@ -508,16 +659,14 @@ def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     def rlo(delta, node):
         return np.full(np.shape(delta), r_floor)
 
-    # r_floor is nominal (a keep-out radius of zero would do), so the radial
-    # log-panels are graded down from the disk edge, where the mass is: from
-    # the floor, they would put most of their nodes where there is none.
+    # r_floor is nominal: a keep-out radius of zero would do
     if exclusion == "one-sided":
         def side_panels(lower):
             return [(owner, lower, np.full(n, min(floor, math.pi)), False, 1.0),
                     (owner, np.maximum(lower, floor), np.full(n, math.pi), True, 1.0)]
 
         groups = side_panels(phi_c) + side_panels(np.zeros(n))
-        return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo, from_edge=True)
+        return _Grid(params, n, groups, lambda d: gain_3gpp(d, cfg), rlo)
 
     def gain_fold(psi):
         psi_arr = np.asarray(psi, dtype=float)
@@ -547,7 +696,7 @@ def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
     flat = np.minimum(mid, TWO_PI - mid) >= floor
     groups = [(np.nonzero(keep)[0], a[keep], b[keep], is_flat, 1.0)
               for keep, is_flat in ((~in_band & ~flat, False), (~in_band & flat, True))]
-    return _Grid(params, n, groups, gain_fold, rlo, from_edge=True)
+    return _Grid(params, n, groups, gain_fold, rlo)
 
 
 def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:

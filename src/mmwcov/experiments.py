@@ -289,10 +289,18 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
 def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
     """Refuse a config whose run would fail before it computes anything,
     naming the key and its ``locations`` entry: a field too dense for the
-    chunk budget (mc, or fig8's report), or an antenna that the P1
-    serving-power law (analytic P1 and fig4, or fig8's report) cannot take."""
+    chunk budget (mc, or fig8's report), a path-loss exponent below the
+    region exponents' table (analytic coverage, or fig8's report), or an
+    antenna that the P1 serving-power law (analytic P1 and fig4, or fig8's
+    report) cannot take."""
     mc = "mc" in config.engines
     report = config.scenario == "fig8" and "dominant" in config.engines
+    if report or ("analytic" in config.engines and config.scenario != "fig4"):
+        try:
+            analytic.check_alpha(config.params.channel.alpha_l)
+        except ValueError as exc:
+            raise ConfigError(f"{locations.get('channel.alpha_l', 'default')}: "
+                              f"channel.alpha_l {exc}") from None
     drawn = [("network.density", config.params.density)] if mc or report else []
     drawn += [("sweep.density", density) for density in config.density_sweep] if mc else []
     for key, density in drawn:

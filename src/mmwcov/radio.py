@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-_LN10 = math.log(10.0)
 # Exact by the SI definition of the metre; equal to scipy.constants.c.
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -25,10 +24,7 @@ __all__ = [
     "watts_to_dbm",
     "gain_3gpp",
     "gain_approx",
-    "beam_maxima_pmf",
-    "path_loss",
     "sample_fading",
-    "gain_pdf_mainlobe",
 ]
 
 
@@ -216,35 +212,8 @@ def gain_approx(delta_phi, cfg: AntennaConfig):
     return _match_scalar(delta_phi, np.where(d <= cfg.phi_a, main, cfg.g_s))
 
 
-def beam_maxima_pmf(cfg: AntennaConfig) -> list[tuple[float, float]]:
-    """Directions of the beam maxima and their (uniform) selection probabilities."""
-    step = cfg.beam_spacing
-    p = 1.0 / cfg.n_beams
-    return [(0.5 * step + j * step, p) for j in range(cfg.n_beams)]
-
-
-def path_loss(r, ch: ChannelParams):
-    """Power-law path loss K * r**(-alpha_l)."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("path_loss requires strictly positive distance")
-    return _match_scalar(r, ch.path_gain_const * r_arr ** (-ch.alpha_l))
-
-
 def sample_fading(shape_m: int, rng: np.random.Generator, size=None):
     """Unit-mean gamma power fading with integer shape ``shape_m``."""
     if int(shape_m) != shape_m or shape_m < 1:
         raise ValueError("fading shape must be an integer >= 1")
     return rng.gamma(shape=float(shape_m), scale=1.0 / float(shape_m), size=size)
-
-
-def gain_pdf_mainlobe(x, cfg: AntennaConfig):
-    """Density of the serving-beam gain under a uniform misalignment in
-    [0, phi_3db/2]; support [g_3db, g_max], with an integrable divergence at
-    the upper endpoint."""
-    x_arr = np.asarray(x, dtype=float)
-    inside = (x_arr >= cfg.g_3db) & (x_arr <= cfg.g_max)
-    att_db = cfg.g_max_db - 10.0 * np.log10(np.where(inside, x_arr, 1.0))
-    with np.errstate(divide="ignore"):
-        dens = 10.0 / (12.0 * _LN10 * x_arr * np.sqrt(att_db / 12.0))
-    return _match_scalar(x, np.where(inside, dens, 0.0))

@@ -2,13 +2,20 @@
 
 This is the quadrature engine as it was before whole curves were evaluated
 in lockstep: one outer ``integrate_1d`` per threshold, one region exponent
-built per quadrature node, assembled one angular panel at a time on the full
-radial grid (log-panels of zero width included), and its derivatives taken
-by separate ``pow`` calls.  P2's inner integral is cut into the package's
-lattice pieces of the serving-distance variable.  The package must agree
-with it to 1e-12 (see ``test_analytic.TestCurveOracle``).  The P2 inner
-integral over ``d0`` as it stood before those pieces is kept too, as
-:func:`coverage_p2_d0`.
+built per quadrature node, assembled one angular panel at a time, and its
+sums taken per node.  Their radial part comes from the package's radial
+antiderivative (``analytic._radial_table``), one angular node at a time;
+that antiderivative is checked on its own against mpmath
+(``test_analytic.TestRadialAntiderivative``).  P2's inner integral is cut
+into the package's lattice pieces of the serving-distance variable.  The
+package must agree with it to 1e-12 (see ``test_analytic.TestCurveOracle``).
+The P2 inner integral over ``d0`` as it stood before those pieces is kept
+too, as :func:`coverage_p2_d0`.
+
+With ``fine=`` one of :data:`FINE_RULES`, the same per-node exponents are
+integrated instead by the radial rule the package used before its
+antiderivative: Gauss-Legendre log-panels in the radius.  Those are the fine
+reference of ``test_analytic.TestExponentRule``.
 """
 
 from __future__ import annotations
@@ -24,19 +31,17 @@ from mmwcov.analytic import (
     TWO_PI,
     _INNER_SPEC,
     _N_ANG,
-    _N_RAD,
     _OUTER_SPEC,
     _R_FLOOR_FRAC,
-    _RAD_FROM_EDGE,
-    _RAD_FROM_LOW,
     _Z_CELL,
     _Z_FLOOR,
     _curvature,
+    _radial_table,
     _z_anchor,
     phi_c_pdf,
     serving_power_law,
 )
-from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_many
+from mmwcov.numerics import QuadratureSpec, Workspace, integrate_1d, integrate_many
 from mmwcov.radio import NetworkParams, gain_3gpp, gain_approx
 
 
@@ -45,14 +50,29 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _radial_weights(r_lo: np.ndarray, r_hi: float, from_edge: bool, n: int = _N_RAD):
+# Two fine rules for the region exponents: angular orders other than each
+# other's and the package's, and radial log-panels other than each other's,
+# with 48 nodes each, so that their agreement covers the angular and the
+# radial error alike.  The log-panels start at each angular node's keep-out
+# radius (``from_low``), or, for P2, whose keep-out radius is nominal, are
+# graded down from the disk edge (``from_edge``); they are clipped to the
+# range from the keep-out radius to the disk edge.
+FINE_RULES = tuple(
+    {"n_ang": n_ang, "n_rad": 48, "from_low": np.array(low + [math.inf]),
+     "from_edge": np.array([-math.inf] + edge)}
+    for n_ang, low, edge in (
+        (24, [0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0], [-11.0, -8.0, -6.0, -4.5, -3.0, -1.5, 0.0]),
+        (40, [0.0, 0.8, 2.0, 4.0, 6.5, 10.0], [-10.0, -7.0, -5.0, -3.5, -2.2, -1.0, 0.0])))
+
+
+def _radial_weights(r_lo: np.ndarray, r_hi: float, edges: np.ndarray, from_edge: bool,
+                    n: int):
     """Nodes/weights of int f(r) r dr over [r_lo_i, r_hi] on log-radius
-    panels: ``_RAD_FROM_EDGE`` below log(r_hi) if ``from_edge``, else
-    ``_RAD_FROM_LOW`` above log(r_lo_i), clipped to [log r_lo_i, log r_hi]."""
+    panels: ``edges`` below log(r_hi) if ``from_edge``, else above
+    log(r_lo_i), clipped to [log r_lo_i, log r_hi]."""
     v_lo = np.log(r_lo)[:, None]
     v_hi = math.log(r_hi)
-    edges = np.clip((v_hi if from_edge else v_lo)
-                    + (_RAD_FROM_EDGE if from_edge else _RAD_FROM_LOW)[None, :], v_lo, v_hi)
+    edges = np.clip((v_hi if from_edge else v_lo) + edges[None, :], v_lo, v_hi)
     starts, ends = edges[:, :-1], edges[:, 1:]
     x, w = _leggauss(n)
     mid = 0.5 * (starts + ends)[..., None]
@@ -73,56 +93,77 @@ def _exclusion_angle(params: NetworkParams, s_th: float) -> float:
 
 
 class _RegionExponent:
-    """Laplace exponent F(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi on a
-    fixed panelized Gauss-Legendre grid, with analytic s-derivatives."""
+    """Laplace exponent F(s) = -lambda * Iint (1 - (1 + c s)^-m) r dr dphi of
+    one node, over its angular nodes (interference amplitude ``amp``, so
+    that c = amp r**-alpha, angular weight ``ang_w`` and keep-out radius
+    ``r_lo``), with analytic s-derivatives.  The radial integrals are the
+    package's antiderivative, or with ``fine`` (one of :data:`FINE_RULES`)
+    its log-panel rule."""
 
-    def __init__(self, density: float, m_x: int, c: np.ndarray, w: np.ndarray):
-        self.density = density
-        self.m_x = m_x
-        self.c = c
-        self.w = w
-        self._cpow = {0: np.ones_like(c), 1: c}
+    def __init__(self, params: NetworkParams, amp, ang_w, r_lo, fine=None,
+                 from_edge: bool = False):
+        ch = params.channel
+        self.density, self.m_x, self.alpha = params.density, ch.m_x, ch.alpha_l
+        self.amp, self.ang_w, self.r_lo, self.r_los = amp, ang_w, r_lo, params.r_los
+        self.fine = fine
+        if fine is not None and r_lo.size:
+            r, rad_w = _radial_weights(r_lo, params.r_los,
+                                       fine["from_edge" if from_edge else "from_low"],
+                                       from_edge, fine["n_rad"])
+            self.c = (amp[:, None] * r ** (-ch.alpha_l)).ravel()
+            self.w = (ang_w[:, None] * rad_w).ravel()
 
-    def _pow(self, k: int) -> np.ndarray:
-        if k not in self._cpow:
-            self._cpow[k] = self._cpow[k - 1] * self.c
-        return self._cpow[k]
+    @property
+    def c_max(self) -> float:
+        """The largest c of the region (0 if it is empty)."""
+        inside = self.r_lo < self.r_los
+        return float((self.amp[inside] * self.r_lo[inside] ** -self.alpha).max(initial=0.0))
 
-    def exponent(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        u = 1.0 + s_arr[..., None] * self.c
-        val = -self.density * ((1.0 - u ** (-self.m_x)) * self.w).sum(axis=-1)
-        return float(val) if val.ndim == 0 else val
+    def sums(self, s: np.ndarray, k_max: int) -> np.ndarray:
+        """The lambda-free sums S_0 = int (1 - v^m) and S_k = int (c v)^k
+        v^m, v = 1/(1 + s c), at each s > 0, k = 0 .. k_max."""
+        if self.fine is not None:
+            return self._fine_sums(s, k_max)
+        table = _radial_table(self.alpha, self.m_x, k_max)
+        inv = 2.0 / self.alpha
+        weight = self.ang_w * self.amp**inv / self.alpha
+        offset = np.log(self.amp * self.r_los ** -self.alpha)
+        width = self.alpha * np.log(self.r_los / self.r_lo)
+        out = np.empty((k_max + 1, s.size))
+        ws = Workspace()
+        for i, s_i in enumerate(s):
+            vals = table.integrals(math.log(s_i) + offset, width, ws)
+            out[:, i] = (vals * weight).sum(axis=1) * s_i ** (inv - np.arange(k_max + 1))
+        return out
 
-    def exponent_deriv(self, s, k: int):
-        if k < 1:
-            raise ValueError("derivative order must be >= 1")
-        s_arr = np.asarray(s, dtype=float)
-        u = 1.0 + s_arr[..., None] * self.c
-        rising = math.prod(range(self.m_x, self.m_x + k))
-        val = (self.density * (-1.0) ** k * rising
-               * (self._pow(k) * u ** (-(self.m_x + k)) * self.w).sum(axis=-1))
-        return float(val) if val.ndim == 0 else val
+    def _fine_sums(self, s: np.ndarray, k_max: int) -> np.ndarray:
+        out = np.zeros((k_max + 1, s.size))
+        if not self.r_lo.size:
+            return out
+        step = max(1, 2**21 // max(self.c.size, 1))
+        for lo in range(0, s.size, step):
+            part = slice(lo, lo + step)
+            v = 1.0 / (1.0 + s[part, None] * self.c)
+            v_m = v**self.m_x
+            out[0, part] = ((1.0 - v_m) * self.w).sum(axis=-1)
+            cv = v * self.c
+            for k in range(1, k_max + 1):
+                v_m *= cv
+                out[k, part] = (v_m * self.w).sum(axis=-1)
+        return out
 
     def derivatives(self, s, k_max: int) -> np.ndarray:
-        """[F(s), F'(s), ..., F^(k_max)(s)] on a leading axis, by the
-        arithmetic of the package's exponent kernel: with v = 1/(1 + s c),
-        F = -lambda sum w (1 - v^m) and
-        F^(k) = lambda (-1)^k m (m+1)..(m+k-1) sum w (c v)^k v^m."""
+        """[F(s), F'(s), ..., F^(k_max)(s)] on a leading axis: F = -lambda S_0
+        and F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k."""
         s_arr = np.asarray(s, dtype=float)
-        v = 1.0 / (1.0 + s_arr.reshape(-1)[:, None] * self.c)
-        v_m = v.copy()
-        for _ in range(self.m_x - 1):
-            v_m *= v
-        out = [-self.density * ((1.0 - v_m) * self.w).sum(axis=-1)]
-        cv = v * self.c
+        out = self.sums(s_arr.reshape(-1), k_max)
+        out[0] *= -self.density
         for k in range(1, k_max + 1):
-            v_m *= cv
-            rising = math.prod(range(self.m_x, self.m_x + k))
-            out.append(self.density * (-1.0) ** k * rising * (v_m * self.w).sum(axis=-1))
-        return np.stack(out).reshape((k_max + 1,) + s_arr.shape)
+            out[k] *= self.density * (-1.0) ** k * math.prod(range(self.m_x, self.m_x + k))
+        return out.reshape((k_max + 1,) + s_arr.shape)
 
-def _assemble_exponent(params: NetworkParams, panels,
+
+def _assemble_exponent(params: NetworkParams, panels, fine=None,
                        from_edge: bool = False) -> _RegionExponent:
     """Build a region exponent from angular panels.
 
@@ -130,10 +171,12 @@ def _assemble_exponent(params: NetworkParams, panels,
     panel whose gain and lower radius are constant, which is then
     integrated exactly as width * (single radial integral).  Any other panel
     is cut into the fewest equal pieces no wider than ``phi_3db/2``, with
-    ``_N_ANG`` Gauss-Legendre nodes each.  ``from_edge`` picks the radial
-    panels (see :func:`_radial_weights`).
+    ``_N_ANG`` Gauss-Legendre nodes each, or the ``n_ang`` of ``fine``.
+    ``fine`` and ``from_edge`` pick the radial rule (see
+    :class:`_RegionExponent`).
     """
     cfg, ch = params.antenna, params.channel
+    n_ang = _N_ANG if fine is None else fine["n_ang"]
     ang_parts, w_parts = [], []
     gain_parts, rlo_parts = [], []
     for a, b, flat, gain_fn, rlo_fn, mult in panels:
@@ -143,7 +186,7 @@ def _assemble_exponent(params: NetworkParams, panels,
             nodes = np.array([0.5 * (a + b)])
             wts = np.array([(b - a) * mult])
         else:
-            x, w = _leggauss(_N_ANG)
+            x, w = _leggauss(n_ang)
             count = max(math.ceil((b - a) / (0.5 * cfg.phi_3db)), 1)
             width = (b - a) / count
             nodes, wts = [], []
@@ -157,18 +200,14 @@ def _assemble_exponent(params: NetworkParams, panels,
         gain_parts.append(np.asarray(gain_fn(nodes), dtype=float))
         rlo_parts.append(np.asarray(rlo_fn(nodes), dtype=float))
     if not w_parts:     # an empty region: F = 0
-        return _RegionExponent(params.density, ch.m_x, np.empty(0), np.empty(0))
-    ang_w = np.concatenate(w_parts)
-    gains = np.concatenate(gain_parts)
-    r_lo = np.concatenate(rlo_parts)
-    r, rad_w = _radial_weights(r_lo, params.r_los, from_edge)
+        w_parts = gain_parts = rlo_parts = [np.empty(0)]
     amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
-    c = (amp * gains[:, None] * r ** (-ch.alpha_l)).ravel()
-    w_total = (ang_w[:, None] * rad_w).ravel()
-    return _RegionExponent(params.density, ch.m_x, c, w_total)
+    return _RegionExponent(params, amp * np.concatenate(gain_parts), np.concatenate(w_parts),
+                           np.concatenate(rlo_parts), fine, from_edge)
 
 
-def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionExponent:
+def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str,
+                 fine=None) -> _RegionExponent:
     cfg, ch = params.antenna, params.channel
     law = serving_power_law(params)
     if s_th < law.w_min:
@@ -186,7 +225,7 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
         panels = [(phi_star, floor, False, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0)]
         if floor < math.pi:
             panels.append((floor, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo_from_chosen, 2.0))
-        return _assemble_exponent(params, panels)
+        return _assemble_exponent(params, panels, fine)
 
     if exclusion != "all-beams":
         raise ValueError(f"unknown P1 exclusion {exclusion!r}; expected one of {P1_EXCLUSIONS}")
@@ -219,10 +258,11 @@ def _p1_exponent(params: NetworkParams, s_th: float, exclusion: str) -> _RegionE
         if fold(midpoint) < phi_star:          # inside a keep-out band
             continue
         panels.append((a, b, False, lambda d: gain_3gpp(d, cfg), rlo_exact, 2.0))
-    return _assemble_exponent(params, panels)
+    return _assemble_exponent(params, panels, fine)
 
 
-def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _RegionExponent:
+def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str,
+                 fine=None) -> _RegionExponent:
     cfg = params.antenna
     r_l = params.r_los
     floor = cfg.phi_a
@@ -247,7 +287,8 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
                 out.append((flat_lo, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo, 1.0))
             return out
 
-        return _assemble_exponent(params, side_panels(phi_c) + side_panels(0.0), from_edge=True)
+        return _assemble_exponent(params, side_panels(phi_c) + side_panels(0.0), fine,
+                                  from_edge=True)
 
     if exclusion != "grid":
         raise ValueError(f"unknown P2 exclusion {exclusion!r}; expected one of {P2_EXCLUSIONS}")
@@ -279,10 +320,10 @@ def _p2_exponent(params: NetworkParams, phi_c: float, exclusion: str) -> _Region
             continue
         fold_mid = min(0.5 * (a + b), TWO_PI - 0.5 * (a + b))
         panels.append((a, b, fold_mid >= floor, gain_fold, rlo, 1.0))
-    return _assemble_exponent(params, panels, from_edge=True)
+    return _assemble_exponent(params, panels, fine, from_edge=True)
 
 
-def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
+def _p3_exponent(params: NetworkParams, r1: float, fine=None) -> _RegionExponent:
     cfg = params.antenna
     r_l = params.r_los
     floor = cfg.phi_a
@@ -294,7 +335,7 @@ def _p3_exponent(params: NetworkParams, r1: float) -> _RegionExponent:
     panels = [(0.0, min(floor, math.pi), False, lambda d: gain_3gpp(d, cfg), rlo, 2.0)]
     if floor < math.pi:
         panels.append((floor, math.pi, True, lambda d: gain_3gpp(d, cfg), rlo, 2.0))
-    return _assemble_exponent(params, panels)
+    return _assemble_exponent(params, panels, fine)
 
 
 def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
@@ -303,10 +344,11 @@ def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
     ch = params.channel
     m_s, noise = ch.m_s, ch.noise_w
     s_arr = np.asarray(s, dtype=float)
-    levels = [np.exp(expo.exponent(s_arr) - noise * s_arr)]
+    derivs = expo.derivatives(s_arr, m_s - 1)
+    levels = [np.exp(derivs[0] - noise * s_arr)]
     if m_s == 1:
         return levels[0]
-    f_derivs = [expo.exponent_deriv(s_arr, k) for k in range(1, m_s)]
+    f_derivs = list(derivs[1:])
     f_derivs[0] = f_derivs[0] - noise
     for k in range(1, m_s):
         acc = np.zeros_like(levels[0])

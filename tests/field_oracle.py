@@ -31,10 +31,44 @@ import numpy as np
 from mmwcov.dominant import _LN10, _SPEC, mainlobe_pair_probability
 from mmwcov.geometry import TWO_PI, angular_offset
 from mmwcov.numerics import QuadratureSpec, integrate_1d
-from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, beam_maxima_pmf,
-                          gain_3gpp, gain_approx, sample_fading)
+from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_approx,
+                          sample_fading)
 
 _MAX_REJECTIONS = 10**6
+
+
+# ---------------------------------------------------------------------------
+# Radio laws that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def beam_maxima_pmf(cfg: AntennaConfig) -> list[tuple[float, float]]:
+    """Directions of the beam maxima and their (uniform) selection probabilities."""
+    step = cfg.beam_spacing
+    p = 1.0 / cfg.n_beams
+    return [(0.5 * step + j * step, p) for j in range(cfg.n_beams)]
+
+
+def path_loss(r, ch: ChannelParams):
+    """Power-law path loss K * r**(-alpha_l)."""
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr <= 0.0):
+        raise ValueError("path_loss requires strictly positive distance")
+    out = ch.path_gain_const * r_arr ** (-ch.alpha_l)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def gain_pdf_mainlobe(x, cfg: AntennaConfig):
+    """Density of the serving-beam gain under a uniform misalignment in
+    [0, phi_3db/2]; support [g_3db, g_max], with an integrable divergence at
+    the upper endpoint."""
+    x_arr = np.asarray(x, dtype=float)
+    inside = (x_arr >= cfg.g_3db) & (x_arr <= cfg.g_max)
+    att_db = cfg.g_max_db - 10.0 * np.log10(np.where(inside, x_arr, 1.0))
+    with np.errstate(divide="ignore"):
+        dens = 10.0 / (12.0 * _LN10 * x_arr * np.sqrt(att_db / 12.0))
+    out = np.where(inside, dens, 0.0)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------

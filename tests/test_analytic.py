@@ -1,7 +1,9 @@
 import math
 import warnings
 from dataclasses import replace
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,9 +31,9 @@ from mmwcov import analytic
 from mmwcov.numerics import (QuadratureError, QuadratureSpec, Workspace, exp_derivatives,
                              integrate_1d, integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
-                          gain_approx, gain_pdf_mainlobe)
+                          gain_approx)
 from conftest import ks_distance
-from field_oracle import integrate_2d
+from field_oracle import gain_pdf_mainlobe, integrate_2d
 import analytic_oracle as oracle
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
@@ -663,14 +665,21 @@ def _exponent_case(policy, exclusion, params):
 
 
 class TestExponentOracle:
-    """Batched region exponents against the per-node oracle on the full grid."""
+    """Batched region exponents against the per-node oracle, which takes
+    each angular node's radial integrals from the package's antiderivative
+    one at a time."""
 
     @pytest.mark.parametrize("sectors_exp", [0, 3, 8])
     @pytest.mark.parametrize("policy,exclusion", CURVES)
-    def test_round_of_nodes_matches_per_node_exponents(self, policy, exclusion, sectors_exp):
+    def test_round_of_nodes_matches_per_node_exponents(self, policy, exclusion, sectors_exp,
+                                                        monkeypatch):
         params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
         nodes, build, one = _exponent_case(policy, exclusion, params)
         grid = build(nodes)
+        if sectors_exp == 8 and exclusion in ("all-beams", "grid"):
+            # a pair larger than one block is summed in pieces
+            monkeypatch.setattr(analytic, "_ELEMENT_BUDGET", 256)
+            assert np.diff(grid.angular).max() > analytic._ELEMENT_BUDGET
         # one round: the nodes are asked for by 1, 2 or 3 thresholds each,
         # and the (node, s) pairs come in no particular order
         gen = np.random.default_rng(sectors_exp)
@@ -680,28 +689,35 @@ class TestExponentOracle:
         oracles = [one(float(x)) for x in nodes]
         expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
+        # zero-width elements are never evaluated
+        integrals = analytic._RadialTable.integrals
+
+        def positive_widths(table, a, width, ws):
+            assert width.size and width.min() > 0.0
+            return integrals(table, a, width, ws)
+
+        monkeypatch.setattr(analytic._RadialTable, "integrals", positive_widths)
         got = analytic._exponent_derivatives(grid, node, s, k_max, params.density,
                                                Workspace())
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
-        # collapsed radial log-panels are never built
-        c, w, bounds = grid.exponents(0, nodes.size, Workspace())
-        assert np.all(w > 0.0)
-        assert c.size == sum(int((o.w > 0.0).sum()) for o in oracles)
-        if sectors_exp == 8 and exclusion in ("all-beams", "grid"):
-            assert np.diff(bounds).max() > analytic._ELEMENT_BUDGET
+        # the grid keeps exactly the angular nodes inside the disk edge
+        assert np.all(grid.width > 0.0)
+        assert grid.width.size == sum(int((o.r_lo < o.r_los).sum()) for o in oracles)
 
     @pytest.mark.parametrize("sectors_exp", [0, 2, 5, 8])
     @pytest.mark.parametrize("policy,exclusion", SHARP_CURVES)
-    def test_pair_sums_do_not_depend_on_the_other_pairs(self, policy, exclusion, sectors_exp):
+    def test_pair_sums_do_not_depend_on_the_other_pairs(self, policy, exclusion, sectors_exp,
+                                                         monkeypatch):
         # a curve's threshold gives the same coverage alone as in a grid of
         # thresholds only if each pair's sums are bitwise the same in any call
         params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
         nodes, build, _ = _exponent_case(policy, exclusion, params)
         grid = build(nodes)
-        size = np.diff(grid.panels) * analytic._N_RAD
+        size = np.diff(grid.angular)
         if sectors_exp == 8 and policy != "P3":
+            monkeypatch.setattr(analytic, "_ELEMENT_BUDGET", 256)
             assert size.max() > analytic._ELEMENT_BUDGET
-        # enough pairs that the pairs of a small node take several row pieces
+        # enough pairs that the pairs of a small node take several blocks
         node = np.repeat(np.arange(nodes.size),
                          2 * analytic._ELEMENT_BUDGET // np.maximum(size, 1) + 3)
         gen = np.random.default_rng(sectors_exp)
@@ -715,15 +731,14 @@ class TestExponentOracle:
 
     @pytest.mark.parametrize("policy,exclusion", SHARP_CURVES)
     def test_exponent_stays_accurate_as_s_c_vanishes(self, policy, exclusion, params):
-        # the largest s c of a node from 1e-3 down to 1e-12: there the form
-        # sum w - sum w v^m cancels to a relative error of 5e-5 or more
+        # the largest s c of a node from 1e-3 down to 1e-12, where the form
+        # sum w - sum w v^m would cancel to a relative error of 5e-5 or more
         nodes, build, one = _exponent_case(policy, exclusion, params)
         grid = build(nodes)
         for j, x in enumerate(nodes):
             expo = one(float(x))
-            c = expo.c[expo.w > 0.0]
-            if c.size:
-                s = 10.0 ** -np.arange(3.0, 13.0) / c.max()
+            if expo.c_max > 0.0:
+                s = 10.0 ** -np.arange(3.0, 13.0) / expo.c_max
                 got = analytic._exponent_derivatives(grid, np.full(s.size, j), s, 0,
                                                      params.density, Workspace())
                 np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-12,
@@ -741,17 +756,95 @@ class TestExponentOracle:
         np.testing.assert_allclose(got[2], expo.derivatives(s, 2)[2], rtol=1e-13)
         assert exponent(1e4).shape == (1,)
 
+    def test_derivatives_at_zero_are_the_limit(self, params):
+        # at s = 0 the sums are their limit as s c -> 0: S_0 = 0 and
+        # S_k = int c^k r dr
+        exponent = laplace_p3(20.0, params)
+        got = exponent(np.array([0.0, 1e-9]), 2)
+        assert got[0, 0] == 0.0
+        np.testing.assert_allclose(got[1:, 0], got[1:, 1], rtol=1e-8)
 
-# Two fine rules for the region exponents, with angular orders other than
-# each other's and radial log-panels other than the production ones and
-# other than each other's, so that their agreement covers the angular and
-# the radial error alike.
-FINE_RULES = tuple(
-    {"_N_ANG": n_ang, "_N_RAD": 48, "_RAD_FROM_LOW": np.array(low + [math.inf]),
-     "_RAD_FROM_EDGE": np.array([-math.inf] + edge)}
-    for n_ang, low, edge in (
-        (24, [0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0], [-11.0, -8.0, -6.0, -4.5, -3.0, -1.5, 0.0]),
-        (40, [0.0, 0.8, 2.0, 4.0, 6.5, 10.0], [-10.0, -7.0, -5.0, -3.5, -2.2, -1.0, 0.0])))
+
+_MP_CUTS = [0.0] + [sign * 2.0**j for j in range(7) for sign in (-1.0, 1.0)]
+
+
+def _mp_radial(alpha, m_x, k, a, width):
+    """int_a^(a + width) g_k(u) du (see analytic._RadialTable) by mpmath at
+    20 digits.  The interval is cut at 0 and +-2**j, and within |u| < 8,
+    where log g_k bends, further into pieces across which log g_k changes
+    by at most 10.  On each piece the substitution x = (e**(sigma v) - 1) /
+    (e**(sigma w) - 1), with sigma the secant slope of log g_k across it,
+    leaves mpmath a flat integrand even where g_k falls by e**-1000.
+    Offsets from ``a`` are kept apart from ``a``, so that a width of 1e-12
+    keeps its digits."""
+    with mpmath.workdps(20):
+        inv = 2 / mpmath.mpf(alpha)
+        a, width = mpmath.mpf(a), mpmath.mpf(width)
+
+        def log_g(v):
+            soft = mpmath.log1p(mpmath.exp(a + v))
+            if k == 0:
+                return mpmath.log(-mpmath.expm1(-m_x * soft)) - inv * (a + v)
+            return (k - inv) * (a + v) - (k + m_x) * soft
+
+        cuts = sorted(c - a for c in map(mpmath.mpf, _MP_CUTS) if 0 < c - a < width)
+        pieces = []
+        for p, q in zip([mpmath.mpf(0)] + cuts, cuts + [width]):
+            flat_tail = min(abs(a + p), abs(a + q)) >= 8 and (a + p) * (a + q) > 0
+            n = 1 if flat_tail else max(1, int(mpmath.ceil(abs(log_g(q) - log_g(p)) / 10)))
+            pieces += [(p + (q - p) * j / n, p + (q - p) * (j + 1) / n) for j in range(n)]
+        total = mpmath.mpf(0)
+        for p, q in pieces:
+            base = log_g(p)
+            sigma = (log_g(q) - base) / (q - p)
+            if sigma == 0:
+                total += mpmath.exp(base) * (q - p) * mpmath.quad(
+                    lambda x: mpmath.exp(log_g(p + x * (q - p)) - base), [0, 1])
+                continue
+            span = mpmath.expm1(sigma * (q - p))
+
+            def flat(x):
+                v = p + mpmath.log1p(x * span) / sigma
+                return mpmath.exp(log_g(v) - base - sigma * (v - p))
+
+            total += mpmath.exp(base) * span / sigma * mpmath.quad(flat, [0, 1])
+        return total
+
+
+class TestRadialAntiderivative:
+    """The radial integrals of the region exponents against mpmath, over
+    k <= 3, m_x {1, 2, 8, 30}, and intervals from 1e-12 to 60 wide inside,
+    across and beyond the tabulated [-40, 40] (analytic._U_HALF), down to
+    the smallest alpha the package accepts."""
+
+    POSITIONS = (-100.0, -45.0, -40.5, -39.99, -20.0, -3.0, -0.5, 0.2, 0.7, 3.0, 15.0, 39.9,
+                 40.3)
+    WIDTHS = (1e-12, 1e-6, 0.01, 0.3, 1.0, 5.0, 20.0, 60.0)
+
+    ALPHAS = (analytic._ALPHA_MIN, 0.5, 1.5, 2.0, 2.2, 4.0, 6.0)
+    M_X = (1, 2, 8, 30)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_intervals_match_mpmath(self, alpha):
+        # the (position, width) grid is dealt out over the 28 (alpha, m_x)
+        # pairs, each position nudged off the table's panel edges
+        grid = list(product(self.POSITIONS, self.WIDTHS))
+        checked = 0
+        for i, m_x in enumerate(self.M_X):
+            cases = grid[self.ALPHAS.index(alpha) * len(self.M_X) + i::28]
+            a = np.array([pos + 0.0123 * (j % 7) for j, (pos, _) in enumerate(cases)])
+            width = np.array([w for _, w in cases])
+            got = analytic._RadialTable(alpha, m_x, 3).integrals(a, width, Workspace())
+            for j, k in product(range(a.size), range(4)):
+                ref = _mp_radial(alpha, m_x, k, a[j], width[j])
+                if mpmath.mpf("1e-290") < ref < mpmath.mpf("1e290"):   # a normal double
+                    checked += 1
+                    assert abs(got[k, j] / ref - 1) <= 1e-12, (m_x, k, a[j], width[j])
+        assert checked >= 40
+
+    def test_alpha_below_the_table_is_refused(self):
+        with pytest.raises(ValueError, match="at least 0.25 for the analytic region"):
+            analytic._RadialTable(0.2, 2, 1)
 
 
 def _corner(sectors_exp, density, alpha, m_x):
@@ -761,12 +854,25 @@ def _corner(sectors_exp, density, alpha, m_x):
                              channel=ChannelParams(alpha_l=alpha, m_x=m_x))
 
 
-def _rule_coverages(policy, exclusion, params):
+def _fine_exponents(policy, exclusion, params, nodes, s, k_max, rule):
+    """The exponent derivatives of every row of ``s`` at the node of that
+    row, by the fine rule ``rule`` of the per-node oracle."""
+    one = {"P1": lambda x: oracle._p1_exponent(params, x, exclusion, fine=rule),
+           "P2": lambda x: oracle._p2_exponent(params, x, exclusion, fine=rule),
+           "P3": lambda x: oracle._p3_exponent(params, x, fine=rule)}[policy]
+    return np.concatenate([one(float(x)).derivatives(row.ravel(), k_max)
+                           for x, row in zip(nodes, s)], axis=1)
+
+
+def _rule_coverages(policy, exclusion, params, rule=None, d0=None):
     """Conditional coverage given the policy's statistic, at nodes across its
-    support (rows) and thresholds from -30 to +30 dB (columns).  Given
-    phi_c, P2's serving distance d0 is uniform in the disk, so its coverage
-    is the average over d0, here by a fixed rule in (d0/r_los)**2 that
-    resolves small d0; that average is what the P2 inner integral takes."""
+    support (rows) and thresholds from -30 to +30 dB (columns), by the
+    package's rule, or by the fine rule ``rule`` of the per-node oracle.
+    Given phi_c, P2's serving distance d0 is uniform in the disk, so its
+    coverage is the average over d0, here by a fixed rule in
+    (d0/r_los)**2 that resolves small d0; that average is what the P2 inner
+    integral takes.  With ``d0`` (fractions of r_los), P2's coverage at
+    each of those serving distances instead (a third axis)."""
     cfg, ch = params.antenna, params.channel
     gamma = 10.0 ** np.arange(-3.0, 3.5, 1.0)
     amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max
@@ -777,41 +883,63 @@ def _rule_coverages(policy, exclusion, params):
                        / (params.density * math.pi))
         nodes = np.append(serving_power_law(params).w_min * (1.0 + 1e-7),
                           cfg.g_max * np.minimum(near, params.r_los) ** -ch.alpha_l)
-        grid = analytic._p1_grid(params, nodes, exclusion)
+        grid = analytic._p1_grid
         s = ch.m_s * gamma / (amp * nodes[:, None])
         weights = np.ones(1)
     elif policy == "P2":
         nodes = 0.5 * cfg.beam_spacing * np.array([0.0, 1e-4, 0.01, 0.1, 0.3, 0.7, 1.0])
-        grid = analytic._p2_grid(params, nodes, exclusion)
-        x, w = np.polynomial.legendre.leggauss(12)
-        cuts = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
-        lo, hi = cuts[:-1, None], cuts[1:, None]
-        u = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
-        weights = (0.5 * (hi - lo) * w).ravel()
+        grid = analytic._p2_grid
+        if d0 is None:
+            x, w = np.polynomial.legendre.leggauss(12)
+            cuts = np.array([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+            lo, hi = cuts[:-1, None], cuts[1:, None]
+            u = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel()
+            weights = (0.5 * (hi - lo) * w).ravel()
+        else:
+            u = np.asarray(d0, dtype=float) ** 2
+            weights = np.eye(u.size)
         s = (ch.m_s * gamma[:, None] * (params.r_los**2 * u) ** (0.5 * ch.alpha_l)
              / (amp * gain_approx(nodes, cfg)[:, None, None]))
     else:
         nodes = params.r_los * np.array([1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 0.999])
-        grid = analytic._p3_grid(params, nodes)
+        grid = lambda params, x, exclusion: analytic._p3_grid(params, x)
         s = ch.m_s * gamma * nodes[:, None] ** ch.alpha_l / (amp * cfg.g_max)
         weights = np.ones(1)
-    node = np.repeat(np.arange(nodes.size), s[0].size)
-    exponent = analytic._exponent_derivatives(grid, node, s.ravel(), ch.m_s - 1, params.density,
-                                              Workspace())
+    if rule is None:
+        node = np.repeat(np.arange(nodes.size), s[0].size)
+        exponent = analytic._exponent_derivatives(grid(params, nodes, exclusion), node,
+                                                  s.ravel(), ch.m_s - 1, params.density,
+                                                  Workspace())
+    else:
+        exponent = _fine_exponents(policy, exclusion, params, nodes, s, ch.m_s - 1, rule)
     coverage = analytic._conditional_coverage(exponent, s.ravel(), params)
     return coverage.reshape(nodes.size, gamma.size, -1) @ weights
 
 
 class TestExponentRule:
-    """The production region-exponent rule against two fine rules that agree
-    to 1e-11, at the defaults and at the worst corner of each region in a
-    sweep of sectors_exp {0, 1, 3, 8} x density {5e-5, 8e-4, 0.1} x alpha
-    {1.5, 2, 4, 6} x m_x {1, 8}, plus phi_3db 0.3 rad and sla_db 3 at
-    sectors_exp 3 and phi_3db 0.5 rad at sectors_exp 5."""
+    """The package's region exponents against two fine rules of the per-node
+    oracle (analytic_oracle.FINE_RULES: 24 and 40 angular nodes per piece,
+    48 radial nodes per log-panel) that agree to 1e-11, at the defaults and
+    at the worst corners of each region, for the package's rule and for the
+    rules before it, in a sweep of sectors_exp {0, 1, 3, 8} x density
+    {5e-5, 8e-4, 0.1} x alpha {1.5, 2, 4, 6} x m_x {1, 8}, plus phi_3db 0.3
+    rad and sla_db 3 at sectors_exp 3 and phi_3db 0.5 rad at sectors_exp
+    5."""
+
+    @staticmethod
+    def _check(policy, exclusion, params, d0=None):
+        got = _rule_coverages(policy, exclusion, params, d0=d0)
+        fine = [_rule_coverages(policy, exclusion, params, rule, d0)
+                for rule in oracle.FINE_RULES]
+        assert np.abs(fine[0] - fine[1]).max() <= 1e-11
+        assert np.abs(got - fine[0]).max() <= 1e-8
 
     # corners are (sectors_exp, density, alpha, m_x); None is the defaults.
     # P2 at alpha 4, m_x 8 is where the rule of 32/12 angular nodes per panel
-    # and 20 radial nodes per log-panel from the floor was off by 6e-5.
+    # and 20 radial nodes per log-panel from the floor was off by 6e-5; the
+    # log-panel rules were worst at the other corners of the first list, the
+    # radial table at those of the second (P1 all-beams 2.7e-9, P3 1.3e-9,
+    # P2 1.6e-10 averaged and 4.0e-10 at a fixed serving distance).
     @pytest.mark.parametrize("policy,exclusion,corner", [
         ("P1", "all-beams", (3, 5e-5, 1.5, 8)),
         ("P1", "single-beam", (8, 0.1, 6.0, 1)),
@@ -820,16 +948,19 @@ class TestExponentRule:
         ("P2", "grid", (0, 8e-4, 4.0, 8)),
         ("P2", "one-sided", (0, 8e-4, 4.0, 8)),
         ("P3", None, (0, 0.1, 6.0, 8)),
+    ] + [
+        ("P2", "grid", (3, 5e-5, 1.5, 8)),
+        ("P2", "one-sided", (3, 5e-5, 1.5, 8)),
+        ("P3", None, (3, 8e-4, 1.5, 8)),
     ] + [(policy, exclusion, None) for policy, exclusion in CURVES])
-    def test_rule_error_within_bound(self, policy, exclusion, corner, monkeypatch):
+    def test_rule_error_within_bound(self, policy, exclusion, corner):
+        self._check(policy, exclusion, NetworkParams() if corner is None else _corner(*corner))
+
+    # P2 at a fixed serving distance, not averaged over it: at d0 = 0.02
+    # r_los the log-panel radial rule graded from the disk edge was off by
+    # 1.6e-3 at the first corner.
+    @pytest.mark.parametrize("exclusion", analytic.P2_EXCLUSIONS)
+    @pytest.mark.parametrize("corner", [(8, 0.1, 6.0, 8), (3, 5e-5, 1.5, 8), None])
+    def test_p2_error_within_bound_at_fixed_serving_distance(self, exclusion, corner):
         params = NetworkParams() if corner is None else _corner(*corner)
-        got = _rule_coverages(policy, exclusion, params)
-        fine = []
-        for rule in FINE_RULES:
-            with monkeypatch.context() as m:
-                for name, value in rule.items():
-                    m.setattr(analytic, name, value)
-                fine.append(_rule_coverages(policy, exclusion, params))
-        assert np.abs(fine[0] - fine[1]).max() <= 1e-11
-        bound = 1e-5 if policy == "P2" else 1e-8
-        assert np.abs(got - fine[0]).max() <= bound
+        self._check("P2", exclusion, params, d0=(0.02, 0.2))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import field_oracle
-from field_oracle import (PointField, associate_p1, associate_p2, associate_p3, compute_sinr,
-                          integrate_2d, sample_ppp)
+from field_oracle import (PointField, associate_p1, associate_p2, associate_p3, beam_maxima_pmf,
+                          compute_sinr, integrate_2d, sample_ppp)
 from mmwcov.geometry import angular_offset
 from mmwcov.montecarlo import SimPlan, _Workspace, _policy_chunk, _chunk_rng
 from mmwcov.numerics import integrate_1d
-from mmwcov.radio import AntennaConfig, ChannelParams, beam_maxima_pmf, gain_3gpp, gain_approx
+from mmwcov.radio import AntennaConfig, ChannelParams, gain_3gpp, gain_approx
 
 
 def _field(r, phi, params):

@@ -15,15 +15,12 @@ from mmwcov.radio import (
     AntennaConfig,
     ChannelParams,
     NetworkParams,
-    beam_maxima_pmf,
     gain_3gpp,
     gain_approx,
-    gain_pdf_mainlobe,
-    path_loss,
     sample_fading,
 )
 from conftest import ks_distance
-from field_oracle import formula_gain_3gpp
+from field_oracle import beam_maxima_pmf, formula_gain_3gpp, gain_pdf_mainlobe, path_loss
 
 
 @pytest.fixture(scope="module")
