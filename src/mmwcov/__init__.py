@@ -2,8 +2,8 @@
 beam-aware serving policies over Poisson-deployed transmitters."""
 
 from .radio import AntennaConfig, ChannelParams, NetworkParams
-from .montecarlo import (CoverageCurve, SimPlan, run_coverage, run_coverages, run_histogram,
-                         run_power_ccdf, run_power_ccdfs)
+from .montecarlo import (CoverageCurve, SimPlan, run_coverage, run_coverages, run_power_ccdf,
+                         run_power_ccdfs)
 from .analytic import coverage_p1, coverage_p2, coverage_p3, serving_power_law
 from .dominant import coverage_dom_p2, coverage_dom_p3
 
@@ -19,7 +19,6 @@ __all__ = [
     "run_coverages",
     "run_power_ccdf",
     "run_power_ccdfs",
-    "run_histogram",
     "coverage_p1",
     "coverage_p2",
     "coverage_p3",

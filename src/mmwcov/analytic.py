@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (QuadratureError, QuadratureSpec, Workspace, exp_derivatives,
-                       gauss_legendre, integrate_many)
+from .numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, Workspace,
+                       exp_derivatives, gauss_legendre, integrate_many)
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
 # No scipy.special here: erf comes from the standard library, element by
@@ -213,21 +213,6 @@ class ServingPowerLaw:
 
     def ccdf(self, s0):
         return 1.0 - self.cdf(s0)
-
-    def quantile(self, p: float) -> float:
-        """Numeric inverse of the cdf by bisection (monotone)."""
-        lo, hi = self.w_min, self.w_min * 2.0
-        while self.cdf(hi) < p:
-            hi *= 2.0
-            if hi > self.w_min * 1e12:
-                raise RuntimeError("quantile bracket failed")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=16)
@@ -821,6 +806,15 @@ def _by_curve(curve_of, x, laws):
     return out
 
 
+def _located(err, where: str, index: int):
+    """``err``, a :class:`QuadratureError` or a
+    :class:`NonFiniteIntegrandError`, as a new error of its type with
+    ``where`` before its message and ``index`` as its index."""
+    if isinstance(err, QuadratureError):
+        return QuadratureError(f"{where}: {err.message}", err.estimate, err.error_bound, index)
+    return NonFiniteIntegrandError(f"{where}: {err.message}", index)
+
+
 def _curve(label: str, details: list, curve, integrand, a: float, b: float,
            spec: QuadratureSpec | None = None):
     """Coverage integrals of every curve (one entry of ``details`` each) at
@@ -828,29 +822,30 @@ def _curve(label: str, details: list, curve, integrand, a: float, b: float,
     (by default ``_OUTER_SPEC``), in lockstep, clipped to [0, 1], and put
     into the ``curve`` they came from.  ``integrand(x, which)`` takes
     integral ``which = c * n + t`` to be that of curve c at kept threshold
-    t, with n kept thresholds.  A quadrature failure names the curve point
-    it came from: the ``label`` curve at the failing threshold, and the
-    curve's parameters ``details[c]``; its index is the position of that
-    point in the result."""
+    t, with n kept thresholds.  A quadrature failure or a non-finite
+    integrand names the curve point it came from: the ``label`` curve at the
+    failing threshold, and the curve's parameters ``details[c]``; its index
+    is the position of that point in the result."""
     flat, shape, live = curve
     n_curves = len(details)
     out = np.tile(np.where(flat <= 0.0, 1.0, 0.0), (n_curves, 1))
     try:
         vals = integrate_many(integrand, a, b, n_curves * live.size, spec or _OUTER_SPEC)
-    except QuadratureError as err:
+    except (QuadratureError, NonFiniteIntegrandError) as err:
         c, t = divmod(err.index, live.size)
         index = int(live[t])                # the position among all thresholds
         g_db = 10.0 * math.log10(flat[index])
-        raise QuadratureError(f"{label} coverage at threshold {g_db:.2f} dB ({details[c]}): "
-                              f"{err.message}", err.estimate, err.error_bound,
-                              c * flat.size + index) from err
+        raise _located(err, f"{label} coverage at threshold {g_db:.2f} dB ({details[c]})",
+                       c * flat.size + index) from err
     out[:, live] = np.clip(vals.reshape(n_curves, live.size), 0.0, 1.0)
     return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
 def _detail(params: NetworkParams, exclusion: str | None) -> str:
+    ch = params.channel
     return (f"exclusion {exclusion}, density {params.density:g}, "
-            f"sectors_exp {params.antenna.sectors_exp}")
+            f"sectors_exp {params.antenna.sectors_exp}, m_s {ch.m_s}, m_x {ch.m_x}, "
+            f"alpha {ch.alpha_l:g}")
 
 
 def coverage_p1(gamma, params, exclusion: str = "all-beams"):
@@ -974,13 +969,12 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
 
         try:
             vals = integrate_many(inner, p_lo, p_hi, p_lo.size, _INNER_SPEC) * width
-        except QuadratureError as err:
+        except (QuadratureError, NonFiniteIntegrandError) as err:
             # named by the lowest threshold that uses the failing piece
             users = owner[piece == err.index]
             user = users[np.argmin(u_top[users])]
-            raise QuadratureError(f"inner integral at phi_c={phi_cs[user]:.6g}: "
-                                  f"{err.message}", err.estimate, err.error_bound,
-                                  int(which[user])) from err
+            raise _located(err, f"inner integral at phi_c={phi_cs[user]:.6g}",
+                           int(which[user])) from err
         # each threshold sums its own pieces in lattice order
         total = np.zeros(phi_cs.size)
         starts = np.cumsum(count) - count

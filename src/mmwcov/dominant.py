@@ -41,11 +41,7 @@ __all__ = [
     "pathloss_fade_ratio_pdf_p2",
     "pathloss_fade_ratio_ccdf_p2",
     "coverage_dom_p2",
-    "uniform_mainlobe_gain_pdf",
-    "uniform_mainlobe_gain_cdf",
     "gain_fade_ratio_pdf_p3",
-    "gain_fade_ratio_ccdf_p3",
-    "distance_ratio_pdf_p3",
     "distance_ratio_ccdf_p3",
     "lemma_bracket_constant",
     "coverage_dom_p3",
@@ -350,28 +346,6 @@ def coverage_dom_p2(gamma, params: NetworkParams):
 # ---------------------------------------------------------------------------
 
 
-def uniform_mainlobe_gain_pdf(g2, params: NetworkParams):
-    """Density of the mainlobe gain at a uniform offset in [0, phi_a];
-    support [g_s, g_max] with an integrable divergence at g_max."""
-    cfg = params.antenna
-    g_arr = np.asarray(g2, dtype=float)
-    inside = (g_arr >= cfg.g_s) & (g_arr <= cfg.g_max)
-    const = cfg.phi_3db * math.sqrt(30.0) / (12.0 * _LN10 * cfg.phi_a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = const / (g_arr * np.sqrt(np.log10(cfg.g_max / np.where(inside, g_arr, 1.0))))
-    out = np.where(inside, dens, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def uniform_mainlobe_gain_cdf(g2, params: NetworkParams):
-    cfg = params.antenna
-    kappa = _curvature(cfg)
-    g_arr = np.clip(np.asarray(g2, dtype=float), cfg.g_s, cfg.g_max)
-    offset = np.sqrt(np.log10(cfg.g_max / g_arr) / kappa)
-    out = 1.0 - offset / cfg.phi_a
-    return float(out) if out.ndim == 0 else out
-
-
 def _p3_gain_offsets(params: NetworkParams):
     """Gauss-Legendre nodes over the uniform mainlobe offset."""
     cfg = params.antenna
@@ -393,16 +367,6 @@ def gain_fade_ratio_pdf_p3(g, params: NetworkParams):
     return float(out[0]) if np.ndim(g) == 0 else out
 
 
-def gain_fade_ratio_ccdf_p3(g, params: NetworkParams):
-    cfg, ch = params.antenna, params.channel
-    g2, wts = _p3_gain_offsets(params)
-    scale = g2 / cfg.g_max
-    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = (wts[None, :]
-           * _fade_ratio_ccdf(g_arr[:, None] * scale[None, :], ch.m_s, ch.m_x)).sum(axis=1)
-    return float(out[0]) if np.ndim(g) == 0 else out
-
-
 def lemma_bracket_constant(params: NetworkParams) -> float:
     """The rejected erf/exponential normalizing bracket for the distance-ratio
     law, kept for the discrepancy report (mass-1 requires the value 2)."""
@@ -410,16 +374,6 @@ def lemma_bracket_constant(params: NetworkParams) -> float:
     return (3.0 * math.erf(math.sqrt(math.pi * lam)) / (2.0 * lam)
             - 2.0 * (1.0 + r_l**2 * lam * math.pi) * math.exp(-r_l**2 * lam * math.pi)
             - math.exp(-lam * math.pi))
-
-
-def distance_ratio_pdf_p3(w, params: NetworkParams):
-    """Density of (r1/r2)^-alpha for the two nearest transmitters; support
-    [1, inf), mass 1 with the constant 2/alpha (the rejected constant is
-    :func:`lemma_bracket_constant` / alpha)."""
-    alpha = params.channel.alpha_l
-    w_arr = np.asarray(w, dtype=float)
-    out = np.where(w_arr >= 1.0, (2.0 / alpha) * w_arr ** (-(2.0 + alpha) / alpha), 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def distance_ratio_ccdf_p3(w, params: NetworkParams):

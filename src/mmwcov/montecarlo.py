@@ -31,16 +31,12 @@ __all__ = [
     "SimPlan",
     "CoverageCurve",
     "PowerCcdf",
-    "Histogram",
-    "ConditioningError",
     "STATISTICS",
     "run_coverage",
     "run_coverages",
     "run_power_ccdf",
     "run_power_ccdfs",
-    "run_histogram",
     "sample_statistic",
-    "sample_conditioned_interference",
     "check_chunk_points",
     "default_power_levels",
 ]
@@ -59,10 +55,6 @@ STATISTICS = ("phi_c", "S", "G_ratio_p2", "W_ratio_p2", "G_p3", "W_p3", "varphi1
                "SIR_dom_p2", "SIR_dom_p3")
 
 _POLICIES = ("P1", "P2", "P3")
-
-
-class ConditioningError(RuntimeError):
-    """Raised when a conditioned statistic accepts too few samples to be useful."""
 
 
 def check_chunk_points(density: float, r_los: float) -> None:
@@ -120,18 +112,6 @@ class PowerCcdf:
     n: int
     engine: str
     policy: str
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Normalized histogram of a (possibly conditioned) per-trial statistic."""
-
-    edges: tuple
-    density: np.ndarray
-    n_samples: int
-    n_trials: int
-    acceptance: float
-    conditioning: str
 
 
 def _chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
@@ -571,19 +551,6 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
     raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
 
 
-_CONDITIONING = {
-    "phi_c": "none",
-    "S": "none",
-    "W_ratio_p2": "none (model draws)",
-    "varphi12": "at least two points in the disk",
-    "G_ratio_p2": "two smallest angular offsets both inside the mainlobe",
-    "SIR_dom_p2": "two smallest angular offsets both inside the mainlobe",
-    "G_p3": "at least two points; interferer offset inside the mainlobe",
-    "W_p3": "at least two points in the disk",
-    "SIR_dom_p3": "at least two points; interferer offset inside the mainlobe",
-}
-
-
 def sample_statistic(plan: SimPlan, statistic: str, n_workers: int = 1):
     """Gather raw samples of ``statistic`` across all trials (chunk order)."""
 
@@ -593,55 +560,3 @@ def sample_statistic(plan: SimPlan, statistic: str, n_workers: int = 1):
     parts = _map_chunks(work, plan.n_trials, n_workers)
     samples = np.concatenate([p[0] for p in parts])
     return samples, samples.shape[0] / plan.n_trials
-
-
-def _run_context(plan: SimPlan) -> str:
-    return (f"density {plan.params.density:g}, sectors_exp {plan.params.antenna.sectors_exp}, "
-            f"{plan.n_trials} trials")
-
-
-def run_histogram(plan: SimPlan, statistic: str, bins=100, value_range=None,
-                  n_workers: int = 1) -> Histogram:
-    """Normalized histogram of a statistic, with conditioning bookkeeping."""
-    samples, acceptance = sample_statistic(plan, statistic, n_workers=n_workers)
-    if acceptance < 1e-4:
-        raise ConditioningError(
-            f"acceptance {acceptance:.2e} for {statistic!r} at {_run_context(plan)} is "
-            "below 1e-4; increase density, the disk radius, or the trial count")
-    if samples.ndim == 2:
-        density, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
-                                         range=value_range, density=True)
-        edges = (ex, ey)
-    else:
-        density, ex = np.histogram(samples, bins=bins, range=value_range, density=True)
-        edges = (ex,)
-    return Histogram(edges=edges, density=density, n_samples=samples.shape[0],
-                     n_trials=plan.n_trials, acceptance=acceptance,
-                     conditioning=_CONDITIONING[statistic])
-
-
-def sample_conditioned_interference(plan: SimPlan, center: float, rel_window: float,
-                                    n_workers: int = 1):
-    """Interference power samples (watts) conditioned on the policy's serving
-    state lying within ``center * (1 +- rel_window)``.
-
-    The conditioning variable is the normalized max power for P1, the serving
-    angular distance for P2, and the serving distance for P3.
-    """
-    key = {"P1": "s_norm", "P2": "phi_c", "P3": "serving_r"}[plan.policy]
-
-    def work(ci, size, ws):
-        out = _policy_chunk(plan.params, plan.policy, size, _chunk_rng(plan.master_seed, ci), ws)
-        cond = out[key]
-        keep = np.abs(cond - center) <= rel_window * center
-        return out["interference_w"][keep], size
-
-    parts = _map_chunks(work, plan.n_trials, n_workers)
-    samples = np.concatenate([p[0] for p in parts])
-    acceptance = samples.size / plan.n_trials
-    if samples.size < 100:
-        raise ConditioningError(
-            f"only {samples.size} samples (fewer than 100) fell in the {plan.policy} "
-            f"conditioning window of centre {center:g} and relative width {rel_window:g} "
-            f"at {_run_context(plan)}, acceptance {acceptance:.2e}")
-    return samples, acceptance

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
+    "NonFiniteIntegrandError",
     "integrate_1d",
     "integrate_many",
     "exp_derivatives",
@@ -90,6 +91,19 @@ class QuadratureError(RuntimeError):
         self.message = message
         self.estimate = estimate
         self.error_bound = error_bound
+        self.index = index
+
+
+class NonFiniteIntegrandError(ValueError):
+    """An integrand returned a non-finite value.
+
+    ``index`` is the position of its integral in an :func:`integrate_many`
+    batch, as for :class:`QuadratureError`.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.message = message
         self.index = index
 
 
@@ -185,8 +199,10 @@ def _adaptive(f, lo: np.ndarray, hi: np.ndarray, n: int, spec: QuadratureSpec,
         y = np.asarray(f(x, new_owner.repeat(_XK.size)), dtype=float)
         y = y.reshape(mid.size, _XK.size)
         if not np.isfinite(y).all():
-            bad = x[~np.isfinite(y).ravel()][0]
-            raise ValueError(f"integrand returned a non-finite value near x={bad!r}")
+            bad = np.flatnonzero(~np.isfinite(y))[0]
+            raise NonFiniteIntegrandError(
+                f"integrand returned a non-finite value near x={float(x[bad])!r}",
+                int(new_owner[bad // _XK.size]))
         val, gauss, resabs = (np.array([y, y, np.abs(y)]) * _WEIGHTS).sum(axis=2) * half
         new = np.array([lo, hi, val, np.abs(val - gauss), resabs])
         owner = np.concatenate([owner, new_owner])
@@ -272,7 +288,8 @@ def integrate_many(f: Callable, a, b, n: int,
     is mapped to [0, 1) with ``x = a + t/(1 - t)``, so adaptivity is
     preserved near ``a``.  Integrable endpoint singularities are allowed
     (the Kronrod nodes are interior).  An integral with ``a == b`` is 0,
-    and its integrand is never called.
+    and its integrand is never called.  A non-finite integrand value raises
+    :class:`NonFiniteIntegrandError`, whose ``index`` names its integral.
 
     All panels of all integrals sit in one flat table, and each round is one
     call of ``f`` over the panels waiting for values, integral by integral,
@@ -304,7 +321,7 @@ def integrate_many(f: Callable, a, b, n: int,
             return f(x, run[k])
     try:
         out[run] = _adaptive(integrand, lo, hi, run.size, spec, inf if mapped else None)
-    except QuadratureError as err:
+    except (QuadratureError, NonFiniteIntegrandError) as err:
         err.index = int(run[err.index])
         raise
     return out

@@ -16,6 +16,9 @@ With ``fine=`` one of :data:`FINE_RULES`, the same per-node exponents are
 integrated instead by the radial rule the package used before its
 antiderivative: Gauss-Legendre log-panels in the radius.  Those are the fine
 reference of ``test_analytic.TestExponentRule``.
+
+:func:`serving_power_quantile` inverts the serving-power cdf, for tests that
+place their nodes and thresholds at quantiles of that law.
 """
 
 from __future__ import annotations
@@ -500,3 +503,20 @@ def coverage_p3(gamma: float, params: NetworkParams) -> float:
         return f_r1 * cond
 
     return float(np.clip(integrate_1d(integrand, 0.0, r_l, _OUTER_SPEC), 0.0, 1.0))
+
+
+def serving_power_quantile(law, p: float) -> float:
+    """Numeric inverse of ``law.cdf`` (a ``ServingPowerLaw``) by bisection
+    (the cdf is monotone)."""
+    lo, hi = law.w_min, law.w_min * 2.0
+    while law.cdf(hi) < p:
+        hi *= 2.0
+        if hi > law.w_min * 1e12:
+            raise RuntimeError("quantile bracket failed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if law.cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
-"""Per-field association rules, a scalar Poisson-field sampler and an iterated
-2-D integral, kept as test oracles.
+"""Per-field association rules, a scalar Poisson-field sampler, an iterated
+2-D integral and the laws and samplers that only the tests use, kept as test
+oracles.
 
 The Monte Carlo engine evaluates every field of a chunk at once in flat
 arrays; the functions here do the same work one field at a time, written as
@@ -8,6 +9,14 @@ chunk kernel against them, and several quadrature tests integrate laws with
 :func:`integrate_2d`.  :func:`full_scan_chunk` evaluates a whole drawn chunk
 as the engine did before it pruned the P1 search: every point of every field
 is scanned.
+
+No scenario, demo or README example runs the rest, so it lives here: radio
+laws (the beam grid, the path loss, the serving-gain density), the angular
+and Euclidean order-statistic cdfs and joint laws of a field, the uniform
+mainlobe gain law and the P3 gain-fade ccdf and distance-ratio density of
+the dominant engine, and :func:`run_histogram` and
+:func:`sample_conditioned_interference` over the Monte Carlo engine's own
+chunk stream.
 
 Three association policies:
 
@@ -27,9 +36,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
-from mmwcov.dominant import _LN10, _SPEC, mainlobe_pair_probability
-from mmwcov.geometry import TWO_PI, angular_offset
+from mmwcov.analytic import _curvature
+from mmwcov.dominant import (_LN10, _SPEC, _fade_ratio_ccdf, _p3_gain_offsets,
+                             mainlobe_pair_probability)
+from mmwcov.geometry import TWO_PI, _check_order, angular_offset
+from mmwcov.montecarlo import SimPlan, _chunk_rng, _map_chunks, _policy_chunk, sample_statistic
 from mmwcov.numerics import QuadratureSpec, integrate_1d
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_approx,
                           sample_fading)
@@ -69,6 +82,83 @@ def gain_pdf_mainlobe(x, cfg: AntennaConfig):
         dens = 10.0 / (12.0 * _LN10 * x_arr * np.sqrt(att_db / 12.0))
     out = np.where(inside, dens, 0.0)
     return float(out) if np.ndim(x) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Order-statistic laws of a Poisson field that only the tests use
+# ---------------------------------------------------------------------------
+#
+# As in ``mmwcov.geometry``, the angular laws are for points within distance
+# ``r`` of the origin and are not renormalized over their finite support.
+
+
+def angular_pdf_nth(n: int, phi, r: float, density: float):
+    """Density of the one-directional angle to the n-th nearest point within
+    distance ``r``; support [0, 2*pi]."""
+    n = _check_order(n)
+    phi_arr = np.asarray(phi, dtype=float)
+    if np.any(phi_arr < 0.0):
+        raise ValueError("phi must be nonnegative")
+    a = 0.5 * density * r**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = (a * phi_arr) ** n / (math.gamma(n) * phi_arr) * np.exp(-a * phi_arr)
+    # Continuous limits at the origin: a for n == 1, zero for n >= 2.
+    dens = np.where(phi_arr == 0.0, a if n == 1 else 0.0, dens)
+    out = np.where(phi_arr <= TWO_PI, dens, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def angular_cdf_nth(n: int, phi, r: float, density: float):
+    """CDF companion of :func:`angular_pdf_nth` (mass-deficient at 2*pi)."""
+    n = _check_order(n)
+    phi_arr = np.clip(np.asarray(phi, dtype=float), 0.0, TWO_PI)
+    out = special.gammainc(n, 0.5 * density * phi_arr * r**2)
+    return float(out) if out.ndim == 0 else out
+
+
+def angular_ccdf_nth(n: int, phi, r: float, density: float):
+    """Complementary CDF: regularized upper incomplete gamma of the sector mass."""
+    n = _check_order(n)
+    phi_arr = np.asarray(phi, dtype=float)
+    out = special.gammaincc(n, 0.5 * density * phi_arr * r**2)
+    return float(out) if out.ndim == 0 else out
+
+
+def abs_angular_cdf_nth(n: int, abs_phi, r: float, density: float):
+    """CDF companion of ``geometry.abs_angular_pdf_nth`` (mass-deficient at pi)."""
+    n = _check_order(n)
+    phi_arr = np.clip(np.asarray(abs_phi, dtype=float), 0.0, math.pi)
+    out = special.gammainc(n, density * phi_arr * r**2)
+    return float(out) if out.ndim == 0 else out
+
+
+def joint_abs_angular_cdf(abs_phi1, abs_phi2, r: float, density: float):
+    """Joint CDF P(phi_(1) <= a, phi_(2) <= b) for a <= b within [0, pi]."""
+    a_arr = np.minimum(np.asarray(abs_phi1, dtype=float), np.asarray(abs_phi2, dtype=float))
+    b_arr = np.asarray(abs_phi2, dtype=float)
+    c = density * r**2
+    out = 1.0 - np.exp(-c * a_arr) - c * a_arr * np.exp(-c * b_arr)
+    return float(out) if out.ndim == 0 else out
+
+
+def joint_distance_pdf(r1, r2, density: float, ball_radius: float):
+    """Joint density of the two smallest Euclidean distances;
+    support 0 <= r1 <= r2 <= ball_radius."""
+    r1_arr = np.asarray(r1, dtype=float)
+    r2_arr = np.asarray(r2, dtype=float)
+    dens = 4.0 * (math.pi * density) ** 2 * r1_arr * r2_arr * np.exp(-density * math.pi * r2_arr**2)
+    ok = (r1_arr >= 0.0) & (r1_arr <= r2_arr) & (r2_arr <= ball_radius)
+    out = np.where(ok, dens, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def joint_distance_cdf(r1, r2, density: float):
+    """Joint CDF P(d_(1) <= a, d_(2) <= b) for a <= b."""
+    a = np.minimum(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
+    b = np.asarray(r2, dtype=float)
+    c = density * math.pi
+    out = 1.0 - np.exp(-c * a**2) - c * a**2 * np.exp(-c * b**2)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +410,145 @@ def corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
         return g2 * _joint_gain_density_p2(g * g2, g2, params)
 
     return integrate_1d(integrand, cfg.g_s, cfg.g_max / g * (1.0 - 1e-12), _SPEC) / p_cond
+
+
+# ---------------------------------------------------------------------------
+# Nearest-transmitter (P3) dominant-interferer laws that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def uniform_mainlobe_gain_pdf(g2, params: NetworkParams):
+    """Density of the mainlobe gain at a uniform offset in [0, phi_a];
+    support [g_s, g_max] with an integrable divergence at g_max."""
+    cfg = params.antenna
+    g_arr = np.asarray(g2, dtype=float)
+    inside = (g_arr >= cfg.g_s) & (g_arr <= cfg.g_max)
+    const = cfg.phi_3db * math.sqrt(30.0) / (12.0 * _LN10 * cfg.phi_a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = const / (g_arr * np.sqrt(np.log10(cfg.g_max / np.where(inside, g_arr, 1.0))))
+    out = np.where(inside, dens, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def uniform_mainlobe_gain_cdf(g2, params: NetworkParams):
+    """CDF companion of :func:`uniform_mainlobe_gain_pdf`."""
+    cfg = params.antenna
+    kappa = _curvature(cfg)
+    g_arr = np.clip(np.asarray(g2, dtype=float), cfg.g_s, cfg.g_max)
+    offset = np.sqrt(np.log10(cfg.g_max / g_arr) / kappa)
+    out = 1.0 - offset / cfg.phi_a
+    return float(out) if out.ndim == 0 else out
+
+
+def gain_fade_ratio_ccdf_p3(g, params: NetworkParams):
+    """ccdf companion of ``dominant.gain_fade_ratio_pdf_p3``, on its nodes
+    over the uniform mainlobe offset."""
+    cfg, ch = params.antenna, params.channel
+    g2, wts = _p3_gain_offsets(params)
+    scale = g2 / cfg.g_max
+    g_arr = np.atleast_1d(np.asarray(g, dtype=float))
+    out = (wts[None, :]
+           * _fade_ratio_ccdf(g_arr[:, None] * scale[None, :], ch.m_s, ch.m_x)).sum(axis=1)
+    return float(out[0]) if np.ndim(g) == 0 else out
+
+
+def distance_ratio_pdf_p3(w, params: NetworkParams):
+    """Density of (r1/r2)^-alpha for the two nearest transmitters; support
+    [1, inf), mass 1 with the constant 2/alpha (the rejected constant is
+    ``dominant.lemma_bracket_constant`` / alpha)."""
+    alpha = params.channel.alpha_l
+    w_arr = np.asarray(w, dtype=float)
+    out = np.where(w_arr >= 1.0, (2.0 / alpha) * w_arr ** (-(2.0 + alpha) / alpha), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo histograms and conditioned samples
+# ---------------------------------------------------------------------------
+
+
+class ConditioningError(RuntimeError):
+    """Raised when a conditioned statistic accepts too few samples to be useful."""
+
+
+@dataclass(frozen=True)
+class Histogram:
+    """Normalized histogram of a (possibly conditioned) per-trial statistic."""
+
+    edges: tuple
+    density: np.ndarray
+    n_samples: int
+    n_trials: int
+    acceptance: float
+    conditioning: str
+
+
+CONDITIONING = {
+    "phi_c": "none",
+    "S": "none",
+    "W_ratio_p2": "none (model draws)",
+    "varphi12": "at least two points in the disk",
+    "G_ratio_p2": "two smallest angular offsets both inside the mainlobe",
+    "SIR_dom_p2": "two smallest angular offsets both inside the mainlobe",
+    "G_p3": "at least two points; interferer offset inside the mainlobe",
+    "W_p3": "at least two points in the disk",
+    "SIR_dom_p3": "at least two points; interferer offset inside the mainlobe",
+}
+
+
+def _run_context(plan: SimPlan) -> str:
+    return (f"density {plan.params.density:g}, sectors_exp {plan.params.antenna.sectors_exp}, "
+            f"{plan.n_trials} trials")
+
+
+def run_histogram(plan: SimPlan, statistic: str, bins=100, value_range=None,
+                  n_workers: int = 1) -> Histogram:
+    """Normalized histogram of ``montecarlo.sample_statistic``, with its
+    conditioning bookkeeping."""
+    samples, acceptance = sample_statistic(plan, statistic, n_workers=n_workers)
+    if acceptance < 1e-4:
+        raise ConditioningError(
+            f"acceptance {acceptance:.2e} for {statistic!r} at {_run_context(plan)} is "
+            "below 1e-4; increase density, the disk radius, or the trial count")
+    if samples.ndim == 2:
+        density, ex, ey = np.histogram2d(samples[:, 0], samples[:, 1], bins=bins,
+                                         range=value_range, density=True)
+        edges = (ex, ey)
+    else:
+        density, ex = np.histogram(samples, bins=bins, range=value_range, density=True)
+        edges = (ex,)
+    return Histogram(edges=edges, density=density, n_samples=samples.shape[0],
+                     n_trials=plan.n_trials, acceptance=acceptance,
+                     conditioning=CONDITIONING[statistic])
+
+
+def sample_conditioned_interference(plan: SimPlan, center: float, rel_window: float,
+                                    n_workers: int = 1):
+    """Interference power samples (watts) conditioned on the policy's serving
+    state lying within ``center * (1 +- rel_window)``.
+
+    The conditioning variable is the normalized max power for P1, the serving
+    angular distance for P2, and the serving distance for P3.  Each chunk is
+    the engine's own ``_policy_chunk`` on the engine's chunk stream, so the
+    samples are those trials of a ``run_coverage`` of the plan.
+    """
+    key = {"P1": "s_norm", "P2": "phi_c", "P3": "serving_r"}[plan.policy]
+
+    def work(ci, size, ws):
+        out = _policy_chunk(plan.params, plan.policy, size, _chunk_rng(plan.master_seed, ci), ws)
+        cond = out[key]
+        keep = np.abs(cond - center) <= rel_window * center
+        return out["interference_w"][keep], size
+
+    parts = _map_chunks(work, plan.n_trials, n_workers)
+    samples = np.concatenate([p[0] for p in parts])
+    acceptance = samples.size / plan.n_trials
+    if samples.size < 100:
+        raise ConditioningError(
+            f"only {samples.size} samples (fewer than 100) fell in the {plan.policy} "
+            f"conditioning window of centre {center:g} and relative width {rel_window:g} "
+            f"at {_run_context(plan)}, acceptance {acceptance:.2e}")
+    return samples, acceptance
 
 
 # ---------------------------------------------------------------------------

@@ -21,21 +21,16 @@ from mmwcov.dominant import (
     build_discrepancy_report,
     coverage_dom_p2,
     coverage_dom_p3,
-    distance_ratio_pdf_p3,
     gain_ratio_pdf_p2,
     pathloss_fade_ratio_pdf_p2,
-    uniform_mainlobe_gain_pdf,
-)
-from mmwcov.geometry import (
-    abs_angular_cdf_nth,
-    angular_cdf_nth,
-    joint_abs_angular_cdf,
-    joint_distance_cdf,
 )
 from mmwcov.montecarlo import SimPlan, run_coverage, sample_statistic
 from mmwcov.numerics import QuadratureSpec, exp_derivatives, integrate_1d
 from mmwcov.radio import AntennaConfig, NetworkParams, gain_approx
 from conftest import batch_fields, ecdf_2d, ks_distance, order_stat_per_field, sort_within_fields
+from analytic_oracle import serving_power_quantile
+from field_oracle import (abs_angular_cdf_nth, angular_cdf_nth, distance_ratio_pdf_p3,
+                          joint_abs_angular_cdf, joint_distance_cdf, uniform_mainlobe_gain_pdf)
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 N_MC = 200_000
@@ -225,7 +220,7 @@ def test_criterion_6_numerical_self_consistency(params):
     gen = np.random.default_rng(61_803)
     worst_fd = 0.0
     for _ in range(10):
-        s_th = law.quantile(gen.uniform(0.05, 0.95))
+        s_th = serving_power_quantile(law, gen.uniform(0.05, 0.95))
         s = 10.0 ** gen.uniform(3.0, 5.5)
         exponent = laplace_p1(s_th, params)
         h = 1e-5 * s

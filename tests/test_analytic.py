@@ -24,16 +24,15 @@ from mmwcov.montecarlo import (
     run_coverage,
     run_coverages,
     run_power_ccdf,
-    sample_conditioned_interference,
     sample_statistic,
 )
 from mmwcov import analytic
-from mmwcov.numerics import (QuadratureError, QuadratureSpec, Workspace, exp_derivatives,
-                             integrate_1d, integrate_many)
+from mmwcov.numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, Workspace,
+                             exp_derivatives, integrate_1d, integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_approx)
 from conftest import ks_distance
-from field_oracle import gain_pdf_mainlobe, integrate_2d
+from field_oracle import gain_pdf_mainlobe, integrate_2d, sample_conditioned_interference
 import analytic_oracle as oracle
 
 GAMMAS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
@@ -140,7 +139,7 @@ def _transform(exponent, s, k_max=0):
 class TestLaplaceEvaluators:
     def test_value_at_zero(self, params):
         law = serving_power_law(params)
-        med = law.quantile(0.5)
+        med = oracle.serving_power_quantile(law, 0.5)
         for lt in (laplace_p1(med, params),
                    laplace_p2(0.05, params),
                    laplace_p3(20.0, params)):
@@ -148,7 +147,7 @@ class TestLaplaceEvaluators:
 
     def test_monotone_and_sign_pattern(self, params):
         law = serving_power_law(params)
-        med = law.quantile(0.5)
+        med = oracle.serving_power_quantile(law, 0.5)
         lt = laplace_p1(med, params)
         s = np.logspace(2.0, 6.0, 24)
         derivs = _transform(lt, s, 2)
@@ -168,7 +167,7 @@ class TestLaplaceEvaluators:
         law = serving_power_law(params)
         gen = np.random.default_rng(5150)
         for _ in range(10):
-            s_th = law.quantile(gen.uniform(0.1, 0.9))
+            s_th = oracle.serving_power_quantile(law, gen.uniform(0.1, 0.9))
             s = 10.0 ** gen.uniform(3.0, 5.5)
             lt = laplace_p1(s_th, params)
             h = 1e-5 * s
@@ -180,7 +179,7 @@ class TestLaplaceEvaluators:
         # the fixed-grid region exponent against fully adaptive 2-D quadrature
         cfg, ch = params.antenna, params.channel
         law = serving_power_law(params)
-        s_th = law.quantile(0.6)
+        s_th = oracle.serving_power_quantile(law, 0.6)
         amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max / ch.m_x
         inv_alpha = 1.0 / ch.alpha_l
 
@@ -200,7 +199,7 @@ class TestLaplaceEvaluators:
 
     def test_matches_conditioned_simulation_p1(self, params):
         law = serving_power_law(params)
-        med = law.quantile(0.5)
+        med = oracle.serving_power_quantile(law, 0.5)
         plan = SimPlan(params=params, policy="P1", thresholds_db=(0.0,),
                        n_trials=10**6, master_seed=68)
         inter, acc = sample_conditioned_interference(plan, med, 0.02, n_workers=4)
@@ -233,7 +232,7 @@ class TestLaplaceEvaluators:
         with pytest.raises(ValueError):
             laplace_p3(params.r_los * 1.5, params)
         with pytest.raises(ValueError):
-            laplace_p1(law.quantile(0.5), params, exclusion="bogus")
+            laplace_p1(oracle.serving_power_quantile(law, 0.5), params, exclusion="bogus")
 
 
 class TestPhiCLaw:
@@ -575,7 +574,7 @@ class TestCurveFamily:
     def test_kernel_scales_distinct_pairs_per_density(self, params):
         # repeated (node, s) pairs at different densities are summed once
         law = serving_power_law(params)
-        nodes = np.array([law.quantile(0.2), law.quantile(0.7)])
+        nodes = np.array([oracle.serving_power_quantile(law, p) for p in (0.2, 0.7)])
         grid = analytic._p1_grid(params, nodes, "all-beams")
         node = np.array([1, 0, 1, 1, 0])
         s = np.array([3e4, 1e5, 3e4, 3e4, 1e5])
@@ -641,6 +640,35 @@ class TestCurveInterface:
         if spec == "_INNER_SPEC":
             assert "inner integral at phi_c=" in message
 
+    @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
+    def test_non_finite_integrand_names_the_curve_point(self, policy):
+        # At m_s = m_x = 40, which the config validator accepts, the (-s)**k of
+        # the conditional coverage overflows where the k-th exponent
+        # derivative underflows; the error says at which curve point.
+        params = NetworkParams(channel=ChannelParams(m_s=40, m_x=40))
+        fn = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteIntegrandError) as excinfo:
+                fn(_linear((5.0, 10.0)), params)
+        err = excinfo.value
+        assert isinstance(err, ValueError)
+        assert err.index in (0, 1)
+        message = str(err)
+        exclusion = {"P1": "all-beams", "P2": "grid", "P3": "None"}[policy]
+        for part in (f"{policy} coverage", f"threshold {(5.0, 10.0)[err.index]:.2f} dB",
+                     f"exclusion {exclusion}", "density 0.0008", "sectors_exp 2", "m_s 40",
+                     "m_x 40", "alpha 2", "non-finite value near x="):
+            assert part in message
+        assert ("inner integral at phi_c=" in message) == (policy == "P2")
+
+    def test_high_fading_orders_below_the_overflow_run(self):
+        params = NetworkParams(channel=ChannelParams(m_s=35, m_x=35))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for fn in (coverage_p1, coverage_p2, coverage_p3):
+                assert 0.0 <= fn(10.0 ** 0.5, params) <= 1.0
+
 
 def _exponent_case(policy, exclusion, params):
     """Conditioning nodes of one policy, the batched grid builder and the
@@ -649,8 +677,9 @@ def _exponent_case(policy, exclusion, params):
         law = serving_power_law(params)
         # from a node just above the support, where most radial log-panels
         # collapse, to one above the mainlobe gain, where none do
-        nodes = np.array([law.w_min * (1.0 + 1e-7), law.quantile(0.01), law.quantile(0.5),
-                          law.quantile(0.99), law.w_min * 1e4])
+        nodes = np.array([law.w_min * (1.0 + 1e-7)]
+                         + [oracle.serving_power_quantile(law, p) for p in (0.01, 0.5, 0.99)]
+                         + [law.w_min * 1e4])
         return (nodes, lambda x: analytic._p1_grid(params, x, exclusion),
                 lambda x: oracle._p1_exponent(params, x, exclusion))
     if policy == "P2":
@@ -746,7 +775,7 @@ class TestExponentOracle:
 
     def test_evaluator_is_a_one_node_batch(self, params):
         law = serving_power_law(params)
-        s_th = law.quantile(0.3)
+        s_th = oracle.serving_power_quantile(law, 0.3)
         s = np.array([[1e3, 1e4], [1e5, 3e5]])
         exponent = laplace_p1(s_th, params)
         expo = oracle._p1_exponent(params, s_th, "all-beams")

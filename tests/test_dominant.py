@@ -17,8 +17,6 @@ from mmwcov.dominant import (
     coverage_dom_p2,
     coverage_dom_p3,
     distance_ratio_ccdf_p3,
-    distance_ratio_pdf_p3,
-    gain_fade_ratio_ccdf_p3,
     gain_fade_ratio_pdf_p3,
     gain_ratio_ccdf_p2,
     gain_ratio_pdf_p2,
@@ -26,14 +24,14 @@ from mmwcov.dominant import (
     mainlobe_pair_probability,
     pathloss_fade_ratio_ccdf_p2,
     pathloss_fade_ratio_pdf_p2,
-    uniform_mainlobe_gain_cdf,
-    uniform_mainlobe_gain_pdf,
 )
 from mmwcov.montecarlo import SimPlan, sample_statistic
 from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d
 from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_approx
 from conftest import ks_distance
-from field_oracle import corrected_gain_ratio_pdf_g2space
+from field_oracle import (corrected_gain_ratio_pdf_g2space, distance_ratio_pdf_p3,
+                          gain_fade_ratio_ccdf_p3, uniform_mainlobe_gain_cdf,
+                          uniform_mainlobe_gain_pdf)
 
 
 def _stat(params, statistic, n=200_000, seed=99):

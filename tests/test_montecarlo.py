@@ -18,7 +18,6 @@ from mmwcov import montecarlo
 from mmwcov.montecarlo import (
     CHUNK_POINT_BUDGET,
     CHUNK_TRIALS,
-    ConditioningError,
     SimPlan,
     _Workspace,
     _chunk_rng,
@@ -33,15 +32,14 @@ from mmwcov.montecarlo import (
     default_power_levels,
     run_coverage,
     run_coverages,
-    run_histogram,
     run_power_ccdf,
     run_power_ccdfs,
-    sample_conditioned_interference,
     sample_statistic,
 )
 from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams
 
-from field_oracle import formula_gain_approx, full_scan_chunk
+from field_oracle import (ConditioningError, formula_gain_approx, full_scan_chunk,
+                          run_histogram, sample_conditioned_interference)
 
 GAMMAS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmwcov import numerics
 from mmwcov.numerics import (
+    NonFiniteIntegrandError,
     QuadratureError,
     QuadratureSpec,
     exp_derivatives,
@@ -357,6 +358,17 @@ class TestRanges:
         with pytest.raises(QuadratureError) as excinfo:
             integrate_many(_batched(family), [0.0, 1.0, 0.0], [0.0, 3.0, 3.0], 3, spec)
         assert excinfo.value.index == 1
+
+    def test_a_non_finite_integral_is_named_among_all(self):
+        # integral 0 has zero width and is never run, so the failing one is
+        # the second that runs
+        family = (lambda x: x, lambda x: np.exp(-x),
+                  lambda x: np.where(x > 2.0, np.nan, 1.0 / (1.0 + x * x)))
+        with pytest.raises(NonFiniteIntegrandError,
+                           match=r"^integrand returned a non-finite value near x=") as excinfo:
+            integrate_many(_batched(family), [1.0, 0.0, 0.0], [1.0, 1.0, 3.0], 3)
+        assert isinstance(excinfo.value, ValueError)
+        assert excinfo.value.index == 2
 
     @pytest.mark.parametrize("a,b", [([0.0, 2.0], [1.0, 0.0]), ([0.0, -math.inf], [1.0, 0.0]),
                                      ([0.0, 0.0], [1.0, math.nan])])
