@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, Workspace,
-                       exp_derivatives, gauss_legendre, integrate_many)
+                       gauss_legendre, integrate_many)
 from .radio import NetworkParams, gain_3gpp, gain_approx
 
 # No scipy.special here: erf comes from the standard library, element by
@@ -505,22 +505,24 @@ def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
                           ws: Workspace) -> np.ndarray:
-    """[F, ..., F^(k_max)] of the exponent of ``node[i]`` at ``s[i]`` and
-    density ``density[i]`` (or one ``density`` for all) for every i; the
+    """The scaled exponent terms [t_0, ..., t_k_max] of ``node[i]`` at
+    ``s[i]`` and density ``density[i]`` (or one ``density`` for all) for
+    every i: t_0 = F, the exponent, and t_k = (-s)**k F^(k) / k!; the
     temporaries come from ``ws``.
 
     With v = 1/(1 + s c) over a node's interferers, the lambda-free sums
     S_0 = int (1 - v^m) and S_k = int (c v)^k v^m give F = -lambda S_0 and
-    F^(k) = lambda (-1)^k m (m+1)..(m+k-1) S_k.  Over the radius of one
-    angular node they are the radial integrals of :class:`_RadialTable`, so
-    S_k = s**(2/alpha - k) sum weight * int_(log s + offset)^(... + width)
-    g_k du over the node's angular nodes (see :class:`_Grid`).  Density
-    enters only as the prefactor, so the sums of each distinct (node, s)
-    pair are evaluated once and then scaled per i.  The (pair, angular
-    node) elements of a call are evaluated in one flat pass, in blocks of
-    whole pairs of at most :func:`_block_size` elements (a larger pair
-    alone, in pieces), and each pair is reduced on its own, so the sums of
-    a pair do not depend on the other pairs of the call."""
+    t_k = lambda C(m+k-1, k) s**k S_k >= 0 for k >= 1.  Over the
+    radius of one angular node they are the radial integrals of
+    :class:`_RadialTable`, so s**k S_k = s**(2/alpha) sum weight *
+    int_(log s + offset)^(... + width) g_k du over the node's angular nodes
+    (see :class:`_Grid`); at s = 0 every t_k is 0.  Density enters only as
+    the prefactor, so the sums of each distinct (node, s) pair are
+    evaluated once and then scaled per i.  The (pair, angular node)
+    elements of a call are evaluated in one flat pass, in blocks of whole
+    pairs of at most :func:`_block_size` elements (a larger pair alone, in
+    pieces), and each pair is reduced on its own, so the sums of a pair do
+    not depend on the other pairs of the call."""
     by_pair = np.lexsort((s, node))
     node_sorted, s_sorted = node[by_pair], s[by_pair]
     first = np.ones(node.size, dtype=bool)
@@ -538,7 +540,7 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
     size = _block_size(k_max)
     for lo, hi in _blocks(bounds, size):
         if bounds[hi] == bounds[lo]:
-            continue                                    # empty regions: F = 0
+            continue                                    # empty regions or s = 0
         ang = _runs(start[lo:hi], count[lo:hi])
         u = np.repeat(log_s[lo:hi], count[lo:hi])
         u += grid.offset[ang]
@@ -554,19 +556,10 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density,
         vals *= weight
         live = np.flatnonzero(count[lo:hi])
         sums[:, lo + live] = np.add.reduceat(vals, bounds[lo + live] - bounds[lo], axis=1)
-    sums *= np.exp(np.multiply.outer(2.0 / grid.alpha - np.arange(k_max + 1), log_s))
-    for j in np.flatnonzero(~positive):
-        # s = 0: the limit of the integrals below -_U_HALF, S_0 = 0
-        ang = slice(grid.angular[pair_node[j]], grid.angular[pair_node[j] + 1])
-        for k in range(1, k_max + 1):
-            rate = k - 2.0 / grid.alpha
-            sums[k, j] = np.sum(grid.weight[ang] * np.exp(rate * grid.offset[ang])
-                                * _exp_span(rate, grid.width[ang]))
-    scale = np.empty((k_max + 1, np.size(density)))
-    scale[0] = -density
-    for k in range(1, k_max + 1):
-        scale[k] = density * (-1.0) ** k * math.prod(range(grid.m_x, grid.m_x + k))
-    return sums[:, pair] * scale
+    sums *= np.exp((2.0 / grid.alpha) * log_s)
+    scale = np.array([-1.0] + [math.comb(grid.m_x + k - 1, k) for k in range(1, k_max + 1)],
+                     dtype=float)
+    return sums[:, pair] * (scale[:, None] * density)
 
 
 def _exclusion_angle(params: NetworkParams, s_th: np.ndarray) -> np.ndarray:
@@ -702,10 +695,12 @@ def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
 
 
 def _one_node(grid: _Grid, density: float):
-    """``exponent(s, k_max=0)``: [F, ..., F^(k_max)] of the one node of
-    ``grid`` at ``s`` and ``density``, stacked on a leading axis.  The
-    transform and its derivatives are ``exp_derivatives(exponent(s, k), s)``.
-    Its calls share one workspace."""
+    """``exponent(s, k_max=0)``: the scaled terms [t_0, ..., t_k_max] of the
+    one node of ``grid`` at ``s`` and ``density``, stacked on a leading
+    axis: t_0 = F, the exponent of the transform exp(F), and t_k = (-s)**k
+    F^(k) / k! (see :func:`_exponent_derivatives`; the transform's own
+    scaled derivatives follow as in :func:`_conditional_coverage`).  Its
+    calls share one workspace."""
     ws = Workspace()
 
     def exponent(s, k_max: int = 0):
@@ -717,8 +712,8 @@ def _one_node(grid: _Grid, density: float):
 
 
 def laplace_p1(s_th: float, params: NetworkParams, exclusion: str = "all-beams"):
-    """Exponent of the conditional interference Laplace transform given the
-    serving power level (see :func:`_one_node`).
+    """Scaled exponent terms of the conditional interference Laplace
+    transform given the serving power level (see :func:`_one_node`).
 
     By isotropy the transform does not depend on the serving beam's direction.
     """
@@ -727,8 +722,8 @@ def laplace_p1(s_th: float, params: NetworkParams, exclusion: str = "all-beams")
 
 
 def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
-    """Exponent of the conditional interference Laplace transform given the
-    serving angular distance (see :func:`_one_node`)."""
+    """Scaled exponent terms of the conditional interference Laplace
+    transform given the serving angular distance (see :func:`_one_node`)."""
     if not 0.0 <= phi_c <= 0.5 * params.antenna.beam_spacing:
         raise ValueError("phi_c outside [0, beam_spacing/2]")
     _check_exclusion("P2", exclusion)
@@ -736,8 +731,8 @@ def laplace_p2(phi_c: float, params: NetworkParams, exclusion: str = "grid"):
 
 
 def laplace_p3(r1: float, params: NetworkParams):
-    """Exponent of the conditional interference Laplace transform given the
-    serving distance (see :func:`_one_node`)."""
+    """Scaled exponent terms of the conditional interference Laplace
+    transform given the serving distance (see :func:`_one_node`)."""
     if not 0.0 <= r1 <= params.r_los:
         raise ValueError("r1 outside [0, R_los]")
     return _one_node(_p3_grid(params, np.array([float(r1)])), params.density)
@@ -748,16 +743,27 @@ def laplace_p3(r1: float, params: NetworkParams):
 # ---------------------------------------------------------------------------
 
 
-def _conditional_coverage(exponent: np.ndarray, s, params: NetworkParams):
-    """Coverage given the interference exponent derivatives [F, ..., F^(m_s-1)]
-    at ``s``, integrated over the gamma fade:
-    sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)]."""
-    ch = params.channel
-    levels = exp_derivatives(exponent, s, ch.noise_w)
-    total = np.zeros_like(levels[0])
-    for k in range(ch.m_s):
-        total = total + (-s) ** k / math.factorial(k) * levels[k]
-    return total
+def _conditional_coverage(terms: np.ndarray, s, params: NetworkParams):
+    """Coverage given the scaled exponent terms [t_0, ..., t_(m_s-1)] at
+    ``s`` (see :func:`_exponent_derivatives`), integrated over the gamma
+    fade: sum_{k < m_s} b_k, with b_k = (-s)**k / k! d^k/ds^k of the
+    transform exp(-noise s) L_I(s).
+
+    Noise shifts t_0 by -noise s and t_1 by +noise s.  Then b_0 = exp(t_0)
+    and k b_k = sum_{j<k} (k - j) t_(k-j) b_j, the first column of the
+    exponential of the lower-triangular Toeplitz matrix of the t_k (Li,
+    Zhang and Letaief, IEEE TWC 2014; Yu, Zhang, Haenggi and Letaief, IEEE
+    JSAC 2017).  Every t_k and b_k with k >= 1 is >= 0 and the b_k sum to
+    at most 1, so no term overflows or cancels at any fading order."""
+    m_s, noise = params.channel.m_s, params.channel.noise_w * s
+    kt = np.arange(m_s)[:, None] * terms          # k t_k
+    if m_s > 1:
+        kt[1] += noise
+    b = np.empty_like(kt)
+    b[0] = np.exp(terms[0] - noise)
+    for k in range(1, m_s):
+        b[k] = np.einsum("jn,jn->n", kt[k:0:-1], b[:k]) / k
+    return b.sum(axis=0)
 
 
 def _thresholds(gamma, lead: tuple = ()):

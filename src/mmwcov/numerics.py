@@ -1,4 +1,4 @@
-"""Adaptive quadrature and Laplace-transform derivatives.
+"""Adaptive quadrature.
 
 These are the numerical workhorses behind every analytic (non Monte Carlo)
 computation in the package.  All integrands must be numpy-vectorized: they
@@ -28,7 +28,6 @@ __all__ = [
     "NonFiniteIntegrandError",
     "integrate_1d",
     "integrate_many",
-    "exp_derivatives",
     "gauss_legendre",
 ]
 
@@ -174,7 +173,7 @@ def _integral_sums(table, counts):
 
 
 def _adaptive(f, lo: np.ndarray, hi: np.ndarray, n: int, spec: QuadratureSpec,
-              guarded: np.ndarray | None = None) -> np.ndarray:
+              guarded: np.ndarray | None = None, abscissa=None) -> np.ndarray:
     """Adaptive Gauss-Kronrod for ``n`` integrals in lockstep, integral i
     over [lo[i], hi[i]].
 
@@ -185,7 +184,9 @@ def _adaptive(f, lo: np.ndarray, hi: np.ndarray, n: int, spec: QuadratureSpec,
     alone; a round is one integrand call over the new panels, then a fixed
     set of array operations that merge them into the table and split it.
     The panel ending at 1 of an integral that is ``guarded`` is its tail,
-    the mapped point at infinity (see :class:`QuadratureSpec`).
+    the mapped point at infinity (see :class:`QuadratureSpec`), and
+    ``abscissa(t, i)`` maps the variable ``t`` of integral i back to the
+    abscissa that a non-finite integrand value is reported at.
     """
     out = np.empty(n)
     splits = np.zeros(n, dtype=np.int64)
@@ -200,9 +201,10 @@ def _adaptive(f, lo: np.ndarray, hi: np.ndarray, n: int, spec: QuadratureSpec,
         y = y.reshape(mid.size, _XK.size)
         if not np.isfinite(y).all():
             bad = np.flatnonzero(~np.isfinite(y))[0]
+            i, at = int(new_owner[bad // _XK.size]), float(x[bad])
             raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value near x={float(x[bad])!r}",
-                int(new_owner[bad // _XK.size]))
+                "integrand returned a non-finite value near "
+                f"x={at if abscissa is None else abscissa(at, i)!r}", i)
         val, gauss, resabs = (np.array([y, y, np.abs(y)]) * _WEIGHTS).sum(axis=2) * half
         new = np.array([lo, hi, val, np.abs(val - gauss), resabs])
         owner = np.concatenate([owner, new_owner])
@@ -316,11 +318,16 @@ def integrate_many(f: Callable, a, b, n: int,
             tail = inf[k]
             one_m = np.where(tail, 1.0 - t, 1.0)
             return f(np.where(tail, a[k] + t / one_m, t), run[k]) / one_m**2
+
+        def abscissa(t, i):
+            return float(a[i] + t / (1.0 - t)) if inf[i] else t
     else:
         def integrand(x, k):
             return f(x, run[k])
+        abscissa = None
     try:
-        out[run] = _adaptive(integrand, lo, hi, run.size, spec, inf if mapped else None)
+        out[run] = _adaptive(integrand, lo, hi, run.size, spec, inf if mapped else None,
+                             abscissa)
     except (QuadratureError, NonFiniteIntegrandError) as err:
         err.index = int(run[err.index])
         raise
@@ -335,23 +342,3 @@ def integrate_1d(f: Callable, a: float, b: float, spec: QuadratureSpec | None = 
     """
     return float(integrate_many(lambda x, _which: f(x), a, b, 1, spec)[0])
 
-
-def exp_derivatives(exponent, s, shift: float = 0.0) -> list:
-    """Derivatives [L, L', ..., L^(k)] of L(s) = exp(F(s) - shift * s).
-
-    ``exponent`` is the sequence [F, F', ..., F^(k)] evaluated at ``s``.  Uses
-    L^(k) = sum_{j<k} C(k-1, j) G^(k-j) L^(j) with G = F - shift * s, which
-    follows from differentiating L' = G' L with the Leibniz rule.  ``shift``
-    is the noise term of a transform exp(-noise s) L_I(s).
-    """
-    f0 = exponent[0] - shift * s if shift else exponent[0]
-    g_derivs = list(exponent[1:])
-    if shift and g_derivs:
-        g_derivs[0] = g_derivs[0] - shift
-    levels = [np.exp(f0)]
-    for k in range(1, len(exponent)):
-        acc = np.zeros_like(levels[0])
-        for j in range(k):
-            acc = acc + math.comb(k - 1, j) * g_derivs[k - j - 1] * levels[j]
-        levels.append(acc)
-    return levels

@@ -10,7 +10,12 @@ that antiderivative is checked on its own against mpmath
 into the package's lattice pieces of the serving-distance variable.  The
 package must agree with it to 1e-12 (see ``test_analytic.TestCurveOracle``).
 The P2 inner integral over ``d0`` as it stood before those pieces is kept
-too, as :func:`coverage_p2_d0`.
+too, as :func:`coverage_p2_d0`.  The conditional coverage takes the
+unscaled exponent derivatives F^(k) through the Leibniz recursion of
+:func:`exp_derivatives` and the alternating sum of ``(-s)^k / k!`` times
+the transform's derivatives, the form the package used before its scaled
+terms; at the defaults it overflows from m_s = m_x = 33 at 15 dB, so it
+checks the package at lower fading orders.
 
 With ``fine=`` one of :data:`FINE_RULES`, the same per-node exponents are
 integrated instead by the radial rule the package used before its
@@ -164,6 +169,16 @@ class _RegionExponent:
         for k in range(1, k_max + 1):
             out[k] *= self.density * (-1.0) ** k * math.prod(range(self.m_x, self.m_x + k))
         return out.reshape((k_max + 1,) + s_arr.shape)
+
+    def scaled(self, s, k_max: int) -> np.ndarray:
+        """The package's scaled terms [t_0, ..., t_k_max] (see
+        ``analytic._exponent_derivatives``), from :meth:`derivatives`:
+        t_k = (-s)^k F^(k)(s) / k!."""
+        s_arr = np.asarray(s, dtype=float)
+        out = self.derivatives(s_arr, k_max)
+        for k in range(1, k_max + 1):
+            out[k] *= (-s_arr) ** k / math.factorial(k)
+        return out
 
 
 def _assemble_exponent(params: NetworkParams, panels, fine=None,
@@ -341,25 +356,36 @@ def _p3_exponent(params: NetworkParams, r1: float, fine=None) -> _RegionExponent
     return _assemble_exponent(params, panels, fine)
 
 
-def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
-    """Coverage given the interference exponent, integrated over the gamma fade:
-    sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)]."""
-    ch = params.channel
-    m_s, noise = ch.m_s, ch.noise_w
-    s_arr = np.asarray(s, dtype=float)
-    derivs = expo.derivatives(s_arr, m_s - 1)
-    levels = [np.exp(derivs[0] - noise * s_arr)]
-    if m_s == 1:
-        return levels[0]
-    f_derivs = list(derivs[1:])
-    f_derivs[0] = f_derivs[0] - noise
-    for k in range(1, m_s):
+def exp_derivatives(exponent, s, shift: float = 0.0) -> list:
+    """Derivatives [L, L', ..., L^(k)] of L(s) = exp(F(s) - shift * s).
+
+    ``exponent`` is the sequence [F, F', ..., F^(k)] evaluated at ``s``.  Uses
+    L^(k) = sum_{j<k} C(k-1, j) G^(k-j) L^(j) with G = F - shift * s, which
+    follows from differentiating L' = G' L with the Leibniz rule.  ``shift``
+    is the noise term of a transform exp(-noise s) L_I(s).
+    """
+    f0 = exponent[0] - shift * s if shift else exponent[0]
+    g_derivs = list(exponent[1:])
+    if shift and g_derivs:
+        g_derivs[0] = g_derivs[0] - shift
+    levels = [np.exp(f0)]
+    for k in range(1, len(exponent)):
         acc = np.zeros_like(levels[0])
         for j in range(k):
-            acc = acc + math.comb(k - 1, j) * f_derivs[k - j - 1] * levels[j]
+            acc = acc + math.comb(k - 1, j) * g_derivs[k - j - 1] * levels[j]
         levels.append(acc)
+    return levels
+
+
+def _conditional_coverage(expo: _RegionExponent, s, params: NetworkParams):
+    """Coverage given the interference exponent, integrated over the gamma fade:
+    sum_{k < m_s} ((-s)^k / k!) d^k/ds^k [exp(-noise s) L_I(s)], from the
+    unscaled derivatives (the package sums scaled terms instead)."""
+    ch = params.channel
+    s_arr = np.asarray(s, dtype=float)
+    levels = exp_derivatives(expo.derivatives(s_arr, ch.m_s - 1), s_arr, ch.noise_w)
     total = np.zeros_like(levels[0])
-    for k in range(m_s):
+    for k in range(ch.m_s):
         total = total + (-s_arr) ** k / math.factorial(k) * levels[k]
     return total
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import mpmath
@@ -28,7 +29,7 @@ from mmwcov.montecarlo import (
 )
 from mmwcov import analytic
 from mmwcov.numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, Workspace,
-                             exp_derivatives, integrate_1d, integrate_many)
+                             integrate_1d, integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_approx)
 from conftest import ks_distance
@@ -132,8 +133,11 @@ class TestServingPowerLaw:
 
 
 def _transform(exponent, s, k_max=0):
-    """[L, L', ..., L^(k_max)] at ``s`` of the transform with this exponent."""
-    return exp_derivatives(exponent(s, k_max), s)
+    """[L, L', ..., L^(k_max)] at ``s`` of the transform with this exponent,
+    from the scaled terms t_k = (-s)^k F^(k) / k! that ``exponent`` gives."""
+    terms = exponent(s, k_max)
+    return oracle.exp_derivatives(
+        [terms[0]] + [terms[k] * math.factorial(k) / (-s) ** k for k in range(1, k_max + 1)], s)
 
 
 class TestLaplaceEvaluators:
@@ -583,7 +587,7 @@ class TestCurveFamily:
         for i in range(node.size):
             one = oracle._p1_exponent(replace(params, density=density[i]), nodes[node[i]],
                                       "all-beams")
-            np.testing.assert_allclose(got[:, i], one.derivatives(s[i], 2), rtol=1e-13)
+            np.testing.assert_allclose(got[:, i], one.scaled(s[i], 2), rtol=1e-13)
 
 
 class TestCurveInterface:
@@ -641,33 +645,60 @@ class TestCurveInterface:
             assert "inner integral at phi_c=" in message
 
     @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
-    def test_non_finite_integrand_names_the_curve_point(self, policy):
-        # At m_s = m_x = 40, which the config validator accepts, the (-s)**k of
-        # the conditional coverage overflows where the k-th exponent
-        # derivative underflows; the error says at which curve point.
-        params = NetworkParams(channel=ChannelParams(m_s=40, m_x=40))
+    def test_non_finite_integrand_names_the_curve_point(self, policy, monkeypatch):
+        # a kernel that returns NaN at one node of every round: the error
+        # says at which curve point
+        evaluate = analytic._exponent_derivatives
+
+        def poisoned(grid, node, s, k_max, density, ws):
+            out = evaluate(grid, node, s, k_max, density, ws)
+            out[:, node == node.max()] = np.nan
+            return out
+
+        monkeypatch.setattr(analytic, "_exponent_derivatives", poisoned)
+        params = NetworkParams(channel=ChannelParams(m_s=3, m_x=4))
         fn = {"P1": coverage_p1, "P2": coverage_p2, "P3": coverage_p3}[policy]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NonFiniteIntegrandError) as excinfo:
-                fn(_linear((5.0, 10.0)), params)
+        with pytest.raises(NonFiniteIntegrandError) as excinfo:
+            fn(_linear((5.0, 10.0)), params)
         err = excinfo.value
         assert isinstance(err, ValueError)
         assert err.index in (0, 1)
         message = str(err)
         exclusion = {"P1": "all-beams", "P2": "grid", "P3": "None"}[policy]
         for part in (f"{policy} coverage", f"threshold {(5.0, 10.0)[err.index]:.2f} dB",
-                     f"exclusion {exclusion}", "density 0.0008", "sectors_exp 2", "m_s 40",
-                     "m_x 40", "alpha 2", "non-finite value near x="):
+                     f"exclusion {exclusion}", "density 0.0008", "sectors_exp 2", "m_s 3",
+                     "m_x 4", "alpha 2", "non-finite value near x="):
             assert part in message
         assert ("inner integral at phi_c=" in message) == (policy == "P2")
 
-    def test_high_fading_orders_below_the_overflow_run(self):
-        params = NetworkParams(channel=ChannelParams(m_s=35, m_x=35))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for fn in (coverage_p1, coverage_p2, coverage_p3):
-                assert 0.0 <= fn(10.0 ** 0.5, params) <= 1.0
+    # Where the unscaled derivatives and the alternating sum overflowed: from
+    # m_s = m_x = 33 at 15 dB, on the default grid.
+    @pytest.mark.parametrize("m_s,m_x", [(33, 33), (40, 40), (60, 60), (40, 2), (2, 60)])
+    def test_fading_orders_across_the_box(self, m_s, m_x):
+        for policy, curve in zip(("P1", "P2", "P3"), _box_curves(m_s, m_x)):
+            assert np.all((0.0 <= curve) & (curve <= 1.0)), policy
+            assert np.all(np.diff(curve) <= 0.0), policy
+
+    @pytest.mark.parametrize("m", [40, 60])
+    def test_high_fading_orders_match_simulation(self, m):
+        params = NetworkParams(channel=ChannelParams(m_s=m, m_x=m))
+        plans = [SimPlan(params=params, policy=policy, thresholds_db=FIG_GRID_DB,
+                         n_trials=50_000, master_seed=73) for policy in ("P1", "P2", "P3")]
+        for ana, curve in zip(_box_curves(m, m), run_coverages(plans, n_workers=2)):
+            gaps = np.abs(ana - curve.p_cov)
+            bounds = np.maximum(0.015, 3.0 * curve.stderr)
+            assert np.all(gaps <= bounds), (curve.policy, gaps, bounds)
+
+
+@lru_cache(maxsize=None)
+def _box_curves(m_s, m_x):
+    """The P1, P2 and P3 curves on the default grid at fading orders m_s,
+    m_x, with any RuntimeWarning raised as an error."""
+    params = NetworkParams(channel=ChannelParams(m_s=m_s, m_x=m_x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return tuple(fn(_linear(FIG_GRID_DB), params)
+                     for fn in (coverage_p1, coverage_p2, coverage_p3))
 
 
 def _exponent_case(policy, exclusion, params):
@@ -716,7 +747,7 @@ class TestExponentOracle:
         s = 10.0 ** gen.uniform(0.0, 6.0, node.size)
         k_max = 3
         oracles = [one(float(x)) for x in nodes]
-        expected = np.stack([oracles[j].derivatives(s_i, k_max) for j, s_i in zip(node, s)],
+        expected = np.stack([oracles[j].scaled(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
         # zero-width elements are never evaluated
         integrals = analytic._RadialTable.integrals
@@ -782,16 +813,19 @@ class TestExponentOracle:
         got = exponent(s, 2)
         assert got.shape == (3, 2, 2)
         np.testing.assert_allclose(got[0], expo.derivatives(s, 0)[0], rtol=1e-13)
-        np.testing.assert_allclose(got[2], expo.derivatives(s, 2)[2], rtol=1e-13)
+        np.testing.assert_allclose(got[2], expo.scaled(s, 2)[2], rtol=1e-13)
         assert exponent(1e4).shape == (1,)
 
     def test_derivatives_at_zero_are_the_limit(self, params):
-        # at s = 0 the sums are their limit as s c -> 0: S_0 = 0 and
-        # S_k = int c^k r dr
+        # every scaled term t_k is 0 at s = 0, and near it t_k / s^k tends
+        # to its limit lambda C(m+k-1, k) int c^k r dr (F'(0) for k = 0)
         exponent = laplace_p3(20.0, params)
-        got = exponent(np.array([0.0, 1e-9]), 2)
-        assert got[0, 0] == 0.0
-        np.testing.assert_allclose(got[1:, 0], got[1:, 1], rtol=1e-8)
+        s = np.array([0.0, 1e-9, 2e-9])
+        got = exponent(s, 2)
+        assert np.array_equal(got[:, 0], np.zeros(3))
+        ratio = got[:, 1:] / s[1:] ** np.array([1, 1, 2])[:, None]
+        assert np.all(ratio[0] < 0.0) and np.all(ratio[1:] > 0.0)
+        np.testing.assert_allclose(ratio[:, 0], ratio[:, 1], rtol=1e-8)
 
 
 _MP_CUTS = [0.0] + [sign * 2.0**j for j in range(7) for sign in (-1.0, 1.0)]
@@ -884,12 +918,12 @@ def _corner(sectors_exp, density, alpha, m_x):
 
 
 def _fine_exponents(policy, exclusion, params, nodes, s, k_max, rule):
-    """The exponent derivatives of every row of ``s`` at the node of that
+    """The scaled exponent terms of every row of ``s`` at the node of that
     row, by the fine rule ``rule`` of the per-node oracle."""
     one = {"P1": lambda x: oracle._p1_exponent(params, x, exclusion, fine=rule),
            "P2": lambda x: oracle._p2_exponent(params, x, exclusion, fine=rule),
            "P3": lambda x: oracle._p3_exponent(params, x, fine=rule)}[policy]
-    return np.concatenate([one(float(x)).derivatives(row.ravel(), k_max)
+    return np.concatenate([one(float(x)).scaled(row.ravel(), k_max)
                            for x, row in zip(nodes, s)], axis=1)
 
 

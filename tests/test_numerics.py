@@ -10,11 +10,10 @@ from mmwcov.numerics import (
     NonFiniteIntegrandError,
     QuadratureError,
     QuadratureSpec,
-    exp_derivatives,
     integrate_1d,
     integrate_many,
 )
-from analytic_oracle import _leggauss
+from analytic_oracle import _leggauss, exp_derivatives
 from field_oracle import integrate_2d
 
 
@@ -369,6 +368,13 @@ class TestRanges:
             integrate_many(_batched(family), [1.0, 0.0, 0.0], [1.0, 1.0, 3.0], 3)
         assert isinstance(excinfo.value, ValueError)
         assert excinfo.value.index == 2
+
+    def test_a_non_finite_value_on_a_mapped_range_names_its_abscissa(self):
+        # on [0, inf) the integrator runs in t = x / (1 + x); the error names x
+        with pytest.raises(NonFiniteIntegrandError) as excinfo:
+            integrate_1d(lambda x: np.where(x > 5.0, np.nan, 1.0 / (1.0 + x * x)), 0.0, math.inf)
+        at = float(re.search(r"near x=(\S+)", str(excinfo.value)).group(1))
+        assert at > 5.0
 
     @pytest.mark.parametrize("a,b", [([0.0, 2.0], [1.0, 0.0]), ([0.0, -math.inf], [1.0, 0.0]),
                                      ([0.0, 0.0], [1.0, math.nan])])
