@@ -838,11 +838,11 @@ def _curve(label: str, details: list, curve, integrand, a: float, b: float,
     return float(out[0, 0]) if shape == () else out.reshape(shape)
 
 
-def _detail(params: NetworkParams, exclusion: str | None) -> str:
+def _detail(params: NetworkParams, exclusion: str | None = None) -> str:
     ch = params.channel
-    return (f"exclusion {exclusion}, density {params.density:g}, "
-            f"sectors_exp {params.antenna.sectors_exp}, m_s {ch.m_s}, m_x {ch.m_x}, "
-            f"alpha {ch.alpha_l:g}")
+    head = "" if exclusion is None else f"exclusion {exclusion}, "
+    return (f"{head}density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
+            f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}")
 
 
 def coverage_p1(gamma, params, exclusion: str = "all-beams"):
@@ -1004,4 +1004,4 @@ def coverage_p3(gamma, params):
                                          density[c])
         return _by_curve(c, r1, pdfs) * _conditional_coverage(exponent, s, base)
 
-    return _curve("P3", [_detail(p, None) for p in family], curve, integrand, 0.0, base.r_los)
+    return _curve("P3", [_detail(p) for p in family], curve, integrand, 0.0, base.r_los)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .analytic import _curvature, _curve, _thresholds
+from .analytic import _curvature, _curve, _detail, _thresholds
 from .numerics import QuadratureSpec, gauss_legendre, integrate_1d, integrate_many
 from .radio import NetworkParams, gain_approx
 
@@ -286,10 +286,7 @@ def _dominant_curve(policy: str, gamma, params: NetworkParams, integrand, a: flo
     in lockstep by :func:`analytic._curve`; ``integrand(x, t)`` takes the
     abscissae and the threshold of each."""
     gammas, curve = _thresholds(gamma)
-    ch = params.channel
-    detail = (f"density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
-              f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}")
-    return _curve(f"{policy} dominant", [detail], curve,
+    return _curve(f"{policy} dominant", [_detail(params)], curve,
                   lambda x, which: integrand(x, gammas[which]), a, b, spec)
 
 

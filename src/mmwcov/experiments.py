@@ -1,10 +1,12 @@
 """Experiment orchestration: scenario definitions, config parsing, CSV/JSON output.
 
-The config format is flat ``key = value`` text with dotted sections.  dB/dBm
-quantities are converted to linear units here, at the boundary; every engine
-exchanges linear units only.  Any key can also be overridden through the
-environment as ``MMWCOV_<KEY>`` with dots replaced by double underscores
-(e.g. ``MMWCOV_CHANNEL__ALPHA_L=2.2``).
+The config format is flat ``key = value`` text with dotted sections, one row
+of ``_KEYS`` per key: the field it sets, its kind (parser and canonical
+printer), its range and the infinities it may take.  dB/dBm quantities are
+converted to linear units here, at the boundary; every engine exchanges
+linear units only.  Any key can also be overridden through the environment
+as ``MMWCOV_<KEY>`` with dots replaced by double underscores (e.g.
+``MMWCOV_CHANNEL__ALPHA_L=2.2``).
 
 Each scenario writes one CSV per engine with the fixed column schema
 ``(x, value, stderr, engine, policy)``; when a scenario sweeps extra
@@ -24,8 +26,10 @@ import time
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,97 +79,128 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if not self.engines:
-            raise ConfigError("at least one engine is required")
         for e in self.engines:
             if e not in _ENGINES:
                 raise ConfigError(f"unknown engine {e!r}; expected a subset of {_ENGINES}")
         for p in self.policies:
             if p not in ("P1", "P2", "P3"):
                 raise ConfigError(f"unknown policy {p!r}")
-        if self.trials < 1:
-            raise ConfigError("run.trials must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("run.workers must be at least 1")
-        if not 0 <= self.seed < 2**128:
-            raise ConfigError(f"run.seed must lie in [0, 2**128) (got {self.seed!r})")
+        for key in ("run.engines", "run.trials", "run.workers", "run.seed"):
+            _check_range(key, getattr(self, _KEYS[key].path))
         if len(self.gamma_grid_db) > 1 and any(
                 b <= a for a, b in zip(self.gamma_grid_db, self.gamma_grid_db[1:])):
             raise ConfigError("grid.gamma_db must be strictly increasing")
 
     def to_flat(self) -> dict:
         """Canonical flat key/value form; the fixed point of validate_config."""
-        ant, ch = self.params.antenna, self.params.channel
-        return {
-            "scenario": self.scenario,
-            "network.density": repr(self.params.density),
-            "antenna.g_max_db": repr(ant.g_max_db),
-            "antenna.sla_db": repr(ant.sla_db),
-            "antenna.sectors_exp": str(ant.sectors_exp),
-            "antenna.phi_3db": repr(ant.phi_3db),
-            "channel.alpha_l": repr(ch.alpha_l),
-            "channel.f_c": repr(ch.f_c),
-            "channel.m_s": str(ch.m_s),
-            "channel.m_x": str(ch.m_x),
-            "channel.r_los": repr(ch.r_los),
-            "channel.tx_power_dbm": repr(float(watts_to_dbm(ch.tx_power_w))),
-            "channel.noise_dbm": repr(float(watts_to_dbm(ch.noise_w))),
-            "run.engines": ",".join(self.engines),
-            "run.policies": ",".join(self.policies),
-            "run.seed": str(self.seed),
-            "run.trials": str(self.trials),
-            "run.workers": str(self.workers),
-            "run.out_dir": self.out_dir,
-            "run.strict": "true" if self.strict else "false",
-            "grid.gamma_db": ",".join(repr(g) for g in self.gamma_grid_db),
-            "grid.fig7_gamma_db": repr(self.fig7_gamma_db),
-            "sweep.density": ",".join(repr(d) for d in self.density_sweep),
-            "sweep.sectors": ",".join(str(s) for s in self.sector_sweep),
-        }
+        return {key: _KINDS[row.kind][1](reduce(getattr, row.path.split("."), self))
+                for key, row in _KEYS.items()}
 
 
-_KNOWN_KEYS = tuple(ExperimentConfig().to_flat().keys())
-# Infinite values a float key may take: -inf dBm is no noise at all, and an
-# infinite threshold is certain or impossible coverage.  NaN is never valid.
-_INFINITIES = {"channel.noise_dbm": (-math.inf,),
-               "grid.gamma_db": (-math.inf, math.inf),
-               "grid.fig7_gamma_db": (-math.inf, math.inf)}
+def _items(parse: Callable) -> Callable:
+    """Parser of a comma list, each entry read by ``parse``; blank entries are skipped."""
+    return lambda raw: tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
+
+
+def _watts(dbm: float) -> float:
+    """The power in W of ``dbm``; a level above the float range is +inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(dbm_to_watts(dbm))
+
+
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# The parser (text to value; ValueError or KeyError when unparseable) and the
+# canonical printer (field to text) of each kind of key.  A dBm key's value is
+# converted to W for its field.
+_KINDS = {
+    "text": (str, str),
+    "bool": (lambda raw: _BOOLS[raw.strip().lower()], lambda v: "true" if v else "false"),
+    "int": (int, str),
+    "float": (float, repr),
+    "dBm": (float, lambda watts: repr(float(watts_to_dbm(watts)))),
+    "float list": (_items(float), lambda values: ",".join(map(repr, values))),
+    "int list": (_items(int), lambda values: ",".join(map(str, values))),
+    "engines": (_items(str.lower), ",".join),
+    "policies": (_items(str.upper), ",".join),
+}
+
+
+class _Key(NamedTuple):
+    """A config key: the attribute path of its field in ExperimentConfig, its kind,
+    its range (a test and the rule it states) and the infinities it may take,
+    which the test skips."""
+
+    path: str
+    kind: str
+    ok: Callable | None = None
+    rule: str = ""
+    infinities: tuple = ()
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_BEAMS = (lambda m: 0 <= m <= 8, "must lie in [0, 8]")
+_LINEAR = "must be finite and above 0 in linear units"
+
+# Every config key, in the order of the canonical form.  -inf dBm is no noise
+# at all, and an infinite threshold is certain or impossible coverage.
+_KEYS = {
+    "scenario": _Key("scenario", "text"),
+    "network.density": _Key("params.density", "float", *_POSITIVE),
+    "antenna.g_max_db": _Key("params.antenna.g_max_db", "float",
+                             lambda db: 0.0 < _db_to_linear((db,))[0] < math.inf, _LINEAR),
+    "antenna.sla_db": _Key("params.antenna.sla_db", "float", *_POSITIVE),
+    "antenna.sectors_exp": _Key("params.antenna.sectors_exp", "int", *_BEAMS),
+    "antenna.phi_3db": _Key("params.antenna.phi_3db", "float",
+                            lambda v: 0 < v <= 2 * math.pi, "must lie in (0, 2*pi]"),
+    "channel.alpha_l": _Key("params.channel.alpha_l", "float", *_POSITIVE),
+    "channel.f_c": _Key("params.channel.f_c", "float", *_POSITIVE),
+    "channel.m_s": _Key("params.channel.m_s", "int", *_AT_LEAST_1),
+    "channel.m_x": _Key("params.channel.m_x", "int", *_AT_LEAST_1),
+    "channel.r_los": _Key("params.channel.r_los", "float", *_POSITIVE),
+    "channel.tx_power_dbm": _Key("params.channel.tx_power_w", "dBm",
+                                 lambda dbm: 0.0 < _watts(dbm) < math.inf, _LINEAR),
+    "channel.noise_dbm": _Key("params.channel.noise_w", "dBm",
+                              lambda dbm: 0.0 < _watts(dbm) < math.inf, _LINEAR, (-math.inf,)),
+    "run.engines": _Key("engines", "engines", bool, "must name at least one engine"),
+    "run.policies": _Key("policies", "policies"),
+    "run.seed": _Key("seed", "int", lambda v: 0 <= v < 2**128, "must lie in [0, 2**128)"),
+    "run.trials": _Key("trials", "int", *_AT_LEAST_1),
+    "run.workers": _Key("workers", "int", *_AT_LEAST_1),
+    "run.out_dir": _Key("out_dir", "text"),
+    "run.strict": _Key("strict", "bool"),
+    "grid.gamma_db": _Key("gamma_grid_db", "float list", infinities=(-math.inf, math.inf)),
+    "grid.fig7_gamma_db": _Key("fig7_gamma_db", "float", infinities=(-math.inf, math.inf)),
+    "sweep.density": _Key("density_sweep", "float list",
+                          lambda v: all(d > 0 for d in v), "must all be positive"),
+    "sweep.sectors": _Key("sector_sweep", "int list",
+                          lambda v: all(map(_BEAMS[0], v)), "must all lie in [0, 8]"),
+}
 
 
 def _parse_value(key: str, raw: str, where: str):
-    def err(msg):
-        return ConfigError(f"{where}: {key} {msg}")
-
+    row = _KEYS[key]
     try:
-        if key in ("scenario", "run.out_dir"):
-            return raw
-        if key == "run.strict":
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise err("must be a boolean (true/false)")
-        if key in ("run.engines", "run.policies"):
-            return tuple(part.strip().lower() if key == "run.engines" else part.strip().upper()
-                         for part in raw.split(",") if part.strip())
-        if key == "sweep.sectors":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        if key in ("antenna.sectors_exp", "channel.m_s", "channel.m_x",
-                   "run.seed", "run.trials", "run.workers"):
-            return int(raw)
-        if key in ("grid.gamma_db", "sweep.density"):
-            value = tuple(float(part) for part in raw.split(",") if part.strip())
-        else:
-            value = float(raw)
-        for v in value if isinstance(value, tuple) else (value,):
-            if not (math.isfinite(v) or v in _INFINITIES.get(key, ())):
-                raise err(f"must not be {v!r}")
-        return value
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise err(f"has an unparseable value {raw!r}") from None
+        value = _KINDS[row.kind][0](raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{where}: {key} has an unparseable value {raw!r}") from None
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, float) and not (math.isfinite(v) or v in row.infinities):
+            raise ConfigError(f"{where}: {key} must not be {v!r}")
+    return value
+
+
+def _check_range(key: str, value, where: str = "") -> None:
+    """Refuse a ``value`` of ``key`` outside the key's range, or an empty list."""
+    row = _KEYS[key]
+    if row.ok is not None and value not in row.infinities and not row.ok(value):
+        rule = row.rule
+    elif value == ():
+        rule = "must not be empty"
+    else:
+        return
+    raise ConfigError(f"{where}{': ' if where else ''}{key} {rule} (got {value!r})")
 
 
 def _read_pairs(text: str):
@@ -211,78 +246,29 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
 
     locations: dict = {}
     for where, key, raw in pairs:
-        if key in _KNOWN_KEYS:
+        if key in _KEYS:
             values[key] = _parse_value(key, raw, where)
             locations[key] = where
     # unknown keys are judged once every pair is read, so that strictness
     # does not depend on where run.strict appears
     for where, key, raw in pairs:
-        if key not in _KNOWN_KEYS:
-            suggestion = difflib.get_close_matches(key, _KNOWN_KEYS, n=1, cutoff=0.4)
+        if key not in _KEYS:
+            suggestion = difflib.get_close_matches(key, _KEYS, n=1, cutoff=0.4)
             hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
             message = f"{where}: unknown key {key!r}{hint}"
             if strict or values.get("run.strict", False):
                 raise ConfigError(message)
             warnings.warn(message, stacklevel=2)
 
-    def rng_check(key, ok, msg):
-        if key in values and not ok(values[key]):
-            raise ConfigError(f"{locations[key]}: {key} {msg} (got {values[key]!r})")
-
-    rng_check("network.density", lambda v: v > 0, "must be positive")
-    rng_check("channel.alpha_l", lambda v: v > 0, "must be positive")
-    rng_check("channel.r_los", lambda v: v > 0, "must be positive")
-    rng_check("channel.f_c", lambda v: v > 0, "must be positive")
-    rng_check("antenna.sectors_exp", lambda v: 0 <= v <= 8, "must lie in [0, 8]")
-    rng_check("sweep.density", lambda v: all(d > 0 for d in v), "must all be positive")
-    rng_check("sweep.sectors", lambda v: all(0 <= m <= 8 for m in v), "must all lie in [0, 8]")
-    rng_check("antenna.sla_db", lambda v: v > 0, "must be positive")
-    rng_check("antenna.phi_3db", lambda v: 0 < v <= 2 * math.pi, "must lie in (0, 2*pi]")
-    rng_check("channel.m_s", lambda v: v >= 1, "must be at least 1")
-    rng_check("channel.m_x", lambda v: v >= 1, "must be at least 1")
-    rng_check("run.trials", lambda v: v >= 1, "must be at least 1")
-    rng_check("run.workers", lambda v: v >= 1, "must be at least 1")
-    rng_check("run.seed", lambda v: 0 <= v < 2**128, "must lie in [0, 2**128)")
-
-    base = ExperimentConfig()
-    antenna_kwargs = dict(
-        g_max_db=values.get("antenna.g_max_db", base.params.antenna.g_max_db),
-        sla_db=values.get("antenna.sla_db", base.params.antenna.sla_db),
-        sectors_exp=values.get("antenna.sectors_exp", base.params.antenna.sectors_exp),
-    )
-    if "antenna.phi_3db" in values:
-        antenna_kwargs["phi_3db"] = values["antenna.phi_3db"]
-    channel = ChannelParams(
-        alpha_l=values.get("channel.alpha_l", base.params.channel.alpha_l),
-        f_c=values.get("channel.f_c", base.params.channel.f_c),
-        m_s=values.get("channel.m_s", base.params.channel.m_s),
-        m_x=values.get("channel.m_x", base.params.channel.m_x),
-        r_los=values.get("channel.r_los", base.params.channel.r_los),
-        tx_power_w=float(dbm_to_watts(values["channel.tx_power_dbm"]))
-        if "channel.tx_power_dbm" in values else base.params.channel.tx_power_w,
-        noise_w=float(dbm_to_watts(values["channel.noise_dbm"]))
-        if "channel.noise_dbm" in values else base.params.channel.noise_w,
-    )
-    params = NetworkParams(
-        density=values.get("network.density", base.params.density),
-        antenna=AntennaConfig(**antenna_kwargs),
-        channel=channel,
-    )
-    config = ExperimentConfig(
-        scenario=values.get("scenario", base.scenario),
-        params=params,
-        engines=values.get("run.engines", base.engines),
-        policies=values.get("run.policies", base.policies),
-        seed=values.get("run.seed", base.seed),
-        trials=values.get("run.trials", base.trials),
-        workers=values.get("run.workers", base.workers),
-        out_dir=values.get("run.out_dir", base.out_dir),
-        strict=values.get("run.strict", strict),
-        gamma_grid_db=values.get("grid.gamma_db", base.gamma_grid_db),
-        fig7_gamma_db=values.get("grid.fig7_gamma_db", base.fig7_gamma_db),
-        density_sweep=values.get("sweep.density", base.density_sweep),
-        sector_sweep=values.get("sweep.sectors", base.sector_sweep),
-    )
+    given = defaultdict(dict)   # the given field values of each dataclass, by its path
+    for key, value in values.items():
+        _check_range(key, value, locations[key])
+        row = _KEYS[key]
+        owner, _, name = row.path.rpartition(".")
+        given[owner][name] = _watts(value) if row.kind == "dBm" else value
+    params = NetworkParams(antenna=AntennaConfig(**given["params.antenna"]),
+                           channel=ChannelParams(**given["params.channel"]), **given["params"])
+    config = ExperimentConfig(params=params, **{"strict": strict, **given[""]})
     _check_runnable(config, locations)
     return config
 

@@ -577,6 +577,7 @@ def _failing_curve(policy, pairing, gamma, failing, monkeypatch):
     for part in (f"{policy} dominant coverage", "threshold 5.00 dB", "density 0.0016",
                  "sectors_exp 3", "m_s 3", "m_x 4", "alpha 2.2", "max_subdivisions"):
         assert part in message
+    assert "exclusion" not in message
     assert excinfo.value.estimate == 0.25
     return excinfo.value
 

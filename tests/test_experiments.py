@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +16,13 @@ import pytest
 from mmwcov import analytic, montecarlo
 from mmwcov.cli import main
 from mmwcov.experiments import (
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
     validate_config,
 )
-from mmwcov.radio import AntennaConfig, NetworkParams
+from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams
 
 
 class TestValidateConfig:
@@ -67,6 +68,12 @@ class TestValidateConfig:
             validate_config("sweep.sectors = 2,9\n", environ={})
         config = validate_config("sweep.density = 5e-5\nsweep.sectors = 0,8\n", environ={})
         assert config.density_sweep == (5e-5,) and config.sector_sweep == (0, 8)
+        # an empty list would run nothing: every list key refuses one
+        for key in ("run.engines", "run.policies", "grid.gamma_db", "sweep.density",
+                    "sweep.sectors"):
+            for raw in ("", ","):
+                with pytest.raises(ConfigError, match=rf"line 2: {key} must .* \(got \(\)\)"):
+                    validate_config(f"scenario = fig7\n{key} = {raw}\n", environ={})
 
     def test_unknown_key_strict_suggests(self):
         with pytest.raises(ConfigError, match=r"alpha.*did you mean.*channel\.alpha_l"):
@@ -115,6 +122,31 @@ class TestValidateConfig:
         assert config.gamma_grid_db == (-math.inf, 0.0, math.inf)
         assert config.fig7_gamma_db == math.inf
 
+    def test_level_beyond_the_float_range_names_key_and_line(self):
+        # each of these dB levels has a linear value of 0 or above the float
+        # range, which the engines cannot take
+        for key, level in (("antenna.g_max_db", "4000"), ("antenna.g_max_db", "-4000"),
+                           ("channel.tx_power_dbm", "4000"), ("channel.tx_power_dbm", "-4000"),
+                           ("channel.noise_dbm", "4000"), ("channel.noise_dbm", "-4000")):
+            with pytest.raises(ConfigError, match=rf"line 2: {key} must be finite and above 0 "
+                                                  rf"in linear units \(got {level}\.0\)"):
+                validate_config(f"run.engines = analytic\n{key} = {level}\n", environ={})
+        config = validate_config("antenna.g_max_db = 300\nchannel.tx_power_dbm = -300\n"
+                                 "channel.noise_dbm = 300\n", environ={})
+        assert config.params.antenna.g_max == 1e30
+        assert config.params.channel.tx_power_w == pytest.approx(1e-33)
+        assert config.params.channel.noise_w == pytest.approx(1e27)
+
+    def test_range_is_checked_on_the_value_that_wins(self):
+        # the environment overrides the file before any range is checked
+        config = validate_config("channel.alpha_l = -1\n",
+                                 environ={"MMWCOV_CHANNEL__ALPHA_L": "2.1"})
+        assert config.params.channel.alpha_l == 2.1
+        with pytest.raises(ConfigError, match=r"env MMWCOV_CHANNEL__ALPHA_L: channel\.alpha_l "
+                                              r"must be positive \(got -1\.0\)"):
+            validate_config("channel.alpha_l = 2.1\n",
+                            environ={"MMWCOV_CHANNEL__ALPHA_L": "-1"})
+
     def test_no_noise_config_flattens_without_warning(self):
         config = validate_config("channel.noise_dbm = -inf\n", environ={})
         with warnings.catch_warnings():
@@ -145,19 +177,54 @@ class TestValidateConfig:
         assert config.trials == 555
 
     def test_fixed_point(self):
-        source = "\n".join([
-            "scenario = fig5",
-            "network.density = 0.0012",
-            "antenna.sectors_exp = 3",
-            "channel.alpha_l = 2.1",
-            "run.trials = 777",
-            "grid.gamma_db = -5,0,5",
-            "sweep.sectors = 2,4",
-        ])
-        config = validate_config(source, environ={})
+        # every key set to a value other than its default
+        given = {
+            "scenario": "fig5",
+            "network.density": "0.0012",
+            "antenna.g_max_db": "12.5",
+            "antenna.sla_db": "25",
+            "antenna.sectors_exp": "3",
+            "antenna.phi_3db": "0.5",
+            "channel.alpha_l": "2.1",
+            "channel.f_c": "28e9",
+            "channel.m_s": "3",
+            "channel.m_x": "4",
+            "channel.r_los": "90",
+            "channel.tx_power_dbm": "40",
+            "channel.noise_dbm": "-inf",
+            "run.engines": "mc,dominant",
+            "run.policies": "P2,P3",
+            "run.seed": str(2**128 - 1),
+            "run.trials": "777",
+            "run.workers": "2",
+            "run.out_dir": "elsewhere",
+            "run.strict": "true",
+            "grid.gamma_db": "-inf,-5,0,5,inf",
+            "grid.fig7_gamma_db": "inf",
+            "sweep.density": "5e-4,1e-3",
+            "sweep.sectors": "2,4",
+        }
+        assert set(given) == set(_KEYS)
+        config = validate_config("\n".join(f"{k} = {v}" for k, v in given.items()), environ={})
         flat = config.to_flat()
+        defaults = ExperimentConfig().to_flat()
+        assert list(flat) == list(defaults) == list(_KEYS)
+        assert [k for k in flat if flat[k] == defaults[k]] == []
         text = "\n".join(f"{k} = {v}" for k, v in flat.items())
         assert validate_config(text, environ={}).to_flat() == flat
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        def leaves(cls, prefix=""):
+            nested = {"params": NetworkParams, "antenna": AntennaConfig,
+                      "channel": ChannelParams}
+            for f in fields(cls):
+                if f.name in nested:
+                    yield from leaves(nested[f.name], f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        paths = [row.path for row in _KEYS.values()]
+        assert sorted(paths) == sorted(leaves(ExperimentConfig))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -472,8 +539,12 @@ class TestCli:
          r"line 1: antenna\.phi_3db leaves beams up to half the spacing"),
         ("fig5", "antenna.sla_db = 2\n", [], r"line 1: antenna\.sla_db leaves beams"),
         ("custom", "network.density = 1\nrun.engines = analytic\n", ["--engines", "mc"],
-         r"line 1: network\.density density 1 /m\^2 .*over the budget")],
-        ids=["custom-phi_3db", "fig5-sla_db", "density-engines-flag"])
+         r"line 1: network\.density density 1 /m\^2 .*over the budget"),
+        ("custom", "antenna.g_max_db = 4000\n", [], r"line 1: antenna\.g_max_db must be finite"),
+        ("fig4", "\nsweep.density =\n", [], r"line 2: sweep\.density must not be empty"),
+        ("custom", "run.policies =\n", [], r"line 1: run\.policies must not be empty")],
+        ids=["custom-phi_3db", "fig5-sla_db", "density-engines-flag", "g_max_db",
+             "fig4-empty-sweep", "custom-empty-policies"])
     def test_config_that_cannot_run_is_refused(self, tmp_path, capsys, scenario, text, flags,
                                                 message):
         cfg = tmp_path / "run.cfg"
