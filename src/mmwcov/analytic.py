@@ -2,7 +2,9 @@
 
 Mirrors the Monte Carlo engine: serving-power law, conditional interference
 Laplace transforms over policy-specific regions, and the coverage integrals
-for the three serving policies.
+for the three serving policies.  Every coverage curve, here and in
+:mod:`dominant`, is one walk (:func:`_curve`): the density of a serving
+statistic times the coverage given that statistic, integrated over it.
 
 Every law here is the law given a nonempty disk (at least one transmitter
 within ``r_los``), as the simulator conditions every trial.  Interference
@@ -23,14 +25,12 @@ import numpy as np
 
 from .numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, gauss_legendre,
                        integrate_many)
-from .radio import NetworkParams, gain_3gpp, gain_approx
+from .radio import (TWO_PI, _LN10, NetworkParams, _curvature, _rolloff_offset, gain_3gpp,
+                    gain_approx)
 
 # erf comes from the standard library, element by element: the package
 # needs numpy alone, and importing scipy.special would cost every process
 # 0.2-0.3 s of CPU.
-
-TWO_PI = 2.0 * math.pi
-_LN10 = math.log(10.0)
 
 __all__ = [
     "ServingPowerLaw",
@@ -107,11 +107,6 @@ _ALPHA_MIN = 0.25
 _ELEMENT_BUDGET = 2**12
 
 
-def _curvature(cfg) -> float:
-    """kappa such that the mainlobe gain is g_max * 10**(-kappa * offset**2)."""
-    return 1.2 / cfg.phi_3db**2
-
-
 # ---------------------------------------------------------------------------
 # Serving-power law (maximum over transmitters of gain(misalignment) * r**-alpha)
 # ---------------------------------------------------------------------------
@@ -162,11 +157,8 @@ class ServingPowerLaw:
         still beats power level ``w``, and the gaussian-in-angle (erf) window
         of the misalignments from ``lo`` to half the beam spacing."""
         cfg, ch = self.params.antenna, self.params.channel
-        kappa = _curvature(cfg)
-        y = self.psi(w)
-        arg = np.maximum(np.log10(cfg.g_max / y), 0.0) / kappa
-        lo = np.sqrt(arg)
-        q = (2.0 / ch.alpha_l) * kappa * _LN10
+        lo = _rolloff_offset(cfg.g_max / self.psi(w), cfg)
+        q = (2.0 / ch.alpha_l) * _curvature(cfg) * _LN10
         amp = math.sqrt(math.pi / (4.0 * q))
         z = np.sqrt(q) * lo
         erf_lo = np.fromiter(map(math.erf, z.flat), float, z.size).reshape(z.shape)
@@ -561,10 +553,9 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
 
 def _exclusion_angle(params: NetworkParams, s_th: np.ndarray) -> np.ndarray:
     """Offsets below which the keep-out radius saturates at the disk edge."""
-    cfg, ch = params.antenna, params.channel
-    y = s_th * params.r_los**ch.alpha_l
-    ratio = np.maximum(cfg.g_max / y, 1.0)
-    return np.minimum(np.sqrt(np.log10(ratio) / _curvature(cfg)), cfg.phi_a)
+    cfg = params.antenna
+    y = s_th * params.r_los**params.channel.alpha_l
+    return np.minimum(_rolloff_offset(cfg.g_max / y, cfg), cfg.phi_a)
 
 
 def _check_exclusion(policy: str, exclusion: str) -> None:
@@ -753,22 +744,6 @@ def _conditional_coverage(terms: np.ndarray, s, params: NetworkParams):
     return b.sum(axis=0)
 
 
-def _thresholds(gamma, lead: tuple = ()):
-    """The thresholds in ``gamma`` that need quadrature, and the curve to pass
-    :func:`_curve`: all thresholds flat, the shape to return results in
-    (``lead``, the shape of the curves, then that of ``gamma``) and the
-    positions of those that need quadrature.  A threshold <= 0 has coverage
-    exactly 1 and a threshold of +inf exactly 0; a NaN is refused."""
-    g = np.asarray(gamma, dtype=float)
-    flat = g.reshape(-1)
-    nan = np.flatnonzero(np.isnan(flat))
-    if nan.size:
-        where = "".join(f"[{i}]" for i in np.unravel_index(nan[0], g.shape))
-        raise ValueError(f"gamma{where} is NaN")
-    live = np.flatnonzero(~((flat <= 0.0) | (flat == math.inf)))
-    return flat[live], (flat, lead + g.shape, live)
-
-
 def _family(params) -> tuple[list, tuple]:
     """The curves of a coverage call and the leading shape of its result:
     one ``NetworkParams`` is one curve and adds no axis; a sequence of them
@@ -791,18 +766,6 @@ def _family(params) -> tuple[list, tuple]:
     return family, (len(family),)
 
 
-def _by_curve(curve_of, x, laws):
-    """``laws[i](x)`` at the points ``x`` of each curve i (``curve_of`` names
-    the curve of each point): the laws of the serving statistic and its
-    void conditioning depend on each curve's density."""
-    out = np.empty_like(x)
-    for i, law in enumerate(laws):
-        mine = curve_of == i
-        if mine.any():
-            out[mine] = law(x[mine])
-    return out
-
-
 def _located(err, where: str, index: int):
     """``err``, a :class:`QuadratureError` or a
     :class:`NonFiniteIntegrandError`, as a new error of its type with
@@ -812,37 +775,61 @@ def _located(err, where: str, index: int):
     return NonFiniteIntegrandError(f"{where}: {err.message}", index)
 
 
-def _curve(label: str, details: list, curve, integrand, a: float, b: float,
-           spec: QuadratureSpec | None = None):
-    """Coverage integrals of every curve (one entry of ``details`` each) at
-    the thresholds that :func:`_thresholds` kept, over [a, b] to ``spec``
-    (by default ``_OUTER_SPEC``), in lockstep, clipped to [0, 1], and put
-    into the ``curve`` they came from.  ``integrand(x, which)`` takes
-    integral ``which = c * n + t`` to be that of curve c at kept threshold
-    t, with n kept thresholds.  A quadrature failure or a non-finite
-    integrand names the curve point it came from: the ``label`` curve at the
-    failing threshold, and the curve's parameters ``details[c]``; its index
-    is the position of that point in the result."""
-    flat, shape, live = curve
-    n_curves = len(details)
-    out = np.tile(np.where(flat <= 0.0, 1.0, 0.0), (n_curves, 1))
+def _curve(label: str, family: list, lead: tuple, gamma, law, conditional, a: float, b: float,
+           spec: QuadratureSpec | None = None, exclusion: str | None = None):
+    """Coverage of the curves ``family`` (of shape ``lead``, as from
+    :func:`_family`) at the linear thresholds ``gamma`` (scalar or array):
+    over [a, b], the density ``law(x, params)`` of the serving statistic
+    times the coverage given it, in lockstep to ``spec`` (``_OUTER_SPEC``),
+    clipped to [0, 1].  A threshold <= 0 has coverage exactly 1, +inf
+    exactly 0, and a NaN is refused.
+
+    A round evaluates each curve's law once per distinct abscissa of that
+    curve, and ``conditional(nodes, node, c, g)`` at every point: abscissa
+    ``nodes[node]`` of the round's distinct ``nodes``, curve ``c``,
+    threshold ``g``.  A failure names its curve point: the ``label`` curve
+    at its threshold, with the curve's parameters (and ``exclusion``); its
+    index is the point's position in the result.  A conditional that fails
+    raises with the position of its point in the round as the index.
+    """
+    g = np.asarray(gamma, dtype=float)
+    flat = g.reshape(-1)
+    nan = np.flatnonzero(np.isnan(flat))
+    if nan.size:
+        where = "".join(f"[{i}]" for i in np.unravel_index(nan[0], g.shape))
+        raise ValueError(f"gamma{where} is NaN")
+    live = np.flatnonzero(~((flat <= 0.0) | (flat == math.inf)))
+    gammas = flat[live]
+
+    def integrand(x, which):
+        c, t = np.divmod(which, live.size)
+        nodes, node = np.unique(x, return_inverse=True)
+        law_at = np.empty((len(family), nodes.size))
+        for i, params in enumerate(family):
+            used = np.zeros(nodes.size, dtype=bool)
+            used[node[c == i]] = True
+            law_at[i, used] = law(nodes[used], params)
+        try:
+            given = conditional(nodes, node, c, gammas[t])
+        except (QuadratureError, NonFiniteIntegrandError) as err:
+            err.index = int(which[err.index])
+            raise
+        return law_at[c, node] * given
+
+    out = np.tile(np.where(flat <= 0.0, 1.0, 0.0), (len(family), 1))
     try:
-        vals = integrate_many(integrand, a, b, n_curves * live.size, spec or _OUTER_SPEC)
+        vals = integrate_many(integrand, a, b, len(family) * live.size, spec or _OUTER_SPEC)
     except (QuadratureError, NonFiniteIntegrandError) as err:
         c, t = divmod(err.index, live.size)
         index = int(live[t])                # the position among all thresholds
-        g_db = 10.0 * math.log10(flat[index])
-        raise _located(err, f"{label} coverage at threshold {g_db:.2f} dB ({details[c]})",
-                       c * flat.size + index) from err
-    out[:, live] = np.clip(vals.reshape(n_curves, live.size), 0.0, 1.0)
-    return float(out[0, 0]) if shape == () else out.reshape(shape)
-
-
-def _detail(params: NetworkParams, exclusion: str | None = None) -> str:
-    ch = params.channel
-    head = "" if exclusion is None else f"exclusion {exclusion}, "
-    return (f"{head}density {params.density:g}, sectors_exp {params.antenna.sectors_exp}, "
-            f"m_s {ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}")
+        p, ch = family[c], family[c].channel
+        head = "" if exclusion is None else f"exclusion {exclusion}, "
+        raise _located(err, f"{label} coverage at threshold {10.0 * math.log10(flat[index]):.2f} "
+                            f"dB ({head}density {p.density:g}, sectors_exp "
+                            f"{p.antenna.sectors_exp}, m_s {ch.m_s}, m_x {ch.m_x}, alpha "
+                            f"{ch.alpha_l:g})", c * flat.size + index) from err
+    out[:, live] = np.clip(vals.reshape(len(family), live.size), 0.0, 1.0)
+    return float(out[0, 0]) if lead + g.shape == () else out.reshape(lead + g.shape)
 
 
 def coverage_p1(gamma, params, exclusion: str = "all-beams"):
@@ -858,21 +845,17 @@ def coverage_p1(gamma, params, exclusion: str = "all-beams"):
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
-    gammas, curve = _thresholds(gamma, lead)
     density = np.array([p.density for p in family])
-    pdfs = [serving_power_law(p).pdf for p in family]
-    s_const = ch.m_s * gammas / (ch.tx_power_w * cfg.g_max * ch.path_gain_const)
+    s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
 
-    def integrand(s_th, which):
-        c, t = np.divmod(which, gammas.size)
-        nodes, node = np.unique(s_th, return_inverse=True)
-        s = s_const[t] / s_th
+    def conditional(nodes, node, c, g):
+        s = ch.m_s * g / s_den / nodes[node]
         exponent = _exponent_derivatives(_p1_grid(base, nodes, exclusion), node, s,
                                          ch.m_s - 1, density[c])
-        return _by_curve(c, s_th, pdfs) * _conditional_coverage(exponent, s, base)
+        return _conditional_coverage(exponent, s, base)
 
-    return _curve("P1", [_detail(p, exclusion) for p in family], curve, integrand,
-                  serving_power_law(base).w_min, math.inf)
+    return _curve("P1", family, lead, gamma, lambda s_th, p: serving_power_law(p).pdf(s_th),
+                  conditional, serving_power_law(base).w_min, math.inf, exclusion=exclusion)
 
 
 def _z_anchor(params: NetworkParams) -> float:
@@ -928,23 +911,18 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
-    gammas, curve = _thresholds(gamma, lead)
     r_l = base.r_los
     alpha = ch.alpha_l
     density = np.array([p.density for p in family])
-    pdfs = [lambda phi_c, p=p: phi_c_pdf(phi_c, p) for p in family]
-    s_num = ch.m_s * gammas
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
     z_floor = _Z_FLOOR * _z_anchor(base)
 
-    def outer(phi_cs, which):
-        # The inner integrals of every (phi_c, curve, threshold) triple of the
-        # round run in lockstep as their distinct pieces, on the exponents of
-        # the round's distinct nodes.
-        c, t = np.divmod(which, gammas.size)
-        nodes, node = np.unique(phi_cs, return_inverse=True)
+    def conditional(nodes, node, c, g):
+        # the inner integrals of the round's points run in lockstep as their
+        # distinct pieces, on the exponents of the round's distinct nodes
+        phi_cs = nodes[node]
         grid = _p2_grid(base, nodes, exclusion)
-        u_top = (s_num[t] / (s_den * gain_approx(phi_cs, cfg))) ** (2.0 / alpha) * r_l**2
+        u_top = (ch.m_s * g / (s_den * gain_approx(phi_cs, cfg))) ** (2.0 / alpha) * r_l**2
         owner, lo, hi, count = _z_pieces(u_top, z_floor)
         keys = np.array([node[owner], c[owner], lo, hi])
         by_piece = np.lexsort(keys[::-1])
@@ -968,18 +946,17 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
             # named by the lowest threshold that uses the failing piece
             users = owner[piece == err.index]
             user = users[np.argmin(u_top[users])]
-            raise _located(err, f"inner integral at phi_c={phi_cs[user]:.6g}",
-                           int(which[user])) from err
+            raise _located(err, f"inner integral at phi_c={phi_cs[user]:.6g}", int(user)) from err
         # each threshold sums its own pieces in lattice order
         total = np.zeros(phi_cs.size)
         starts = np.cumsum(count) - count
         for q in range(int(count.max())):
             mine = (count > q).nonzero()[0]
             total[mine] += vals[piece[starts[mine] + q]]
-        return _by_curve(c, phi_cs, pdfs) * (total / u_top)
+        return total / u_top
 
-    return _curve("P2", [_detail(p, exclusion) for p in family], curve, outer, 0.0,
-                  0.5 * cfg.beam_spacing)
+    return _curve("P2", family, lead, gamma, phi_c_pdf, conditional, 0.0,
+                  0.5 * cfg.beam_spacing, exclusion=exclusion)
 
 
 def coverage_p3(gamma, params):
@@ -989,19 +966,17 @@ def coverage_p3(gamma, params):
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
-    gammas, curve = _thresholds(gamma, lead)
     density = np.array([p.density for p in family])
-    pdfs = [lambda r1, lam=p.density, norm=1.0 - p.void_probability:
-            2.0 * math.pi * lam * r1 * np.exp(-lam * math.pi * r1**2) / norm
-            for p in family]
-    s_const = ch.m_s * gammas / (ch.tx_power_w * ch.path_gain_const * cfg.g_max**2)
+    s_den = ch.tx_power_w * ch.path_gain_const * cfg.g_max**2
 
-    def integrand(r1, which):
-        c, t = np.divmod(which, gammas.size)
-        nodes, node = np.unique(r1, return_inverse=True)
-        s = s_const[t] * r1**ch.alpha_l
+    def law(r1, p):
+        return (2.0 * math.pi * p.density * r1 * np.exp(-p.density * math.pi * r1**2)
+                / (1.0 - p.void_probability))
+
+    def conditional(nodes, node, c, g):
+        s = ch.m_s * g / s_den * nodes[node]**ch.alpha_l
         exponent = _exponent_derivatives(_p3_grid(base, nodes), node, s, ch.m_s - 1,
                                          density[c])
-        return _by_curve(c, r1, pdfs) * _conditional_coverage(exponent, s, base)
+        return _conditional_coverage(exponent, s, base)
 
-    return _curve("P3", [_detail(p) for p in family], curve, integrand, 0.0, base.r_los)
+    return _curve("P3", family, lead, gamma, law, conditional, 0.0, base.r_los)

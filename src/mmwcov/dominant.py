@@ -1,6 +1,9 @@
 """Single-dominant-interferer SIR analysis for the two baseline policies.
 
-The SIR factorizes as a gain-type ratio times a pathloss/fade-type ratio.
+The SIR factorizes as a gain-type ratio times a pathloss/fade-type ratio,
+so a coverage curve is the coverage walk of :func:`analytic._curve` with
+the density of the first ratio as its law and the ccdf of the second at
+the threshold over it as its conditional.
 For several of these laws an alternative closed form exists that fails Monte
 Carlo arbitration; the corrected form is shipped, and only the
 machine-readable discrepancy report (:func:`build_discrepancy_report`) calls
@@ -24,11 +27,9 @@ import math
 
 import numpy as np
 
-from .analytic import _curvature, _curve, _detail, _thresholds
+from .analytic import _curve
 from .numerics import QuadratureSpec, gauss_legendre, integrate_1d, integrate_many
-from .radio import NetworkParams, gain_approx
-
-_LN10 = math.log(10.0)
+from .radio import _LN10, NetworkParams, _curvature, _db_to_linear, _rolloff_offset, gain_approx
 
 __all__ = [
     "mainlobe_pair_probability",
@@ -174,7 +175,7 @@ def _gain_ratio_integral(g, params: NetworkParams, power: int):
     """
     cfg = params.antenna
     lam_r2 = params.density * params.r_los**2
-    phi_t = np.sqrt(np.log10(g) / _curvature(cfg))
+    phi_t = _rolloff_offset(g, cfg)
     inside = ~(phi_t >= cfg.phi_a)
     nodes, weights = _angular_rule()
 
@@ -280,29 +281,12 @@ def pathloss_fade_ratio_ccdf_p2(t, params: NetworkParams):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _dominant_curve(policy: str, gamma, params: NetworkParams, integrand, a: float,
-                    b: float, spec: QuadratureSpec):
-    """Coverage of every threshold in ``gamma`` (scalar or array), integrated
-    in lockstep by :func:`analytic._curve`; ``integrand(x, t)`` takes the
-    abscissae and the threshold of each."""
-    gammas, curve = _thresholds(gamma)
-    return _curve(f"{policy} dominant", [_detail(params)], curve,
-                  lambda x, which: integrand(x, gammas[which]), a, b, spec)
-
-
 def coverage_dom_p2(gamma, params: NetworkParams):
     """P(SIR > gamma) with only the dominant angle-based interferer retained;
     scalar or array ``gamma``, as in :func:`analytic.coverage_p1`."""
-    cfg = params.antenna
-
-    def integrand(g, t):
-        # the law does not depend on the threshold, and the lockstep
-        # integrals mostly ask for the same abscissae
-        nodes, node = np.unique(g, return_inverse=True)
-        return gain_ratio_pdf_p2(nodes, params)[node] * pathloss_fade_ratio_ccdf_p2(t / g, params)
-
-    return _dominant_curve("P2", gamma, params, integrand, 1.0, cfg.g_max / cfg.g_s,
-                           _P2_COV_SPEC)
+    return _curve("P2 dominant", [params], (), gamma, gain_ratio_pdf_p2,
+                  lambda nodes, node, c, g: pathloss_fade_ratio_ccdf_p2(g / nodes[node], params),
+                  1.0, params.antenna.g_max / params.antenna.g_s, _P2_COV_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +336,9 @@ def coverage_dom_p3(gamma, params: NetworkParams):
     scalar or array ``gamma``, as in :func:`analytic.coverage_p1`.  The
     gain-fade ratio is paired with the distance ratio (the SIR
     factorization)."""
-    def integrand(g, t):
-        return gain_fade_ratio_pdf_p3(g, params) * distance_ratio_ccdf_p3(t / g, params)
-
-    return _dominant_curve("P3", gamma, params, integrand, 0.0, math.inf, _COV_SPEC)
+    return _curve("P3 dominant", [params], (), gamma, gain_fade_ratio_pdf_p3,
+                  lambda nodes, node, c, g: distance_ratio_ccdf_p3(g / nodes[node], params),
+                  0.0, math.inf, _COV_SPEC)
 
 
 def _rejected_variant_coverage_dom_p3(gamma, params: NetworkParams):
@@ -445,7 +428,7 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
     # SIR pairing arbitration for the nearest-transmitter policy.
     sir_samples, _ = sample_statistic(plan, "SIR_dom_p3")
     gammas_db = (-3.0, 0.0, 3.0)
-    gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
+    gammas = _db_to_linear(gammas_db)
     pairings = {"product": coverage_dom_p3(gammas, params),
                 "self": _rejected_variant_coverage_dom_p3(gammas, params)}
     evid = {}
@@ -466,6 +449,7 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
     })
 
     gammas_db = (0.0, 5.0)
+    gammas = _db_to_linear(gammas_db)
     regions = (
         ("P1", coverage_p1, "all-beams", "single-beam",
          "single-beam keep-out under-excludes interferers near the other beam maxima"),
@@ -476,7 +460,6 @@ def build_discrepancy_report(params: NetworkParams, seed: int = 20240,
                                        n_trials=n_trials, master_seed=seed + 1)
                                for policy, *_ in regions])
     for (policy, cov_fn, keep, drop, note), mc in zip(regions, mc_curves):
-        gammas = np.array([10.0 ** (g_db / 10.0) for g_db in gammas_db])
         implemented = cov_fn(gammas, params, exclusion=keep)
         rejected = cov_fn(gammas, params, exclusion=drop)
         evid = {}

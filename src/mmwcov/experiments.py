@@ -279,7 +279,17 @@ def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
     chunk budget (mc, or fig8's report), a path-loss exponent below the
     region exponents' table (analytic coverage, or fig8's report), or an
     antenna that the P1 serving-power law (analytic P1 and fig4, or fig8's
-    report) cannot take."""
+    report) cannot take, or a gain that every engine forms, g_max**2 (a
+    link's boresight gain) or g_s, at 0 or beyond the float range."""
+    ant = config.params.antenna
+    boresight = float(_db_to_linear((2.0 * ant.g_max_db,))[0])
+    for keys, name, gain in ((("antenna.g_max_db",), "g_max**2", boresight),
+                             (("antenna.sla_db", "antenna.g_max_db"), "g_s", ant.g_s)):
+        if not 0.0 < gain < math.inf:
+            key = next((k for k in keys if k in locations), keys[0])
+            raise ConfigError(f"{locations.get(key, 'default')}: {key} leaves the gain {name} at "
+                              f"{gain!r}, which must be finite and above 0 in linear units "
+                              f"(g_max_db {ant.g_max_db:g}, sla_db {ant.sla_db:g})")
     mc = "mc" in config.engines
     report = config.scenario == "fig8" and "dominant" in config.engines
     if report or ("analytic" in config.engines and config.scenario != "fig4"):

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .radio import TWO_PI
 
 __all__ = [
     "angular_offset",

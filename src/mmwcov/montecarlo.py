@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, angular_offset
-from .radio import (NetworkParams, _db_to_linear, _gain_3gpp_core, _mainlobe_core, gain_approx,
-                    sample_fading)
+from .geometry import angular_offset
+from .radio import (TWO_PI, NetworkParams, _db_to_linear, _gain_3gpp_core, _mainlobe_core,
+                    gain_approx, sample_fading)
 
 __all__ = [
     "SimPlan",
@@ -538,12 +538,12 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
         d2 = params.r_los * np.sqrt(rng.random(n))
         h1 = sample_fading(ch.m_s, rng, size=n)
         h2 = sample_fading(ch.m_x, rng, size=n)
-        return (h1 * d1 ** (-ch.alpha_l)) / (h2 * d2 ** (-ch.alpha_l)), n
+        return (h1 * d1 ** (-ch.alpha_l)) / (h2 * d2 ** (-ch.alpha_l))
 
     if statistic in ("phi_c", "S"):
         policy = "P2" if statistic == "phi_c" else "P1"
         out = _policy_chunk(params, policy, n, rng, ws)
-        return out["phi_c" if statistic == "phi_c" else "s_norm"], n
+        return out["phi_c" if statistic == "phi_c" else "s_norm"]
 
     counts, starts, seg, r, phi = _sample_batch(params, n, rng, ws)
 
@@ -552,20 +552,20 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
         ok, first, second = _two_smallest(offsets, seg, starts, counts, ws)
         p1, p2 = offsets[first], offsets[second]
         if statistic == "varphi12":
-            return np.column_stack([p1, p2]), n
+            return np.column_stack([p1, p2])
         keep = p2 < cfg.phi_a          # implies p1 < phi_a as well
         gain_ratio = gain_approx(p1[keep], cfg) / gain_approx(p2[keep], cfg)
         if statistic == "G_ratio_p2":
-            return gain_ratio, n
+            return gain_ratio
         h1 = sample_fading(ch.m_s, rng, size=int(ok.sum()))[keep]
         h2 = sample_fading(ch.m_x, rng, size=int(ok.sum()))[keep]
         w = (h1 * r[first][keep] ** (-ch.alpha_l)) / (h2 * r[second][keep] ** (-ch.alpha_l))
-        return gain_ratio * w, n
+        return gain_ratio * w
 
     if statistic in ("G_p3", "W_p3", "SIR_dom_p3"):
         ok, first, second = _two_smallest(r, seg, starts, counts, ws)
         if statistic == "W_p3":
-            return (r[second] / r[first]) ** ch.alpha_l, n
+            return (r[second] / r[first]) ** ch.alpha_l
         off2 = angular_offset(phi[first], phi[second])
         keep = off2 < cfg.phi_a
         h1 = sample_fading(ch.m_s, rng, size=int(ok.sum()))[keep]
@@ -573,8 +573,8 @@ def _stat_chunk(params: NetworkParams, statistic: str, n: int, rng: np.random.Ge
         g2 = gain_approx(off2[keep], cfg)
         gain_fade = cfg.g_max * h1 / (g2 * h2)
         if statistic == "G_p3":
-            return gain_fade, n
-        return gain_fade * (r[second][keep] / r[first][keep]) ** ch.alpha_l, n
+            return gain_fade
+        return gain_fade * (r[second][keep] / r[first][keep]) ** ch.alpha_l
 
     raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
 
@@ -586,5 +586,5 @@ def sample_statistic(plan: SimPlan, statistic: str, n_workers: int = 1):
         return _stat_chunk(plan.params, statistic, size, _chunk_rng(plan.master_seed, ci), ws)
 
     parts = _map_chunks(work, plan.n_trials, n_workers)
-    samples = np.concatenate([p[0] for p in parts])
+    samples = np.concatenate(parts)
     return samples, samples.shape[0] / plan.n_trials

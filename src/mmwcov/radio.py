@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_LN10 = math.log(10.0)
 # Exact by the SI definition of the metre; equal to scipy.constants.c.
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -185,6 +186,17 @@ def _pow10(x):
         part = flat[lo:lo + _TENS.size]
         np.power(_TENS[:part.size], part, out=part)
     return x
+
+
+def _curvature(cfg: AntennaConfig) -> float:
+    """kappa such that the mainlobe gain is g_max * 10**(-kappa * offset**2)."""
+    return 1.2 / cfg.phi_3db**2
+
+
+def _rolloff_offset(ratio, cfg: AntennaConfig):
+    """The mainlobe offset where the gain is ``ratio`` below g_max,
+    ``sqrt(log10(ratio) / kappa)``: 0 for a ratio at or below 1, NaN for NaN."""
+    return np.sqrt(np.maximum(np.log10(ratio), 0.0) / _curvature(cfg))
 
 
 def _gain_3gpp_core(d, cfg: AntennaConfig, out):

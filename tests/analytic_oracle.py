@@ -36,21 +36,19 @@ import numpy as np
 from mmwcov.analytic import (
     P1_EXCLUSIONS,
     P2_EXCLUSIONS,
-    TWO_PI,
     _INNER_SPEC,
     _N_ANG,
     _OUTER_SPEC,
     _R_FLOOR_FRAC,
     _Z_CELL,
     _Z_FLOOR,
-    _curvature,
     _radial_table,
     _z_anchor,
     phi_c_pdf,
     serving_power_law,
 )
 from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_many
-from mmwcov.radio import NetworkParams, gain_3gpp, gain_approx
+from mmwcov.radio import TWO_PI, NetworkParams, _curvature, gain_3gpp, gain_approx
 
 
 @lru_cache(maxsize=32)

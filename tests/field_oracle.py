@@ -38,14 +38,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from mmwcov.analytic import _curvature
-from mmwcov.dominant import (_LN10, _SPEC, _fade_ratio_ccdf, _p3_gain_offsets,
-                             mainlobe_pair_probability)
-from mmwcov.geometry import TWO_PI, _check_order, angular_offset
+from mmwcov.dominant import _SPEC, _fade_ratio_ccdf, _p3_gain_offsets, mainlobe_pair_probability
+from mmwcov.geometry import _check_order, angular_offset
 from mmwcov.montecarlo import SimPlan, _chunk_rng, _map_chunks, _policy_chunk, sample_statistic
 from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_many
-from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, gain_3gpp, gain_approx,
-                          sample_fading)
+from mmwcov.radio import (TWO_PI, _LN10, AntennaConfig, ChannelParams, NetworkParams, _curvature,
+                          gain_3gpp, gain_approx, sample_fading)
 
 _MAX_REJECTIONS = 10**6
 

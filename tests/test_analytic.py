@@ -629,6 +629,25 @@ class TestCurveInterface:
         coverage_p1(_linear(FIG_GRID_DB), NetworkParams(antenna=AntennaConfig(sectors_exp=3)))
         assert 0 < sum(built) <= 1000
 
+    def test_each_law_evaluated_once_per_distinct_abscissa_of_a_curve(self, params,
+                                                                       monkeypatch):
+        # the lockstep integrals of 11 thresholds on two curves mostly ask
+        # for the same abscissae; each round evaluates a curve's serving law
+        # once at each of its own
+        calls = []
+        pdf = analytic.ServingPowerLaw.pdf
+
+        def recording(law, s0):
+            calls.append((law.params.density, np.array(s0)))
+            return pdf(law, s0)
+
+        monkeypatch.setattr(analytic.ServingPowerLaw, "pdf", recording)
+        family = [params, replace(params, density=2.0 * params.density)]
+        coverage_p1(_linear(FIG_GRID_DB), family)
+        assert {density for density, _ in calls} == {p.density for p in family}
+        for _, s0 in calls:
+            assert np.unique(s0).size == s0.size, "a law value evaluated twice in one round"
+
     @pytest.mark.parametrize("policy,spec", [
         ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
     def test_quadrature_failure_names_the_curve_point(self, policy, spec, monkeypatch):

@@ -8,8 +8,6 @@ from scipy import special, stats
 
 from mmwcov import analytic, dominant
 from mmwcov.dominant import (
-    _LN10,
-    _curvature,
     _fade_ratio_ccdf,
     _rejected_variant_coverage_dom_p3,
     _rejected_variant_gain_ratio_pdf_p2,
@@ -26,7 +24,7 @@ from mmwcov.dominant import (
 )
 from mmwcov.montecarlo import SimPlan, sample_statistic
 from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d
-from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams, gain_approx
+from mmwcov.radio import _LN10, AntennaConfig, ChannelParams, NetworkParams, _curvature, gain_approx
 from conftest import ks_distance
 from field_oracle import (corrected_gain_ratio_pdf_g2space, distance_ratio_pdf_p3,
                           gain_fade_ratio_ccdf_p3, pathloss_fade_ratio_pdf_p2,
@@ -497,6 +495,22 @@ class TestCoverageDomP3:
     def test_rejected_pairing_is_degenerate_below_one(self, params):
         assert _rejected_variant_coverage_dom_p3(0.5, params) == 1.0
         assert coverage_dom_p3(0.5, params) < 0.99
+
+    def test_law_evaluated_once_per_distinct_abscissa(self, params, monkeypatch):
+        # the lockstep integrals of 11 thresholds mostly ask for the same
+        # abscissae; each round evaluates the law once at each
+        calls = []
+        law = dominant.gain_fade_ratio_pdf_p3
+
+        def recording(g, p):
+            calls.append(np.array(g))
+            return law(g, p)
+
+        monkeypatch.setattr(dominant, "gain_fade_ratio_pdf_p3", recording)
+        coverage_dom_p3(10.0 ** (np.arange(-10.0, 15.1, 2.5) / 10.0), params)
+        assert calls
+        for g in calls:
+            assert np.unique(g).size == g.size, "a law value evaluated twice in one round"
 
 
 FIG8_GRID_DB = (-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0)

@@ -542,9 +542,18 @@ class TestCli:
          r"line 1: network\.density density 1 /m\^2 .*over the budget"),
         ("custom", "antenna.g_max_db = 4000\n", [], r"line 1: antenna\.g_max_db must be finite"),
         ("fig4", "\nsweep.density =\n", [], r"line 2: sweep\.density must not be empty"),
-        ("custom", "run.policies =\n", [], r"line 1: run\.policies must not be empty")],
+        ("custom", "run.policies =\n", [], r"line 1: run\.policies must not be empty"),
+        # the gain of a link with g_max at both ends, or the side-lobe floor,
+        # leaves the float range
+        ("custom", "antenna.g_max_db = 3000\n", [],
+         r"line 1: antenna\.g_max_db leaves the gain g_max\*\*2 at inf, which must be finite"),
+        ("custom", "antenna.g_max_db = -3000\n", [],
+         r"line 1: antenna\.g_max_db leaves the gain g_max\*\*2 at 0\.0, which must be"),
+        ("custom", "\nantenna.sla_db = 4000\n", [],
+         r"line 2: antenna\.sla_db leaves the gain g_s at 0\.0, which must be finite")],
         ids=["custom-phi_3db", "fig5-sla_db", "density-engines-flag", "g_max_db",
-             "fig4-empty-sweep", "custom-empty-policies"])
+             "fig4-empty-sweep", "custom-empty-policies", "g_max_db-squared-inf",
+             "g_max_db-squared-0", "sla_db-g_s-0"])
     def test_config_that_cannot_run_is_refused(self, tmp_path, capsys, scenario, text, flags,
                                                 message):
         cfg = tmp_path / "run.cfg"
@@ -554,6 +563,19 @@ class TestCli:
         assert rc == 2
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["antenna.g_max_db = 300\n", "antenna.g_max_db = -300\n",
+                                      "antenna.sla_db = 300\n", "antenna.sla_db = 400\n"])
+    def test_antenna_gains_inside_the_float_range_run_on_every_engine(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "grid.gamma_db = 0,5\nrun.policies = P1,P2,P3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["custom", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--trials", "2000", "--engines", "mc,analytic,dominant"])
+        assert rc == 0
+        for engine in ("mc", "analytic", "dominant"):
+            assert (tmp_path / "out" / f"custom_{engine}.csv").is_file()
 
     def test_checks_run_on_the_config_the_flags_make(self, tmp_path, monkeypatch):
         # the file alone is a custom analytic P1 run that cannot build its

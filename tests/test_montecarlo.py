@@ -13,7 +13,7 @@ import pytest
 from mmwcov.analytic import serving_power_law
 from dataclasses import replace
 
-from mmwcov.geometry import TWO_PI, angular_offset
+from mmwcov.geometry import angular_offset
 from mmwcov import montecarlo
 from mmwcov.montecarlo import (
     CHUNK_POINT_BUDGET,
@@ -36,7 +36,7 @@ from mmwcov.montecarlo import (
     run_power_ccdfs,
     sample_statistic,
 )
-from mmwcov.radio import AntennaConfig, ChannelParams, NetworkParams
+from mmwcov.radio import TWO_PI, AntennaConfig, ChannelParams, NetworkParams
 
 from field_oracle import (ConditioningError, formula_gain_approx, full_scan_chunk,
                           run_histogram, sample_conditioned_interference)
