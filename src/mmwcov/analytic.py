@@ -423,19 +423,22 @@ def _blocks(bounds: np.ndarray, size: int):
 class _Grid:
     """The angular nodes of the region exponents of a batch of conditioning
     nodes, which :func:`_exponent_derivatives` sums with the radial
-    integrals of :class:`_RadialTable`.
+    integrals of :class:`_RadialTable`: the one place where angular panels
+    are cut.
 
-    Each entry of ``groups`` is ``(owner, a, b, flat, mult)``: panel i spans
-    the offsets [a[i], b[i]] of node ``owner[i]``, with weight multiplier
-    ``mult``.  A ``flat`` group's gain and keep-out radius are constant on
-    each panel, which is integrated exactly as width * (single radial
-    integral); the other panels are cut into equal pieces no wider than
+    Node j's panel edges are the antenna's kinks 0, phi_a, pi, 2 pi - phi_a
+    and 2 pi, and the region's own ``cuts[j]``, clipped to [0, pi] for a
+    region ``symmetric`` about the link (weight 2, for the mirror side) or
+    to [0, 2 pi] (weight 1), and sorted.  A panel is dropped when it has no
+    width or ``keep_out(mid, node)`` holds at its midpoint.  Beyond phi_a
+    the gain is flat, and so is the keep-out radius unless it
+    ``radius_varies``: such a panel is one node at its midpoint, weighted
+    by its width.  Any other panel is cut into equal pieces no wider than
     ``phi_3db/2``, with ``_N_ANG`` Gauss-Legendre nodes each.  A node's
-    panels keep the order of the groups.  Offsets lie in [0, 2 pi], and the
-    gain of an offset is that of its fold onto [0, pi].  ``rlo_fn(delta,
-    owner)`` gives the keep-out radius at angular offsets of the given
-    nodes; gains and keep-out radii are computed on the angular nodes of all
-    panels together, in slices of at most ``_ELEMENT_BUDGET``.
+    curved panels come first, then its flat ones.  The gains (of offsets
+    folded onto [0, pi]) and keep-out radii ``rlo_fn(delta, node)`` of all
+    angular nodes are computed together, in slices of at most
+    ``_ELEMENT_BUDGET``.
 
     Node j owns the angular nodes ``angular[j]:angular[j+1]``.  With A the
     interference amplitude of an angular node (``c = A r**-alpha``) and r_lo
@@ -447,29 +450,41 @@ class _Grid:
     and is left out.
     """
 
-    def __init__(self, params: NetworkParams, n_nodes: int, groups, rlo_fn):
+    def __init__(self, params: NetworkParams, cuts: np.ndarray, keep_out, rlo_fn,
+                 symmetric: bool = True, radius_varies: bool = False):
         cfg, ch = params.antenna, params.channel
+        n_nodes = cuts.shape[0]
+        span, mult = (math.pi, 2.0) if symmetric else (TWO_PI, 1.0)
+        kinks = (0.0, cfg.phi_a, math.pi, TWO_PI - cfg.phi_a, TWO_PI)
+        edges = np.clip(np.hstack((np.tile(kinks, (n_nodes, 1)), cuts)), 0.0, span)
+        if cuts.size:
+            edges.sort(axis=1)              # the kinks alone are in order
+        a, b = edges[:, :-1], edges[:, 1:]
+        mid = 0.5 * (a + b)
+        keep = b - a > 1e-13
+        if keep_out is not None:
+            keep &= ~keep_out(mid, np.arange(n_nodes)[:, None])
+        kept = np.flatnonzero(keep)
+        owner = kept // a.shape[1]
+        mid = np.take(mid, kept)
+        kept += owner                       # the panels' left edges among all edges
+        a, b = np.take(edges, kept), np.take(edges, kept + 1)
+        flat = (np.minimum(mid, TWO_PI - mid) >= cfg.phi_a) & (not radius_varies)
+        # a flat panel has no curved pieces
+        width = b - a
+        count = np.where(flat, 0, np.maximum(np.ceil(width / (0.5 * cfg.phi_3db)), 1.0))
+        count = count.astype(np.intp)
+        half = np.repeat(0.5 * width / np.maximum(count, 1), count)
+        centre = np.repeat(a, count) + (2.0 * _runs(np.zeros_like(count), count) + 1.0) * half
         x, w = gauss_legendre(_N_ANG)
-        owners, nodes, weights = [], [], []
-        for owner, a, b, flat, mult in groups:
-            wide = b - a > 1e-13
-            owner, a, b = owner[wide], a[wide], b[wide]
-            if flat:
-                owners.append(owner)
-                nodes.append(0.5 * (a + b))
-                weights.append((b - a) * mult)
-                continue
-            count = np.maximum(np.ceil((b - a) / (0.5 * cfg.phi_3db)), 1.0).astype(np.intp)
-            half = np.repeat(0.5 * (b - a) / count, count)
-            mid = np.repeat(a, count) + (2.0 * _runs(np.zeros_like(count), count) + 1.0) * half
-            owners.append(np.repeat(owner, count * _N_ANG))
-            nodes.append((mid[:, None] + half[:, None] * x).ravel())
-            weights.append((half[:, None] * w * mult).ravel())
-        owner, delta, ang_w = owners[0], nodes[0], weights[0]
-        if len(groups) > 1:
-            owner, delta, ang_w = (np.concatenate(parts) for parts in (owners, nodes, weights))
-            by_node = np.argsort(owner, kind="stable")
-            owner, delta, ang_w = owner[by_node], delta[by_node], ang_w[by_node]
+        nodes = (np.repeat(owner, count * _N_ANG),
+                 (centre[:, None] + half[:, None] * x).ravel(), (half[:, None] * w * mult).ravel())
+        if flat.any():
+            nodes = [np.concatenate(pair) for pair in
+                     zip(nodes, (owner[flat], mid[flat], width[flat] * mult))]
+            by_node = np.argsort(nodes[0], kind="stable")
+            nodes = [part[by_node] for part in nodes]
+        owner, delta, ang_w = nodes
         # gains and keep-out radii in slices, so that their temporaries stay
         # within the budget
         gains, r_lo = np.empty((2, delta.size))
@@ -572,22 +587,19 @@ def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
         raise ValueError("serving power below the support of the serving law")
     r_l = params.r_los
     inv_alpha = 1.0 / ch.alpha_l
-    floor = cfg.phi_a
-    n = s_th.size
-    owner = np.arange(n)
-    phi_star = _exclusion_angle(params, s_th)
+    star = _exclusion_angle(params, s_th)
 
     if exclusion == "single-beam":
+        # keep-out below phi* around the serving beam alone, with a radius
+        # that follows the gain
         def rlo_from_chosen(delta, node):
             return np.minimum((gain_3gpp(delta, cfg) / s_th[node]) ** inv_alpha, r_l)
 
-        groups = [(owner, phi_star, np.full(n, floor), False, 2.0)]
-        if floor < math.pi:
-            groups.append((owner, np.full(n, floor), np.full(n, math.pi), True, 2.0))
-        return _Grid(params, n, groups, rlo_from_chosen)
+        return _Grid(params, star[:, None], lambda mid, node: mid < star[node], rlo_from_chosen)
 
     # Keep-out around *every* beam maximum: a transmitter beats s_th whenever
-    # its own best-beam gain does, so the empty bands repeat with the beam grid.
+    # its own best-beam gain does, so the empty bands and the radius repeat
+    # with the beam grid.
     step = cfg.beam_spacing
 
     def fold(delta):
@@ -597,81 +609,44 @@ def _p1_grid(params: NetworkParams, s_th: np.ndarray, exclusion: str) -> _Grid:
     def rlo_exact(delta, node):
         return np.minimum((gain_approx(fold(delta), cfg) / s_th[node]) ** inv_alpha, r_l)
 
-    # The panel edges of every node, one row each: edges outside [0, pi] are
-    # clipped onto 0 or pi, which only adds panels of zero width.
     ks = np.arange(int((math.pi + step) / step) + 2) * step
-    ks = ks[ks <= math.pi + step]
-    star = phi_star[:, None]
-    edges = np.concatenate([np.broadcast_to([0.0, math.pi, min(floor, math.pi)], (n, 3)),
-                            ks - star, np.broadcast_to(ks, (n, ks.size)), ks + star,
-                            np.broadcast_to(ks + 0.5 * step, (n, ks.size))], axis=1)
-    edges = np.sort(np.clip(edges, 0.0, math.pi), axis=1)
-    a, b = edges[:, :-1], edges[:, 1:]
-    outside = fold(0.5 * (a + b)) >= star    # panel midpoint not in a keep-out band
-    return _Grid(params, n, [(np.nonzero(outside)[0], a[outside], b[outside], False, 2.0)],
-                 rlo_exact)
+    ks = np.tile(ks[ks <= math.pi + step], (s_th.size, 1))
+    cuts = np.hstack((ks - star[:, None], ks, ks + star[:, None], ks + 0.5 * step))
+    return _Grid(params, cuts, lambda mid, node: fold(mid) < star[node], rlo_exact,
+                 radius_varies=True)
 
 
 def _p2_grid(params: NetworkParams, phi_c: np.ndarray, exclusion: str) -> _Grid:
-    cfg = params.antenna
-    floor = cfg.phi_a
     r_floor = _R_FLOOR_FRAC * params.r_los
-    n = phi_c.size
-    owner = np.arange(n)
 
+    # r_floor is nominal: a keep-out radius of zero would do
     def rlo(delta, node):
         return np.full(np.shape(delta), r_floor)
 
-    # r_floor is nominal: a keep-out radius of zero would do
     if exclusion == "one-sided":
-        def side_panels(lower):
-            return [(owner, lower, np.full(n, min(floor, math.pi)), False, 1.0),
-                    (owner, np.maximum(lower, floor), np.full(n, math.pi), True, 1.0)]
-
-        groups = side_panels(phi_c) + side_panels(np.zeros(n))
-        return _Grid(params, n, groups, rlo)
+        # link-relative azimuth, kept out below phi_c
+        return _Grid(params, phi_c[:, None], lambda mid, node: mid < phi_c[node], rlo,
+                     symmetric=False)
 
     # Keep-out of half-width phi_c around every beam maximum.  In link-relative
     # azimuth the maxima sit at k*step - phi_c (the serving link is phi_c off
     # its beam); the excluded azimuth bands are (k*step - 2 phi_c, k*step),
     # which for k = 1 .. n_beams tile [0, 2*pi] without wrap handling.  A node
     # at phi_c = 0 has no bands: its band edges are put at 0.
-    step = cfg.beam_spacing
-    ks = np.arange(1, cfg.n_beams + 1) * step
+    step = params.antenna.beam_spacing
+    ks = np.arange(1, params.antenna.n_beams + 1) * step
     banded = (phi_c > 0.0)[:, None]
-    band_lo = np.where(banded, np.maximum(0.0, ks - 2.0 * phi_c[:, None]), 0.0)
-    band_hi = np.minimum(TWO_PI, ks)
-    fixed = [0.0, TWO_PI, math.pi] + [f for f in (floor, TWO_PI - floor) if 0.0 < f < TWO_PI]
-    edges = np.sort(np.concatenate([np.broadcast_to(fixed, (n, len(fixed))), band_lo,
-                                    np.where(banded, band_hi, 0.0)], axis=1), axis=1)
-    a, b = edges[:, :-1], edges[:, 1:]
-    mid = 0.5 * (a + b)
-    # Both band bounds rise with k, so only the first band ending at or after
-    # a midpoint can hold it.
-    first = np.minimum(np.searchsorted(band_hi + 1e-15, mid), ks.size - 1)
-    in_band = banded & ((np.take_along_axis(band_lo, first, axis=1) - 1e-15 <= mid)
-                        & (mid <= band_hi[first] + 1e-15))
-    flat = np.minimum(mid, TWO_PI - mid) >= floor
-    groups = [(np.nonzero(keep)[0], a[keep], b[keep], is_flat, 1.0)
-              for keep, is_flat in ((~in_band & ~flat, False), (~in_band & flat, True))]
-    return _Grid(params, n, groups, rlo)
+    cuts = np.hstack((np.where(banded, np.maximum(0.0, ks - 2.0 * phi_c[:, None]), 0.0),
+                      np.where(banded, np.minimum(TWO_PI, ks), 0.0)))
+    band = step - 2.0 * phi_c
+    return _Grid(params, cuts, lambda mid, node: np.remainder(mid, step) > band[node], rlo,
+                 symmetric=False)
 
 
 def _p3_grid(params: NetworkParams, r1: np.ndarray) -> _Grid:
-    cfg = params.antenna
     r_l = params.r_los
-    floor = cfg.phi_a
-    n = r1.size
-    owner = np.arange(n)
     r_lo = np.minimum(np.maximum(r1, _R_FLOOR_FRAC * r_l), r_l * (1.0 - 1e-12))
-
-    def rlo(delta, node):
-        return r_lo[node]
-
-    groups = [(owner, np.zeros(n), np.full(n, min(floor, math.pi)), False, 2.0)]
-    if floor < math.pi:
-        groups.append((owner, np.full(n, floor), np.full(n, math.pi), True, 2.0))
-    return _Grid(params, n, groups, rlo)
+    return _Grid(params, np.empty((r1.size, 0)), None, lambda delta, node: r_lo[node])
 
 
 def _one_node(grid: _Grid, density: float):

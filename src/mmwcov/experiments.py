@@ -275,12 +275,13 @@ def validate_config(source=None, strict: bool = False, environ=None) -> Experime
 
 def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
     """Refuse a config whose run would fail before it computes anything,
-    naming the key and its ``locations`` entry: a field too dense for the
-    chunk budget (mc, or fig8's report), a path-loss exponent below the
-    region exponents' table (analytic coverage, or fig8's report), or an
-    antenna that the P1 serving-power law (analytic P1 and fig4, or fig8's
-    report) cannot take, or a gain that every engine forms, g_max**2 (a
-    link's boresight gain) or g_s, at 0 or beyond the float range."""
+    naming the key and its ``locations`` entry: a field that the run draws
+    (an mc curve, or fig8's report) too dense for the chunk budget, a
+    path-loss exponent below the region exponents' table (analytic
+    coverage, or fig8's report), or an antenna that the P1 serving-power
+    law (analytic P1 and fig4, or fig8's report) cannot take, or a gain that
+    every engine forms, g_max**2 (a link's boresight gain) or g_s, at 0 or
+    beyond the float range."""
     ant = config.params.antenna
     boresight = float(_db_to_linear((2.0 * ant.g_max_db,))[0])
     for keys, name, gain in ((("antenna.g_max_db",), "g_max**2", boresight),
@@ -298,8 +299,14 @@ def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
         except ValueError as exc:
             raise ConfigError(f"{locations.get('channel.alpha_l', 'default')}: "
                               f"channel.alpha_l {exc}") from None
-    drawn = [("network.density", config.params.density)] if mc or report else []
-    drawn += [("sweep.density", density) for density in config.density_sweep] if mc else []
+    # the densities of the fields that the run draws, and the key that sets each
+    drawn = [("network.density", config.params.density)] if report else []
+    if mc:
+        swept = config.scenario in ("fig4", "fig7")
+        densities = (config.density_sweep if config.scenario == "fig4" else
+                     [c.params.density for c in _CURVES[config.scenario](config)["mc"]])
+        drawn += [("sweep.density" if swept else "network.density", density)
+                  for density in dict.fromkeys(densities)]
     for key, density in drawn:
         try:
             check_chunk_points(density, config.params.r_los)

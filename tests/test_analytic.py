@@ -755,11 +755,26 @@ class TestExponentOracle:
     each angular node's radial integrals from the package's antiderivative
     one at a time."""
 
-    @pytest.mark.parametrize("sectors_exp", [0, 3, 8])
+    # an antenna is a sectors_exp, or the fields of an antenna at a corner of
+    # the panel cuts: phi_a capped at pi, where the kinks coincide; phi_a
+    # (0.474) below half the spacing, where phi_c can pass it; one beam with
+    # a deep floor; and a floor barely below the maximum
+    @pytest.mark.parametrize("antenna", [0, 3, 8] + [
+        pytest.param(fields, id="-".join(f"{k}={v:g}" for k, v in fields.items()))
+        for fields in (dict(phi_3db=2.0, sectors_exp=2), dict(phi_3db=0.3, sectors_exp=1),
+                       dict(phi_3db=6.0, sla_db=60.0, sectors_exp=0),
+                       dict(sla_db=1e-3, sectors_exp=5))])
     @pytest.mark.parametrize("policy,exclusion", CURVES)
-    def test_round_of_nodes_matches_per_node_exponents(self, policy, exclusion, sectors_exp,
+    def test_round_of_nodes_matches_per_node_exponents(self, policy, exclusion, antenna,
                                                         monkeypatch):
-        params = NetworkParams(antenna=AntennaConfig(sectors_exp=sectors_exp))
+        fields = antenna if isinstance(antenna, dict) else {"sectors_exp": antenna}
+        params = NetworkParams(antenna=AntennaConfig(**fields))
+        sectors_exp = params.antenna.sectors_exp
+        if policy == "P1":
+            try:
+                serving_power_law(params)
+            except ValueError:
+                pytest.skip("the P1 serving-power law refuses this antenna")
         nodes, build, one = _exponent_case(policy, exclusion, params)
         grid = build(nodes)
         if sectors_exp == 8 and exclusion in ("all-beams", "grid"):

@@ -249,9 +249,10 @@ class TestValidateConfig:
             validate_config("run.engines =\n")
 
     def test_chunk_point_budget_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 2: sweep\.density density 1 /m\^2 "
+        with pytest.raises(ConfigError, match=r"line 3: sweep\.density density 1 /m\^2 "
                                               r".*points per chunk.*budget"):
-            validate_config("run.engines = mc\nsweep.density = 8e-4,1.0\n", environ={})
+            validate_config("scenario = fig7\nrun.engines = mc\nsweep.density = 8e-4,1.0\n",
+                            environ={})
         with pytest.raises(ConfigError, match=r"line 1: network\.density density 1 /m\^2"):
             validate_config("network.density = 1.0\n", environ={})
         with pytest.raises(ConfigError, match=r"line 1: network\.density .*r_los 2000 m"):
@@ -259,6 +260,19 @@ class TestValidateConfig:
         # engines other than mc hold no per-trial point arrays
         config = validate_config("run.engines = analytic\nnetwork.density = 1.0\n", environ={})
         assert config.params.density == 1.0
+        # fig4 and fig7 draw the swept densities alone, the other scenarios the
+        # network density alone
+        with pytest.raises(ConfigError, match=r"line 3: sweep\.density density 1000 /m\^2"):
+            validate_config("scenario = fig4\nrun.engines = mc\nsweep.density = 1e3\n",
+                            environ={})
+        for scenario in ("fig5", "fig6", "fig8", "custom"):
+            config = validate_config(f"scenario = {scenario}\nrun.engines = mc\n"
+                                     f"sweep.density = 1e3\n", environ={})
+            assert config.density_sweep == (1e3,)
+        for scenario in ("fig4", "fig7"):
+            config = validate_config(f"scenario = {scenario}\nrun.engines = mc\n"
+                                     f"network.density = 1e3\n", environ={})
+            assert config.params.density == 1e3
 
     def test_serving_law_names_key_and_line(self):
         # the analytic P1 curves need half the beam spacing within phi_a
