@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec, gauss_legendre,
-                       integrate_many)
+from .numerics import (NonFiniteIntegrandError, QuadratureError, QuadratureSpec,
+                       composite_gauss_legendre, gauss_legendre, integrate_many)
 from .radio import (TWO_PI, _LN10, NetworkParams, _curvature, _rolloff_offset, gain_3gpp,
                     gain_approx)
 
@@ -52,18 +52,18 @@ __all__ = [
 P1_EXCLUSIONS = ("single-beam", "all-beams")
 P2_EXCLUSIONS = ("one-sided", "grid")
 
-# Quadrature specs for the coverage integrals: the inner/outer split keeps the
-# combined error comfortably below the cross-engine comparison tolerances.
-# An inner integral of P2 must be within max(1e-9, 1e-5 |inner|).  It is a
-# width-weighted mean of pieces (see coverage_p2), each run to _INNER_SPEC,
-# so its bound is at most abs_tol + rel_tol |inner|: half those tolerances.
+# Quadrature spec of the analytic coverage integrals, each curve's one
+# adaptive level: its error stays well below the cross-engine tolerances.
 _OUTER_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=1e-8, max_subdivisions=4000)
-_INNER_SPEC = QuadratureSpec(rel_tol=5e-6, abs_tol=5e-10, max_subdivisions=4000)
 
-# P2's inner integrals are cut on a geometric lattice of z (see coverage_p2):
-# cells _Z_CELL wide, from _Z_FLOOR times the anchor of _z_anchor.
+# P2's inner integrals (see coverage_p2): a geometric lattice of z, cells
+# _Z_CELL wide from the floor of _z_floor, and _Z_NODES Gauss-Legendre nodes
+# per piece (_z_rule).  Sized by measured error: over the parameter box each
+# inner mean is within max(1e-9, 1e-5 |inner|) of adaptive quadrature
+# (tests/test_analytic.py, TestP2InnerRule).
 _Z_CELL = 4.0
 _Z_FLOOR = 4.0**-3
+_Z_NODES = 12
 
 # Fraction of the disk radius below which radial mass is negligible for the
 # interference exponent (the integrand is bounded by r there).
@@ -741,15 +741,6 @@ def _family(params) -> tuple[list, tuple]:
     return family, (len(family),)
 
 
-def _located(err, where: str, index: int):
-    """``err``, a :class:`QuadratureError` or a
-    :class:`NonFiniteIntegrandError`, as a new error of its type with
-    ``where`` before its message and ``index`` as its index."""
-    if isinstance(err, QuadratureError):
-        return QuadratureError(f"{where}: {err.message}", err.estimate, err.error_bound, index)
-    return NonFiniteIntegrandError(f"{where}: {err.message}", index)
-
-
 def _curve(label: str, family: list, lead: tuple, gamma, law, conditional, a: float, b: float,
            spec: QuadratureSpec | None = None, exclusion: str | None = None):
     """Coverage of the curves ``family`` (of shape ``lead``, as from
@@ -764,8 +755,7 @@ def _curve(label: str, family: list, lead: tuple, gamma, law, conditional, a: fl
     ``nodes[node]`` of the round's distinct ``nodes``, curve ``c``,
     threshold ``g``.  A failure names its curve point: the ``label`` curve
     at its threshold, with the curve's parameters (and ``exclusion``); its
-    index is the point's position in the result.  A conditional that fails
-    raises with the position of its point in the round as the index.
+    index is the point's position in the result.
     """
     g = np.asarray(gamma, dtype=float)
     flat = g.reshape(-1)
@@ -784,12 +774,7 @@ def _curve(label: str, family: list, lead: tuple, gamma, law, conditional, a: fl
             used = np.zeros(nodes.size, dtype=bool)
             used[node[c == i]] = True
             law_at[i, used] = law(nodes[used], params)
-        try:
-            given = conditional(nodes, node, c, gammas[t])
-        except (QuadratureError, NonFiniteIntegrandError) as err:
-            err.index = int(which[err.index])
-            raise
-        return law_at[c, node] * given
+        return law_at[c, node] * conditional(nodes, node, c, gammas[t])
 
     out = np.tile(np.where(flat <= 0.0, 1.0, 0.0), (len(family), 1))
     try:
@@ -799,10 +784,11 @@ def _curve(label: str, family: list, lead: tuple, gamma, law, conditional, a: fl
         index = int(live[t])                # the position among all thresholds
         p, ch = family[c], family[c].channel
         head = "" if exclusion is None else f"exclusion {exclusion}, "
-        raise _located(err, f"{label} coverage at threshold {10.0 * math.log10(flat[index]):.2f} "
-                            f"dB ({head}density {p.density:g}, sectors_exp "
-                            f"{p.antenna.sectors_exp}, m_s {ch.m_s}, m_x {ch.m_x}, alpha "
-                            f"{ch.alpha_l:g})", c * flat.size + index) from err
+        message = (f"{label} coverage at threshold {10.0 * math.log10(flat[index]):.2f} dB "
+                   f"({head}density {p.density:g}, sectors_exp {p.antenna.sectors_exp}, m_s "
+                   f"{ch.m_s}, m_x {ch.m_x}, alpha {ch.alpha_l:g}): {err.message}")
+        bound = (err.estimate, err.error_bound) if isinstance(err, QuadratureError) else ()
+        raise type(err)(message, *bound, c * flat.size + index) from err
     out[:, live] = np.clip(vals.reshape(len(family), live.size), 0.0, 1.0)
     return float(out[0, 0]) if lead + g.shape == () else out.reshape(lead + g.shape)
 
@@ -833,21 +819,22 @@ def coverage_p1(gamma, params, exclusion: str = "all-beams"):
                   conditional, serving_power_law(base).w_min, math.inf, exclusion=exclusion)
 
 
-def _z_anchor(params: NetworkParams) -> float:
-    """The ``z`` of an interferer at the disk edge, on a beam maximum, whose
-    mean power reaches the serving power: ``z = r_los**2 / A**(2/alpha)``
-    with ``A`` the largest interference amplitude of the region exponents."""
+def _z_floor(params: NetworkParams) -> float:
+    """One curve's lattice floor: ``_Z_FLOOR`` times the ``z`` at which an
+    interferer at the disk edge on a beam maximum matches the serving power
+    (``r_los**2 / A**(2/alpha)``, ``A`` the largest interference amplitude),
+    over a mean count above 1, which moves the coverage's turn to lower z."""
     cfg, ch = params.antenna, params.channel
     amp = ch.tx_power_w * ch.path_gain_const * cfg.g_max**2 / ch.m_x
-    return params.r_los**2 * amp ** (-2.0 / ch.alpha_l)
+    return _Z_FLOOR * params.r_los**2 * amp ** (-2.0 / ch.alpha_l) / max(1.0, params.mean_count)
 
 
-def _z_pieces(u_top: np.ndarray, z_floor: float):
-    """The pieces of each ``[0, u_top[i]]`` on the lattice ``z_floor *
-    _Z_CELL**j`` (j >= 0), in order: ``[0, z_floor]``, the whole lattice
+def _z_pieces(u_top: np.ndarray, z_floor: np.ndarray):
+    """The pieces of each ``[0, u_top[i]]`` on the lattice ``z_floor[i] *
+    _Z_CELL**j`` (j >= 0), in order: ``[0, z_floor[i]]``, the whole lattice
     cells, and the partial cell that ends at ``u_top[i]``; one piece
-    ``[0, u_top[i]]`` if ``u_top[i] <= z_floor``.  Returns the owner i, the
-    bounds of every piece, and each i's piece count."""
+    ``[0, u_top[i]]`` if ``u_top[i] <= z_floor[i]``.  Returns the owner i
+    of every piece, its place among the pieces of i, and its bounds."""
     # the first lattice point at or above u_top, from the logarithm and
     # corrected for its rounding
     j = np.ceil(np.log(np.maximum(u_top / z_floor, 1.0)) / math.log(_Z_CELL))
@@ -856,9 +843,25 @@ def _z_pieces(u_top: np.ndarray, z_floor: float):
     count = j.astype(np.intp) + 1
     owner = np.repeat(np.arange(u_top.size), count)
     q = _runs(np.zeros_like(count), count)
-    lo = np.where(q == 0, 0.0, z_floor * _Z_CELL ** (q - 1.0))
-    hi = np.where(q == count[owner] - 1, u_top[owner], z_floor * _Z_CELL**q)
-    return owner, lo, hi, count
+    lo = np.where(q == 0, 0.0, z_floor[owner] * _Z_CELL ** (q - 1.0))
+    hi = np.where(q == count[owner] - 1, u_top[owner], z_floor[owner] * _Z_CELL**q)
+    return owner, q, lo, hi
+
+
+def _z_rule(lo: np.ndarray, hi: np.ndarray, alpha: float):
+    """Nodes ``z`` and weights ``w`` of P2's inner rule, a row of ``_Z_NODES``
+    per piece ``[lo[i], hi[i]]``: Gauss-Legendre in ``log z`` on a lattice
+    cell, and in ``v = z**min(1, alpha/2)`` on a piece from 0, where the
+    conditional coverage is ``1 - c z**(alpha/2)`` to first order."""
+    p, cell = min(1.0, 0.5 * alpha), lo > 0.0
+    z, w = composite_gauss_legendre(np.log(lo, out=np.zeros_like(lo), where=cell),
+                                    np.log(hi, out=hi**p, where=cell), _Z_NODES)
+    z, w = z.reshape(lo.size, _Z_NODES), w.reshape(lo.size, _Z_NODES)
+    z[cell] = np.exp(z[cell])
+    w[cell] *= z[cell]
+    w[~cell] *= z[~cell] ** (1.0 / p - 1.0) / p
+    z[~cell] **= 1.0 / p
+    return z, w
 
 
 def coverage_p2(gamma, params, exclusion: str = "grid"):
@@ -875,60 +878,53 @@ def coverage_p2(gamma, params, exclusion: str = "grid"):
     node no longer depends on the threshold.  ``[0, U_t]`` is cut on a
     geometric lattice that depends on the curve alone (:func:`_z_pieces`),
     so the thresholds of a node share their whole lattice cells; every
-    distinct ``(phi_c, curve, piece)`` is one integral of the round's one
-    inner :func:`integrate_many` call, of the mean of ``C`` over the piece
-    to ``_INNER_SPEC``, and each threshold sums its own pieces, weighted by
-    their widths, in lattice order.  A piece does not depend on the other
-    thresholds of the call, so a threshold gets bitwise the coverage it
-    gets alone.
+    distinct ``(phi_c, curve, piece)`` of a round is integrated once, on the
+    fixed nodes of :func:`_z_rule`, and each threshold sums its own pieces
+    in lattice order.  A piece does not depend on the other thresholds or
+    curves of the call, so a threshold gets bitwise the coverage it gets
+    alone.  A point whose ``U_t`` leaves the float range is NaN, which the
+    coverage walk reports with its curve point.
     """
     _check_exclusion("P2", exclusion)
     family, lead = _family(params)
     base = family[0]
     cfg, ch = base.antenna, base.channel
-    r_l = base.r_los
     alpha = ch.alpha_l
     density = np.array([p.density for p in family])
+    z_floor = np.array([_z_floor(p) for p in family])
     s_den = ch.tx_power_w * cfg.g_max * ch.path_gain_const
-    z_floor = _Z_FLOOR * _z_anchor(base)
+    log_coef = (2.0 / alpha) * (math.log(ch.m_s) - math.log(s_den)) + 2.0 * math.log(base.r_los)
+    # log U_t must keep U_t, the lattice point above it and the largest
+    # Laplace argument U_t**(alpha/2) normal floats
+    tiny, huge = np.log([np.finfo(float).tiny, np.finfo(float).max])
+    log_top_range = tiny, min(huge - math.log(_Z_CELL), huge / max(1.0, 0.5 * alpha))
 
     def conditional(nodes, node, c, g):
-        # the inner integrals of the round's points run in lockstep as their
-        # distinct pieces, on the exponents of the round's distinct nodes
+        # the round's points share the distinct pieces of their lattices, on
+        # the exponents of the round's distinct nodes
         phi_cs = nodes[node]
         grid = _p2_grid(base, nodes, exclusion)
-        u_top = (ch.m_s * g / (s_den * gain_approx(phi_cs, cfg))) ** (2.0 / alpha) * r_l**2
-        owner, lo, hi, count = _z_pieces(u_top, z_floor)
+        log_top = (2.0 / alpha) * (np.log(g) - np.log(gain_approx(phi_cs, cfg))) + log_coef
+        inside = (log_top > log_top_range[0]) & (log_top < log_top_range[1])
+        # a point outside that range keeps one piece, [0, its floor]
+        u_top = np.exp(log_top, out=z_floor[c], where=inside)
+        owner, q, lo, hi = _z_pieces(u_top, z_floor[c])
         keys = np.array([node[owner], c[owner], lo, hi])
         by_piece = np.lexsort(keys[::-1])
         keys = keys[:, by_piece]
         first = np.ones(by_piece.size, dtype=bool)
         first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        piece = np.empty(by_piece.size, dtype=np.intp)
-        piece[by_piece] = np.cumsum(first) - 1      # the distinct piece of each
-        p_node, p_c, p_lo, p_hi = keys[:, first]
-        p_node, p_density = p_node.astype(np.intp), density[p_c.astype(np.intp)]
-        width = p_hi - p_lo
-
-        def inner(z, k):
-            s = z ** (0.5 * alpha)
-            exponent = _exponent_derivatives(grid, p_node[k], s, ch.m_s - 1, p_density[k])
-            return _conditional_coverage(exponent, s, base) / width[k]
-
-        try:
-            vals = integrate_many(inner, p_lo, p_hi, p_lo.size, _INNER_SPEC) * width
-        except (QuadratureError, NonFiniteIntegrandError) as err:
-            # named by the lowest threshold that uses the failing piece
-            users = owner[piece == err.index]
-            user = users[np.argmin(u_top[users])]
-            raise _located(err, f"inner integral at phi_c={phi_cs[user]:.6g}", int(user)) from err
-        # each threshold sums its own pieces in lattice order
-        total = np.zeros(phi_cs.size)
-        starts = np.cumsum(count) - count
-        for q in range(int(count.max())):
-            mine = (count > q).nonzero()[0]
-            total[mine] += vals[piece[starts[mine] + q]]
-        return total / u_top
+        z, w = _z_rule(*keys[2:, first], alpha)
+        z_node, z_c = np.repeat(keys[:2, first].astype(np.intp), _Z_NODES, axis=1)
+        s = (z ** (0.5 * alpha)).ravel()
+        exponent = _exponent_derivatives(grid, z_node, s, ch.m_s - 1, density[z_c])
+        vals = (_conditional_coverage(exponent, s, base).reshape(z.shape) * w).sum(axis=1)
+        # each threshold sums its own pieces in lattice order: a running sum
+        # of its row, whose padding adds exact zeros
+        table = np.zeros((phi_cs.size, q.max() + 1))
+        table[owner[by_piece], q[by_piece]] = vals[np.cumsum(first) - 1]
+        total = table.cumsum(axis=1)[:, -1]
+        return np.where(inside, total / u_top, math.nan)
 
     return _curve("P2", family, lead, gamma, phi_c_pdf, conditional, 0.0,
                   0.5 * cfg.beam_spacing, exclusion=exclusion)

@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from .analytic import _curve
-from .numerics import QuadratureSpec, gauss_legendre, integrate_1d, integrate_many
+from .numerics import (QuadratureSpec, composite_gauss_legendre, gauss_legendre, integrate_1d,
+                       integrate_many)
 from .radio import _LN10, NetworkParams, _curvature, _db_to_linear, _rolloff_offset, gain_approx
 
 __all__ = [
@@ -61,25 +62,18 @@ _BLOCK = 256
 _ANGULAR_TAIL = 60.0
 
 
-def _composite_gauss_legendre(edges, n: int):
-    """Nodes and weights of an n-point Gauss-Legendre rule on each panel."""
-    x, w = gauss_legendre(n)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
-
-
 @functools.cache
 def _angular_rule():
     """8 equal panels of 12 nodes on [0, 1], scaled to each point's s range."""
-    return _composite_gauss_legendre(np.linspace(0.0, 1.0, 9), 12)
+    return composite_gauss_legendre(np.arange(8) / 8, np.arange(1, 9) / 8, 12)
 
 
 @functools.cache
 def _fold_rule():
     """20 geometric panels of ratio e^-0.7 down to x = e^-14, plus [0, e^-14]:
     equal steps in log x, where the fade-ratio ccdf is a smooth step."""
-    return _composite_gauss_legendre(
-        np.concatenate([[0.0], np.exp(-0.7 * np.arange(20, -1, -1))]), 10)
+    edges = np.concatenate([[0.0], np.exp(-0.7 * np.arange(20, -1, -1))])
+    return composite_gauss_legendre(edges[:-1], edges[1:], 10)
 
 
 def _blockwise(kernel, x):

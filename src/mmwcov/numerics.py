@@ -29,6 +29,7 @@ __all__ = [
     "integrate_1d",
     "integrate_many",
     "gauss_legendre",
+    "composite_gauss_legendre",
 ]
 
 INFINITE_TAIL_MASS = 1e-9    # see QuadratureSpec
@@ -112,6 +113,14 @@ def gauss_legendre(n: int):
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # symmetric about 0, as the exact rule is
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def composite_gauss_legendre(lo, hi, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    ``[lo[i], hi[i]]``, panel after panel."""
+    x, w = gauss_legendre(n)
+    half = 0.5 * (hi - lo)[:, None]
+    return (0.5 * (lo + hi)[:, None] + half * x).ravel(), (half * w).ravel()
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].

@@ -7,10 +7,15 @@ sums taken per node.  Their radial part comes from the package's radial
 antiderivative (``analytic._radial_table``), one angular node at a time;
 that antiderivative is checked on its own against mpmath
 (``test_analytic.TestRadialAntiderivative``).  P2's inner integral is cut
-into the package's lattice pieces of the serving-distance variable.  The
-package must agree with it to 1e-12 (see ``test_analytic.TestCurveOracle``).
-The P2 inner integral over ``d0`` as it stood before those pieces is kept
-too, as :func:`coverage_p2_d0`.  The conditional coverage takes the
+into the package's lattice pieces of the serving-distance variable and
+integrated on the package's fixed rule (``analytic._z_rule``), so that the
+package's agreement with it to 1e-12 (see ``test_analytic.TestCurveOracle``)
+checks the bookkeeping of the lockstep walk.  The accuracy of that rule is
+checked against adaptive quadrature instead, by :func:`p2_inner_means`
+(``test_analytic.TestP2InnerRule``); and the P2 inner integral over ``d0``
+as it stood before the pieces is kept too, as :func:`coverage_p2_d0`, one
+adaptive integral per node and threshold (``test_analytic.TestP2InnerForm``).
+The conditional coverage takes the
 unscaled exponent derivatives F^(k) through the Leibniz recursion of
 :func:`exp_derivatives` and the alternating sum of ``(-s)^k / k!`` times
 the transform's derivatives, the form the package used before its scaled
@@ -33,17 +38,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from mmwcov import analytic
 from mmwcov.analytic import (
     P1_EXCLUSIONS,
     P2_EXCLUSIONS,
-    _INNER_SPEC,
     _N_ANG,
     _OUTER_SPEC,
     _R_FLOOR_FRAC,
     _Z_CELL,
-    _Z_FLOOR,
     _radial_table,
-    _z_anchor,
+    _z_floor,
+    _z_rule,
     phi_c_pdf,
     serving_power_law,
 )
@@ -424,13 +429,13 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
 
     Each threshold has its own outer integral.  Its inner integral over
     ``z = (coef d0**alpha)**(2/alpha)`` is cut into the package's lattice
-    pieces, one integral per piece.  The thresholds share the pieces of a
-    ``phi_c`` node: the first visit integrates all of them in one
-    ``integrate_many`` call, and each piece is bitwise its alone-value."""
+    pieces, each integrated on the package's fixed rule.  The thresholds
+    share the pieces of a ``phi_c`` node: the first visit evaluates all of
+    them."""
     cfg, ch = params.antenna, params.channel
     r_l = params.r_los
     alpha = ch.alpha_l
-    z_floor = _Z_FLOOR * _z_anchor(params)
+    z_floor = _z_floor(params)
     gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
     memo = {}
 
@@ -444,14 +449,8 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
         if pc not in memo:
             expo = _p2_exponent(params, pc, exclusion)
             pieces = sorted({p for g in gammas for p in _z_pieces(u_top(g, pc), z_floor)})
-            lo, hi = np.array(pieces).T
-            width = hi - lo
-
-            def inner(z, k):
-                s = z ** (0.5 * alpha)
-                return _conditional_coverage(expo, s, params) / width[k]
-
-            vals = integrate_many(inner, lo, hi, lo.size, _INNER_SPEC) * width
+            z, w = _z_rule(*np.array(pieces).T, alpha)
+            vals = (_conditional_coverage(expo, z ** (0.5 * alpha), params) * w).sum(axis=1)
             memo[pc] = dict(zip(pieces, vals.tolist()))
         return memo[pc]
 
@@ -474,11 +473,48 @@ def coverage_p2(gamma, params: NetworkParams, exclusion: str = "grid"):
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-# The contract of one threshold's inner integral, to which the d0 form ran it
-# as a single integral: twice the tolerances of a piece (see analytic).
-_D0_INNER_SPEC = QuadratureSpec(rel_tol=2.0 * _INNER_SPEC.rel_tol,
-                                abs_tol=2.0 * _INNER_SPEC.abs_tol,
-                                max_subdivisions=_INNER_SPEC.max_subdivisions)
+# The contract of one threshold's inner integral, max(1e-9, 1e-5 |inner|),
+# to which the d0 form ran it as a single integral.
+_D0_INNER_SPEC = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-9, max_subdivisions=4000)
+
+# The adaptive reference of P2's inner rule (see p2_inner_means).
+_INNER_REFERENCE = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=100_000)
+
+
+def p2_inner_means(params: NetworkParams, phi_c: np.ndarray, gammas: np.ndarray,
+                   exclusion: str = "grid"):
+    """P2's inner means ``(1/U_t) int_0^U_t C(z**(alpha/2)) dz`` (see
+    ``analytic.coverage_p2``) at every ``(phi_c[i], gammas[j])``, on the
+    package's lattice pieces and with the package's conditional coverage
+    ``C``: as ``(fixed, reference)``, each of shape ``(phi_c.size,
+    gammas.size)``.  ``fixed`` integrates each piece on the package's fixed
+    rule, ``reference`` by adaptive quadrature to ``_INNER_REFERENCE``."""
+    cfg, ch = params.antenna, params.channel
+    alpha = ch.alpha_l
+    coef = ch.m_s * gammas[None, :] / (ch.tx_power_w * cfg.g_max * ch.path_gain_const
+                                       * gain_approx(phi_c, cfg)[:, None])
+    u_top = (coef ** (2.0 / alpha) * params.r_los**2).ravel()
+    owner, _, lo, hi = analytic._z_pieces(u_top, np.full(u_top.size, _z_floor(params)))
+    # the distinct pieces of each node, shared by its thresholds
+    keys, which = np.unique(np.stack([owner // gammas.size, lo, hi], axis=1), axis=0,
+                            return_inverse=True)
+    node, lo, hi = keys[:, 0].astype(np.intp), keys[:, 1], keys[:, 2]
+    grid = analytic._p2_grid(params, phi_c, exclusion)
+
+    def coverage(z, k):
+        s = z ** (0.5 * alpha)
+        exponent = analytic._exponent_derivatives(grid, node[k], s, ch.m_s - 1, params.density)
+        return analytic._conditional_coverage(exponent, s, params)
+
+    z, w = _z_rule(lo, hi, alpha)
+    fixed = (coverage(z.ravel(), np.repeat(np.arange(lo.size), z.shape[1])).reshape(z.shape)
+             * w).sum(axis=1)
+    width = hi - lo
+    reference = integrate_many(lambda z, k: coverage(z, k) / width[k], lo, hi, lo.size,
+                               _INNER_REFERENCE) * width
+    shape = (phi_c.size, gammas.size)
+    return tuple(np.bincount(owner, vals[which.ravel()], u_top.size).reshape(shape)
+                 / u_top.reshape(shape) for vals in (fixed, reference))
 
 
 def coverage_p2_d0(gamma: float, params: NetworkParams, exclusion: str = "grid") -> float:

@@ -424,9 +424,10 @@ class TestP2InnerForm:
     (analytic_oracle.coverage_p2_d0)."""
 
     # Both forms keep each inner integral within that contract; their
-    # curves differ by far less.  A hundred times a piece's absolute
-    # tolerance is 5e-8; the largest difference over these cases is 2.0e-9.
-    BOUND = 100.0 * analytic._INNER_SPEC.abs_tol
+    # curves differ by far less.  The bound is 5e-8, fifty times the
+    # contract's absolute floor; the largest difference over these cases is
+    # 5.5e-10.
+    BOUND = 5e-8
 
     @staticmethod
     def _check(params, grid_db, exclusion):
@@ -447,6 +448,41 @@ class TestP2InnerForm:
 
     def test_density_1e_2(self):
         self._check(NetworkParams(density=1e-2), OFF_GRID_DB, "grid")
+
+
+# The parameter sets of the P2 inner-rule check, one change each from the
+# defaults: beams, fading with alpha 4 at m 8, alpha, density and noise.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")     # alpha outside the usual LOS range
+    INNER_SETS = {
+        "defaults": NetworkParams(),
+        **{f"sectors{m}": NetworkParams(antenna=AntennaConfig(sectors_exp=m))
+           for m in (0, 1, 3, 5, 8)},
+        "m_s1_m_x1": NetworkParams(channel=ChannelParams(m_s=1, m_x=1)),
+        "m_s4_m_x3": NetworkParams(channel=ChannelParams(m_s=4, m_x=3)),
+        "m_s8_m_x8_alpha4": NetworkParams(channel=ChannelParams(m_s=8, m_x=8, alpha_l=4.0)),
+        "alpha0.5": NetworkParams(channel=ChannelParams(alpha_l=0.5)),
+        "alpha2.5": NetworkParams(channel=ChannelParams(alpha_l=2.5)),
+        **{f"density{d:g}": NetworkParams(density=d) for d in (5e-5, 5e-3, 1e-2, 1e-1, 1.0)},
+        "noise0": NetworkParams(channel=ChannelParams(noise_w=0.0)),
+    }
+
+
+class TestP2InnerRule:
+    """P2's inner means on the package's fixed rule against adaptive
+    quadrature at rel_tol 1e-12 on the same lattice pieces
+    (analytic_oracle.p2_inner_means), within the inner contract
+    max(1e-9, 1e-5 |inner|): 24 phi_c nodes across the support, the
+    thresholds of GAMMAS_DB, and each of INNER_SETS."""
+
+    @pytest.mark.parametrize("exclusion", analytic.P2_EXCLUSIONS)
+    @pytest.mark.parametrize("name", sorted(INNER_SETS))
+    def test_within_the_inner_contract(self, name, exclusion):
+        params = INNER_SETS[name]
+        phi_c = np.linspace(0.0, 0.5 * params.antenna.beam_spacing, 24)
+        fixed, reference = oracle.p2_inner_means(params, phi_c, _linear(GAMMAS_DB), exclusion)
+        ratio = np.abs(fixed - reference) / np.maximum(1e-9, 1e-5 * np.abs(reference))
+        assert ratio.max() <= 1.0, np.unravel_index(ratio.argmax(), ratio.shape)
 
 
 def _counting_pairs(monkeypatch):
@@ -490,6 +526,16 @@ class TestCurveFamily:
             np.testing.assert_allclose(batched, [new(gammas, p) for p in family],
                                        rtol=0.0, atol=1e-13, err_msg=f"{policy} {exclusion}")
 
+    @pytest.mark.parametrize("exclusion", analytic.P2_EXCLUSIONS)
+    def test_p2_family_whose_mean_counts_straddle_1(self, exclusion):
+        # each curve's lattice floor falls with its mean count above 1
+        family = [NetworkParams(density=f * 1e-4) for f in (0.25, 0.5, 1.0)]
+        assert family[1].mean_count < 1.0 < family[2].mean_count
+        gammas = _linear(OFF_GRID_DB)
+        np.testing.assert_allclose(coverage_p2(gammas, family, exclusion=exclusion),
+                                   [coverage_p2(gammas, p, exclusion=exclusion) for p in family],
+                                   rtol=0.0, atol=1e-13)
+
     def test_shapes_and_threshold_edges(self, params):
         family = [params, replace(params, density=2.0 * params.density)]
         grid = np.array([[-math.inf, 2.0], [math.inf, 0.5]])
@@ -514,10 +560,10 @@ class TestCurveFamily:
             coverage_p1(1.0, [])
 
     @pytest.mark.parametrize("policy,spec", [
-        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
+        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P3", "_OUTER_SPEC")])
     def test_quadrature_failure_names_the_curve(self, policy, spec, monkeypatch):
-        # the last integral of the failing call fails: for the outer call the
-        # second curve at 10 dB, for an inner call a node of that curve
+        # the last integral of the failing call fails: the second curve at
+        # 10 dB
         def exhausted(f, a, b, n, quad_spec=None):
             if quad_spec is getattr(analytic, spec):
                 raise QuadratureError("max_subdivisions exhausted", 0.25, 1e-3, n - 1)
@@ -536,7 +582,6 @@ class TestCurveFamily:
                      "sectors_exp 3", "max_subdivisions"):
             assert part in message
         assert "density 0.0008" not in message
-        assert ("inner integral at phi_c=" in message) == (spec == "_INNER_SPEC")
 
     def test_fig7_p1_evaluates_each_exponent_pair_once_per_round(self, monkeypatch):
         # the 9 fig7 P1 curves ask for 5,445 (node, s) pairs one curve per
@@ -555,24 +600,21 @@ class TestCurveFamily:
         assert sum(counted) <= 2200
 
     def test_fig6_p2_shares_inner_pieces_between_thresholds(self, monkeypatch):
-        # one inner integral per (phi_c, threshold) over d0 takes 20,175
-        # integrand points on the three fig6 P2 curves; the thresholds of a
-        # node share their whole lattice cells
+        # one adaptive inner integral per (phi_c, threshold) over d0 takes
+        # 20,175 integrand points on the three fig6 P2 curves; the thresholds
+        # of a node share their whole lattice cells, each on the fixed rule
         points = []
-        run = analytic.integrate_many
+        rule = analytic._z_rule
 
-        def counting(f, a, b, n, spec=None):
-            if spec is analytic._INNER_SPEC:
-                def counted(x, which):
-                    points.append(x.size)
-                    return f(x, which)
-                return run(counted, a, b, n, spec)
-            return run(f, a, b, n, spec)
+        def counting(lo, hi, alpha):
+            z, w = rule(lo, hi, alpha)
+            points.append(z.size)
+            return z, w
 
-        monkeypatch.setattr(analytic, "integrate_many", counting)
+        monkeypatch.setattr(analytic, "_z_rule", counting)
         for m in (1, 2, 3):
             coverage_p2(_linear(FIG_GRID_DB), NetworkParams(antenna=AntennaConfig(sectors_exp=m)))
-        assert sum(points) == 11745
+        assert sum(points) == 10260
         assert sum(points) <= 2 * 20175 // 3
 
     def test_kernel_scales_distinct_pairs_per_density(self, params):
@@ -649,7 +691,7 @@ class TestCurveInterface:
             assert np.unique(s0).size == s0.size, "a law value evaluated twice in one round"
 
     @pytest.mark.parametrize("policy,spec", [
-        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P2", "_INNER_SPEC"), ("P3", "_OUTER_SPEC")])
+        ("P1", "_OUTER_SPEC"), ("P2", "_OUTER_SPEC"), ("P3", "_OUTER_SPEC")])
     def test_quadrature_failure_names_the_curve_point(self, policy, spec, monkeypatch):
         monkeypatch.setattr(analytic, spec,
                             QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=1))
@@ -666,8 +708,6 @@ class TestCurveInterface:
             assert part in message
         # P3 has no exclusion variant, and its message names none
         assert f"exclusion {exclusion}" in message if exclusion else "exclusion" not in message
-        if spec == "_INNER_SPEC":
-            assert "inner integral at phi_c=" in message
 
     @pytest.mark.parametrize("policy", ["P1", "P2", "P3"])
     def test_non_finite_integrand_names_the_curve_point(self, policy, monkeypatch):
@@ -695,7 +735,23 @@ class TestCurveInterface:
                      "non-finite value near x="):
             assert part in message
         assert f"exclusion {exclusion}" in message if exclusion else "exclusion" not in message
-        assert ("inner integral at phi_c=" in message) == (policy == "P2")
+        # P2's inner integrals have no error route of their own: a NaN
+        # reaches the outer walk
+        assert "inner integral at phi_c=" not in message
+
+    @pytest.mark.parametrize("exclusion", analytic.P2_EXCLUSIONS)
+    @pytest.mark.parametrize("alpha,db", [(2.0, 3020.0), (2.0, 3050.0), (0.5, -3000.0)])
+    def test_p2_threshold_whose_lattice_leaves_the_float_range(self, exclusion, alpha, db):
+        # U_t of such a threshold overflows, or at alpha 0.5 and -3000 dB
+        # underflows: the point is NaN, and the walk names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # alpha outside the usual LOS range
+            params = NetworkParams(channel=ChannelParams(alpha_l=alpha))
+        with pytest.raises(NonFiniteIntegrandError) as excinfo:
+            coverage_p2(_linear((0.0, db)), params, exclusion=exclusion)
+        assert excinfo.value.index == 1
+        assert (f"P2 coverage at threshold {db:.2f} dB (exclusion {exclusion}, density 0.0008, "
+                f"sectors_exp 2, m_s 2, m_x 2, alpha {alpha:g})") in str(excinfo.value)
 
     # Where the unscaled derivatives and the alternating sum overflowed: from
     # m_s = m_x = 33 at 15 dB, on the default grid.
