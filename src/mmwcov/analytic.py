@@ -76,24 +76,36 @@ _R_FLOOR_FRAC = 1e-6
 # within 1e-8 of a fine rule (tests/test_analytic.py, TestExponentRule).
 _N_ANG = 8
 
-# The radial part of an angular node's exponent needs no quadrature nodes.
-# With c = A r**-alpha its interferers' amplitude and u = log(s c), the
-# gamma fade integrated out leaves one integrand per derivative order k
-# (Andrews, Baccelli and Ganti, IEEE TCOM 2011; Bai and Heath, IEEE TWC
-# 2015):
+# Both quadrature engines integrate fixed functions of a log variable u, the
+# rows of a family, over intervals and half-lines; _Antiderivatives tabulates
+# their antiderivatives, built on a call's first use, never at import.  Two
+# families use it.
+#
+# The region exponents (_radial_table, per (alpha, m_x, k_max)): the radial
+# part of an angular node's exponent needs no quadrature nodes.  With
+# c = A r**-alpha its interferers' amplitude and u = log(s c), the gamma fade
+# integrated out leaves one integrand per derivative order k (Andrews,
+# Baccelli and Ganti, IEEE TCOM 2011; Bai and Heath, IEEE TWC 2015):
 #     int (1 - (1 + s c)**-m) r dr         = (s A)**(2/alpha)/alpha int g_0 du,
 #     int c**k (1 + s c)**-(k + m) r dr    = s**-k (s A)**(2/alpha)/alpha int g_k du,
 #     g_0 = (1 - (1 + e**u)**-m) e**(-2u/alpha),
 #     g_k = e**((k - 2/alpha) u) (1 + e**u)**-(k + m),
 # over u from log(s A r_los**-alpha) up by alpha log(r_los / r_lo).
-# _RadialTable holds their antiderivatives for one (alpha, m_x, k_max):
-# _U_COEFS-coefficient panel polynomials on [-_U_HALF, _U_HALF], on panels
-# a power of two wide and at most _U_STEP over the steepest log-slope of the
-# g_k, exponential tails beyond, and a _U_SHORT-node Gauss-Legendre rule for
-# an interval shorter than one panel.  Intervals come out within 1e-12 of mpmath
-# (tests/test_analytic.py, TestRadialAntiderivative).  Below _ALPHA_MIN the
-# g_k span more than the float range on the table (g_0 grows as
-# e**((2/alpha - 1) |u|) to the left).
+#
+# The dominant P2 path-loss/fade-ratio law (dominant._fade_table, per
+# (alpha, m_s, m_x)): the two rows e**(+-2u/alpha) F(u), F the fade-ratio
+# ccdf at the odds e**u, on half-lines (see
+# dominant.pathloss_fade_ratio_ccdf_p2).
+#
+# The table: _U_COEFS-coefficient panel polynomials on [-_U_HALF, _U_HALF],
+# on panels a power of two wide and at most _U_STEP over the steepest
+# log-slope of the rows, exponential tails beyond, and a _U_SHORT-node
+# Gauss-Legendre rule for an interval shorter than one panel.  Intervals
+# and half-lines come out within 1e-12 of mpmath (tests/test_analytic.py,
+# TestRadialAntiderivative; tests/test_dominant.py, TestFadeTable).  Below
+# _ALPHA_MIN the rows span more than the float range on the table (g_0 grows
+# as e**((2/alpha - 1) |u|) to the left, and the P2 rows reach e**(80/alpha)
+# at its ends).
 _U_HALF = 40.0
 _U_COEFS = 8
 _U_STEP = 0.25
@@ -245,7 +257,8 @@ def phi_c_pdf(phi_c, params: NetworkParams):
 
 
 def _radial_integrand(u: np.ndarray, alpha: float, m_x: int, k_max: int) -> np.ndarray:
-    """[g_0(u), ..., g_k_max(u)] on a leading axis (see _RadialTable)."""
+    """[g_0(u), ..., g_k_max(u)] on a leading axis (see the comment at
+    ``_U_HALF``)."""
     soft = np.logaddexp(0.0, u)                 # log(1 + e**u), without overflow
     out = np.empty((k_max + 1,) + u.shape)
     np.log(-np.expm1(-m_x * soft), out=out[0])
@@ -256,45 +269,54 @@ def _radial_integrand(u: np.ndarray, alpha: float, m_x: int, k_max: int) -> np.n
     return np.exp(out, out=out)
 
 
-def _exp_span(rate: float, span):
-    """int_0^span e**(rate x) dx."""
-    return span if rate == 0.0 else np.expm1(rate * span) / rate
+def _exp_integral(log_coef, rate: float, span, peak):
+    """int e**(log_coef + rate u) du over an interval ``span`` long (possibly
+    inf) whose end ``peak`` is where the integrand peaks, its upper end if
+    ``rate > 0`` and its lower end if ``rate < 0``.  Taken from that end, so
+    that it overflows only where the integral does, whatever the span."""
+    if rate == 0.0:
+        return np.exp(log_coef) * span
+    return np.exp(log_coef + rate * peak) * (-np.expm1(-abs(rate) * span) / abs(rate))
 
 
 def check_alpha(alpha: float) -> None:
-    """Refuse a path-loss exponent below ``_ALPHA_MIN``, which the radial
-    integrals of the region exponents cannot take."""
+    """Refuse a path-loss exponent below ``_ALPHA_MIN``, which the
+    antiderivative tables of the region exponents and of the dominant P2
+    law cannot take."""
     if not alpha >= _ALPHA_MIN:
         raise ValueError(f"must be at least {_ALPHA_MIN:g} for the analytic region exponents "
-                         f"(got {alpha:g}): below it their radial integrands leave the float "
-                         f"range")
+                         f"(got {alpha:g}): below it their radial integrands, and the dominant "
+                         f"P2 law's fade-ratio rows, leave the float range")
 
 
-class _RadialTable:
-    """The integrals ``int_a^(a + width) g_k(u) du``, k = 0 .. k_max, of the
-    radial integrands g_k of one (alpha, m_x) (see the comment at
-    ``_U_HALF``).
+class _Antiderivatives:
+    """The integrals of the rows R_0 .. R_(K-1) of one family (see the
+    comment at ``_U_HALF``) over intervals (:meth:`integrals`) and
+    half-lines (:meth:`half_lines`).
+
+    ``values(u)`` gives [R_0(u), ...] on a leading axis, ``slope`` bounds
+    their log-slopes |d log R_k / du|, and ``below[k]`` and ``above[k]`` are
+    the (log coef, rate) of the exponential e**(log coef + rate u) that R_k
+    meets below -_U_HALF and above _U_HALF (to a relative error below
+    e**-_U_HALF times the family's orders, as for g_k (k + m_x)).
 
     [-_U_HALF, _U_HALF] is cut into ``n`` panels of width ``h``, on which
-    each g_k is interpolated at ``_U_COEFS`` Gauss-Legendre nodes; panel i
+    each R_k is interpolated at ``_U_COEFS`` Gauss-Legendre nodes; panel i
     keeps, per k, the masses of the panels before it and from it on, and
     the coefficients of its partial integral ``p_i(t) = int_(left_i)^(left_i
-    + t h) g_k``, a polynomial with no constant term.  An interval of at
+    + t h) R_k``, a polynomial with no constant term.  An interval of at
     least one panel is the panel masses between its end panels, counted
     from the end that leaves the smaller mass outside, plus and minus the
-    end polynomials; its parts beyond +-_U_HALF are the integrals of the
-    exponentials that g_k meets there (relative error below (k + m_x)
-    e**-_U_HALF).  A shorter interval is integrated directly by a
-    ``_U_SHORT``-node Gauss-Legendre rule, as the difference of two close
-    polynomial values would cancel.
+    end polynomials; a half-line is the masses on its side of its end panel,
+    plus or minus that panel's polynomial.  Their parts beyond +-_U_HALF are
+    integrals of the tail exponentials in closed form.  A shorter interval
+    is integrated directly by a ``_U_SHORT``-node Gauss-Legendre rule, as
+    the difference of two close polynomial values would cancel.
     """
 
-    def __init__(self, alpha: float, m_x: int, k_max: int):
-        check_alpha(alpha)
-        inv = 2.0 / alpha
-        slope = max([inv, abs(1.0 - inv)] + [max(m_x + inv, abs(k - inv))
-                                             for k in range(1, k_max + 1)])
-        self.alpha, self.m_x, self.k_max = alpha, m_x, k_max
+    def __init__(self, values, slope: float, below: list, above: list):
+        self.values, self.below, self.above = values, below, above
+        self.k_max = len(below) - 1
         # a power of two, so that every panel edge is exact and an end's
         # offset from its panel's edge is computed without rounding
         self.inv_h = 2.0 ** math.ceil(math.log2(slope / _U_STEP))
@@ -313,14 +335,13 @@ class _RadialTable:
                              for i in range(_U_COEFS)] for j in range(_U_COEFS)], dtype=float)
         # rows[0] and rows[1]: the masses before and from each panel; then
         # the coefficients of t, t**2, ... of its partial integral
-        self.rows = np.empty((_U_COEFS + 2, k_max + 1, n))
+        self.rows = np.empty((_U_COEFS + 2, self.k_max + 1, n))
         scale = (self.h / np.arange(1.0, _U_COEFS + 1.0))[:, None, None]
-        chunk = _block_size(k_max)
+        chunk = _block_size(self.k_max)
         for lo in range(0, n, chunk):               # temporaries within the budget
             left = -_U_HALF + self.h * np.arange(lo, min(lo + chunk, n))
-            values = _radial_integrand(left[:, None] + 0.5 * self.h * (x + 1.0),
-                                       alpha, m_x, k_max)
-            taylor = np.einsum("jq,knq->knj", project, values)
+            taylor = np.einsum("jq,knq->knj", project,
+                               values(left[:, None] + 0.5 * self.h * (x + 1.0)))
             self.rows[2:, :, lo:lo + left.size] = np.einsum("knj,ji->ikn", taylor, shifted) * scale
         coefs = self.rows[2:]
         mass = coefs[-1].copy()
@@ -329,22 +350,18 @@ class _RadialTable:
         np.cumsum(mass[:, :-1], axis=1, out=self.rows[0][:, 1:])
         self.rows[0][:, 0] = 0.0
         np.cumsum(mass[:, ::-1], axis=1, out=self.rows[1][:, ::-1])
-        # g_k ~ coef e**(rate u) below -_U_HALF and above _U_HALF
-        self.below = [(float(m_x), 1.0 - inv)] + [(1.0, k - inv) for k in range(1, k_max + 1)]
-        self.above = [(1.0, -inv)] + [(1.0, -(m_x + inv))] * k_max
 
     def integrals(self, a: np.ndarray, width: np.ndarray) -> np.ndarray:
-        """[int_a^(a + width) g_k] for k = 0 .. k_max on a leading axis,
-        for ``width >= 0``; ``width`` is taken as given, not from two
-        rounded table positions."""
+        """[int_a^(a + width) R_k] for k = 0 .. k_max on a leading axis,
+        for finite ``a`` and ``width >= 0``; ``width`` is taken as given,
+        not from two rounded table positions."""
         out = np.empty((self.k_max + 1, a.size))
         short = width < self.h
         if short.any():
             x, w = gauss_legendre(_U_SHORT)
             half = 0.5 * width[short]
             u = (a[short] + half)[:, None] + half[:, None] * x
-            out[:, short] = np.einsum("knq,q->kn", _radial_integrand(
-                u, self.alpha, self.m_x, self.k_max), w) * half
+            out[:, short] = np.einsum("knq,q->kn", self.values(u), w) * half
             long = ~short
             out[:, long] = self._long(a[long], width[long])
         else:
@@ -383,22 +400,72 @@ class _RadialTable:
         val -= poly[:, :n]
         below = a < -lim
         if below.any():
-            span = np.minimum(width[below], -lim - a[below])
-            top = a[below] + span
-            for k, (coef, rate) in enumerate(self.below):
-                val[k, below] += coef * np.exp(rate * top) * _exp_span(-rate, span)
+            a_in = a[below]
+            span = np.minimum(width[below], -lim - a_in)
+            top = a_in + span
+            for k, (log_coef, rate) in enumerate(self.below):
+                val[k, below] += _exp_integral(log_coef, rate, span, top if rate > 0.0 else a_in)
         above = b > lim
         if above.any():
+            b_in = b[above]
             span = width[above] - np.maximum(lim - a[above], 0.0)
-            bottom = b[above] - span
-            for k, (coef, rate) in enumerate(self.above):
-                val[k, above] += coef * np.exp(rate * bottom) * _exp_span(rate, span)
+            bottom = b_in - span
+            for k, (log_coef, rate) in enumerate(self.above):
+                val[k, above] += _exp_integral(log_coef, rate, span,
+                                               b_in if rate > 0.0 else bottom)
+        return val
+
+    def half_lines(self, x: np.ndarray, k: int, upper: bool, log_scale: np.ndarray) -> np.ndarray:
+        """``e**log_scale int R_k`` over (-inf, x], or over [x, inf) if
+        ``upper``, for each finite x and its own ``log_scale``; R_k's tail on
+        that side must decay.  The scale enters the tail integrals in their
+        exponents, so it may leave the float range where the half-line stays
+        beyond the table."""
+        lim = _U_HALF
+        inner = np.clip(x, -lim, lim)
+        panel = np.minimum(((inner + lim) * self.inv_h).astype(np.intp), self.n - 1)
+        t = (inner - (panel * self.h - lim)) * self.inv_h
+        rows = self.rows[:, k].take(panel, axis=1)
+        poly = rows[-1] * t
+        for c in rows[-2:1:-1]:
+            poly += c
+            poly *= t
+        # the part on the table, from its edge -lim to x or from x to lim
+        reach = x < lim if upper else x > -lim
+        val = np.exp(log_scale, where=reach, out=np.zeros_like(t))
+        val *= rows[1] - poly if upper else rows[0] + poly
+        (low_coef, low_rate), (high_coef, high_rate) = self.below[k], self.above[k]
+        if upper:
+            beyond = np.flatnonzero(x < -lim)
+            if beyond.size:
+                xb = x[beyond]
+                val[beyond] += _exp_integral(low_coef + log_scale[beyond], low_rate, -lim - xb,
+                                             -lim if low_rate > 0.0 else xb)
+            val += _exp_integral(high_coef + log_scale, high_rate, math.inf,
+                                 np.maximum(x, lim))
+        else:
+            val += _exp_integral(low_coef + log_scale, low_rate, math.inf,
+                                 np.minimum(x, -lim))
+            beyond = np.flatnonzero(x > lim)
+            if beyond.size:
+                xb = x[beyond]
+                val[beyond] += _exp_integral(high_coef + log_scale[beyond], high_rate, xb - lim,
+                                             xb if high_rate > 0.0 else lim)
         return val
 
 
 @lru_cache(maxsize=8)
-def _radial_table(alpha: float, m_x: int, k_max: int) -> _RadialTable:
-    return _RadialTable(alpha, m_x, k_max)
+def _radial_table(alpha: float, m_x: int, k_max: int) -> _Antiderivatives:
+    """The table of the region exponents' rows g_0 .. g_k_max."""
+    check_alpha(alpha)
+    inv = 2.0 / alpha
+    slope = max([inv, abs(1.0 - inv)] + [max(m_x + inv, abs(k - inv))
+                                         for k in range(1, k_max + 1)])
+    # g_k ~ coef e**(rate u) below -_U_HALF and above _U_HALF
+    return _Antiderivatives(lambda u: _radial_integrand(u, alpha, m_x, k_max), slope,
+                            [(math.log(m_x), 1.0 - inv)] + [(0.0, k - inv)
+                                                            for k in range(1, k_max + 1)],
+                            [(0.0, -inv)] + [(0.0, -(m_x + inv))] * k_max)
 
 
 def _block_size(k_max: int) -> int:
@@ -423,7 +490,7 @@ def _blocks(bounds: np.ndarray, size: int):
 class _Grid:
     """The angular nodes of the region exponents of a batch of conditioning
     nodes, which :func:`_exponent_derivatives` sums with the radial
-    integrals of :class:`_RadialTable`: the one place where angular panels
+    integrals of :func:`_radial_table`: the one place where angular panels
     are cut.
 
     Node j's panel edges are the antenna's kinks 0, phi_a, pi, 2 pi - phi_a
@@ -518,7 +585,7 @@ def _exponent_derivatives(grid: _Grid, node, s, k_max: int, density) -> np.ndarr
     S_0 = int (1 - v^m) and S_k = int (c v)^k v^m give F = -lambda S_0 and
     t_k = lambda C(m+k-1, k) s**k S_k >= 0 for k >= 1.  Over the
     radius of one angular node they are the radial integrals of
-    :class:`_RadialTable`, so s**k S_k = s**(2/alpha) sum weight *
+    :func:`_radial_table`, so s**k S_k = s**(2/alpha) sum weight *
     int_(log s + offset)^(... + width) g_k du over the node's angular nodes
     (see :class:`_Grid`); at s = 0 every t_k is 0.  Density enters only as
     the prefactor, so the sums of each distinct (node, s) pair are

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .analytic import _curve
+from .analytic import _Antiderivatives, _curve, check_alpha
 from .numerics import (QuadratureSpec, composite_gauss_legendre, gauss_legendre, integrate_1d,
                        integrate_many)
 from .radio import _LN10, NetworkParams, _curvature, _db_to_linear, _rolloff_offset, gain_approx
@@ -49,12 +49,12 @@ _SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 _P2_COV_SPEC = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7)
 _COV_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
 
-# The P2 ratio laws integrate every point on the same fixed composite
+# The P2 gain-ratio laws integrate every point on the same fixed composite
 # Gauss-Legendre rule, as one (points x nodes) array per block of at most
 # _BLOCK points, so memory stays flat in the number of points.  The node
 # counts keep them within max(1e-12, 1e-8 |value|) of adaptive quadrature at
-# rel_tol 1e-11 over density 5e-5..5e-3, sectors_exp 0..8 and
-# threshold ratios 1e-4..1e4 (tests/test_dominant.py holds that oracle).
+# rel_tol 1e-11 over density 5e-5..5e-3, sectors_exp 0..8 and gain ratios
+# from 1 + 1e-12 to g_max/g_s (tests/test_dominant.py holds that oracle).
 _BLOCK = 256
 # Beyond the s where lam_r2 * phi_t * (cosh s - 1) reaches this, both
 # angular integrands are below e^-50 of their peak; the s range is cut there
@@ -66,14 +66,6 @@ _ANGULAR_TAIL = 60.0
 def _angular_rule():
     """8 equal panels of 12 nodes on [0, 1], scaled to each point's s range."""
     return composite_gauss_legendre(np.arange(8) / 8, np.arange(1, 9) / 8, 12)
-
-
-@functools.cache
-def _fold_rule():
-    """20 geometric panels of ratio e^-0.7 down to x = e^-14, plus [0, e^-14]:
-    equal steps in log x, where the fade-ratio ccdf is a smooth step."""
-    edges = np.concatenate([[0.0], np.exp(-0.7 * np.arange(20, -1, -1))])
-    return composite_gauss_legendre(edges[:-1], edges[1:], 10)
 
 
 def _blockwise(kernel, x):
@@ -120,8 +112,9 @@ def _fade_ratio_pdf(t, m_s: int, m_x: int):
     return np.where((t_arr > 0.0) & (t_arr < math.inf), np.exp(log_pdf), 0.0)
 
 
-def _fade_ratio_ccdf(t, m_s: int, m_x: int):
-    """P(T > t) for integer shapes, with no special function.
+def _fade_odds_ccdf(odds, m_s: int, m_x: int):
+    """P(T > t) at the odds ``m_s t / m_x >= 0``, for integer shapes, with
+    no special function.
 
     With ``x = m_s t / (m_s t + m_x)`` and ``y = 1 - x``, ``1 - I_x(m_s, m_x)``
     is the binomial sum ``sum_{j < m_s} C(n, j) x**j y**(n - j)``,
@@ -131,13 +124,11 @@ def _fade_ratio_ccdf(t, m_s: int, m_x: int):
     ``sum_{i < m_s} C(m_x - 1 + i, i) x**i y**m_x``, each term taken as
     ``exp(log C + i log x + m_x log y)``.  Every term is non-negative and at
     most 1, so none overflows or cancels and the tail keeps its relative
-    accuracy at any shape.  The logs come from the odds ``u = m_s t / m_x``
-    as ``log y = -log1p(u)`` and ``log x = -log1p(1/u)``, which are exact at
-    both ends: ``t <= 0`` gives exactly 1 and ``t = inf`` exactly 0.
+    accuracy at any shape.  The logs come from the odds as
+    ``log y = -log1p(odds)`` and ``log x = -log1p(1/odds)``, which are exact
+    at both ends: odds 0 give exactly 1 and odds inf exactly 0.
     """
-    odds = np.array(t, dtype=float)
-    np.maximum(odds, 0.0, out=odds)
-    odds *= m_s / m_x
+    odds = np.array(odds, dtype=float)
     base = np.log1p(odds)
     base *= -m_x                                  # m_x log y
     out = np.exp(base)                            # the i = 0 term
@@ -247,31 +238,66 @@ def _rejected_variant_gain_ratio_pdf_p2(g, params: NetworkParams):
     return float(out[0]) if np.ndim(g) == 0 else out
 
 
+@functools.lru_cache(maxsize=8)
+def _fade_table(alpha: float, m_s: int, m_x: int) -> _Antiderivatives:
+    """The antiderivative table of the rows ``e^(a u) F(u)`` and
+    ``e^(-a u) F(u)``, ``a = 2/alpha`` and F the fade-ratio ccdf at the odds
+    ``e^u``, of :func:`pathloss_fade_ratio_ccdf_p2`.
+
+    The log-slope of F lies in [-m_x, 0] (the log-odds of T has a log-concave
+    density, so its hazard rises to its limit m_x), so that of either row is
+    at most ``a + m_x``.  Below the table F is 1 to within
+    ``C(m_s + m_x - 1, m_s) e^(m_s u)``; above it F is
+    ``C(m_s + m_x - 1, m_s - 1) e^(-m_x u)`` to within ``(m_s + m_x) e^-u``
+    relative, that coefficient kept as its log."""
+    check_alpha(alpha)
+    a = 2.0 / alpha
+
+    def values(u):
+        fade = _fade_odds_ccdf(np.exp(u), m_s, m_x)
+        return np.stack((np.exp(a * u) * fade, np.exp(-a * u) * fade))
+
+    log_c = math.lgamma(m_s + m_x) - math.lgamma(m_s) - math.lgamma(m_x + 1)
+    return _Antiderivatives(values, a + m_x, [(0.0, a), (0.0, -a)],
+                            [(log_c, a - m_x), (log_c, -(a + m_x))])
+
+
+def _ccdf_at_log_odds(u, alpha: float, m_s: int, m_x: int):
+    """``P(W > t)`` of :func:`pathloss_fade_ratio_ccdf_p2` at ``U = u``."""
+    table = _fade_table(alpha, m_s, m_x)
+    scale = (2.0 / alpha) * u
+    return (table.half_lines(u, 0, False, -scale) + table.half_lines(u, 1, True, scale)) / alpha
+
+
 def pathloss_fade_ratio_ccdf_p2(t, params: NetworkParams):
     """ccdf of the same ratio via the fade-ratio/radius-ratio factorization:
     W = T * V^-alpha with T the gamma-fade ratio and V the radius ratio.
 
-    V has density v on [0, 1] and v^-3 on [1, inf); folding the second
-    part with v = 1/x gives ``int_0^1 x [F(t x^alpha) + F(t x^-alpha)] dx``
-    with F the fade-ratio ccdf, evaluated for all points at once on fixed
-    Gauss-Legendre nodes, within ``max(1e-12, 1e-8 |value|)`` of adaptive
-    quadrature.  Scalar in, scalar out.
+    V has density v on [0, 1] and v^-3 on [1, inf).  With ``a = 2/alpha``,
+    ``U = log(m_s t / m_x)`` and F the fade-ratio ccdf at the odds ``e^u``,
+    ``P(W > t) = (1/alpha) [e^(-a U) int_-inf^U e^(a u) F(u) du
+    + e^(a U) int_U^inf e^(-a u) F(u) du]``: two half-line lookups per point
+    in the table of :func:`_fade_table`, with the prefactors inside the
+    tails' exponents.  Both terms are >= 0, so nothing cancels, and no
+    threshold overflows.  V and 1/V have the same law, so below ``U = 0``
+    the value is ``1 - P(W' > 1/t)``, W' the same ratio with the shapes
+    swapped (at ``-U``): the complement keeps its relative accuracy, and the
+    values near 1 stay monotone.  Within ``max(1e-14, 1e-10 |value|)`` of
+    mpmath; ``t <= 0`` gives 1, ``t = inf`` 0 and NaN NaN.  Scalar in,
+    scalar out.
     """
     ch = params.channel
-    x, w = _fold_rule()
-    near = x**ch.alpha_l
-    far = 1.0 / near
-    weights = x * w
-
-    def kernel(tb):
-        tb = tb[:, None]
-        return (_fade_ratio_ccdf(tb * near, ch.m_s, ch.m_x)
-                + _fade_ratio_ccdf(tb * far, ch.m_s, ch.m_x)) @ weights
-
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones_like(t_arr)
-    positive = ~(t_arr <= 0.0)
-    out[positive] = _blockwise(kernel, t_arr[positive])
+    out = np.where(t_arr > 0.0, 0.0, 1.0)
+    out[np.isnan(t_arr)] = math.nan
+    live = np.flatnonzero((t_arr > 0.0) & (t_arr < math.inf))
+    u = np.log(t_arr[live])
+    u += math.log(ch.m_s / ch.m_x)
+    low = u < 0.0
+    if not low.all():
+        out[live[~low]] = _ccdf_at_log_odds(u[~low], ch.alpha_l, ch.m_s, ch.m_x)
+    if low.any():
+        out[live[low]] = 1.0 - _ccdf_at_log_odds(-u[low], ch.alpha_l, ch.m_x, ch.m_s)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -330,8 +356,13 @@ def coverage_dom_p3(gamma, params: NetworkParams):
     scalar or array ``gamma``, as in :func:`analytic.coverage_p1`.  The
     gain-fade ratio is paired with the distance ratio (the SIR
     factorization)."""
-    return _curve("P3 dominant", [params], (), gamma, gain_fade_ratio_pdf_p3,
-                  lambda nodes, node, c, g: distance_ratio_ccdf_p3(g / nodes[node], params),
+    def conditional(nodes, node, c, g):
+        # near the top of the float range the ratio overflows to inf over the
+        # smallest gain-fade ratios, whose ccdf there is its limit, 0
+        with np.errstate(over="ignore"):
+            return distance_ratio_ccdf_p3(g / nodes[node], params)
+
+    return _curve("P3 dominant", [params], (), gamma, gain_fade_ratio_pdf_p3, conditional,
                   0.0, math.inf, _COV_SPEC)
 
 

@@ -277,11 +277,11 @@ def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
     """Refuse a config whose run would fail before it computes anything,
     naming the key and its ``locations`` entry: a field that the run draws
     (an mc curve, or fig8's report) too dense for the chunk budget, a
-    path-loss exponent below the region exponents' table (analytic
-    coverage, or fig8's report), or an antenna that the P1 serving-power
-    law (analytic P1 and fig4, or fig8's report) cannot take, or a gain that
-    every engine forms, g_max**2 (a link's boresight gain) or g_s, at 0 or
-    beyond the float range."""
+    path-loss exponent below the antiderivative tables (analytic coverage,
+    the dominant P2 curves, or fig8's report), or an antenna that the P1
+    serving-power law (analytic P1 and fig4, or fig8's report) cannot take,
+    or a gain that every engine forms, g_max**2 (a link's boresight gain) or
+    g_s, at 0 or beyond the float range."""
     ant = config.params.antenna
     boresight = float(_db_to_linear((2.0 * ant.g_max_db,))[0])
     for keys, name, gain in ((("antenna.g_max_db",), "g_max**2", boresight),
@@ -293,7 +293,9 @@ def _check_runnable(config: ExperimentConfig, locations: dict) -> None:
                               f"(g_max_db {ant.g_max_db:g}, sla_db {ant.sla_db:g})")
     mc = "mc" in config.engines
     report = config.scenario == "fig8" and "dominant" in config.engines
-    if report or ("analytic" in config.engines and config.scenario != "fig4"):
+    dominant_p2 = ("dominant" in config.engines and config.scenario == "custom"
+                   and "P2" in config.policies)
+    if report or dominant_p2 or ("analytic" in config.engines and config.scenario != "fig4"):
         try:
             analytic.check_alpha(config.params.channel.alpha_l)
         except ValueError as exc:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,3 +73,33 @@ def ecdf_2d(x, y, x_grid, y_grid):
     hist, _, _ = np.histogram2d(x, y, bins=[x_grid, y_grid])
     cum = np.cumsum(np.cumsum(hist, axis=0), axis=1) / x.size
     return cum
+
+
+def mp_log_quad(log_f, cuts, straight):
+    """int exp(log_f(v)) dv from ``cuts[0]`` to ``cuts[-1]`` by mpmath (at
+    the caller's precision), for an integrand that may fall by e**-1000.
+    Each span between consecutive ``cuts`` is split into pieces across
+    which log_f changes by at most 10, unless ``straight(p, q)`` holds: log_f
+    is nearly linear on it.  On each piece the substitution x = (e**(sigma
+    v) - 1) / (e**(sigma w) - 1), with sigma the secant slope of log_f across
+    it, leaves mpmath a flat integrand."""
+    pieces = []
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        n = 1 if straight(p, q) else max(1, int(mpmath.ceil(abs(log_f(q) - log_f(p)) / 10)))
+        pieces += [(p + (q - p) * j / n, p + (q - p) * (j + 1) / n) for j in range(n)]
+    total = mpmath.mpf(0)
+    for p, q in pieces:
+        base = log_f(p)
+        sigma = (log_f(q) - base) / (q - p)
+        if sigma == 0:
+            total += mpmath.exp(base) * (q - p) * mpmath.quad(
+                lambda x: mpmath.exp(log_f(p + x * (q - p)) - base), [0, 1])
+            continue
+        span = mpmath.expm1(sigma * (q - p))
+
+        def flat(x):
+            v = p + mpmath.log1p(x * span) / sigma
+            return mpmath.exp(log_f(v) - base - sigma * (v - p))
+
+        total += mpmath.exp(base) * span / sigma * mpmath.quad(flat, [0, 1])
+    return total

@@ -13,8 +13,9 @@ is scanned.
 No scenario, demo or README example runs the rest, so it lives here: radio
 laws (the beam grid, the path loss, the serving-gain density), the angular
 and Euclidean order-statistic cdfs and joint laws of a field, the uniform
-mainlobe gain law, the P2 pathloss-fade ratio density and the P3 gain-fade
-ccdf and distance-ratio density of the dominant engine, and
+mainlobe gain law, the fade-ratio ccdf at a threshold, the P2
+pathloss-fade ratio density and the P3 gain-fade ccdf and distance-ratio
+density of the dominant engine, and
 :func:`run_histogram` and :func:`sample_conditioned_interference` over the
 Monte Carlo engine's own chunk stream.
 
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from mmwcov.dominant import _SPEC, _fade_ratio_ccdf, _p3_gain_offsets, mainlobe_pair_probability
+from mmwcov.dominant import _SPEC, _fade_odds_ccdf, _p3_gain_offsets, mainlobe_pair_probability
 from mmwcov.geometry import _check_order, angular_offset
 from mmwcov.montecarlo import SimPlan, _chunk_rng, _map_chunks, _policy_chunk, sample_statistic
 from mmwcov.numerics import QuadratureSpec, integrate_1d, integrate_many
@@ -415,9 +416,28 @@ def corrected_gain_ratio_pdf_g2space(g: float, params: NetworkParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Tolerance of the P2 pathloss-fade ratio density's integrals: tighter than
+# the 1e-10 to which its closed form at the defaults is checked.
+_PDF_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+
+
+def fade_ratio_ccdf(t, m_s: int, m_x: int):
+    """P(h1/h2 > t), unit-mean gamma fades of shapes (m_s, m_x): the
+    dominant engine's ccdf at the odds ``m_s t / m_x``."""
+    return _fade_odds_ccdf(np.maximum(np.asarray(t, dtype=float), 0.0) * (m_s / m_x), m_s, m_x)
+
+
 def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
     """Density of (h1 d1^-alpha) / (h2 d2^-alpha) with independent area-law
-    radii and unit-mean gamma fades; support (0, inf)."""
+    radii and unit-mean gamma fades; support (0, inf).
+
+    Integrated over ``x = log(w2 / s)``, ``s = r_los^-alpha`` the components'
+    scale, on three pieces cut at 0 and ``log(1/w)``, where the two
+    components bend: in x the integrand falls at least as ``e^(2 x)`` below
+    the lower cut and as ``e^(-4 x / alpha)`` above the upper one, so the
+    pieces end 40 and ``10 alpha`` beyond them.  A single range over
+    ``w2 in [0, inf)`` does not resolve the mass near ``s``: at the
+    defaults it gives about 1 at small ``w``, not ``1/(1 + w)^2 ~ 1 - 2 w``."""
     ch = params.channel
     alpha, r_l = ch.alpha_l, params.r_los
 
@@ -433,11 +453,19 @@ def pathloss_fade_ratio_pdf_p2(w, params: NetworkParams):
     out = np.zeros_like(w_arr)
     positive = ~(w_arr <= 0.0)
     w_pos = w_arr[positive]
+    s = r_l ** -alpha
+    bend = -np.log(w_pos)
+    cuts = np.stack((np.minimum(bend, 0.0) - 40.0, np.minimum(bend, 0.0),
+                     np.maximum(bend, 0.0), np.maximum(bend, 0.0) + 10.0 * alpha))
 
-    def integrand(w2, which):
-        return w2 * component_pdf(w_pos[which] * w2, ch.m_s) * component_pdf(w2, ch.m_x)
+    def integrand(x, which):
+        w2 = s * np.exp(x)
+        w1 = w_pos[which % w_pos.size] * w2
+        return w2 * w2 * component_pdf(w1, ch.m_s) * component_pdf(w2, ch.m_x)
 
-    out[positive] = integrate_many(integrand, 0.0, math.inf, w_pos.size, _SPEC)
+    pieces = integrate_many(integrand, cuts[:-1].ravel(), cuts[1:].ravel(), 3 * w_pos.size,
+                            _PDF_SPEC)
+    out[positive] = pieces.reshape(3, w_pos.size).sum(axis=0)
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
@@ -477,7 +505,7 @@ def gain_fade_ratio_ccdf_p3(g, params: NetworkParams):
     scale = g2 / cfg.g_max
     g_arr = np.atleast_1d(np.asarray(g, dtype=float))
     out = (wts[None, :]
-           * _fade_ratio_ccdf(g_arr[:, None] * scale[None, :], ch.m_s, ch.m_x)).sum(axis=1)
+           * fade_ratio_ccdf(g_arr[:, None] * scale[None, :], ch.m_s, ch.m_x)).sum(axis=1)
     return float(out[0]) if np.ndim(g) == 0 else out
 
 

@@ -32,7 +32,7 @@ from mmwcov.numerics import (NonFiniteIntegrandError, QuadratureError, Quadratur
                              integrate_1d, integrate_many)
 from mmwcov.radio import (AntennaConfig, ChannelParams, NetworkParams, dbm_to_watts, gain_3gpp,
                           gain_approx)
-from conftest import ks_distance
+from conftest import ks_distance, mp_log_quad
 from field_oracle import gain_pdf_mainlobe, integrate_2d, sample_conditioned_interference
 import analytic_oracle as oracle
 
@@ -847,13 +847,13 @@ class TestExponentOracle:
         expected = np.stack([oracles[j].scaled(s_i, k_max) for j, s_i in zip(node, s)],
                             axis=1)
         # zero-width elements are never evaluated
-        integrals = analytic._RadialTable.integrals
+        integrals = analytic._Antiderivatives.integrals
 
         def positive_widths(table, a, width):
             assert width.size and width.min() > 0.0
             return integrals(table, a, width)
 
-        monkeypatch.setattr(analytic._RadialTable, "integrals", positive_widths)
+        monkeypatch.setattr(analytic._Antiderivatives, "integrals", positive_widths)
         got = analytic._exponent_derivatives(grid, node, s, k_max, params.density)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
         # the grid keeps exactly the angular nodes inside the disk edge
@@ -927,14 +927,11 @@ _MP_CUTS = [0.0] + [sign * 2.0**j for j in range(7) for sign in (-1.0, 1.0)]
 
 
 def _mp_radial(alpha, m_x, k, a, width):
-    """int_a^(a + width) g_k(u) du (see analytic._RadialTable) by mpmath at
-    20 digits.  The interval is cut at 0 and +-2**j, and within |u| < 8,
-    where log g_k bends, further into pieces across which log g_k changes
-    by at most 10.  On each piece the substitution x = (e**(sigma v) - 1) /
-    (e**(sigma w) - 1), with sigma the secant slope of log g_k across it,
-    leaves mpmath a flat integrand even where g_k falls by e**-1000.
-    Offsets from ``a`` are kept apart from ``a``, so that a width of 1e-12
-    keeps its digits."""
+    """int_a^(a + width) g_k(u) du (see analytic._radial_table) by mpmath at
+    20 digits (:func:`conftest.mp_log_quad`).  The interval is cut at 0 and
+    +-2**j, and within |u| < 8, where log g_k bends, further into pieces
+    across which log g_k changes by at most 10.  Offsets from ``a`` are kept
+    apart from ``a``, so that a width of 1e-12 keeps its digits."""
     with mpmath.workdps(20):
         inv = 2 / mpmath.mpf(alpha)
         a, width = mpmath.mpf(a), mpmath.mpf(width)
@@ -946,27 +943,8 @@ def _mp_radial(alpha, m_x, k, a, width):
             return (k - inv) * (a + v) - (k + m_x) * soft
 
         cuts = sorted(c - a for c in map(mpmath.mpf, _MP_CUTS) if 0 < c - a < width)
-        pieces = []
-        for p, q in zip([mpmath.mpf(0)] + cuts, cuts + [width]):
-            flat_tail = min(abs(a + p), abs(a + q)) >= 8 and (a + p) * (a + q) > 0
-            n = 1 if flat_tail else max(1, int(mpmath.ceil(abs(log_g(q) - log_g(p)) / 10)))
-            pieces += [(p + (q - p) * j / n, p + (q - p) * (j + 1) / n) for j in range(n)]
-        total = mpmath.mpf(0)
-        for p, q in pieces:
-            base = log_g(p)
-            sigma = (log_g(q) - base) / (q - p)
-            if sigma == 0:
-                total += mpmath.exp(base) * (q - p) * mpmath.quad(
-                    lambda x: mpmath.exp(log_g(p + x * (q - p)) - base), [0, 1])
-                continue
-            span = mpmath.expm1(sigma * (q - p))
-
-            def flat(x):
-                v = p + mpmath.log1p(x * span) / sigma
-                return mpmath.exp(log_g(v) - base - sigma * (v - p))
-
-            total += mpmath.exp(base) * span / sigma * mpmath.quad(flat, [0, 1])
-        return total
+        return mp_log_quad(log_g, [mpmath.mpf(0)] + cuts + [width],
+                           lambda p, q: min(abs(a + p), abs(a + q)) >= 8 and (a + p) * (a + q) > 0)
 
 
 class TestRadialAntiderivative:
@@ -992,7 +970,7 @@ class TestRadialAntiderivative:
             cases = grid[self.ALPHAS.index(alpha) * len(self.M_X) + i::28]
             a = np.array([pos + 0.0123 * (j % 7) for j, (pos, _) in enumerate(cases)])
             width = np.array([w for _, w in cases])
-            got = analytic._RadialTable(alpha, m_x, 3).integrals(a, width)
+            got = analytic._radial_table(alpha, m_x, 3).integrals(a, width)
             for j, k in product(range(a.size), range(4)):
                 ref = _mp_radial(alpha, m_x, k, a[j], width[j])
                 if mpmath.mpf("1e-290") < ref < mpmath.mpf("1e290"):   # a normal double
@@ -1002,7 +980,7 @@ class TestRadialAntiderivative:
 
     def test_alpha_below_the_table_is_refused(self):
         with pytest.raises(ValueError, match="at least 0.25 for the analytic region"):
-            analytic._RadialTable(0.2, 2, 1)
+            analytic._radial_table(0.2, 2, 1)
 
 
 def _corner(sectors_exp, density, alpha, m_x):

@@ -1,14 +1,15 @@
 import json
 import math
 import warnings
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
 
 from mmwcov import analytic, dominant
 from mmwcov.dominant import (
-    _fade_ratio_ccdf,
     _rejected_variant_coverage_dom_p3,
     _rejected_variant_gain_ratio_pdf_p2,
     build_discrepancy_report,
@@ -25,9 +26,9 @@ from mmwcov.dominant import (
 from mmwcov.montecarlo import SimPlan, sample_statistic
 from mmwcov.numerics import QuadratureError, QuadratureSpec, integrate_1d
 from mmwcov.radio import _LN10, AntennaConfig, ChannelParams, NetworkParams, _curvature, gain_approx
-from conftest import ks_distance
+from conftest import ks_distance, mp_log_quad
 from field_oracle import (corrected_gain_ratio_pdf_g2space, distance_ratio_pdf_p3,
-                          gain_fade_ratio_ccdf_p3, pathloss_fade_ratio_pdf_p2,
+                          fade_ratio_ccdf, gain_fade_ratio_ccdf_p3, pathloss_fade_ratio_pdf_p2,
                           uniform_mainlobe_gain_cdf, uniform_mainlobe_gain_pdf)
 
 
@@ -125,7 +126,7 @@ class TestFadeRatioCcdf:
         t = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 625), [math.inf]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = _fade_ratio_ccdf(t, m_s, m_x)
+            value = fade_ratio_ccdf(t, m_s, m_x)
         oracle = oracle_fade_ratio_ccdf(t, m_s, m_x)
         assert not np.isnan(value).any()
         err = np.abs(value - oracle)
@@ -140,11 +141,11 @@ class TestFadeRatioCcdf:
         t = np.geomspace(1e-12, 1e300, 625)
         oracle = special.betainc(m_x, m_s, m_x / (m_s * t + m_x))
         tail = oracle > 1e-280
-        value = _fade_ratio_ccdf(t[tail], m_s, m_x)
+        value = fade_ratio_ccdf(t[tail], m_s, m_x)
         np.testing.assert_allclose(value, oracle[tail], rtol=1e-10, atol=0.0)
 
     def test_below_zero_and_nan(self):
-        value = _fade_ratio_ccdf(np.array([-math.inf, -1.0, -0.0, math.nan]), 3, 5)
+        value = fade_ratio_ccdf(np.array([-math.inf, -1.0, -0.0, math.nan]), 3, 5)
         assert np.array_equal(value[:3], [1.0, 1.0, 1.0]) and math.isnan(value[3])
 
 
@@ -293,7 +294,111 @@ class TestGainRatioLawP2:
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
+def _mp_log_fade(u, m_s, m_x):
+    """log P(h1/h2 > t) at the odds e**u = m_s t / m_x, as the regularized
+    incomplete beta I_y(m_x, m_s), y = 1 / (1 + e**u)."""
+    return mpmath.log(mpmath.betainc(m_x, m_s, 0, 1 / (1 + mpmath.exp(u)), regularized=True))
+
+
+def _mp_fade_integral(m_s, m_x, x, rate, slope):
+    """int_0^inf e**(-rate v) F(x + slope v) dv by mpmath (at the caller's
+    precision), F the fade-ratio ccdf at the odds e**u
+    (:func:`conftest.mp_log_quad`): cut where the argument crosses -8, 0 and
+    8, between which log F bends, and ended where the integrand has fallen
+    by e**-80."""
+    x = mpmath.mpf(x)
+    end = max(-x / slope, 0) + 80 / rate
+    cuts = sorted({mpmath.mpf(0), end} | {(c - x) / slope for c in (-8, 0, 8)
+                                          if 0 < (c - x) / slope < end})
+
+    def straight(p, q):
+        ends = (x + slope * p, x + slope * q)
+        return min(map(abs, ends)) >= 8 and ends[0] * ends[1] > 0
+
+    return mp_log_quad(lambda v: -rate * v + _mp_log_fade(x + slope * v, m_s, m_x), cuts,
+                       straight)
+
+
+class TestFadeTable:
+    """The rows e**(a u) F(u) and e**(-a u) F(u) of dominant._fade_table on
+    the half-lines that the P2 law looks up, e**(-a x) int_-inf^x and
+    e**(a x) int_x^inf, against mpmath: inside, across and beyond the
+    tabulated [-40, 40] (analytic._U_HALF)."""
+
+    POSITIONS = (-100.0, -45.0, -40.3, -39.99, -12.0, -2.5, -0.4, 0.3, 1.7, 9.0, 39.9, 40.5,
+                 47.0, 100.0)
+    ALPHAS = (0.25, 0.5, 2.0, 4.0)
+    SHAPES = ((1, 1), (2, 2), (4, 3), (8, 8), (1, 8), (8, 1))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_half_lines_match_mpmath(self, alpha):
+        # the positions are dealt out over the 24 (alpha, shapes) pairs, each
+        # nudged off the table's panel edges
+        a, checked = 2.0 / alpha, 0
+        for i, (m_s, m_x) in enumerate(self.SHAPES):
+            pair = self.ALPHAS.index(alpha) * len(self.SHAPES) + i
+            x = np.array([pos + 0.0123 * (j % 7)
+                          for j, pos in enumerate(self.POSITIONS[pair % 4::4])])
+            table = dominant._fade_table(alpha, m_s, m_x)
+            got = (table.half_lines(x, 0, False, -a * x), table.half_lines(x, 1, True, a * x))
+            with mpmath.workdps(20):
+                for j, (k, slope) in product(range(x.size), ((0, -1), (1, 1))):
+                    ref = _mp_fade_integral(m_s, m_x, x[j], 2 / mpmath.mpf(alpha), slope)
+                    if mpmath.mpf("1e-290") < ref < mpmath.mpf("1e290"):   # a normal double
+                        checked += 1
+                        assert abs(got[k][j] / ref - 1) <= 1e-12, (m_s, m_x, k, x[j])
+        assert checked >= 30
+
+    @pytest.mark.filterwarnings("ignore:alpha_l=")
+    def test_alpha_below_the_table_is_refused(self):
+        params = NetworkParams(channel=ChannelParams(alpha_l=0.2))
+        with pytest.raises(ValueError, match="at least 0.25 for the analytic region"):
+            pathloss_fade_ratio_ccdf_p2(1.0, params)
+
+
 class TestPathlossFadeRatioLawP2:
+    @pytest.mark.filterwarnings("ignore:alpha_l=")
+    @pytest.mark.parametrize("alpha,m_s,m_x", ((2.0, 2, 2), (2.5, 3, 1), (0.5, 1, 4),
+                                               (4.0, 8, 8)))
+    def test_against_mpmath(self, alpha, m_s, m_x):
+        # the fold int_0^1 x [F(t x^alpha) + F(t x^-alpha)] dx, with x = e^-y
+        # and F at the odds m_s t x^(+-alpha) / m_x
+        params = NetworkParams(channel=ChannelParams(alpha_l=alpha, m_s=m_s, m_x=m_x))
+        t = np.geomspace(1e-12, 1e12, 13)
+        value = pathloss_fade_ratio_ccdf_p2(t, params)
+        with mpmath.workdps(20):
+            for j, tv in enumerate(t):
+                u = mpmath.log(mpmath.mpf(tv) * m_s / m_x)
+                ref = sum(_mp_fade_integral(m_s, m_x, u, 2, slope) for slope in (-alpha, alpha))
+                assert abs(value[j] - ref) <= max(1e-14, 1e-10 * abs(ref)), tv
+
+    def test_closed_form_at_the_defaults(self, params):
+        # at m_s = m_x = 2 and alpha 2, P(W > t) = 1 / (1 + t)
+        t = np.geomspace(1e-12, 1e12, 241)
+        np.testing.assert_allclose(pathloss_fade_ratio_ccdf_p2(t, params), 1.0 / (1.0 + t),
+                                   rtol=0.0, atol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:alpha_l=")
+    @pytest.mark.parametrize("alpha", (0.25, 2.0, 4.0))
+    def test_edges_and_the_whole_float_range(self, alpha):
+        params = NetworkParams(channel=ChannelParams(alpha_l=alpha))
+        edges = pathloss_fade_ratio_ccdf_p2(np.array([-math.inf, -1.0, 0.0, math.inf, math.nan]),
+                                            params)
+        assert np.array_equal(edges[:4], [1.0, 1.0, 1.0, 0.0]) and math.isnan(edges[4])
+        t = np.geomspace(1e-300, 1e300, 1201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pathloss_fade_ratio_ccdf_p2(t, params)
+        assert np.all(np.isfinite(value)) and np.all((value >= 0.0) & (value <= 1.0))
+        assert np.all(np.diff(value) <= 0.0)
+
+    def test_pdf_oracle_closed_form_at_the_defaults(self, params):
+        # the test-side density is 1 / (1 + t)^2 at the defaults, down to
+        # small t, where its mass near the components' scale is easy to miss
+        t = np.geomspace(1e-6, 1e4, 41)
+        np.testing.assert_allclose(pathloss_fade_ratio_pdf_p2(t, params), (1.0 + t) ** -2.0,
+                                   rtol=0.0, atol=1e-10)
+
     def test_unit_mass(self, params):
         mass = integrate_1d(
             np.vectorize(lambda w: pathloss_fade_ratio_pdf_p2(float(w), params)),
@@ -562,6 +667,18 @@ class TestCurveInterface:
         if curve != "P3-self":          # the report's own closed form, not an entry point
             with pytest.raises(ValueError, match=r"gamma\[1\] is NaN"):
                 fn(np.array([1.0, math.nan]), params)
+
+    @pytest.mark.parametrize("curve", ("P2", "P3-product"))
+    def test_thresholds_across_the_float_range(self, params, curve):
+        # every threshold that the validator accepts at the defaults; P2's
+        # low end reads 0.9999854, short of 1 by the mass its outer integral
+        # misses, so only the range and the order are asserted
+        gamma_db = np.concatenate((np.arange(-3000.0, 3080.0, 20.0), [3080.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = CURVES[curve](10.0 ** (gamma_db / 10.0), params)
+        assert np.all(np.isfinite(value)) and np.all((value >= 0.0) & (value <= 1.0))
+        assert np.all(np.diff(value) <= 0.0)
 
     @pytest.mark.parametrize("alpha", (2.0, 2.2, 2.5))
     def test_self_pairing_closed_form_against_quadrature(self, alpha):

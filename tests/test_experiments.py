@@ -45,14 +45,17 @@ class TestValidateConfig:
     @pytest.mark.filterwarnings("ignore:alpha_l=")
     def test_alpha_below_the_region_exponents_is_refused_where_they_run(self):
         # the analytic curves and fig8's report integrate the region
-        # exponents, whose radial table stops at alpha 0.25
+        # exponents, and the dominant P2 curves the fade-ratio rows, whose
+        # antiderivative tables stop at alpha 0.25
         for text in ("channel.alpha_l = 0.2\nrun.engines = analytic\n",
-                     "channel.alpha_l = 0.2\nscenario = fig8\nrun.engines = dominant\n"):
+                     "channel.alpha_l = 0.2\nscenario = fig8\nrun.engines = dominant\n",
+                     "channel.alpha_l = 0.2\nrun.engines = dominant\nrun.policies = P2,P3\n"):
             with pytest.raises(ConfigError, match=r"line 1: channel\.alpha_l must be at least "
                                                   r"0\.25 for the analytic region exponents "
                                                   r"\(got 0\.2\)"):
                 validate_config(text, environ={})
         for text in ("channel.alpha_l = 0.2\nrun.engines = mc\n",
+                     "channel.alpha_l = 0.2\nrun.engines = dominant\nrun.policies = P1,P3\n",
                      "channel.alpha_l = 0.2\nscenario = fig4\nrun.engines = analytic\n",
                      "channel.alpha_l = 0.25\nrun.engines = analytic\n"):
             validate_config(text, environ={})
@@ -683,25 +686,31 @@ class TestImportHygiene:
         for name in outputs:
             assert (tmp_path / name).is_file()
 
-    # The radial table of the region exponents is fitted without LAPACK
-    # (whose first call adds about 1 MB of resident memory), and only when a
-    # coverage call first needs it, not at import or validation.
+    # The antiderivative tables, of the region exponents and of the dominant
+    # P2 law, are fitted without LAPACK (whose first call adds about 1 MB of
+    # resident memory), and only when a coverage call first needs them, not
+    # at import or validation.
     def test_region_exponents_need_no_lapack_and_no_work_at_import(self):
         body = ("import numpy as np\n"
                 "def refuse(*args, **kwargs):\n"
                 "    raise AssertionError('numpy.linalg called')\n"
                 "np.linalg.solve = np.linalg.lstsq = np.linalg.inv = refuse\n"
                 "import mmwcov.cli\n"
-                "from mmwcov import analytic\n"
+                "from mmwcov import analytic, dominant\n"
                 "from mmwcov.experiments import validate_config\n"
                 "from mmwcov.radio import ChannelParams, NetworkParams\n"
                 "validate_config(None, environ={})\n"
                 "assert analytic._radial_table.cache_info().currsize == 0\n"
+                "assert dominant._fade_table.cache_info().currsize == 0\n"
                 "for params in (NetworkParams(), NetworkParams(channel=ChannelParams(m_s=3))):\n"
                 "    for fn in (analytic.coverage_p1, analytic.coverage_p2,\n"
                 "               analytic.coverage_p3):\n"
                 "        assert np.all(fn(np.array([0.5, 2.0]), params) > 0.0)\n"
-                "assert analytic._radial_table.cache_info().currsize == 2")
+                "assert analytic._radial_table.cache_info().currsize == 2\n"
+                "assert dominant._fade_table.cache_info().currsize == 0\n"
+                "cov = dominant.coverage_dom_p2(np.array([0.5, 2.0]), NetworkParams())\n"
+                "assert np.all(cov > 0.0)\n"
+                "assert dominant._fade_table.cache_info().currsize == 1")
         assert _modules_loaded(body) == ""
 
     # numpy.polynomial (leggauss) and numpy.ma (np.unique of integers) add
